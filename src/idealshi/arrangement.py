@@ -12,15 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from .ideals import linear_extension
 from .linalg import Vec
-from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, ext_height, ext_height_z
+from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, ext_height, ext_height_z, shi_planes
 
 
 class SizeBoundError(RuntimeError):
@@ -58,9 +58,6 @@ class Arrangement:
     def __len__(self) -> int:
         return len(self.covectors)
 
-    def contains(self, v: Sequence[int]) -> bool:
-        return covector(v) in set(self.covectors)
-
     def delete(self, v: Sequence[int]) -> "Arrangement":
         cov = covector(v)
         if cov not in self.covectors:
@@ -96,50 +93,19 @@ def root_arrangement(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> 
     return Arrangement.of(rs.rank, [root_covector(rs, r) for r in chosen])
 
 
-def _sigma_mask(rs: RootSystem, sigma: Iterable[Root]) -> int:
-    mask = 0
-    for r in sigma:
-        idx = rs.index.get(r.coeffs)
-        if idx is None:
-            raise ValueError(f"{r} is not a positive root of {rs.type}")
-        mask |= 1 << idx
-    return mask
+def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root], sign: str) -> Arrangement:
+    """Coned k-extended Shi arrangement plus the level -k planes of sigma
+    (sign '+') or minus the level k planes of sigma (sign '-')."""
+    covs = [root_covector(rs, root, j, coned=True) for root, j in shi_planes(rs, k, sigma, sign)]
+    return Arrangement.of(rs.rank + 1, [z_covector(rs)] + covs)
 
 
 def shi_plus(rs: RootSystem, k: int, sigma: Iterable[Root]) -> Arrangement:
-    """Coned k-extended Shi arrangement plus the level -k planes of sigma."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    mask = _sigma_mask(rs, sigma)
-    covs = [z_covector(rs)]
-    for i, root in enumerate(rs.positive_roots):
-        for j in range(-k + 1, k + 1):
-            covs.append(root_covector(rs, root, j, coned=True))
-        if mask >> i & 1:
-            covs.append(root_covector(rs, root, -k, coned=True))
-    return Arrangement.of(rs.rank + 1, covs)
+    return shi_arrangement(rs, k, sigma, "+")
 
 
 def shi_minus(rs: RootSystem, k: int, sigma: Iterable[Root]) -> Arrangement:
-    """Coned k-extended Shi arrangement minus the level k planes of sigma."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    mask = _sigma_mask(rs, sigma)
-    covs = [z_covector(rs)]
-    for i, root in enumerate(rs.positive_roots):
-        for j in range(-k + 1, k + 1):
-            if j == k and mask >> i & 1:
-                continue
-            covs.append(root_covector(rs, root, j, coned=True))
-    return Arrangement.of(rs.rank + 1, covs)
-
-
-def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root], sign: str) -> Arrangement:
-    if sign == "+":
-        return shi_plus(rs, k, sigma)
-    if sign == "-":
-        return shi_minus(rs, k, sigma)
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    return shi_arrangement(rs, k, sigma, "-")
 
 
 def filtration_vectors(rs: RootSystem, i: int) -> tuple[tuple[Root, int], ...]:
@@ -198,10 +164,6 @@ class Subspace:
     def codim(self) -> int:
         return len(self.rows)
 
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim - len(self.rows)
-
     def pivots(self) -> tuple[int, ...]:
         return tuple(linalg.first_nonzero(r) for r in self.rows)
 
@@ -209,16 +171,21 @@ class Subspace:
         """True when the linear form vanishes on this subspace."""
         return linalg.in_rowspace(v, self.rows, self.pivots())
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        piv = other.pivots()
-        return all(linalg.in_rowspace(r, other.rows, piv) for r in self.rows)
-
 
 @dataclass(frozen=True)
 class LatticeNode:
-    subspace: Subspace
+    """A flat, named by the hyperplanes that contain it."""
+
     mask: int  # bitmask of the hyperplanes containing the flat
     mu: int
+    arrangement: Arrangement = field(repr=False, compare=False)
+
+    @property
+    def subspace(self) -> Subspace:
+        """The canonical row form of the flat, from the covectors in its mask."""
+        covs = self.arrangement.covectors
+        rows = linalg.rref(c for i, c in enumerate(covs) if self.mask >> i & 1)
+        return Subspace(self.arrangement.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -237,9 +204,102 @@ class IntersectionLattice:
     def charpoly_coeffs(self) -> tuple[int, ...]:
         """Coefficients (ascending degree) of sum mu(X) t^dim(X)."""
         coeffs = [0] * (self.dim + 1)
-        for node in self.nodes():
-            coeffs[node.subspace.dim] += node.mu
+        for codim, level in enumerate(self.levels):
+            coeffs[self.dim - codim] += sum(node.mu for node in level)
         return tuple(coeffs)
+
+
+_BLOCK = 128  # parent flats restricted per batch: keeps the temporaries small
+_PAIRS = 1 << 14  # mask pairs per batch of subset tests, for the same reason
+_INT64_SAFE = 1 << 62
+
+
+def _exact(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays as int64 when ``bound`` caps every entry of the product
+    about to be taken, else as Python integers, so results stay exact."""
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def _maxabs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _primitive(rows: np.ndarray) -> np.ndarray:
+    """Divide each row (last axis) by its content and make its first
+    nonzero entry positive; zero rows stay zero."""
+    g = np.gcd.reduce(rows, axis=-1)
+    lead = np.take_along_axis(rows, np.argmax(rows != 0, axis=-1)[..., None], axis=-1)[..., 0]
+    g = np.where(lead < 0, -g, g)
+    g[g == 0] = 1
+    return rows // g[..., None]
+
+
+def _restricted_basis(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """For each g, rows spanning the x in rowspace(basis[g]) whose
+    coordinates are orthogonal to v[g]: the vectors v_p e_j - v_j e_p
+    (p the first nonzero entry of v[g], j != p) taken through basis[g]."""
+    g, d = v.shape
+    p = np.argmax(v != 0, axis=1)[:, None]
+    at_p = np.arange(d) == p
+    u = v[at_p][:, None, None] * np.eye(d, dtype=v.dtype) - v[:, :, None] * at_p[:, None, :]
+    u, basis = _exact(_maxabs(v) * _maxabs(basis) * d, u[~at_p].reshape(g, d - 1, d), basis)
+    return _primitive(np.matmul(u, basis))
+
+
+def _sorted_groups(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sort rows by ``columns`` (the last is the primary key); return the
+    sort order and a flag marking the first row of each run of equal rows."""
+    order = np.lexsort(columns)
+    keys = np.stack([col[order] for col in columns])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return order, first
+
+
+def _dedupe(masks: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct mask row."""
+    order, first = _sorted_groups(masks.view(np.int64).T)
+    return order[first]
+
+
+def _children(covs: np.ndarray, masks: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flats one codimension below a block of flats, one per parallel class
+    of each flat's restricted forms, deduplicated on their masks."""
+    n = bases.shape[2]
+    c, b = _exact(_maxabs(covs) * _maxabs(bases) * n, covs, bases)
+    forms = _primitive(np.matmul(c, b.transpose(0, 2, 1)))  # (flat, hyperplane, coord)
+    flat, hyp = np.nonzero((forms != 0).any(axis=2))
+    rows = forms[flat, hyp]
+    # primitive sign-fixed forms of one flat are parallel iff equal
+    order, first = _sorted_groups([*rows.T, flat])
+    reps = order[first]
+    child = masks[flat[reps]]
+    hyp = hyp[order]
+    bits = np.uint64(1) << (hyp & 63).astype(np.uint64)
+    np.bitwise_or.at(child, (np.cumsum(first) - 1, hyp >> 6), bits)
+    keep = _dedupe(child)
+    reps = reps[keep]
+    return child[keep], _restricted_basis(rows[reps], bases[flat[reps]])
+
+
+def _mobius(levels: list[np.ndarray]) -> list[np.ndarray]:
+    """mu(X) = -sum of mu over the flats strictly containing X, which are
+    exactly the flats of lower codimension whose mask is a subset of X's."""
+    mus = [np.ones(1, dtype=np.int64)]
+    above, above_mu = levels[0], mus[0]
+    for masks in levels[1:]:
+        mu = np.empty(len(masks), dtype=np.int64)
+        step = max(1, _PAIRS // len(above))
+        for s in range(0, len(masks), step):
+            outside = ~masks[s : s + step]
+            inside = (above[:, 0] & outside[:, 0, None]) == 0
+            for w in range(1, above.shape[1]):
+                inside &= (above[:, w] & outside[:, w, None]) == 0
+            mu[s : s + step] = -(inside @ above_mu)
+        mus.append(mu)
+        above, above_mu = np.concatenate([above, masks]), np.concatenate([above_mu, mu])
+    return mus
 
 
 def intersection_lattice(
@@ -247,84 +307,42 @@ def intersection_lattice(
 ) -> IntersectionLattice:
     """Build the full intersection lattice, level by level.
 
-    Flats of codimension c+1 arise by intersecting each codim-c flat with
-    each hyperplane not containing it; canonical row forms deduplicate
-    them.  The top flat (the intersection of everything) is unique, so the
-    last level is written down directly instead of being re-derived from
-    every flat below it.
+    A flat X carries the mask of the hyperplanes containing it and an
+    integer basis B of X.  The hyperplanes not containing X restrict to
+    the nonzero rows of C.B^T (C the covectors); each parallel class of
+    those rows is one flat one codimension down, with mask
+    mask(X) | class.  Flats dedupe on their masks, so no row reduction
+    happens inside the build.  The top flat (the intersection of
+    everything) is unique, so the last level is written down directly.
     """
     n = arr.dim
     if n > max_dim:
         raise SizeBoundError(f"ambient dimension {n} exceeds bound {max_dim}")
     if arr.size > max_hyperplanes:
         raise SizeBoundError(f"{arr.size} hyperplanes exceed bound {max_hyperplanes}")
-    covs = arr.covectors
-    m = len(covs)
-
-    # flats per level as {rows: (pivots, mask)}
-    levels: list[dict[tuple[Vec, ...], tuple[tuple[int, ...], int]]] = [{(): ((), 0)}]
+    m = arr.size
+    words = max(1, -(-m // 64))
+    levels = [np.zeros((1, words), dtype=np.uint64)]
     if m:
-        full_rows = linalg.rref(covs)
-        top_codim = len(full_rows)
-        atoms = {
-            (cov,): ((linalg.first_nonzero(cov),), 1 << i) for i, cov in enumerate(covs)
-        }
-        levels.append(atoms)
-        for c in range(2, top_codim):
-            prev = levels[c - 1]
-            cur: dict[tuple[Vec, ...], tuple[tuple[int, ...], int]] = {}
-            for rows, (pivots, mask) in prev.items():
-                for i in range(m):
-                    if mask >> i & 1:
-                        continue
-                    ins = linalg.insert_row(rows, pivots, covs[i])
-                    if ins is None:  # hyperplane already contains the flat
-                        continue
-                    new_rows, new_pivots = ins
-                    if new_rows in cur:
-                        continue
-                    child_mask = mask | (1 << i)
-                    for t in range(m):
-                        if child_mask >> t & 1:
-                            continue
-                        if linalg.in_rowspace(covs[t], new_rows, new_pivots):
-                            child_mask |= 1 << t
-                    cur[new_rows] = (new_pivots, child_mask)
-            levels.append(cur)
-        if top_codim >= 2:
-            top_pivots = tuple(linalg.first_nonzero(r) for r in full_rows)
-            levels.append({full_rows: (top_pivots, (1 << m) - 1)})
+        widest = max(abs(x) for cov in arr.covectors for x in cov)
+        covs = np.array(arr.covectors, dtype=np.int64 if widest < _INT64_SAFE else object)
+        masks, bases = levels[0], np.eye(n, dtype=np.int64)[None]
+        for _ in range(1, arr.rank()):
+            found = [
+                _children(covs, masks[s : s + _BLOCK], bases[s : s + _BLOCK])
+                for s in range(0, len(masks), _BLOCK)
+            ]
+            masks = np.concatenate([fm for fm, _ in found])
+            keep = _dedupe(masks)
+            masks, bases = masks[keep], np.concatenate([fb for _, fb in found])[keep]
+            levels.append(masks)
+        levels.append(np.frombuffer(((1 << m) - 1).to_bytes(8 * words, "little"), dtype="<u8")[None])
 
-    # Mobius values: mu(X) = -sum over flats strictly containing X, which
-    # are exactly the flats whose hyperplane mask is a subset of X's.
-    use_numpy = m <= 63
-    out_levels: list[list[LatticeNode]] = []
-    np_masks = np.zeros(0, dtype=np.uint64)
-    np_mus = np.zeros(0, dtype=np.int64)
-    py_pairs: list[tuple[int, int]] = []
-    for c, level in enumerate(levels):
-        nodes = []
-        masks_here = []
-        mus_here = []
-        for rows, (_pivots, mask) in level.items():
-            if c == 0:
-                mu = 1
-            elif use_numpy:
-                sel = (np_masks & np.uint64(mask)) == np_masks
-                mu = -int(np_mus[sel].sum())
-            else:
-                mu = -sum(v for mk, v in py_pairs if mk & mask == mk)
-            nodes.append(LatticeNode(Subspace(n, rows), mask, mu))
-            masks_here.append(mask)
-            mus_here.append(mu)
-        out_levels.append(nodes)
-        if use_numpy:
-            np_masks = np.concatenate([np_masks, np.array(masks_here, dtype=np.uint64)])
-            np_mus = np.concatenate([np_mus, np.array(mus_here, dtype=np.int64)])
-        else:
-            py_pairs.extend(zip(masks_here, mus_here))
-
-    lattice = IntersectionLattice(arr, tuple(tuple(lv) for lv in out_levels))
+    out_levels = []
+    for masks, mus in zip(levels, _mobius(levels)):
+        ints = [int.from_bytes(row.tobytes(), "little") for row in masks.astype("<u8")]
+        out_levels.append(tuple(LatticeNode(mk, mu, arr) for mk, mu in zip(ints, mus.tolist())))
+    lattice = IntersectionLattice(arr, tuple(out_levels))
     if m and sum(node.mu for node in lattice.nodes()) != 0:
         raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
     return lattice
@@ -426,17 +444,24 @@ class LatticeCache:
                 blob = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
-        if blob.get("version") != CACHE_VERSION or blob.get("dim") != arr.dim:
+        # anything but a well-formed summary of this arrangement is a miss
+        if not isinstance(blob, dict) or blob.get("version") != CACHE_VERSION or blob.get("dim") != arr.dim:
             return None
-        return tuple(int(c) for c in blob["chi"])
+        chi = blob.get("chi")
+        if not isinstance(chi, list) or len(chi) != arr.dim + 1 or not all(isinstance(c, str) for c in chi):
+            return None
+        try:
+            coeffs = tuple(int(c) for c in chi)
+        except ValueError:
+            return None
+        return coeffs if coeffs[-1] == 1 else None
 
-    def put_charpoly(self, arr: Arrangement, coeffs: Sequence[int], level_sizes: Sequence[int]) -> None:
+    def put_charpoly(self, arr: Arrangement, coeffs: Sequence[int]) -> None:
         blob = {
             "version": CACHE_VERSION,
             "dim": arr.dim,
             "size": arr.size,
             "chi": [str(c) for c in coeffs],
-            "level_sizes": list(level_sizes),
         }
         path = self._path(arrangement_key(arr))
         tmp = path + ".tmp"

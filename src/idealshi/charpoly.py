@@ -89,7 +89,7 @@ def charpoly_mobius(
     lattice = intersection_lattice(arr, max_hyperplanes=max_hyperplanes, max_dim=max_dim)
     poly = CharPoly(lattice.charpoly_coeffs())
     if cache is not None:
-        cache.put_charpoly(arr, poly.coeffs, [len(lv) for lv in lattice.levels])
+        cache.put_charpoly(arr, poly.coeffs)
     return poly
 
 
@@ -274,10 +274,6 @@ class TeraoVerdict:
     passed: bool
     computed: CharPoly
     predicted: ExponentMultiset
-
-    @property
-    def predicted_poly(self) -> CharPoly:
-        return CharPoly.from_roots(tuple(self.predicted))
 
     def __str__(self) -> str:
         flag = "PASS" if self.passed else "FAIL"

@@ -3,7 +3,7 @@
 Subcommands: roots, ideals, exponents, verify, filtration, charpoly.
 Exit codes: 0 all expectations met, 1 at least one mismatch (a genuine
 counterexample would land here, so it normally means an implementation
-bug), 2 usage error.
+bug), 2 usage error, 3 internal error (a broken invariant of the program).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -38,7 +38,7 @@ from .charpoly import (
     terao_check,
     try_factor_exponents,
 )
-from .ideals import Ideal, enumerate_ideals, ideal_exponents, is_ideal, mask_of
+from .ideals import enumerate_ideals, ideal_exponents, is_ideal
 from .multiarr import exp_rank2_multi, shift_predict, yoshinaga_check
 from .report import (
     FAIL,
@@ -56,6 +56,7 @@ from .rootsys import (
     RootSystem,
     RootSystemType,
     build,
+    mask_of,
     shi_exponents_dp,
     weyl_exponents,
 )
@@ -113,21 +114,12 @@ def _bounds(spec: CaseSpec) -> dict:
 
 
 def _check_terao(spec: CaseSpec, rs, arr, cache) -> tuple[CheckResult, Optional[tuple], Optional[tuple]]:
-    roots = _mask_roots(rs, spec.subset_mask)
     if not is_ideal(rs, spec.subset_mask):
-        return (
-            CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal"),
-            None,
-            None,
-        )
-    predicted = shi_exponents_dp(rs, spec.k, roots, spec.sign)
+        return CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal"), None, None
+    predicted = shi_exponents_dp(rs, spec.k, _mask_roots(rs, spec.subset_mask), spec.sign)
     verdict = terao_check(arr, predicted, cache, **_bounds(spec))
     status = PASS if verdict.passed else FAIL
-    return (
-        CheckResult("terao", status, f"chi = {verdict.computed}"),
-        predicted.parts,
-        verdict.computed.coeffs,
-    )
+    return CheckResult("terao", status, f"chi = {verdict.computed}"), predicted.parts, verdict.computed.coeffs
 
 
 def _rank2_freeness_expected(rs: RootSystem, mask: int) -> bool:
@@ -144,9 +136,7 @@ def _check_yoshinaga(spec: CaseSpec, rs, arr, cache) -> CheckResult:
         return CheckResult("yoshinaga", FAIL, f"freeness {verdict.free}, expected {expected_free}")
     if not verdict.free:
         return CheckResult("yoshinaga", NOT_FREE_CONFIRMED, str(verdict))
-    base = exp_rank2_multi(root_arrangement(rs), _indicator(rs, spec.subset_mask))
-    shifted = shift_predict(ExponentMultiset(base), spec.k, rs.coxeter_number, spec.sign)
-    want = tuple(sorted((1,) + shifted.parts))
+    want = _shift_law(rs, spec, spec.sign)[spec.sign]
     if verdict.exponents.parts != want:
         return CheckResult(
             "yoshinaga", FAIL, f"exponents {verdict.exponents.parts} != shift law {want}"
@@ -154,11 +144,13 @@ def _check_yoshinaga(spec: CaseSpec, rs, arr, cache) -> CheckResult:
     return CheckResult("yoshinaga", PASS, str(verdict))
 
 
-def _indicator(rs: RootSystem, mask: int) -> dict:
-    return {
-        root_covector(rs, r): 1 if mask >> i & 1 else 0
-        for i, r in enumerate(rs.positive_roots)
-    }
+def _shift_law(rs: RootSystem, spec: CaseSpec, signs: str) -> dict[str, tuple[int, ...]]:
+    """Exponents (z included) that the shift law predicts for each sign: the
+    base exponents of the 0/1 indicator multiplicity, shifted by 2k."""
+    mult = {root_covector(rs, r): spec.subset_mask >> i & 1 for i, r in enumerate(rs.positive_roots)}
+    base = ExponentMultiset(exp_rank2_multi(root_arrangement(rs), mult))
+    h = rs.coxeter_number
+    return {s: tuple(sorted((1,) + shift_predict(base, spec.k, h, s).parts)) for s in signs}
 
 
 def _check_ziegler(spec: CaseSpec, rs, arr) -> CheckResult:
@@ -182,11 +174,9 @@ def _check_duality(spec: CaseSpec, rs, cache) -> CheckResult:
             return CheckResult("duality", FAIL, "freeness differs between signs")
         if not plus.free:
             return CheckResult("duality", PASS, "both signs not free")
-        base = exp_rank2_multi(root_arrangement(rs), _indicator(rs, spec.subset_mask))
+        want = _shift_law(rs, spec, "+-")
         for sign, verdict in (("+", plus), ("-", minus)):
-            shifted = shift_predict(ExponentMultiset(base), spec.k, rs.coxeter_number, sign)
-            want = tuple(sorted((1,) + shifted.parts))
-            if verdict.exponents.parts != want:
+            if verdict.exponents.parts != want[sign]:
                 return CheckResult("duality", FAIL, f"sign {sign} exponents break the shift law")
         return CheckResult("duality", PASS, "freeness and exponents symmetric across signs")
     # In rank >= 3 freeness cannot be certified from chi, so only the
@@ -335,7 +325,6 @@ KNOWN_CHECKS = ("terao", "ziegler", "yoshinaga", "duality")
 
 def cmd_verify(args) -> int:
     rs = _system(args.system)
-    cache_dir = args.cache_dir or os.environ.get("IDEALSHI_CACHE")
     if args.checks:
         unknown = [c for c in args.checks.split(",") if c not in KNOWN_CHECKS]
         if unknown:
@@ -355,7 +344,7 @@ def cmd_verify(args) -> int:
                     subset_mask=mask,
                     subset_index=idx,
                     checks=checks,
-                    cache_dir=cache_dir,
+                    cache_dir=_cache_dir(args),
                     max_hyperplanes=args.max_hyperplanes,
                     max_dim=args.max_dim,
                     timings=args.timings,
@@ -371,12 +360,13 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _cache_dir(args) -> Optional[str]:
+    return args.cache_dir or os.environ.get("IDEALSHI_CACHE")
+
+
 def cmd_filtration(args) -> int:
     rs = _system(args.system)
-    cache = None
-    cache_dir = args.cache_dir or os.environ.get("IDEALSHI_CACHE")
-    if cache_dir:
-        cache = LatticeCache(cache_dir)
+    cache = LatticeCache(_cache_dir(args)) if _cache_dir(args) else None
     cases = []
     previous: Optional[Arrangement] = None
     for i in range(1, args.steps + 1):
@@ -435,8 +425,7 @@ def cmd_charpoly(args) -> int:
     else:
         arr = shi_arrangement(rs, args.k, roots, args.sign)
         label = f"Shi k={args.k} sign {args.sign} subset {{{','.join(r.name for r in roots)}}}"
-    cache_dir = args.cache_dir or os.environ.get("IDEALSHI_CACHE")
-    cache = LatticeCache(cache_dir) if cache_dir else None
+    cache = LatticeCache(_cache_dir(args)) if _cache_dir(args) else None
     bounds = {"max_hyperplanes": args.max_hyperplanes, "max_dim": args.max_dim}
     polys = {}
     methods = ("mobius", "whitney", "finite-field") if args.method == "all" else (args.method,)
@@ -546,6 +535,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except AssertionError as err:
+        sys.stderr.write(f"internal error: {err}\n")
+        return 3
 
 
 if __name__ == "__main__":

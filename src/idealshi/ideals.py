@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, weyl_exponents
+from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, mask_of, weyl_exponents
 
 
 def dominance_leq(rs: RootSystem, beta: Root, alpha: Root) -> bool:
@@ -72,16 +72,6 @@ class Ideal:
 
     def __str__(self) -> str:
         return "{" + ", ".join(r.name for r in self.roots) + "}"
-
-
-def mask_of(rs: RootSystem, roots: Iterable[Root]) -> int:
-    m = 0
-    for r in roots:
-        idx = rs.index.get(r.coeffs)
-        if idx is None:
-            raise ValueError(f"{r} is not a positive root of {rs.type}")
-        m |= 1 << idx
-    return m
 
 
 def is_ideal(rs: RootSystem, roots: Iterable[Root] | int) -> bool:

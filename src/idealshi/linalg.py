@@ -66,42 +66,50 @@ def in_rowspace(v: Sequence[int], rows: Sequence[Vec], pivots: Sequence[int]) ->
     return not any(reduce_row(v, rows, pivots))
 
 
+def _insert(rows: list[list[int]], pivots: list[int], v: Sequence[int]) -> bool:
+    """Extend a canonical row set, held in lists, by one vector in place.
+
+    Returns False when ``v`` already lies in the row space.  The update is
+    incremental: reduce ``v``, normalize, then clear the new pivot column
+    from the old rows (whose leading entries stay positive).  Rows keep
+    insertion order; callers sort them by pivot.
+    """
+    new = reduce_row(v, rows, pivots)
+    piv = first_nonzero(new)
+    if piv < 0:
+        return False
+    g = content(new) if new[piv] > 0 else -content(new)
+    new = [x // g for x in new]
+    for i, r in enumerate(rows):
+        b = r[piv]
+        if b:
+            r = [new[piv] * x - b * y for x, y in zip(r, new)]
+            g = content(r)
+            rows[i] = [x // g for x in r]
+    rows.append(new)
+    pivots.append(piv)
+    return True
+
+
 def insert_row(
     rows: tuple[Vec, ...], pivots: tuple[int, ...], v: Sequence[int]
 ) -> Optional[tuple[tuple[Vec, ...], tuple[int, ...]]]:
-    """Extend a canonical row set by one vector.
-
-    Returns the new canonical (rows, pivots) or None when ``v`` already lies
-    in the row space.  The update is incremental: reduce ``v``, normalize,
-    then clear the new pivot column from the old rows.
-    """
-    red = reduce_row(v, rows, pivots)
-    new = normalize_primitive(red)
-    if new is None:
+    """The canonical (rows, pivots) of the span of ``rows`` and ``v``, or
+    None when ``v`` already lies in the row space."""
+    new_rows, new_pivots = list(rows), list(pivots)
+    if not _insert(new_rows, new_pivots, v):
         return None
-    piv = first_nonzero(new)
-    a = new[piv]
-    fixed = []
-    for r in rows:
-        b = r[piv]
-        if b:
-            r = normalize_primitive([a * x - b * y for x, y in zip(r, new)])
-            assert r is not None
-        fixed.append(r)
-    fixed.append(new)
-    fixed.sort(key=first_nonzero)
-    return tuple(fixed), tuple(first_nonzero(r) for r in fixed)
+    ordered = sorted(zip(new_pivots, new_rows))
+    return tuple(tuple(r) for _, r in ordered), tuple(p for p, _ in ordered)
 
 
 def rref(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
     """Canonical integer RREF of the span of ``vectors``."""
-    rows: tuple[Vec, ...] = ()
-    pivots: tuple[int, ...] = ()
+    rows: list[list[int]] = []
+    pivots: list[int] = []
     for v in vectors:
-        ins = insert_row(rows, pivots, v)
-        if ins is not None:
-            rows, pivots = ins
-    return rows
+        _insert(rows, pivots, v)
+    return tuple(tuple(r) for _, r in sorted(zip(pivots, rows)))
 
 
 def rank(vectors: Iterable[Sequence[int]]) -> int:

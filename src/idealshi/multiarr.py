@@ -63,10 +63,6 @@ def derivation_space_dim(arr2: Arrangement, mult: Multiplicity, degree: int) -> 
     return unknowns - linalg.rank(rows)
 
 
-def total_multiplicity(arr2: Arrangement, mult: Multiplicity) -> int:
-    return sum(mult.get(cov, 0) for cov in arr2.covectors)
-
-
 def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity) -> tuple[int, int]:
     """Exponent pair (d1, d2) of a rank-2 multiarrangement, d1 <= d2.
 
@@ -78,7 +74,7 @@ def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity) -> tuple[int, int]:
     for cov in mult:
         if cov not in set(arr2.covectors):
             raise ValueError(f"multiplicity assigned to a line {cov} outside the arrangement")
-    total = total_multiplicity(arr2, mult)
+    total = sum(mult.get(cov, 0) for cov in arr2.covectors)
     for d in range(total + 1):
         if derivation_space_dim(arr2, mult, d) > 0:
             d1 = d

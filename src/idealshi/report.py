@@ -61,12 +61,8 @@ class CaseRecord:
                 },
             },
             "arrangement_size": self.arrangement_size,
-            "predicted_exponents": list(self.predicted_exponents)
-            if self.predicted_exponents is not None
-            else None,
-            "chi_coeffs": [str(c) for c in self.chi_coeffs]
-            if self.chi_coeffs is not None
-            else None,
+            "predicted_exponents": None if self.predicted_exponents is None else list(self.predicted_exponents),
+            "chi_coeffs": None if self.chi_coeffs is None else [str(c) for c in self.chi_coeffs],
             "verdict": self.verdict,
             "checks": [c.to_dict() for c in self.checks],
         }
@@ -110,19 +106,8 @@ class Report:
 
     def to_csv(self, with_timings: bool = False) -> str:
         buf = io.StringIO()
-        headers = [
-            "system",
-            "k",
-            "sign",
-            "subset_kind",
-            "subset_index",
-            "subset_roots",
-            "arrangement_size",
-            "predicted_exponents",
-            "chi_coeffs",
-            "verdict",
-            "checks",
-        ]
+        headers = ["system", "k", "sign", "subset_kind", "subset_index", "subset_roots"]
+        headers += ["arrangement_size", "predicted_exponents", "chi_coeffs", "verdict", "checks"]
         if with_timings:
             headers.append("timing_ms")
         writer = csv.writer(buf, lineterminator="\n")
@@ -155,11 +140,7 @@ class Report:
             else:
                 sign = c.sign or ""
                 head = f"{c.system} k={c.k} {sign}{{{subset}}}"
-            exps = (
-                "(" + ",".join(map(str, c.predicted_exponents)) + ")"
-                if c.predicted_exponents
-                else "-"
-            )
+            exps = "(" + ",".join(map(str, c.predicted_exponents)) + ")" if c.predicted_exponents else "-"
             checks = " ".join(f"{r.name}:{r.status}" for r in c.checks)
             lines.append(f"{head:<42} |A|={c.arrangement_size:<4} exp={exps:<18} {c.verdict:<19} {checks}")
         s = self.summary()

@@ -299,35 +299,46 @@ def ext_height_z() -> int:
     return 1
 
 
-def shi_defining_values(rs: RootSystem, k: int, ideal_roots: Iterable[Root], sign: str) -> list[int]:
-    """Extended heights of the defining vectors of an ideal-Shi arrangement.
+def mask_of(rs: RootSystem, roots: Iterable[Root]) -> int:
+    """Bitmask of a subset of the positive roots, by canonical index."""
+    mask = 0
+    for r in roots:
+        idx = rs.index.get(r.coeffs)
+        if idx is None:
+            raise ValueError(f"{r} is not a positive root of {rs.type}")
+        mask |= 1 << idx
+    return mask
 
-    Sign '+': levels 1-k..k for all roots, plus level -k for the ideal,
-    plus z.  Sign '-': levels 1-k..k with level k removed on the ideal,
-    plus z.
+
+def shi_planes(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[tuple[Root, int]]:
+    """The (root, level) pairs of the planes {root = level*z} of an
+    ideal-Shi cone, besides {z = 0}.
+
+    Sign '+': levels 1-k..k for all roots, plus level -k on the subset.
+    Sign '-': levels 1-k..k with level k removed on the subset.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    chosen = _validated_ideal_mask(rs, ideal_roots)
-    values = [ext_height_z()]
+    mask = mask_of(rs, roots)
+    planes = []
     for i, root in enumerate(rs.positive_roots):
-        for j in range(-k + 1, k + 1):
-            if sign == "-" and j == k and chosen >> i & 1:
-                continue
-            values.append(ext_height(rs, root, j))
-        if sign == "+" and chosen >> i & 1:
-            values.append(ext_height(rs, root, -k))
-    return values
+        member = mask >> i & 1
+        low, high = (-k + 1 - member, k) if sign == "+" else (-k + 1, k - member)
+        planes.extend((root, j) for j in range(low, high + 1))
+    return planes
 
 
-def _validated_ideal_mask(rs: RootSystem, roots: Iterable[Root]) -> int:
-    mask = 0
-    for r in roots:
-        if r.coeffs not in rs.index:
-            raise ValueError(f"{r} is not a positive root of {rs.type}")
-        mask |= 1 << rs.index[r.coeffs]
+def shi_defining_values(rs: RootSystem, k: int, ideal_roots: Iterable[Root], sign: str) -> list[int]:
+    """Extended heights of the defining vectors of an ideal-Shi arrangement:
+    z plus every plane of :func:`shi_planes`."""
+    ideal_roots = tuple(ideal_roots)
+    _check_ideal(rs, mask_of(rs, ideal_roots))
+    return [ext_height_z()] + [ext_height(rs, r, j) for r, j in shi_planes(rs, k, ideal_roots, sign)]
+
+
+def _check_ideal(rs: RootSystem, mask: int) -> None:
     for i, alpha in enumerate(rs.positive_roots):
         if not mask >> i & 1:
             continue
@@ -335,10 +346,7 @@ def _validated_ideal_mask(rs: RootSystem, roots: Iterable[Root]) -> int:
             if mask >> j & 1:
                 continue
             if all(a - b >= 0 for a, b in zip(alpha.coeffs, beta.coeffs)):
-                raise ValueError(
-                    f"subset is not an ideal: contains {alpha} but not {beta}"
-                )
-    return mask
+                raise ValueError(f"subset is not an ideal: contains {alpha} but not {beta}")
 
 
 def shi_exponents_dp(rs: RootSystem, k: int, ideal_roots: Iterable[Root], sign: str) -> ExponentMultiset:

@@ -6,12 +6,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealshi import (
     Arrangement,
+    CharPoly,
     SizeBoundError,
     Subspace,
     build,
+    charpoly_whitney,
     filtration_exponents,
     filtration_step,
     intersection_count,
@@ -21,6 +25,7 @@ from idealshi import (
     root_arrangement,
     root_covector,
     shi_arrangement,
+    shi_exponents_dp,
     shi_minus,
     shi_plus,
     z_covector,
@@ -33,10 +38,15 @@ from idealshi.arrangement import covector, flat_of
 # --- independent oracle: sweep all subsets, Mobius by definition -----------
 
 
-def brute_force_lattice(arr):
-    """Map canonical flat rows -> mu, via the definition only."""
+def brute_force_lattice(arr, max_size=None):
+    """Map canonical flat rows -> mu, via the definition only.
+
+    Every flat of codimension c is cut out by c of the hyperplanes, so
+    subsets of at most ``max_size = arr.dim`` planes already give them all.
+    """
     flats = set()
-    for size in range(len(arr.covectors) + 1):
+    top = len(arr.covectors) if max_size is None else max_size
+    for size in range(top + 1):
         for chosen in itertools.combinations(arr.covectors, size):
             flats.add(linalg.rref(chosen))
     order = sorted(flats, key=len)
@@ -115,6 +125,74 @@ def test_coned_weyl_a2_lattice_structure():
     level2 = sorted(node.mu for node in lattice.levels[2])
     assert level2 == [1, 1, 1, 2]  # three double points and one triple line
     assert lattice.levels[3][0].mu == -2
+
+
+def assert_levels_match_brute_force(arr):
+    lattice = intersection_lattice(arr)
+    oracle = brute_force_lattice(arr, max_size=arr.dim)
+    for codim, level in enumerate(lattice.levels):
+        want = {rows: mu for rows, mu in oracle.items() if len(rows) == codim}
+        assert {node.subspace.rows: node.mu for node in level} == want
+    assert sum(len(level) for level in lattice.levels) == len(oracle)
+    return lattice
+
+
+@given(
+    name=st.sampled_from(["A2", "B2", "G2", "A3", "B3"]),
+    k=st.integers(1, 2),
+    size=st.integers(1, 22),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_shi_subarrangements_match_oracles(systems, name, k, size, rng):
+    cone = shi_plus(systems[name], k, systems[name].positive_roots)
+    chosen = rng.sample(cone.covectors, min(size, cone.size))
+    arr = Arrangement(cone.dim, tuple(sorted(chosen)))
+    lattice = assert_levels_match_brute_force(arr)
+    assert lattice.charpoly_coeffs() == charpoly_whitney(arr).coeffs
+
+
+def test_wide_entries_stay_exact(systems):
+    # A unimodular change of coordinates keeps the matroid of a Shi cone
+    # but pushes its covector entries past 2^31, so products of covectors
+    # and flat bases no longer fit in int64 and must run on Python integers.
+    a3 = systems["A3"]
+    cone = shi_plus(a3, 1, a3.positive_roots[:2])
+    t = 2**16 + 3
+    lower = [[1, 0, 0, 0], [t, 1, 0, 0], [0, t, 1, 0], [0, 0, t, 1]]
+    upper = [[1, t, 0, 0], [0, 1, t, 0], [0, 0, 1, t], [0, 0, 0, 1]]
+    unimodular = [[sum(lower[i][k] * upper[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+    mapped = [[sum(c[i] * unimodular[i][j] for i in range(4)) for j in range(4)] for c in cone.covectors]
+    arr = Arrangement.of(4, mapped)
+    assert max(abs(x) for c in arr.covectors for x in c) >= 2**31
+    lattice = assert_levels_match_brute_force(arr)
+    sizes = [len(level) for level in intersection_lattice(cone).levels]
+    assert [len(level) for level in lattice.levels] == sizes
+    assert lattice.charpoly_coeffs() == lattice_charpoly(cone)
+
+
+@pytest.mark.parametrize(
+    "sign, sizes", [("+", [1, 49, 674, 2898, 2897, 1]), ("-", [1, 17, 74, 98, 41, 1])]
+)
+def test_b4_full_ideal_level_sizes(systems, sign, sizes):
+    # golden counts from the earlier row-reduction engine
+    b4 = systems["B4"]
+    lattice = intersection_lattice(shi_arrangement(b4, 1, b4.positive_roots, sign))
+    assert [len(level) for level in lattice.levels] == sizes
+
+
+def test_masks_wider_than_one_word(systems):
+    # 67 planes: masks take two 64-bit words.  In rank 3, a point X has
+    # mu(X) = |A_X| - 1 and chi must split as the dual partition predicts.
+    g2 = systems["G2"]
+    arr = shi_plus(g2, 5, g2.positive_roots)
+    assert arr.size > 64
+    lattice = intersection_lattice(arr)
+    assert all(node.mu == -1 for node in lattice.levels[1])
+    assert all(node.mu == bin(node.mask).count("1") - 1 for node in lattice.levels[2])
+    assert lattice.levels[3][0].mask == (1 << arr.size) - 1
+    predicted = shi_exponents_dp(g2, 5, g2.positive_roots, "+")
+    assert lattice.charpoly_coeffs() == CharPoly.from_roots(tuple(predicted)).coeffs
 
 
 def test_mu_invariants_across_corpus():

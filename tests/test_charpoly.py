@@ -1,6 +1,7 @@
 """Characteristic polynomials: frozen values, oracle agreement, chi_0,
 factorization, deletion-restriction."""
 
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from idealshi import (
     BadReductionError,
     CharPoly,
     FactorFailure,
+    LatticeCache,
     NotDivisibleError,
     SizeBoundError,
     build,
@@ -27,6 +29,7 @@ from idealshi import (
     terao_check,
     try_factor_exponents,
 )
+from idealshi.arrangement import arrangement_key
 from idealshi.rootsys import ExponentMultiset
 
 
@@ -189,3 +192,25 @@ def test_root_sums_track_sizes():
         split = try_factor_exponents(charpoly_mobius(arr))
         if not isinstance(split, FactorFailure):
             assert split.total() == arr.size
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        [1, 2],
+        "chi",
+        {"version": 1, "dim": 3},
+        {"version": 1, "dim": 3, "chi": ["-3", "x", "-7", "1"]},
+        {"version": 1, "dim": 3, "chi": [-3, 9, -7, 1]},
+        {"version": 1, "dim": 3, "chi": ["1.5", "9", "-7", "1"]},
+        {"version": 1, "dim": 3, "chi": ["9", "-7", "1"]},
+        {"version": 1, "dim": 3, "chi": ["-3", "9", "-7", "2"]},
+    ],
+)
+def test_malformed_cache_file_is_a_miss(tmp_path, blob):
+    arr = shi_plus(build("A2"), 1, [])
+    cache = LatticeCache(str(tmp_path))
+    (tmp_path / (arrangement_key(arr) + ".json")).write_text(json.dumps(blob))
+    assert cache.get_charpoly(arr) is None
+    assert charpoly_mobius(arr, cache).coeffs == poly_of_roots(1, 3, 3)
+    assert cache.get_charpoly(arr) == poly_of_roots(1, 3, 3)

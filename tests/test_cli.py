@@ -201,3 +201,15 @@ def test_verify_b2_k2_all_ideals(capsys):
     doc = json.loads(out)
     assert doc["summary"]["fail"] == 0
     assert len(doc["cases"]) == 12
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import idealshi.charpoly
+
+    def broken(*args, **kwargs):
+        raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
+
+    monkeypatch.setattr(idealshi.charpoly, "intersection_lattice", broken)
+    code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: Mobius values")
