@@ -424,18 +424,23 @@ def arrangement_key(arr: Arrangement) -> str:
 
 
 class LatticeCache:
-    """Optional on-disk store of characteristic-polynomial summaries,
-    keyed by a hash of the canonical covector set.  The file format is
-    internal and versioned, not a compatibility surface."""
+    """Characteristic-polynomial summaries of arrangements: an in-memory
+    layer for one job, in front of an optional on-disk store keyed by a
+    hash of the canonical covector set.  The file format is internal and
+    versioned, not a compatibility surface."""
 
-    def __init__(self, directory: str):
+    def __init__(self, directory: Optional[str] = None):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        self._memory: dict[Arrangement, tuple[int, ...]] = {}
+        if directory:
+            os.makedirs(directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".json")
 
     def get_charpoly(self, arr: Arrangement) -> Optional[tuple[int, ...]]:
+        if arr in self._memory or not self.directory:
+            return self._memory.get(arr)
         path = self._path(arrangement_key(arr))
         if not os.path.exists(path):
             return None
@@ -457,6 +462,9 @@ class LatticeCache:
         return coeffs if coeffs[-1] == 1 else None
 
     def put_charpoly(self, arr: Arrangement, coeffs: Sequence[int]) -> None:
+        self._memory[arr] = tuple(coeffs)
+        if not self.directory:
+            return
         blob = {
             "version": CACHE_VERSION,
             "dim": arr.dim,

@@ -14,7 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from . import __version__
@@ -32,6 +32,7 @@ from .arrangement import (
 )
 from .charpoly import (
     FactorFailure,
+    TeraoVerdict,
     charpoly_finite_field,
     charpoly_mobius,
     charpoly_whitney,
@@ -39,7 +40,7 @@ from .charpoly import (
     try_factor_exponents,
 )
 from .ideals import enumerate_ideals, ideal_exponents, is_ideal
-from .multiarr import exp_rank2_multi, shift_predict, yoshinaga_check
+from .multiarr import FreenessVerdict, exp_rank2_multi, shift_predict, yoshinaga_check
 from .report import (
     FAIL,
     NOT_FREE_CONFIRMED,
@@ -97,6 +98,9 @@ def _mask_roots(rs: RootSystem, mask: int) -> tuple[Root, ...]:
 
 @dataclass(frozen=True)
 class CaseSpec:
+    """One subset of a campaign, checked under each sign of ``sign``
+    ('+', '-' or 'both')."""
+
     system: str
     k: int
     sign: str
@@ -106,58 +110,78 @@ class CaseSpec:
     cache_dir: Optional[str]
     max_hyperplanes: int
     max_dim: int
-    timings: bool
 
 
-def _bounds(spec: CaseSpec) -> dict:
-    return {"max_hyperplanes": spec.max_hyperplanes, "max_dim": spec.max_dim}
+class SubsetFacts:
+    """What the checks of one subset share across both signs, each computed
+    at most once: the arrangements, their verdicts, the shift law, and
+    (through ``cache``) every characteristic polynomial."""
+
+    def __init__(self, spec: CaseSpec):
+        self.rs = _system(spec.system)
+        self.k = spec.k
+        self.mask = spec.subset_mask
+        self.roots = _mask_roots(self.rs, self.mask)
+        self.ideal = is_ideal(self.rs, self.mask)
+        self.cache = LatticeCache(spec.cache_dir)
+        self.bounds = {"max_hyperplanes": spec.max_hyperplanes, "max_dim": spec.max_dim}
+        self.arrangements: dict[str, Arrangement] = {}
+        self.terao_verdicts: dict[str, TeraoVerdict] = {}
+        self.yoshinaga_verdicts: dict[str, FreenessVerdict] = {}
+
+    def arrangement(self, sign: str) -> Arrangement:
+        if sign not in self.arrangements:
+            self.arrangements[sign] = shi_arrangement(self.rs, self.k, self.roots, sign)
+        return self.arrangements[sign]
+
+    def yoshinaga(self, sign: str) -> FreenessVerdict:
+        if sign not in self.yoshinaga_verdicts:
+            self.yoshinaga_verdicts[sign] = yoshinaga_check(
+                self.arrangement(sign), z_covector(self.rs), self.cache, **self.bounds
+            )
+        return self.yoshinaga_verdicts[sign]
+
+    @cached_property
+    def shift_law(self) -> dict[str, tuple[int, ...]]:
+        """Exponents (z included) that the shift law predicts for each sign:
+        the base exponents of the 0/1 indicator multiplicity, shifted by 2k."""
+        rs = self.rs
+        mult = {root_covector(rs, r): self.mask >> i & 1 for i, r in enumerate(rs.positive_roots)}
+        base = ExponentMultiset(exp_rank2_multi(root_arrangement(rs), mult))
+        return {s: tuple(sorted((1,) + shift_predict(base, self.k, rs.coxeter_number, s).parts)) for s in "+-"}
 
 
-def _check_terao(spec: CaseSpec, rs, arr, cache) -> tuple[CheckResult, Optional[tuple], Optional[tuple]]:
-    if not is_ideal(rs, spec.subset_mask):
-        return CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal"), None, None
-    predicted = shi_exponents_dp(rs, spec.k, _mask_roots(rs, spec.subset_mask), spec.sign)
-    verdict = terao_check(arr, predicted, cache, **_bounds(spec))
-    status = PASS if verdict.passed else FAIL
-    return CheckResult("terao", status, f"chi = {verdict.computed}"), predicted.parts, verdict.computed.coeffs
+def _check_terao(facts: SubsetFacts, sign: str) -> CheckResult:
+    if not facts.ideal:
+        return CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal")
+    predicted = shi_exponents_dp(facts.rs, facts.k, facts.roots, sign)
+    verdict = terao_check(facts.arrangement(sign), predicted, facts.cache, **facts.bounds)
+    facts.terao_verdicts[sign] = verdict  # the record reports its prediction and chi
+    return CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
 
 
-def _rank2_freeness_expected(rs: RootSystem, mask: int) -> bool:
-    simple_mask = sum(1 << rs.index[r.coeffs] for r in rs.positive_roots if r.height == 1)
-    return mask == 0 or bool(mask & simple_mask)
-
-
-def _check_yoshinaga(spec: CaseSpec, rs, arr, cache) -> CheckResult:
-    if arr.dim != 3:
+def _check_yoshinaga(facts: SubsetFacts, sign: str) -> CheckResult:
+    if facts.arrangement(sign).dim != 3:
         return CheckResult("yoshinaga", SKIPPED, "complete criterion needs ambient dimension 3")
-    verdict = yoshinaga_check(arr, z_covector(rs), cache)
-    expected_free = _rank2_freeness_expected(rs, spec.subset_mask)
+    verdict = facts.yoshinaga(sign)
+    simple_mask = sum(1 << i for i, r in enumerate(facts.rs.positive_roots) if r.height == 1)
+    expected_free = facts.mask == 0 or bool(facts.mask & simple_mask)
     if verdict.free != expected_free:
         return CheckResult("yoshinaga", FAIL, f"freeness {verdict.free}, expected {expected_free}")
     if not verdict.free:
         return CheckResult("yoshinaga", NOT_FREE_CONFIRMED, str(verdict))
-    want = _shift_law(rs, spec, spec.sign)[spec.sign]
+    want = facts.shift_law[sign]
     if verdict.exponents.parts != want:
-        return CheckResult(
-            "yoshinaga", FAIL, f"exponents {verdict.exponents.parts} != shift law {want}"
-        )
+        return CheckResult("yoshinaga", FAIL, f"exponents {verdict.exponents.parts} != shift law {want}")
     return CheckResult("yoshinaga", PASS, str(verdict))
 
 
-def _shift_law(rs: RootSystem, spec: CaseSpec, signs: str) -> dict[str, tuple[int, ...]]:
-    """Exponents (z included) that the shift law predicts for each sign: the
-    base exponents of the 0/1 indicator multiplicity, shifted by 2k."""
-    mult = {root_covector(rs, r): spec.subset_mask >> i & 1 for i, r in enumerate(rs.positive_roots)}
-    base = ExponentMultiset(exp_rank2_multi(root_arrangement(rs), mult))
-    h = rs.coxeter_number
-    return {s: tuple(sorted((1,) + shift_predict(base, spec.k, h, s).parts)) for s in signs}
-
-
-def _check_ziegler(spec: CaseSpec, rs, arr) -> CheckResult:
-    restricted, mult = ziegler_multiplicity(arr, z_covector(rs))
+def _check_ziegler(facts: SubsetFacts, sign: str) -> CheckResult:
+    rs = facts.rs
+    restricted, mult = ziegler_multiplicity(facts.arrangement(sign), z_covector(rs))
     base = root_arrangement(rs)
     want = {
-        root_covector(rs, r): 2 * spec.k + (1 if spec.subset_mask >> i & 1 else 0) * (1 if spec.sign == "+" else -1)
+        root_covector(rs, r): 2 * facts.k + (1 if facts.mask >> i & 1 else 0) * (1 if sign == "+" else -1)
         for i, r in enumerate(rs.positive_roots)
     }
     if restricted.covectors != base.covectors or mult != want:
@@ -165,92 +189,90 @@ def _check_ziegler(spec: CaseSpec, rs, arr) -> CheckResult:
     return CheckResult("ziegler", PASS, "multirestriction equals base roots with 2k +/- indicator")
 
 
-def _check_duality(spec: CaseSpec, rs, cache) -> CheckResult:
-    roots = _mask_roots(rs, spec.subset_mask)
+def _check_duality(facts: SubsetFacts, sign: str) -> CheckResult:
+    """Sign symmetry of the subset; the same verdict for either ``sign``."""
+    rs = facts.rs
     if rs.rank == 2:
-        plus = yoshinaga_check(shi_arrangement(rs, spec.k, roots, "+"), z_covector(rs), cache)
-        minus = yoshinaga_check(shi_arrangement(rs, spec.k, roots, "-"), z_covector(rs), cache)
+        plus, minus = facts.yoshinaga("+"), facts.yoshinaga("-")
         if plus.free != minus.free:
             return CheckResult("duality", FAIL, "freeness differs between signs")
         if not plus.free:
             return CheckResult("duality", PASS, "both signs not free")
-        want = _shift_law(rs, spec, "+-")
-        for sign, verdict in (("+", plus), ("-", minus)):
-            if verdict.exponents.parts != want[sign]:
-                return CheckResult("duality", FAIL, f"sign {sign} exponents break the shift law")
+        for s, verdict in (("+", plus), ("-", minus)):
+            if verdict.exponents.parts != facts.shift_law[s]:
+                return CheckResult("duality", FAIL, f"sign {s} exponents break the shift law")
         return CheckResult("duality", PASS, "freeness and exponents symmetric across signs")
     # In rank >= 3 freeness cannot be certified from chi, so only the
     # polynomial-level consequences are judged: both signs matching the
     # shifted base exponents, or both provably non-free (chi not split).
-    base_chi = charpoly_mobius(root_arrangement(rs, roots), cache, **_bounds(spec))
+    base_chi = charpoly_mobius(root_arrangement(rs, facts.roots), facts.cache, **facts.bounds)
     split = try_factor_exponents(base_chi)
     if isinstance(split, FactorFailure):
         return CheckResult("duality", SKIPPED, "subset arrangement chi does not split")
-    h = rs.coxeter_number
-    matches = {}
-    splits = {}
-    for sign in "+-":
-        arr = shi_arrangement(rs, spec.k, roots, sign)
-        want = (1,) + shift_predict(split, spec.k, h, sign).parts
-        verdict = terao_check(arr, ExponentMultiset(want), cache, **_bounds(spec))
-        matches[sign] = verdict.passed
-        splits[sign] = not isinstance(try_factor_exponents(verdict.computed), FactorFailure)
-    if matches["+"] and matches["-"]:
+    verdicts = []
+    for s in "+-":
+        want = ExponentMultiset((1,) + shift_predict(split, facts.k, rs.coxeter_number, s).parts)
+        verdicts.append(terao_check(facts.arrangement(s), want, facts.cache, **facts.bounds))
+    if all(v.passed for v in verdicts):
         return CheckResult("duality", PASS, "both signs match the shifted base exponents")
-    if not splits["+"] and not splits["-"]:
+    if all(isinstance(try_factor_exponents(v.computed), FactorFailure) for v in verdicts):
         return CheckResult("duality", PASS, "both signs provably not free (chi does not split)")
     return CheckResult("duality", SKIPPED, "inconclusive at the polynomial level in this rank")
 
 
-def run_case(spec: CaseSpec) -> CaseRecord:
-    t0 = time.perf_counter()
-    rs = _system(spec.system)
-    roots = _mask_roots(rs, spec.subset_mask)
-    cache = LatticeCache(spec.cache_dir) if spec.cache_dir else None
-    subset_kind = "ideal" if is_ideal(rs, spec.subset_mask) else "roots"
-    record = CaseRecord(
-        system=spec.system,
-        k=spec.k,
-        sign=spec.sign,
-        subset_kind=subset_kind,
-        subset_roots=tuple(r.name for r in roots),
-        subset_index=spec.subset_index,
-        arrangement_size=0,
-        predicted_exponents=None,
-        chi_coeffs=None,
-        verdict=SKIPPED,
-        checks=[],
-    )
-    try:
-        arr = shi_arrangement(rs, spec.k, roots, spec.sign)
-        record.arrangement_size = arr.size
-        for check in spec.checks:
-            if check == "terao":
-                result, predicted, chi = _check_terao(spec, rs, arr, cache)
-                record.predicted_exponents = predicted
-                record.chi_coeffs = chi
-            elif check == "yoshinaga":
-                result = _check_yoshinaga(spec, rs, arr, cache)
-            elif check == "ziegler":
-                result = _check_ziegler(spec, rs, arr)
-            elif check == "duality":
-                result = _check_duality(spec, rs, cache)
-            else:
-                raise ValueError(f"unknown check {check!r}")
-            record.checks.append(result)
-    except SizeBoundError as err:
-        record.checks.append(CheckResult("bound", SKIPPED, str(err)))
-    statuses = [c.status for c in record.checks]
+CHECKS = {
+    "terao": _check_terao,
+    "ziegler": _check_ziegler,
+    "yoshinaga": _check_yoshinaga,
+    "duality": _check_duality,
+}
+
+
+def _verdict(checks: Sequence[CheckResult]) -> str:
+    statuses = [c.status for c in checks]
     if FAIL in statuses:
-        record.verdict = FAIL
-    elif NOT_FREE_CONFIRMED in statuses:
-        record.verdict = NOT_FREE_CONFIRMED
-    elif statuses and all(s == SKIPPED for s in statuses):
-        record.verdict = SKIPPED
-    else:
-        record.verdict = PASS
-    record.timing_ms = (time.perf_counter() - t0) * 1000.0
-    return record
+        return FAIL
+    if NOT_FREE_CONFIRMED in statuses:
+        return NOT_FREE_CONFIRMED
+    if statuses and all(s == SKIPPED for s in statuses):
+        return SKIPPED
+    return PASS
+
+
+def run_case(spec: CaseSpec) -> list[CaseRecord]:
+    """One record per sign of the spec, in sign order.  Work that both signs
+    share is done once, and its time is charged to the first record that
+    needs it."""
+    t0 = time.perf_counter()
+    facts = SubsetFacts(spec)
+    records = []
+    for sign in _signs(spec.sign):
+        checks = []
+        try:
+            for name in spec.checks:
+                checks.append(CHECKS[name](facts, sign))
+        except SizeBoundError as err:
+            checks.append(CheckResult("bound", SKIPPED, str(err)))
+        terao = facts.terao_verdicts.get(sign)
+        t1 = time.perf_counter()
+        records.append(
+            CaseRecord(
+                system=spec.system,
+                k=spec.k,
+                sign=sign,
+                subset_kind="ideal" if facts.ideal else "roots",
+                subset_roots=tuple(r.name for r in facts.roots),
+                subset_index=spec.subset_index,
+                arrangement_size=facts.arrangement(sign).size,
+                predicted_exponents=terao and terao.predicted.parts,
+                chi_coeffs=terao and terao.computed.coeffs,
+                verdict=_verdict(checks),
+                checks=checks,
+                timing_ms=(t1 - t0) * 1000.0,
+            )
+        )
+        t0 = t1
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -320,42 +342,32 @@ def _default_checks(rs: RootSystem, mask: int, sign_mode: str) -> tuple[str, ...
     return tuple(checks)
 
 
-KNOWN_CHECKS = ("terao", "ziegler", "yoshinaga", "duality")
-
-
 def cmd_verify(args) -> int:
     rs = _system(args.system)
     if args.checks:
-        unknown = [c for c in args.checks.split(",") if c not in KNOWN_CHECKS]
+        unknown = [c for c in args.checks.split(",") if c not in CHECKS]
         if unknown:
-            raise UsageError(f"unknown checks {unknown}; known: {', '.join(KNOWN_CHECKS)}")
-    specs = []
-    for mask, idx in _subset_grid(rs, args):
-        if args.checks:
-            checks = tuple(args.checks.split(","))
-        else:
-            checks = _default_checks(rs, mask, args.sign)
-        for sign in _signs(args.sign):
-            specs.append(
-                CaseSpec(
-                    system=str(rs.type),
-                    k=args.k,
-                    sign=sign,
-                    subset_mask=mask,
-                    subset_index=idx,
-                    checks=checks,
-                    cache_dir=_cache_dir(args),
-                    max_hyperplanes=args.max_hyperplanes,
-                    max_dim=args.max_dim,
-                    timings=args.timings,
-                )
-            )
+            raise UsageError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")
+    specs = [
+        CaseSpec(
+            system=str(rs.type),
+            k=args.k,
+            sign=args.sign,
+            subset_mask=mask,
+            subset_index=idx,
+            checks=tuple(args.checks.split(",")) if args.checks else _default_checks(rs, mask, args.sign),
+            cache_dir=_cache_dir(args),
+            max_hyperplanes=args.max_hyperplanes,
+            max_dim=args.max_dim,
+        )
+        for mask, idx in _subset_grid(rs, args)
+    ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            cases = list(pool.map(run_case, specs))
+            per_subset = list(pool.map(run_case, specs))
     else:
-        cases = [run_case(s) for s in specs]
-    report = Report(command="verify", tool_version=__version__, cases=cases)
+        per_subset = [run_case(s) for s in specs]
+    report = Report(command="verify", tool_version=__version__, cases=[c for cs in per_subset for c in cs])
     _emit(report, args)
     return 0 if report.ok else 1
 
@@ -366,33 +378,27 @@ def _cache_dir(args) -> Optional[str]:
 
 def cmd_filtration(args) -> int:
     rs = _system(args.system)
-    cache = LatticeCache(_cache_dir(args)) if _cache_dir(args) else None
+    cache = LatticeCache(_cache_dir(args))
     cases = []
     previous: Optional[Arrangement] = None
     for i in range(1, args.steps + 1):
         t0 = time.perf_counter()
         arr = filtration_step(rs, i)
-        checks = []
-        if arr.size != i:
-            checks.append(CheckResult("saturated", FAIL, f"|A_{i}| = {arr.size}"))
-        else:
-            checks.append(CheckResult("saturated", PASS, f"|A_{i}| = {i}"))
+        checks = [CheckResult("saturated", PASS if arr.size == i else FAIL, f"|A_{i}| = {arr.size}")]
         if previous is not None:
             nested = set(previous.covectors) <= set(arr.covectors)
             checks.append(CheckResult("nested", PASS if nested else FAIL, "previous step contained"))
         predicted = filtration_exponents(rs, i)
         chi = None
         try:
-            verdict = terao_check(
-                arr, predicted, cache, max_hyperplanes=args.max_hyperplanes, max_dim=args.max_dim
-            )
+            verdict = terao_check(arr, predicted, cache, max_hyperplanes=args.max_hyperplanes, max_dim=args.max_dim)
             chi = verdict.computed.coeffs
             checks.append(
                 CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
             )
         except SizeBoundError as err:
             checks.append(CheckResult("terao", SKIPPED, str(err)))
-        record = CaseRecord(
+        cases.append(CaseRecord(
             system=str(rs.type),
             k=None,
             sign=None,
@@ -402,11 +408,10 @@ def cmd_filtration(args) -> int:
             arrangement_size=arr.size,
             predicted_exponents=predicted.parts,
             chi_coeffs=chi,
-            verdict=FAIL if any(c.status == FAIL for c in checks) else PASS,
+            verdict=_verdict(checks),
             checks=checks,
             timing_ms=(time.perf_counter() - t0) * 1000.0,
-        )
-        cases.append(record)
+        ))
         previous = arr
     report = Report(command="filtration", tool_version=__version__, cases=cases)
     _emit(report, args)
@@ -425,7 +430,7 @@ def cmd_charpoly(args) -> int:
     else:
         arr = shi_arrangement(rs, args.k, roots, args.sign)
         label = f"Shi k={args.k} sign {args.sign} subset {{{','.join(r.name for r in roots)}}}"
-    cache = LatticeCache(_cache_dir(args)) if _cache_dir(args) else None
+    cache = LatticeCache(_cache_dir(args))
     bounds = {"max_hyperplanes": args.max_hyperplanes, "max_dim": args.max_dim}
     polys = {}
     methods = ("mobius", "whitney", "finite-field") if args.method == "all" else (args.method,)
@@ -475,7 +480,7 @@ def _add_common(p: argparse.ArgumentParser, k_required: bool = False) -> None:
 def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
     p.add_argument("--out", help="write the report to a file instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="case-level parallelism")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes; verify runs subsets in parallel")
     p.add_argument("--cache-dir", help="lattice cache directory (or env IDEALSHI_CACHE)")
     p.add_argument("--timings", action="store_true", help="include wall-clock fields")
     p.add_argument("--max-hyperplanes", type=int, default=DEFAULT_MAX_HYPERPLANES)

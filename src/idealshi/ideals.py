@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, mask_of, weyl_exponents
+from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, is_ideal, mask_of, weyl_exponents
 
 
 def dominance_leq(rs: RootSystem, beta: Root, alpha: Root) -> bool:
@@ -22,23 +22,6 @@ def dominance_leq(rs: RootSystem, beta: Root, alpha: Root) -> bool:
     if beta.coeffs not in rs.index or alpha.coeffs not in rs.index:
         raise ValueError("both roots must be positive roots of the given system")
     return all(a - b >= 0 for a, b in zip(alpha.coeffs, beta.coeffs))
-
-
-def _below_masks(rs: RootSystem) -> tuple[int, ...]:
-    """For each root index, the bitmask of roots it dominates (incl. itself)."""
-    cached = getattr(rs, "_below_masks", None)
-    if cached is not None:
-        return cached
-    n = rs.n_positive
-    masks = []
-    for i, alpha in enumerate(rs.positive_roots):
-        m = 0
-        for j, beta in enumerate(rs.positive_roots):
-            if all(a - b >= 0 for a, b in zip(alpha.coeffs, beta.coeffs)):
-                m |= 1 << j
-        masks.append(m)
-    rs._below_masks = tuple(masks)  # type: ignore[attr-defined]
-    return rs._below_masks  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -72,16 +55,6 @@ class Ideal:
 
     def __str__(self) -> str:
         return "{" + ", ".join(r.name for r in self.roots) + "}"
-
-
-def is_ideal(rs: RootSystem, roots: Iterable[Root] | int) -> bool:
-    """Downward-closure test under dominance."""
-    mask = roots if isinstance(roots, int) else mask_of(rs, roots)
-    below = _below_masks(rs)
-    for i in range(rs.n_positive):
-        if mask >> i & 1 and below[i] & ~mask:
-            return False
-    return True
 
 
 def ideal_from_roots(rs: RootSystem, roots: Iterable[Root]) -> Ideal:
@@ -122,7 +95,7 @@ def enumerate_ideals(rs: RootSystem, max_rank: int = 4) -> tuple[Ideal, ...]:
             f"rank {rs.rank} exceeds the enumeration bound {max_rank}; "
             "raise max_rank explicitly if you mean it"
         )
-    below = _below_masks(rs)
+    below = rs.below_masks
     n = rs.n_positive
     seen = {0}
     frontier = [0]

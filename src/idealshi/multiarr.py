@@ -122,17 +122,19 @@ def yoshinaga_check(
     arr3: Arrangement,
     h0: Sequence[int],
     cache: Optional[LatticeCache] = None,
+    **bounds,
 ) -> FreenessVerdict:
     """Complete freeness test for central arrangements in 3 coordinates.
 
     Compares chi_0 at zero with the product of the exponents of the
     multirestriction onto ``h0``; equality is equivalent to freeness.
+    ``bounds`` are the size guards of :func:`charpoly.charpoly_mobius`.
     """
     if arr3.dim != 3:
         raise ValueError("this criterion applies in ambient dimension 3 only")
     restricted, mult = ziegler_multiplicity(arr3, h0)
     d1, d2 = exp_rank2_multi(restricted, mult)
-    czero = chi0_at_zero(arr3, cache)
+    czero = chi0_at_zero(arr3, cache, **bounds)
     if czero == d1 * d2:
         return FreenessVerdict(True, ExponentMultiset((1, d1, d2)), czero, (d1, d2))
     return FreenessVerdict(False, None, czero, (d1, d2))

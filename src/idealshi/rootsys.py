@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import Vec
@@ -173,14 +174,24 @@ class RootSystem:
         if any(g[i - 1] + g[h - i] != ell for i in range(1, h + 1)):
             raise AssertionError(f"{self.type}: height counts fail the mirror identity {g}")
 
+    @cached_property
+    def below_masks(self) -> tuple[int, ...]:
+        """For each root index, the bitmask of the roots it dominates (itself
+        included): alpha dominates beta when alpha - beta is nonnegative."""
+        masks = []
+        for alpha in self.positive_roots:
+            m = 0
+            for j, beta in enumerate(self.positive_roots):
+                if all(a - b >= 0 for a, b in zip(alpha.coeffs, beta.coeffs)):
+                    m |= 1 << j
+            masks.append(m)
+        return tuple(masks)
+
     def root_at(self, coeffs: Sequence[int]) -> Root:
         key = tuple(coeffs)
         if key not in self.index:
             raise ValueError(f"{key} is not a positive root of {self.type}")
         return self.positive_roots[self.index[key]]
-
-    def contains(self, root: Root) -> bool:
-        return root.coeffs in self.index
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type}, {self.n_positive} positive roots)"
@@ -310,6 +321,16 @@ def mask_of(rs: RootSystem, roots: Iterable[Root]) -> int:
     return mask
 
 
+def is_ideal(rs: RootSystem, roots: Iterable[Root] | int) -> bool:
+    """Downward-closure test under dominance."""
+    mask = roots if isinstance(roots, int) else mask_of(rs, roots)
+    below = rs.below_masks
+    for i in range(rs.n_positive):
+        if mask >> i & 1 and below[i] & ~mask:
+            return False
+    return True
+
+
 def shi_planes(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[tuple[Root, int]]:
     """The (root, level) pairs of the planes {root = level*z} of an
     ideal-Shi cone, besides {z = 0}.
@@ -334,19 +355,9 @@ def shi_defining_values(rs: RootSystem, k: int, ideal_roots: Iterable[Root], sig
     """Extended heights of the defining vectors of an ideal-Shi arrangement:
     z plus every plane of :func:`shi_planes`."""
     ideal_roots = tuple(ideal_roots)
-    _check_ideal(rs, mask_of(rs, ideal_roots))
+    if not is_ideal(rs, ideal_roots):
+        raise ValueError("subset is not downward closed under dominance")
     return [ext_height_z()] + [ext_height(rs, r, j) for r, j in shi_planes(rs, k, ideal_roots, sign)]
-
-
-def _check_ideal(rs: RootSystem, mask: int) -> None:
-    for i, alpha in enumerate(rs.positive_roots):
-        if not mask >> i & 1:
-            continue
-        for j, beta in enumerate(rs.positive_roots):
-            if mask >> j & 1:
-                continue
-            if all(a - b >= 0 for a, b in zip(alpha.coeffs, beta.coeffs)):
-                raise ValueError(f"subset is not an ideal: contains {alpha} but not {beta}")
 
 
 def shi_exponents_dp(rs: RootSystem, k: int, ideal_roots: Iterable[Root], sign: str) -> ExponentMultiset:

@@ -1,9 +1,12 @@
 """CLI behavior: subcommands, exit codes, report formats, determinism."""
 
 import json
+import sys
 
 import pytest
 
+import idealshi.arrangement
+import idealshi.multiarr
 from idealshi.cli import main
 
 
@@ -137,6 +140,49 @@ def test_verify_size_guard_skips(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["skipped"] == 2
+
+
+@pytest.mark.parametrize("check", ["yoshinaga", "duality"])
+def test_verify_size_guard_covers_freeness_checks(capsys, check):
+    code, out, _ = run(
+        capsys, "verify", "A2", "-k", "1", "--subset", "none", "--checks", check,
+        "--max-hyperplanes", "3", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"]["skipped"] == 2
+    for case in doc["cases"]:
+        assert [(c["name"], c["status"]) for c in case["checks"]] == [("bound", "SKIPPED")]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call to ``owner.name``, through every
+    idealshi module that imported it."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "idealshi" or mod_name.startswith("idealshi.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_verify_computes_shared_work_once(capsys, monkeypatch):
+    # B2 has 6 ideals; both signs of the empty ideal are the same arrangement.
+    rank2 = _count_calls(monkeypatch, idealshi.multiarr, "exp_rank2_multi")
+    lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    code, out, _ = run(capsys, "verify", "B2", "-k", "1", "--all-ideals", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["cases"]) == 12
+    assert len(rank2) == 3 * 6  # the shift-law base and one multirestriction per sign
+    arrangements = [args[0] for args in lattices]
+    assert len(arrangements) == len(set(arrangements)) == 11
 
 
 def test_verify_timings_flag(capsys):
