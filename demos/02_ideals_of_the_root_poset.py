@@ -6,13 +6,7 @@ is the Weyl-Catalan number, and each ideal's subarrangement has exponents
 given by the dual partition of the ideal's heights.
 """
 
-from idealshi import (
-    build,
-    enumerate_ideals,
-    ideal_exponents,
-    linear_extension,
-    weyl_catalan_number,
-)
+from idealshi import build, enumerate_ideals, ideal_exponents, weyl_catalan_number
 
 rs = build("B3")
 ideals = enumerate_ideals(rs)
@@ -23,7 +17,7 @@ for i, ideal in enumerate(ideals):
     print(f"{i:>3}  size {ideal.size}  exponents {ideal_exponents(ideal)}  {{{roots}}}")
 
 print("\nlinear extension (every prefix is an ideal):")
-print("  " + " < ".join(r.name for r in linear_extension(rs).order))
+print("  " + " < ".join(r.name for r in rs.positive_roots))
 
 print("\nideal counts across small systems:")
 for name in ["A2", "B2", "G2", "A3", "B3", "A4", "B4", "D4", "F4"]:

@@ -14,12 +14,10 @@ from .arrangement import (
     IntersectionLattice,
     LatticeCache,
     SizeBoundError,
-    Subspace,
     filtration_exponents,
     filtration_step,
     intersection_count,
     intersection_lattice,
-    localization,
     restriction,
     root_arrangement,
     root_covector,
@@ -46,19 +44,12 @@ from .charpoly import (
 )
 from .ideals import (
     Ideal,
-    LinearExtension,
-    dominance_leq,
     empty_ideal,
     enumerate_ideals,
     full_ideal,
     ideal_exponents,
     ideal_from_roots,
     is_ideal,
-    is_subsystem_ideal,
-    linear_extension,
-    localize_ideal,
-    rank2_localizations,
-    subsystem_simple_roots,
     weyl_catalan_number,
 )
 from .multiarr import (
@@ -75,7 +66,6 @@ from .rootsys import (
     RootSystem,
     RootSystemType,
     build,
-    coxeter_number,
     dual_partition,
     ext_height,
     ext_height_z,

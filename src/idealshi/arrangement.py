@@ -12,13 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .ideals import linear_extension
 from .linalg import Vec
 from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, ext_height, ext_height_z, shi_planes
 
@@ -112,11 +111,12 @@ def filtration_vectors(rs: RootSystem, i: int) -> tuple[tuple[Root, int], ...]:
     """The (root, level) pairs of the first i-1 planes of the saturated chain.
 
     Within each full round of 2n planes the chain first lays down level -q
-    along the fixed prefix-ideal order, then level q+1 in reverse order.
+    along the canonical root order, then level q+1 in reverse order.
+    Height never decreases along that order, so every prefix is an ideal.
     """
     if i < 1:
         raise ValueError("filtration steps are indexed from 1")
-    order = linear_extension(rs).order
+    order = rs.positive_roots
     n = len(order)
     out = []
     for p in range(1, i):
@@ -134,10 +134,7 @@ def filtration_step(rs: RootSystem, i: int) -> Arrangement:
     Weyl arrangement: {z = 0} plus the first i-1 chain planes."""
     covs = [z_covector(rs)]
     covs.extend(root_covector(rs, root, j, coned=True) for root, j in filtration_vectors(rs, i))
-    arr = Arrangement.of(rs.rank + 1, covs)
-    if arr.size != i:
-        raise AssertionError(f"filtration step {i} produced {arr.size} planes")
-    return arr
+    return Arrangement.of(rs.rank + 1, covs)
 
 
 def filtration_exponents(rs: RootSystem, i: int) -> ExponentMultiset:
@@ -153,39 +150,11 @@ def filtration_exponents(rs: RootSystem, i: int) -> ExponentMultiset:
 
 
 @dataclass(frozen=True)
-class Subspace:
-    """A linear subspace given by the canonical row space of the linear
-    forms vanishing on it.  codim equals the number of rows."""
-
-    ambient_dim: int
-    rows: tuple[Vec, ...]
-
-    @property
-    def codim(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(linalg.first_nonzero(r) for r in self.rows)
-
-    def contains_form(self, v: Sequence[int]) -> bool:
-        """True when the linear form vanishes on this subspace."""
-        return linalg.in_rowspace(v, self.rows, self.pivots())
-
-
-@dataclass(frozen=True)
 class LatticeNode:
     """A flat, named by the hyperplanes that contain it."""
 
-    mask: int  # bitmask of the hyperplanes containing the flat
+    mask: int  # bit i set when covectors[i] contains the flat
     mu: int
-    arrangement: Arrangement = field(repr=False, compare=False)
-
-    @property
-    def subspace(self) -> Subspace:
-        """The canonical row form of the flat, from the covectors in its mask."""
-        covs = self.arrangement.covectors
-        rows = linalg.rref(c for i, c in enumerate(covs) if self.mask >> i & 1)
-        return Subspace(self.arrangement.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -302,6 +271,14 @@ def _mobius(levels: list[np.ndarray]) -> list[np.ndarray]:
     return mus
 
 
+def check_size(arr: Arrangement, *, max_hyperplanes: int, max_dim: int) -> None:
+    """Refuse an arrangement beyond the size guards of a lattice build."""
+    if arr.dim > max_dim:
+        raise SizeBoundError(f"ambient dimension {arr.dim} exceeds bound {max_dim}")
+    if arr.size > max_hyperplanes:
+        raise SizeBoundError(f"{arr.size} hyperplanes exceed bound {max_hyperplanes}")
+
+
 def intersection_lattice(
     arr: Arrangement, *, max_hyperplanes: int = 80, max_dim: int = 5
 ) -> IntersectionLattice:
@@ -315,12 +292,8 @@ def intersection_lattice(
     happens inside the build.  The top flat (the intersection of
     everything) is unique, so the last level is written down directly.
     """
-    n = arr.dim
-    if n > max_dim:
-        raise SizeBoundError(f"ambient dimension {n} exceeds bound {max_dim}")
-    if arr.size > max_hyperplanes:
-        raise SizeBoundError(f"{arr.size} hyperplanes exceed bound {max_hyperplanes}")
-    m = arr.size
+    check_size(arr, max_hyperplanes=max_hyperplanes, max_dim=max_dim)
+    n, m = arr.dim, arr.size
     words = max(1, -(-m // 64))
     levels = [np.zeros((1, words), dtype=np.uint64)]
     if m:
@@ -341,31 +314,11 @@ def intersection_lattice(
     out_levels = []
     for masks, mus in zip(levels, _mobius(levels)):
         ints = [int.from_bytes(row.tobytes(), "little") for row in masks.astype("<u8")]
-        out_levels.append(tuple(LatticeNode(mk, mu, arr) for mk, mu in zip(ints, mus.tolist())))
+        out_levels.append(tuple(LatticeNode(mk, mu) for mk, mu in zip(ints, mus.tolist())))
     lattice = IntersectionLattice(arr, tuple(out_levels))
     if m and sum(node.mu for node in lattice.nodes()) != 0:
         raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
     return lattice
-
-
-def localization(arr: Arrangement, x: Subspace) -> Arrangement:
-    """The subarrangement of hyperplanes containing a flat of the lattice."""
-    if x.ambient_dim != arr.dim:
-        raise ValueError("subspace lives in a different ambient dimension")
-    members = [c for c in arr.covectors if x.contains_form(c)]
-    closure = linalg.rref(members)
-    if closure != x.rows:
-        raise ValueError("subspace is not a flat of this arrangement")
-    return Arrangement(arr.dim, tuple(members))
-
-
-def flat_of(arr: Arrangement, forms: Iterable[Sequence[int]]) -> Subspace:
-    """The flat cut out by a set of the arrangement's hyperplanes."""
-    vs = [covector(v) for v in forms]
-    missing = [v for v in vs if v not in set(arr.covectors)]
-    if missing:
-        raise ValueError(f"hyperplanes not in arrangement: {missing}")
-    return Subspace(arr.dim, linalg.rref(vs))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .arrangement import Arrangement, LatticeCache, SizeBoundError, intersection_lattice
+from .arrangement import Arrangement, LatticeCache, SizeBoundError, check_size, intersection_lattice
 from .rootsys import ExponentMultiset
 
 
@@ -81,7 +81,10 @@ def charpoly_mobius(
     max_hyperplanes: int = 80,
     max_dim: int = 5,
 ) -> CharPoly:
-    """Mobius-weighted sum of t^dim(X) over the intersection lattice."""
+    """Mobius-weighted sum of t^dim(X) over the intersection lattice.  The
+    size guards apply before the cache is read, so a warm cache refuses
+    exactly what a cold one does."""
+    check_size(arr, max_hyperplanes=max_hyperplanes, max_dim=max_dim)
     if cache is not None:
         hit = cache.get_charpoly(arr)
         if hit is not None:

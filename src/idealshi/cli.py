@@ -477,14 +477,19 @@ def _add_common(p: argparse.ArgumentParser, k_required: bool = False) -> None:
     p.add_argument("--all-ideals", action="store_true", help="run over every ideal")
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
-    p.add_argument("--out", help="write the report to a file instead of stdout")
+def _add_limits(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1, help="worker processes; verify runs subsets in parallel")
     p.add_argument("--cache-dir", help="lattice cache directory (or env IDEALSHI_CACHE)")
-    p.add_argument("--timings", action="store_true", help="include wall-clock fields")
     p.add_argument("--max-hyperplanes", type=int, default=DEFAULT_MAX_HYPERPLANES)
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+
+
+def _add_report(p: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that emit a Report."""
+    _add_limits(p)
+    p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
+    p.add_argument("--out", help="write the report to a file instead of stdout")
+    p.add_argument("--timings", action="store_true", help="include wall-clock fields")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,19 +515,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the freeness/exponent check matrix")
     _add_common(p, k_required=True)
     p.add_argument("--checks", help="comma list: terao,ziegler,yoshinaga,duality")
-    _add_output(p)
+    _add_report(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("filtration", help="saturated chain of the coned affine Weyl arrangement")
     p.add_argument("system")
     p.add_argument("--steps", type=int, required=True)
-    _add_output(p)
+    _add_report(p)
     p.set_defaults(func=cmd_filtration)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial by chosen method")
     _add_common(p)
     p.add_argument("--method", choices=["mobius", "whitney", "finite-field", "all"], default="all")
-    _add_output(p)
+    _add_limits(p)
     p.set_defaults(func=cmd_charpoly)
     return parser
 

@@ -230,11 +230,6 @@ def build(rstype: RootSystemType | str) -> RootSystem:
     return RootSystem(rstype, roots)
 
 
-def coxeter_number(rs: RootSystem) -> int:
-    """Height of the highest root plus one; equals 2|roots| / rank."""
-    return rs.coxeter_number
-
-
 @dataclass(frozen=True)
 class ExponentMultiset:
     """A sorted multiset of nonnegative integers."""

@@ -13,14 +13,12 @@ from idealshi import (
     Arrangement,
     CharPoly,
     SizeBoundError,
-    Subspace,
     build,
     charpoly_whitney,
     filtration_exponents,
     filtration_step,
     intersection_count,
     intersection_lattice,
-    localization,
     restriction,
     root_arrangement,
     root_covector,
@@ -32,7 +30,7 @@ from idealshi import (
     ziegler_multiplicity,
 )
 from idealshi import linalg
-from idealshi.arrangement import covector, flat_of
+from idealshi.arrangement import covector
 
 
 # --- independent oracle: sweep all subsets, Mobius by definition -----------
@@ -64,6 +62,12 @@ def brute_force_lattice(arr, max_size=None):
                 above += mu[other]
         mu[rows] = -above
     return mu
+
+
+def flat_mask(arr, rows):
+    """The mask of the hyperplanes containing the flat with row form ``rows``."""
+    piv = tuple(linalg.first_nonzero(r) for r in rows)
+    return sum(1 << i for i, c in enumerate(arr.covectors) if linalg.in_rowspace(c, rows, piv))
 
 
 def oracle_charpoly(arr):
@@ -107,8 +111,10 @@ def test_lattice_matches_brute_force(idx):
     arr = _small_corpus()[idx]
     lattice = intersection_lattice(arr)
     oracle = brute_force_lattice(arr)
-    ours = {node.subspace.rows: node.mu for node in lattice.nodes()}
-    assert ours == oracle
+    assert {node.mask: node.mu for node in lattice.nodes()} == {
+        flat_mask(arr, rows): mu for rows, mu in oracle.items()
+    }
+    assert sum(len(level) for level in lattice.levels) == len(oracle)
 
 
 def test_boolean_lattice_levels():
@@ -131,8 +137,8 @@ def assert_levels_match_brute_force(arr):
     lattice = intersection_lattice(arr)
     oracle = brute_force_lattice(arr, max_size=arr.dim)
     for codim, level in enumerate(lattice.levels):
-        want = {rows: mu for rows, mu in oracle.items() if len(rows) == codim}
-        assert {node.subspace.rows: node.mu for node in level} == want
+        want = {flat_mask(arr, rows): mu for rows, mu in oracle.items() if len(rows) == codim}
+        assert {node.mask: node.mu for node in level} == want
     assert sum(len(level) for level in lattice.levels) == len(oracle)
     return lattice
 
@@ -272,34 +278,25 @@ def test_filtration_rounds_hit_shi_arrangements(systems):
             assert set(arr.covectors) == set(shi_plus(rs, k, []).covectors)
 
 
-# --- localization -----------------------------------------------------------
+# --- localization: the hyperplanes in a flat's mask -------------------------
 
 
 def test_localization_examples(systems):
-    a2 = systems["A2"]
-    arr = shi_plus(a2, 1, [])
-    top = Subspace(3, ())
-    assert localization(arr, top).size == 0
-    atom = Subspace(3, (arr.covectors[0],))
-    assert localization(arr, atom).covectors == (arr.covectors[0],)
+    arr = shi_plus(systems["A2"], 1, [])
+    lattice = intersection_lattice(arr)
+    assert lattice.levels[0][0].mask == 0  # no hyperplane contains the whole space
+    assert sorted(node.mask for node in lattice.levels[1]) == [1 << i for i in range(arr.size)]
 
 
 def test_localization_through_z_is_a_sub_shi(systems):
     a2 = systems["A2"]
     arr = shi_plus(a2, 1, [])
-    x = flat_of(arr, [z_covector(a2), a2.positive_roots[0].coeffs + (0,)])
-    local = localization(arr, x)
+    localizations = [
+        {c for i, c in enumerate(arr.covectors) if node.mask >> i & 1}
+        for node in intersection_lattice(arr).levels[2]
+    ]
     # the planes through {z = a1 = 0}: H_z and both levels of a1
-    want = {z_covector(a2), (1, 0, 0), covector((1, 0, -1))}
-    assert set(local.covectors) == want
-
-
-def test_localization_rejects_non_flats(systems):
-    a2 = systems["A2"]
-    arr = shi_plus(a2, 1, [])
-    bogus = Subspace(3, ((1, 1, 1),))
-    with pytest.raises(ValueError):
-        localization(arr, bogus)
+    assert {z_covector(a2), (1, 0, 0), covector((1, 0, -1))} in localizations
 
 
 # --- matroid invariance under unimodular maps -------------------------------
@@ -419,74 +416,6 @@ def test_ziegler_matches_2k_plus_indicator(systems):
                     assert mult == want
 
 
-# --- localization along {z = 0} vs the rank-2 subsystem -----------------------
-
-
-def subsystem_coordinates(psi_plus):
-    """Coefficients of each member over the subsystem's two simple roots."""
-    from fractions import Fraction
-
-    from idealshi import subsystem_simple_roots
-
-    g1, g2 = subsystem_simple_roots(psi_plus)
-    rows = linalg.rref([g1.coeffs, g2.coeffs])
-    c1, c2 = (linalg.first_nonzero(r) for r in rows)
-    det = g1.coeffs[c1] * g2.coeffs[c2] - g1.coeffs[c2] * g2.coeffs[c1]
-    out = {}
-    for psi in psi_plus:
-        a = Fraction(psi.coeffs[c1] * g2.coeffs[c2] - psi.coeffs[c2] * g2.coeffs[c1], det)
-        b = Fraction(g1.coeffs[c1] * psi.coeffs[c2] - g1.coeffs[c2] * psi.coeffs[c1], det)
-        assert a.denominator == b.denominator == 1 and a >= 0 and b >= 0
-        out[psi] = (int(a), int(b))
-    return out
-
-
-def sub_shi_covectors(psi_plus, coords, k, ideal_members, sign):
-    covs = [(0, 0, 1)]
-    for psi in psi_plus:
-        a, b = coords[psi]
-        for j in range(-k + 1, k + 1):
-            if sign == "-" and j == k and psi in ideal_members:
-                continue
-            covs.append((a, b, -j))
-        if sign == "+" and psi in ideal_members:
-            covs.append((a, b, k))
-    return covs
-
-
-@pytest.mark.parametrize("name", ["A3", "B3"])
-def test_localization_at_z_flats_is_the_subsystem_shi(systems, name):
-    # localizing at a codim-2 flat inside {z = 0} must reproduce the
-    # extended Shi cone of the rank-2 subsystem, with the localized ideal,
-    # up to one transverse direction (an extra factor of t in chi)
-    from idealshi import charpoly_mobius, enumerate_ideals, localize_ideal, rank2_localizations
-
-    rs = systems[name]
-    k = 1
-    ideals = enumerate_ideals(rs)
-    sample = [ideals[0], ideals[len(ideals) // 2], ideals[-1], ideals[3]]
-    for psi_plus in rank2_localizations(rs):
-        coords = subsystem_coordinates(psi_plus)
-        psi_level0 = [r.coeffs + (0,) for r in psi_plus]
-        for ideal in sample:
-            localized = set(localize_ideal(ideal, psi_plus))
-            for sign in "+-":
-                arr = shi_arrangement(rs, k, ideal.roots, sign)
-                x = flat_of(arr, [z_covector(rs)] + psi_level0)
-                assert x.codim == 3
-                local = localization(arr, x)
-                want = {
-                    c
-                    for c in arr.covectors
-                    if c == z_covector(rs) or c[:-1] in {r.coeffs for r in psi_plus}
-                }
-                assert set(local.covectors) == want
-                sub = Arrangement.of(3, sub_shi_covectors(psi_plus, coords, k, localized, sign))
-                sub_chi = charpoly_mobius(sub).coeffs
-                local_chi = charpoly_mobius(local).coeffs
-                assert local_chi == (0,) + sub_chi, (name, ideal.mask, sign)
-
-
 # --- size guards --------------------------------------------------------------
 
 
@@ -509,20 +438,15 @@ def point_containment_cases(rs, k):
     simple = {r for r in rs.positive_roots if r.height == 1}
     for alpha, beta in itertools.combinations(rs.positive_roots, 2):
         for level in (k, -k):
-            point = Subspace(
-                3,
-                linalg.rref(
-                    [
-                        root_covector(rs, alpha, level, coned=True),
-                        root_covector(rs, beta, level, coned=True),
-                    ]
-                ),
+            point = linalg.rref(
+                [root_covector(rs, alpha, level, coned=True), root_covector(rs, beta, level, coned=True)]
             )
+            pivots = tuple(linalg.first_nonzero(r) for r in point)
             through = {
                 (gamma, s)
                 for gamma in rs.positive_roots
                 for s in range(-k, k + 1)
-                if point.contains_form(root_covector(rs, gamma, s, coned=True))
+                if linalg.in_rowspace(root_covector(rs, gamma, s, coned=True), point, pivots)
             }
             results.append((alpha, beta, level, through))
     return results, simple

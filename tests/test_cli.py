@@ -142,6 +142,17 @@ def test_verify_size_guard_skips(capsys):
     assert doc["summary"]["skipped"] == 2
 
 
+def test_verify_size_guard_ignores_warm_cache(tmp_path, capsys):
+    # a cached chi must not admit an arrangement the guards refuse
+    base = ("verify", "A2", "-k", "1", "--subset", "none", "--cache-dir", str(tmp_path / "cache"))
+    guarded = (*base, "--max-hyperplanes", "3")
+    _, cold, _ = run(capsys, *guarded)
+    assert "bound:SKIPPED" in cold
+    assert run(capsys, *base)[0] == 0
+    _, warm, _ = run(capsys, *guarded)
+    assert warm == cold
+
+
 @pytest.mark.parametrize("check", ["yoshinaga", "duality"])
 def test_verify_size_guard_covers_freeness_checks(capsys, check):
     code, out, _ = run(
@@ -214,6 +225,27 @@ def test_charpoly_all_methods_agree(capsys):
     assert code == 0
     assert out.count("t^3 - 7t^2 + 15t - 9") == 3
     assert "(1, 3, 3)" in out
+
+
+def test_filtration_reports_an_unsaturated_step(capsys, monkeypatch):
+    original = idealshi.arrangement.filtration_vectors
+
+    def repeating(rs, i):
+        planes = original(rs, i)
+        return planes[:1] + planes[:-1]  # the first plane twice, so |A_i| < i
+
+    monkeypatch.setattr(idealshi.arrangement, "filtration_vectors", repeating)
+    code, out, _ = run(capsys, "filtration", "A2", "--steps", "3")
+    assert code == 1
+    assert "saturated:FAIL" in out
+
+
+def test_charpoly_rejects_report_options(tmp_path, capsys):
+    out = tmp_path / "chi.txt"
+    for option in (("--out", str(out)), ("--format", "json"), ("--timings",)):
+        code, _, err = run(capsys, "charpoly", "A2", "-k", "1", *option)
+        assert code == 2 and "unrecognized arguments" in err
+    assert not out.exists()
 
 
 def test_charpoly_base_arrangement(capsys):

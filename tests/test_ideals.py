@@ -1,22 +1,16 @@
-"""Ideal enumeration against brute force, exponents, localization."""
+"""Ideal enumeration against brute force, dominance and exponents."""
 
 import itertools
 
 import pytest
 
 from idealshi import (
-    dominance_leq,
     empty_ideal,
     enumerate_ideals,
     full_ideal,
     ideal_exponents,
     ideal_from_roots,
     is_ideal,
-    is_subsystem_ideal,
-    linear_extension,
-    localize_ideal,
-    rank2_localizations,
-    subsystem_simple_roots,
     weyl_catalan_number,
     weyl_exponents,
 )
@@ -71,12 +65,15 @@ def test_enumeration_guard():
 
 
 def test_dominance(systems):
+    def dominates(rs, alpha, beta):
+        return bool(rs.below_masks[rs.index[alpha.coeffs]] >> rs.index[beta.coeffs] & 1)
+
     a2 = systems["A2"]
     a1, a2r, a12 = a2.positive_roots
-    assert dominance_leq(a2, a1, a12)
-    assert not dominance_leq(a2, a1, a2r)
+    assert dominates(a2, a12, a1) and dominates(a2, a1, a1)
+    assert not dominates(a2, a2r, a1)
     g2 = systems["G2"]
-    assert dominance_leq(g2, g2.root_at((1, 1)), g2.root_at((3, 2)))
+    assert dominates(g2, g2.root_at((3, 2)), g2.root_at((1, 1)))
 
 
 def test_is_ideal_examples(systems):
@@ -110,76 +107,11 @@ def test_ideal_height_profiles_weakly_decreasing(systems):
 
 def test_linear_extension_prefixes_are_ideals(systems):
     for rs in systems.values():
-        order = linear_extension(rs).order
-        assert len(order) == rs.n_positive
+        order = rs.positive_roots
         for cut in range(len(order) + 1):
             assert is_ideal(rs, order[:cut])
 
 
 def test_linear_extension_a2(systems):
     a2 = systems["A2"]
-    assert [r.coeffs for r in linear_extension(a2).order] == [(1, 0), (0, 1), (1, 1)]
-
-
-# --- rank-2 localization ----------------------------------------------------
-
-
-def test_rank2_localizations_of_b3(systems):
-    b3 = systems["B3"]
-    locs = rank2_localizations(b3)
-    # each localization is span-closed and spans 2 dimensions
-    sizes = sorted(len(p) for p in locs)
-    assert all(s >= 2 for s in sizes)
-    total_pairs = sum(len(p) * (len(p) - 1) // 2 for p in locs)
-    n = b3.n_positive
-    assert total_pairs == n * (n - 1) // 2  # every pair lies in exactly one
-
-
-def test_subsystem_simple_roots(systems):
-    b3 = systems["B3"]
-    for psi in rank2_localizations(b3):
-        g1, g2 = subsystem_simple_roots(psi)
-        assert {g1, g2} <= set(psi)
-
-
-def test_localize_ideal_is_subsystem_ideal(systems):
-    for name in ("A3", "B3", "C3"):
-        rs = systems[name]
-        locs = rank2_localizations(rs)
-        for ideal in enumerate_ideals(rs):
-            for psi in locs:
-                j = localize_ideal(ideal, psi)
-                assert is_subsystem_ideal(j, psi), (name, ideal.mask, psi)
-
-
-def test_localize_ideal_trivial_cases(systems):
-    b3 = systems["B3"]
-    psi = rank2_localizations(b3)[0]
-    assert localize_ideal(full_ideal(b3), psi) == tuple(psi)
-    assert localize_ideal(empty_ideal(b3), psi) == ()
-
-
-def test_localize_ideal_b3_height2_example(systems):
-    b3 = systems["B3"]
-    low = ideal_from_roots(b3, [r for r in b3.positive_roots if r.height <= 2])
-    for psi in rank2_localizations(b3):
-        j = localize_ideal(low, psi)
-        assert is_subsystem_ideal(j, psi)
-
-
-def test_localize_ideal_rejects_non_localizations(systems):
-    b3 = systems["B3"]
-    ideal = full_ideal(b3)
-    with pytest.raises(ValueError):
-        localize_ideal(ideal, b3.positive_roots[:1])  # rank 1
-    # two independent roots whose span contains a third root: not closed
-    a1, a2r = b3.positive_roots[0], b3.positive_roots[1]
-    with pytest.raises(ValueError):
-        localize_ideal(ideal, (a1, a2r, b3.positive_roots[2]))
-
-
-def test_exhaustive_localization_check_rank2(systems):
-    # in a rank-2 system the only rank-2 localization is everything
-    g2 = systems["G2"]
-    locs = rank2_localizations(g2)
-    assert len(locs) == 1 and len(locs[0]) == 6
+    assert [r.coeffs for r in a2.positive_roots] == [(1, 0), (0, 1), (1, 1)]

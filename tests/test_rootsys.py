@@ -9,7 +9,6 @@ from idealshi import (
     Root,
     RootSystemType,
     build,
-    coxeter_number,
     dual_partition,
     ext_height,
     ext_height_z,
@@ -57,7 +56,7 @@ def test_b_and_c_have_different_posets(systems):
 @pytest.mark.parametrize("name,h", [("A2", 3), ("G2", 6), ("B3", 6), ("A3", 4), ("F4", 12)])
 def test_coxeter_number(systems, name, h):
     rs = systems[name]
-    assert coxeter_number(rs) == h
+    assert rs.coxeter_number == h
     assert 2 * rs.n_positive == rs.rank * h
 
 
