@@ -44,11 +44,8 @@ from .charpoly import (
 )
 from .ideals import (
     Ideal,
-    empty_ideal,
     enumerate_ideals,
-    full_ideal,
     ideal_exponents,
-    ideal_from_roots,
     is_ideal,
     weyl_catalan_number,
 )

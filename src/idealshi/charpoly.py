@@ -133,19 +133,36 @@ def _primes_from(start: int):
 
 
 def count_free_points(arr: Arrangement, q: int) -> int:
-    """Points of the affine space over F_q lying on no hyperplane."""
+    """Points of the affine space over F_q on no hyperplane, exactly.
+
+    F_q^* scales {h.x = 1} onto the rest of the complement of the first
+    plane h.  That slice is counted fibre by fibre over y in F_q^(n-2),
+    solving for the last coordinate t, with y streamed in fixed blocks.
+    """
     n = arr.dim
     if not arr.covectors:
         return q**n
-    mat = np.array(arr.covectors, dtype=np.int64)
-    pts = np.indices((q,) * n).reshape(n, -1)
-    total = 0
-    chunk = 1 << 16
-    for start in range(0, pts.shape[1], chunk):
-        block = pts[:, start : start + chunk]
-        dots = (mat @ block) % q
-        total += int((dots != 0).all(axis=0).sum())
-    return total
+    rows = np.array([[e % q for e in c] for c in arr.covectors], dtype=np.int64)
+    if not rows.any(axis=1).all():
+        return 0  # a covector that vanishes mod q contains every point
+    j = int(np.flatnonzero(rows[0])[0])  # h.x = 1 fixes x_j
+    const = rows[1:, j] * pow(int(rows[0, j]), -1, q) % q
+    coef = np.delete(rows[1:] - np.outer(const, rows[0]), j, axis=1) % q
+    # a form a.y + b.t + c forbids one t when b != 0, else every t or none;
+    # for n = 1 there is no t and the fibre is the one point of F_q^0
+    fibre, slope, base = (q, coef[:, -1], coef[:, :-1]) if n > 1 else (1, np.zeros_like(const), coef)
+    tilted = slope != 0
+    scale = np.array([pow(int(b), -1, q) for b in slope[tilted]], dtype=np.int64)
+    tilt_a, tilt_c = base[tilted] * scale[:, None] % q, const[tilted] * scale % q  # forbid t = -(a.y+c)
+    radix = q ** np.arange(max(n - 2, 0), dtype=np.int64)
+    block, total = 1 << 13, 0  # memory is O(planes * block), never the whole grid
+    for start in range(0, q ** len(radix), block):
+        y = np.arange(start, min(start + block, q ** len(radix)), dtype=np.int64)[:, None] // radix % q
+        blocked = ((y @ base[~tilted].T + const[~tilted]) % q == 0).any(axis=1)
+        forbidden = np.sort((y @ tilt_a.T + tilt_c) % q, axis=1)
+        distinct = (np.diff(forbidden, axis=1) != 0).sum(axis=1) + (forbidden.shape[1] > 0)
+        total += int(np.where(blocked, 0, fibre - distinct).sum())
+    return (q - 1) * total
 
 
 def charpoly_finite_field(

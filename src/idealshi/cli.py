@@ -31,6 +31,7 @@ from .arrangement import (
     ziegler_multiplicity,
 )
 from .charpoly import (
+    BadReductionError,
     FactorFailure,
     TeraoVerdict,
     charpoly_finite_field,
@@ -545,7 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except AssertionError as err:
+    except (AssertionError, BadReductionError) as err:
         sys.stderr.write(f"internal error: {err}\n")
         return 3
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, is_ideal, mask_of, weyl_exponents
+from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, is_ideal, weyl_exponents
 
 
 @dataclass(frozen=True)
@@ -43,21 +42,6 @@ class Ideal:
 
     def __str__(self) -> str:
         return "{" + ", ".join(r.name for r in self.roots) + "}"
-
-
-def ideal_from_roots(rs: RootSystem, roots: Iterable[Root]) -> Ideal:
-    mask = mask_of(rs, roots)
-    if not is_ideal(rs, mask):
-        raise ValueError("subset is not downward closed under dominance")
-    return Ideal(rs, mask)
-
-
-def empty_ideal(rs: RootSystem) -> Ideal:
-    return Ideal(rs, 0)
-
-
-def full_ideal(rs: RootSystem) -> Ideal:
-    return Ideal(rs, (1 << rs.n_positive) - 1)
 
 
 def weyl_catalan_number(rs: RootSystem) -> int:

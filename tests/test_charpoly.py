@@ -2,10 +2,17 @@
 factorization, deletion-restriction."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import idealshi
 from idealshi import (
     Arrangement,
     BadReductionError,
@@ -69,6 +76,22 @@ def test_whitney_size_guard():
         charpoly_whitney(big)
 
 
+def brute_force_count(arr, q):
+    """Reference count: test every point of F_q^n against every plane."""
+    n = arr.dim
+    if not arr.covectors:
+        return q**n
+    mat = np.array(arr.covectors, dtype=np.int64)
+    pts = np.indices((q,) * n).reshape(n, -1)
+    total = 0
+    chunk = 1 << 16
+    for start in range(0, pts.shape[1], chunk):
+        block = pts[:, start : start + chunk]
+        dots = (mat @ block) % q
+        total += int((dots != 0).all(axis=0).sum())
+    return total
+
+
 def test_finite_field_counts():
     a2 = build("A2")
     shi = shi_plus(a2, 1, [])
@@ -78,6 +101,70 @@ def test_finite_field_counts():
     empty = Arrangement.of(2, [])
     assert count_free_points(empty, 5) == 25
     assert charpoly_finite_field(empty).coeffs == (0, 0, 1)
+    assert count_free_points(Arrangement.of(1, [(1,)]), 5) == 4
+    assert count_free_points(Arrangement(2, ((3, 0),)), 3) == 0  # not primitive: vanishes mod 3
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+GRID_LIMIT = 300_000  # keeps the brute-force reference to a few hundred thousand points
+
+
+def small_prime(data, dim):
+    return data.draw(st.sampled_from([q for q in PRIMES if q**dim <= GRID_LIMIT]), label="q")
+
+
+@given(
+    case=st.sampled_from([(n, k) for n in ("A2", "B2", "G2", "A3", "B3") for k in (1, 2)] + [("B4", 1)]),
+    sign=st.sampled_from("+-"),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_counts_match_brute_force_on_shi_cones(systems, case, sign, data):
+    name, k = case
+    rs = systems[name]
+    cone = shi_arrangement(rs, k, rs.positive_roots, sign)
+    size = data.draw(st.integers(1, cone.size), label="size")
+    chosen = data.draw(st.permutations(cone.covectors), label="order")[:size]
+    arr = Arrangement(cone.dim, tuple(sorted(chosen)))
+    q = small_prime(data, arr.dim)
+    assert count_free_points(arr, q) == brute_force_count(arr, q)
+
+
+@given(dim=st.integers(1, 5), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_counts_match_brute_force_on_random_arrangements(dim, data):
+    z = (0,) * (dim - 1) + (1,)
+    vectors = data.draw(
+        st.lists(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim).filter(any), max_size=10),
+        label="covectors",
+    )
+    arr = Arrangement.of(dim, vectors)
+    arr = Arrangement(dim, tuple(c for c in arr.covectors if c != z))  # not a cone over {z = 0}
+    q = small_prime(data, dim)
+    assert count_free_points(arr, q) == brute_force_count(arr, q)
+
+
+def test_rank4_finite_field_memory():
+    # B4 k=1 in a fresh process, so the peak resident set is this count's own
+    script = """
+import json, resource, sys
+from idealshi import build, charpoly_finite_field, charpoly_mobius, shi_plus
+rs = build("B4")
+polys = []
+for roots in ((), rs.positive_roots):
+    arr = shi_plus(rs, 1, roots)
+    polys.append([charpoly_finite_field(arr).coeffs, charpoly_mobius(arr).coeffs])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+print(json.dumps({"polys": polys, "peak_mb": peak / (1 << (20 if sys.platform == "darwin" else 10))}))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idealshi.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    for finite_field, mobius in out["polys"]:
+        assert finite_field == mobius
+    assert out["peak_mb"] < 200
 
 
 def test_finite_field_rejects_small_primes():

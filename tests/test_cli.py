@@ -291,3 +291,13 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
     assert code == 3 and out == ""
     assert err.startswith("internal error: Mobius values")
+
+
+def test_bad_reduction_is_an_internal_error(capsys, monkeypatch):
+    import idealshi.charpoly
+
+    exact = idealshi.charpoly.count_free_points
+    monkeypatch.setattr(idealshi.charpoly, "count_free_points", lambda arr, q: exact(arr, q) + q % 3)
+    code, out, err = run(capsys, "charpoly", "A2", "-k", "1", "--subset", "none", "--method", "finite-field")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: no consistent prime batch")

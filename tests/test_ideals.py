@@ -5,11 +5,9 @@ import itertools
 import pytest
 
 from idealshi import (
-    empty_ideal,
+    Ideal,
     enumerate_ideals,
-    full_ideal,
     ideal_exponents,
-    ideal_from_roots,
     is_ideal,
     weyl_catalan_number,
     weyl_exponents,
@@ -86,9 +84,9 @@ def test_is_ideal_examples(systems):
 
 def test_ideal_exponents_examples(systems):
     a2 = systems["A2"]
-    assert ideal_exponents(empty_ideal(a2)).parts == (0, 0)
-    assert ideal_exponents(full_ideal(a2)).parts == weyl_exponents(a2).parts
-    assert ideal_exponents(ideal_from_roots(a2, [a2.positive_roots[0]])).parts == (0, 1)
+    assert ideal_exponents(Ideal(a2, 0)).parts == (0, 0)
+    assert ideal_exponents(Ideal(a2, 0b111)).parts == weyl_exponents(a2).parts
+    assert ideal_exponents(Ideal(a2, 0b001)).parts == (0, 1)
 
 
 def test_ideal_height_profiles_weakly_decreasing(systems):
