@@ -479,7 +479,7 @@ def _add_common(p: argparse.ArgumentParser, k_required: bool = False) -> None:
 
 
 def _add_limits(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, help="worker processes; verify runs subsets in parallel")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (above 1 for verify only)")
     p.add_argument("--cache-dir", help="lattice cache directory (or env IDEALSHI_CACHE)")
     p.add_argument("--max-hyperplanes", type=int, default=DEFAULT_MAX_HYPERPLANES)
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
@@ -542,6 +542,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "all_ideals", False) and getattr(args, "subset", None):
             raise UsageError("--all-ideals and --subset are mutually exclusive")
+        jobs = getattr(args, "jobs", 1)
+        if jobs < 1 or (jobs > 1 and args.func is not cmd_verify):
+            raise UsageError(f"--jobs {jobs}: need a positive count, and only verify runs more than 1")
         return args.func(args)
     except (UsageError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")

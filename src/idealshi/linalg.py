@@ -62,17 +62,14 @@ def reduce_row(v: Sequence[int], rows: Sequence[Vec], pivots: Sequence[int]) -> 
     return out
 
 
-def in_rowspace(v: Sequence[int], rows: Sequence[Vec], pivots: Sequence[int]) -> bool:
-    return not any(reduce_row(v, rows, pivots))
-
-
-def _insert(rows: list[list[int]], pivots: list[int], v: Sequence[int]) -> bool:
+def _insert(rows: list[list[int]], pivots: list[int], v: Sequence[int], clear: bool = True) -> bool:
     """Extend a canonical row set, held in lists, by one vector in place.
 
     Returns False when ``v`` already lies in the row space.  The update is
     incremental: reduce ``v``, normalize, then clear the new pivot column
     from the old rows (whose leading entries stay positive).  Rows keep
-    insertion order; callers sort them by pivot.
+    insertion order; callers sort them by pivot.  ``clear=False`` keeps the
+    old rows, so each row is zero only at the pivots of the rows before it.
     """
     new = reduce_row(v, rows, pivots)
     piv = first_nonzero(new)
@@ -80,7 +77,7 @@ def _insert(rows: list[list[int]], pivots: list[int], v: Sequence[int]) -> bool:
         return False
     g = content(new) if new[piv] > 0 else -content(new)
     new = [x // g for x in new]
-    for i, r in enumerate(rows):
+    for i, r in enumerate(rows if clear else ()):
         b = r[piv]
         if b:
             r = [new[piv] * x - b * y for x, y in zip(r, new)]
@@ -114,6 +111,27 @@ def rref(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
 
 def rank(vectors: Iterable[Sequence[int]]) -> int:
     return len(rref(vectors))
+
+
+def nullspace(rows: Iterable[Sequence[int]], n: int) -> list[Vec]:
+    """Primitive integer basis of {x in Q^n : r.x = 0 for all rows r}, one vector
+    per free column: an echelon form not cleared above its pivots (unlike
+    :func:`rref`), then back-substitution scaling by each pivot, not dividing."""
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
+    for v in rows:
+        _insert(echelon, pivots, v, clear=False)
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        x = [int(j == free) for j in range(n)]
+        for r, p in zip(reversed(echelon), reversed(pivots)):
+            s = dot(r[p + 1 :], x[p + 1 :])
+            if s:
+                g = gcd(s, r[p])
+                x = [xi * (r[p] // g) for xi in x]
+                x[p] = -s // g
+        basis.append(normalize_primitive(x))
+    return basis
 
 
 def hermite_normal_form(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:

@@ -2,11 +2,11 @@
 
 A derivation on the plane is a pair (P, Q) of homogeneous degree-d
 polynomials; it respects a line with form a*x + b*y and multiplicity m
-when a*P + b*Q is divisible by (a*x + b*y)^m.  Divisibility is linear in
-the coefficients of (P, Q): substitute coordinates in which the form is a
-variable and kill the m lowest coefficients.  Every rank-2 multiarrangement
-is free (an external fact this module leans on), so the exponent pair is
-(d1, |m| - d1) with d1 the least degree carrying a nonzero derivation.
+when a*P + b*Q is divisible by (a*x + b*y)^m, a linear condition on the
+coefficients of (P, Q).  For basis degrees d1 <= d2 (d1 + d2 = |m|),
+degree d* = ceil(|m|/2) - 1 < d2 has dimension max(0, d* - d1 + 1): one
+rank there gives d1, the kernels at d1 and d2 a basis, and Saito's
+criterion (Ziegler 1989) checks it, so no exponent pair is taken on trust.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from . import linalg
 from .arrangement import Arrangement, LatticeCache, ziegler_multiplicity
 from .charpoly import chi0_at_zero
@@ -22,6 +24,7 @@ from .linalg import Vec
 from .rootsys import ExponentMultiset
 
 Multiplicity = Mapping[Vec, int]
+_PRIME = 2147483629  # below 2**31, so products of residues fit in int64
 
 
 def _line_conditions(a: int, b: int, m: int, d: int) -> list[list[int]]:
@@ -48,42 +51,57 @@ def _line_conditions(a: int, b: int, m: int, d: int) -> list[list[int]]:
     return rows
 
 
-def derivation_space_dim(arr2: Arrangement, mult: Multiplicity, degree: int) -> int:
-    """Dimension of the degree-d part of the constrained derivation module."""
-    if arr2.dim != 2:
-        raise ValueError("multiarrangement exponents are computed in 2 coordinates")
-    rows: list[list[int]] = []
-    for cov in arr2.covectors:
-        m = mult.get(cov, 0)
-        if m < 0:
-            raise ValueError(f"negative multiplicity on {cov}")
-        if m:
-            rows.extend(_line_conditions(cov[0], cov[1], m, degree))
-    unknowns = 2 * (degree + 1)
-    return unknowns - linalg.rank(rows)
+def _conditions(arr2: Arrangement, mult: Multiplicity, degree: int) -> list[list[int]]:
+    if arr2.dim != 2 or arr2.size < 1:
+        raise ValueError("multiarrangement exponents need at least one line in 2 coordinates")
+    if min(mult.values(), default=0) < 0 or not set(mult) <= set(arr2.covectors):
+        raise ValueError(f"multiplicities must be nonnegative and on lines of the arrangement: {dict(mult)}")
+    return [row for cov in arr2.covectors for row in _line_conditions(*cov, mult.get(cov, 0), degree)]
+
+
+def derivation_space_dim(arr2: Arrangement, mult: Multiplicity, degree: int, prime: Optional[int] = None) -> int:
+    """Dimension of the degree-d part of the constrained derivation module,
+    or with ``prime`` of its reduction mod ``prime`` (< 2**31), never less."""
+    rows, n = _conditions(arr2, mult, degree), 2 * (degree + 1)
+    if prime is None:
+        return n - linalg.rank(rows)
+    a, dim = np.array([[x % prime for x in r] for r in rows], dtype=np.int64).reshape(len(rows), n), n
+    for c in range(n):
+        if (nz := np.flatnonzero(a[:, c])).size:  # clear column c with row nz[0], zeroing that row
+            a, dim = (a[nz[0], c] * a - a[:, c, None] * a[nz[0]]) % prime, dim - 1
+    return dim
+
+
+def saito_certified(arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int], theta2: Sequence[int]) -> bool:
+    """Saito's criterion: do theta1, theta2 (unknowns as in :func:`_line_conditions`)
+    meet every line condition, with det[theta1 theta2] = c * prod alpha_H^(m_H),
+    c != 0?  Both sides are forms of degree |m|, compared at y = 1."""
+    if any(linalg.dot(r, t) for t in (theta1, theta2) for r in _conditions(arr2, mult, len(t) // 2 - 1)):
+        return False
+    (p1, q1), (p2, q2) = (np.array(t, dtype=object).reshape(2, -1) for t in (theta1, theta2))
+    det, target = np.convolve(p1, q2) - np.convolve(p2, q1), np.ones(1, dtype=object)
+    for a, b in arr2.covectors:
+        for _ in range(mult.get((a, b), 0)):
+            target = np.convolve(target, np.array([b, a], dtype=object))
+    j = linalg.first_nonzero(target)
+    return len(det) == len(target) and det[j] != 0 and all(det * target[j] == target * det[j])
 
 
 def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity) -> tuple[int, int]:
-    """Exponent pair (d1, d2) of a rank-2 multiarrangement, d1 <= d2.
-
-    d1 is found by exact linear algebra degree by degree; d2 = |m| - d1 by
-    the degree sum of the (always existing) free basis.
-    """
-    if arr2.size < 1:
-        raise ValueError("need at least one line")
-    for cov in mult:
-        if cov not in set(arr2.covectors):
-            raise ValueError(f"multiplicity assigned to a line {cov} outside the arrangement")
+    """Exponent pair (d1, d2), d1 <= d2, of a basis passing Saito's criterion.
+    A prime that overstates dim D_{d*} guesses d1 too low, where the exact
+    kernel is empty; the exact rank is then taken instead."""
     total = sum(mult.get(cov, 0) for cov in arr2.covectors)
-    for d in range(total + 1):
-        if derivation_space_dim(arr2, mult, d) > 0:
-            d1 = d
+    dstar = (total + 1) // 2 - 1
+    for prime in (_PRIME, None):
+        dim = derivation_space_dim(arr2, mult, dstar, prime)
+        d1 = dstar + 1 - dim if dim else total // 2
+        if first := linalg.nullspace(_conditions(arr2, mult, d1), 2 * d1 + 2):
             break
-    else:
-        raise AssertionError("no nonzero derivation up to the total multiplicity")
     d2 = total - d1
-    if d1 > d2:
-        raise AssertionError(f"minimal degree {d1} exceeds its complement {d2}")
+    second = first[1:] if d1 == d2 else linalg.nullspace(_conditions(arr2, mult, d2), 2 * d2 + 2)
+    if not first or not any(saito_certified(arr2, mult, first[0], theta2) for theta2 in second):
+        raise AssertionError(f"no derivation basis of degrees ({d1}, {d2}) passes Saito's criterion")
     return d1, d2
 
 

@@ -36,6 +36,10 @@ from idealshi.arrangement import covector
 # --- independent oracle: sweep all subsets, Mobius by definition -----------
 
 
+def in_rowspace(v, rows, pivots):
+    return not any(linalg.reduce_row(v, rows, pivots))
+
+
 def brute_force_lattice(arr, max_size=None):
     """Map canonical flat rows -> mu, via the definition only.
 
@@ -58,7 +62,7 @@ def brute_force_lattice(arr, max_size=None):
         for other in order:
             if len(other) >= len(rows):
                 continue
-            if all(linalg.in_rowspace(r, rows, piv) for r in other):
+            if all(in_rowspace(r, rows, piv) for r in other):
                 above += mu[other]
         mu[rows] = -above
     return mu
@@ -67,7 +71,7 @@ def brute_force_lattice(arr, max_size=None):
 def flat_mask(arr, rows):
     """The mask of the hyperplanes containing the flat with row form ``rows``."""
     piv = tuple(linalg.first_nonzero(r) for r in rows)
-    return sum(1 << i for i, c in enumerate(arr.covectors) if linalg.in_rowspace(c, rows, piv))
+    return sum(1 << i for i, c in enumerate(arr.covectors) if in_rowspace(c, rows, piv))
 
 
 def oracle_charpoly(arr):
@@ -446,7 +450,7 @@ def point_containment_cases(rs, k):
                 (gamma, s)
                 for gamma in rs.positive_roots
                 for s in range(-k, k + 1)
-                if linalg.in_rowspace(root_covector(rs, gamma, s, coned=True), point, pivots)
+                if in_rowspace(root_covector(rs, gamma, s, coned=True), point, pivots)
             }
             results.append((alpha, beta, level, through))
     return results, simple

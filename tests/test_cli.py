@@ -301,3 +301,33 @@ def test_bad_reduction_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "charpoly", "A2", "-k", "1", "--subset", "none", "--method", "finite-field")
     assert code == 3 and out == ""
     assert err.startswith("internal error: no consistent prime batch")
+
+
+def test_failed_saito_certificate_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(idealshi.multiarr, "saito_certified", lambda *args: False)
+    code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: no derivation basis of degrees")
+
+
+JOBS_COMMANDS = {
+    "verify": ("verify", "A2", "-k", "1", "--subset", "none"),
+    "filtration": ("filtration", "A2", "--steps", "3"),
+    "charpoly": ("charpoly", "A2", "-k", "1", "--subset", "none"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JOBS_COMMANDS))
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_must_be_positive(capsys, command, jobs):
+    code, out, err = run(capsys, *JOBS_COMMANDS[command], "--jobs", jobs)
+    assert code == 2 and out == "" and f"--jobs {jobs}" in err
+
+
+@pytest.mark.parametrize("command", ["filtration", "charpoly"])
+def test_jobs_above_one_only_for_verify(capsys, command):
+    argv = JOBS_COMMANDS[command]
+    code, out, err = run(capsys, *argv, "--jobs", "2")
+    assert code == 2 and out == "" and "only verify" in err
+    code, out, _ = run(capsys, *argv, "--jobs", "1")
+    assert code == 0 and out

@@ -1,7 +1,10 @@
 """Rank-2 multiarrangement exponents and the ambient-3 freeness criterion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import idealshi.multiarr
 from idealshi import (
     Arrangement,
     CharPoly,
@@ -10,6 +13,7 @@ from idealshi import (
     charpoly_mobius,
     derivation_space_dim,
     exp_rank2_multi,
+    linalg,
     root_arrangement,
     root_covector,
     shi_arrangement,
@@ -17,6 +21,7 @@ from idealshi import (
     yoshinaga_check,
     z_covector,
 )
+from idealshi.multiarr import saito_certified
 
 
 def a2_lines():
@@ -63,6 +68,123 @@ def test_degree_sum_and_dimension_law():
         for d in range(total + 2):
             want = max(0, d - d1 + 1) + max(0, d - d2 + 1)
             assert derivation_space_dim(base, mult, d) == want, (mult, d)
+
+
+def ladder_exponents(arr2, mult):
+    """The degree ladder: d1 is the first degree carrying a nonzero
+    derivation, found by exact rank degree after degree."""
+    total = sum(mult.values())
+    d1 = next(d for d in range(total + 1) if derivation_space_dim(arr2, mult, d) > 0)
+    return d1, total - d1
+
+
+@st.composite
+def multiarrangements(draw):
+    """The A2, B2 or G2 lines, or one of them alone, with multiplicities 0..12."""
+    lines = root_arrangement(build(draw(st.sampled_from(["A2", "B2", "G2"])))).covectors
+    if draw(st.booleans()):
+        lines = (draw(st.sampled_from(lines)),)
+    return Arrangement.of(2, lines), {cov: draw(st.integers(0, 12)) for cov in lines}
+
+
+@settings(max_examples=60, deadline=None)
+@given(multiarrangements())
+def test_one_solve_matches_degree_ladder(case):
+    arr2, mult = case
+    assert exp_rank2_multi(arr2, mult) == ladder_exponents(arr2, mult)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_one_solve_matches_degree_ladder_edge_cases(name):
+    lines = root_arrangement(build(name)).covectors
+    cases = [(lines, {}), (lines, {cov: 0 for cov in lines})]
+    cases += [((cov,), {cov: m}) for cov in lines for m in (0, 1, 12)]
+    for covs, mult in cases:
+        arr2 = Arrangement.of(2, covs)
+        assert exp_rank2_multi(arr2, mult) == ladder_exponents(arr2, mult), (covs, mult)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_overstating_prime_falls_back_to_exact_rank(monkeypatch, name, m):
+    # mod 2 the conditions can lose rank; then the guessed d1 is too low
+    arr2 = root_arrangement(build(name))
+    mult = {cov: m for cov in arr2.covectors}
+    want = exp_rank2_multi(arr2, mult)
+    monkeypatch.setattr(idealshi.multiarr, "_PRIME", 2)
+    primes = []
+    original = idealshi.multiarr.derivation_space_dim
+
+    def spy(arr2, mult, degree, prime=None):
+        primes.append(prime)
+        return original(arr2, mult, degree, prime)
+
+    monkeypatch.setattr(idealshi.multiarr, "derivation_space_dim", spy)
+    assert exp_rank2_multi(arr2, mult) == want
+    total = m * len(arr2.covectors)
+    dstar = (total + 1) // 2 - 1
+    overstated = original(arr2, mult, dstar, 2) > original(arr2, mult, dstar)
+    assert primes == ([2, None] if overstated else [2])
+
+
+def certified_basis(monkeypatch, arr2, mult):
+    """The basis (theta1, theta2) that exp_rank2_multi certified."""
+    passed = []
+    original = idealshi.multiarr.saito_certified
+
+    def spy(*args):
+        if original(*args):
+            passed.append(args[2:])
+            return True
+        return False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(idealshi.multiarr, "saito_certified", spy)
+        d1, d2 = exp_rank2_multi(arr2, mult)
+    ((theta1, theta2),) = passed
+    assert (len(theta1), len(theta2)) == (2 * d1 + 2, 2 * d2 + 2)
+    return theta1, theta2
+
+
+def multiarrangement_cases():
+    base, a1, a2r, a12 = a2_lines()
+    g2 = root_arrangement(build("G2"))
+    return [
+        (base, {a1: 3, a2r: 2, a12: 2}),  # exponents (3, 4)
+        (base, {c: 2 for c in base.covectors}),  # (3, 3)
+        (g2, {c: 10 + (i == 5) for i, c in enumerate(g2.covectors)}),  # (30, 31)
+    ]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_tampered_basis_fails_the_certificate(monkeypatch, index):
+    arr2, mult = multiarrangement_cases()[index]
+    theta1, theta2 = certified_basis(monkeypatch, arr2, mult)
+    assert saito_certified(arr2, mult, theta1, theta2)
+    # theta2 replaced by 2 x^(d2 - d1) * theta1: still a derivation of the
+    # right degree, but the determinant vanishes
+    d1, d2 = len(theta1) // 2 - 1, len(theta2) // 2 - 1
+    pad = (0,) * (d2 - d1)
+    multiple = tuple(2 * c for c in pad + theta1[: d1 + 1] + pad + theta1[d1 + 1 :])
+    conditions = idealshi.multiarr._conditions(arr2, mult, d2)
+    assert not any(linalg.dot(row, multiple) for row in conditions)
+    assert not saito_certified(arr2, mult, theta1, multiple)
+    # one perturbed coefficient, anywhere in either derivation
+    for theta, other in ((theta1, theta2), (theta2, theta1)):
+        for i in range(len(theta)):
+            bumped = tuple(c + (j == i) for j, c in enumerate(theta))
+            assert not saito_certified(arr2, mult, bumped, other), i
+
+
+def test_certificate_checks_membership_and_degree():
+    axes = Arrangement.of(2, [(1, 0), (0, 1)])
+    mult = {(1, 0): 1, (0, 1): 1}  # basis x d/dx, y d/dy in the layout p_0, p_1, q_0, q_1
+    theta1, theta2 = (0, 1, 0, 0), (0, 0, 1, 0)
+    assert saito_certified(axes, mult, theta1, theta2)
+    # y d/dx, x d/dy: determinant x*y, but x does not divide y
+    assert not saito_certified(axes, mult, (1, 0, 0, 0), (0, 0, 0, 1))
+    # (x + y) * theta2 is a derivation, but the degrees sum to |m| + 1
+    assert not saito_certified(axes, mult, theta1, (0, 0, 0, 1, 1, 0))
 
 
 def test_dimension_nondecreasing():
