@@ -179,7 +179,6 @@ class IntersectionLattice:
 
 
 _BLOCK = 128  # parent flats restricted per batch: keeps the temporaries small
-_PAIRS = 1 << 14  # mask pairs per batch of subset tests, for the same reason
 _INT64_SAFE = 1 << 62
 
 
@@ -226,49 +225,37 @@ def _sorted_groups(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return order, first
 
 
-def _dedupe(masks: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct mask row."""
+def _merge(masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first row of each distinct mask, and ``values`` summed per mask."""
     order, first = _sorted_groups(masks.view(np.int64).T)
-    return order[first]
+    return order[first], np.add.reduceat(values[order], np.flatnonzero(first))
 
 
-def _children(covs: np.ndarray, masks: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _children(
+    covs: np.ndarray, masks: np.ndarray, bases: np.ndarray, mus: np.ndarray, lows: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """Flats one codimension below a block of flats, one per parallel class
-    of each flat's restricted forms, deduplicated on their masks."""
+    of each flat's restricted forms, merged on their masks.  Each (flat Y,
+    class) pair is a cover edge Y -> X; beside X's mask, basis and lowest
+    plane comes the sum of mu(Y) over the edges whose class holds X's
+    lowest plane, i.e. lies below every plane of Y."""
     n = bases.shape[2]
     c, b = _exact(_maxabs(covs) * _maxabs(bases) * n, covs, bases)
     forms = _primitive(np.matmul(c, b.transpose(0, 2, 1)))  # (flat, hyperplane, coord)
     flat, hyp = np.nonzero((forms != 0).any(axis=2))
     rows = forms[flat, hyp]
-    # primitive sign-fixed forms of one flat are parallel iff equal
+    # primitive sign-fixed forms of one flat are parallel iff equal; the
+    # sort is stable, so each class starts at its lowest plane
     order, first = _sorted_groups([*rows.T, flat])
     reps = order[first]
-    child = masks[flat[reps]]
+    parent = flat[reps]
+    low = np.minimum(hyp[reps], lows[parent])
+    child = masks[parent]
     hyp = hyp[order]
     bits = np.uint64(1) << (hyp & 63).astype(np.uint64)
     np.bitwise_or.at(child, (np.cumsum(first) - 1, hyp >> 6), bits)
-    keep = _dedupe(child)
-    reps = reps[keep]
-    return child[keep], _restricted_basis(rows[reps], bases[flat[reps]])
-
-
-def _mobius(levels: list[np.ndarray]) -> list[np.ndarray]:
-    """mu(X) = -sum of mu over the flats strictly containing X, which are
-    exactly the flats of lower codimension whose mask is a subset of X's."""
-    mus = [np.ones(1, dtype=np.int64)]
-    above, above_mu = levels[0], mus[0]
-    for masks in levels[1:]:
-        mu = np.empty(len(masks), dtype=np.int64)
-        step = max(1, _PAIRS // len(above))
-        for s in range(0, len(masks), step):
-            outside = ~masks[s : s + step]
-            inside = (above[:, 0] & outside[:, 0, None]) == 0
-            for w in range(1, above.shape[1]):
-                inside &= (above[:, w] & outside[:, w, None]) == 0
-            mu[s : s + step] = -(inside @ above_mu)
-        mus.append(mu)
-        above, above_mu = np.concatenate([above, masks]), np.concatenate([above_mu, mu])
-    return mus
+    keep, sums = _merge(child, np.where(low < lows[parent], mus[parent], 0))
+    return child[keep], _restricted_basis(rows[reps[keep]], bases[parent[keep]]), low[keep], sums
 
 
 def check_size(arr: Arrangement, *, max_hyperplanes: int, max_dim: int) -> None:
@@ -284,35 +271,38 @@ def intersection_lattice(
 ) -> IntersectionLattice:
     """Build the full intersection lattice, level by level.
 
-    A flat X carries the mask of the hyperplanes containing it and an
-    integer basis B of X.  The hyperplanes not containing X restrict to
-    the nonzero rows of C.B^T (C the covectors); each parallel class of
-    those rows is one flat one codimension down, with mask
-    mask(X) | class.  Flats dedupe on their masks, so no row reduction
-    happens inside the build.  The top flat (the intersection of
-    everything) is unique, so the last level is written down directly.
+    A flat X carries the mask of the hyperplanes containing it, an integer
+    basis B of X, its lowest plane and mu(X).  The hyperplanes not
+    containing X restrict to the nonzero rows of C.B^T (C the covectors);
+    each parallel class of those rows is a cover edge to a flat one
+    codimension down, with mask mask(X) | class.  Flats merge on their
+    masks, so no row reduction happens inside the build.  By Weisner's
+    theorem mu(X) = -sum mu(Y) over the edges Y -> X whose class holds X's
+    lowest plane.  The top flat is unique, so it is written down directly,
+    with mu from the coatoms that miss plane 0; sum mu = 0 is checked apart.
     """
     check_size(arr, max_hyperplanes=max_hyperplanes, max_dim=max_dim)
     n, m = arr.dim, arr.size
     words = max(1, -(-m // 64))
-    levels = [np.zeros((1, words), dtype=np.uint64)]
+    levels = [(np.zeros((1, words), dtype=np.uint64), np.ones(1, dtype=np.int64))]
     if m:
         widest = max(abs(x) for cov in arr.covectors for x in cov)
         covs = np.array(arr.covectors, dtype=np.int64 if widest < _INT64_SAFE else object)
-        masks, bases = levels[0], np.eye(n, dtype=np.int64)[None]
+        (masks, mus), bases, lows = levels[0], np.eye(n, dtype=np.int64)[None], np.full(1, m)
         for _ in range(1, arr.rank()):
             found = [
-                _children(covs, masks[s : s + _BLOCK], bases[s : s + _BLOCK])
+                _children(covs, *(a[s : s + _BLOCK] for a in (masks, bases, mus, lows)))
                 for s in range(0, len(masks), _BLOCK)
             ]
-            masks = np.concatenate([fm for fm, _ in found])
-            keep = _dedupe(masks)
-            masks, bases = masks[keep], np.concatenate([fb for _, fb in found])[keep]
-            levels.append(masks)
-        levels.append(np.frombuffer(((1 << m) - 1).to_bytes(8 * words, "little"), dtype="<u8")[None])
+            masks, bases, lows, sums = (np.concatenate(part) for part in zip(*found))
+            keep, sums = _merge(masks, sums)
+            masks, bases, lows, mus = masks[keep], bases[keep], lows[keep], -sums
+            levels.append((masks, mus))
+        top = np.frombuffer(((1 << m) - 1).to_bytes(8 * words, "little"), dtype="<u8")[None]
+        levels.append((top, -mus[lows > 0].sum(keepdims=True)))
 
     out_levels = []
-    for masks, mus in zip(levels, _mobius(levels)):
+    for masks, mus in levels:
         ints = [int.from_bytes(row.tobytes(), "little") for row in masks.astype("<u8")]
         out_levels.append(tuple(LatticeNode(mk, mu) for mk, mu in zip(ints, mus.tolist())))
     lattice = IntersectionLattice(arr, tuple(out_levels))

@@ -3,7 +3,7 @@
 Subcommands: roots, ideals, exponents, verify, filtration, charpoly.
 Exit codes: 0 all expectations met, 1 at least one mismatch (a genuine
 counterexample would land here, so it normally means an implementation
-bug), 2 usage error, 3 internal error (a broken invariant of the program).
+bug), 2 usage error (bad arguments), 3 internal error (a broken invariant).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .charpoly import (
     terao_check,
     try_factor_exponents,
 )
-from .ideals import enumerate_ideals, ideal_exponents, is_ideal
+from .ideals import Ideal, enumerate_ideals, ideal_exponents, is_ideal
 from .multiarr import FreenessVerdict, exp_rank2_multi, shift_predict, yoshinaga_check
 from .report import (
     FAIL,
@@ -143,12 +143,16 @@ class SubsetFacts:
         return self.yoshinaga_verdicts[sign]
 
     @cached_property
+    def indicator(self) -> dict[tuple[int, ...], int]:
+        """The subset's 0/1 multiplicity on the root hyperplanes."""
+        return {root_covector(self.rs, r): self.mask >> i & 1 for i, r in enumerate(self.rs.positive_roots)}
+
+    @cached_property
     def shift_law(self) -> dict[str, tuple[int, ...]]:
         """Exponents (z included) that the shift law predicts for each sign:
         the base exponents of the 0/1 indicator multiplicity, shifted by 2k."""
         rs = self.rs
-        mult = {root_covector(rs, r): self.mask >> i & 1 for i, r in enumerate(rs.positive_roots)}
-        base = ExponentMultiset(exp_rank2_multi(root_arrangement(rs), mult))
+        base = ExponentMultiset(exp_rank2_multi(root_arrangement(rs), self.indicator))
         return {s: tuple(sorted((1,) + shift_predict(base, self.k, rs.coxeter_number, s).parts)) for s in "+-"}
 
 
@@ -178,14 +182,9 @@ def _check_yoshinaga(facts: SubsetFacts, sign: str) -> CheckResult:
 
 
 def _check_ziegler(facts: SubsetFacts, sign: str) -> CheckResult:
-    rs = facts.rs
-    restricted, mult = ziegler_multiplicity(facts.arrangement(sign), z_covector(rs))
-    base = root_arrangement(rs)
-    want = {
-        root_covector(rs, r): 2 * facts.k + (1 if facts.mask >> i & 1 else 0) * (1 if sign == "+" else -1)
-        for i, r in enumerate(rs.positive_roots)
-    }
-    if restricted.covectors != base.covectors or mult != want:
+    restricted, mult = ziegler_multiplicity(facts.arrangement(sign), z_covector(facts.rs))
+    want = {cov: 2 * facts.k + (e if sign == "+" else -e) for cov, e in facts.indicator.items()}
+    if restricted.covectors != root_arrangement(facts.rs).covectors or mult != want:
         return CheckResult("ziegler", FAIL, "multirestriction onto {z=0} differs from 2k +/- indicator")
     return CheckResult("ziegler", PASS, "multirestriction equals base roots with 2k +/- indicator")
 
@@ -281,7 +280,7 @@ def run_case(spec: CaseSpec) -> list[CaseRecord]:
 
 
 def cmd_roots(args) -> int:
-    rs = _system(args.system)
+    rs, _ = _read(args)
     rows = [(i, r.name, r.coeffs, r.height) for i, r in enumerate(rs.positive_roots)]
     sys.stdout.write(text_table(rows, ["idx", "root", "coeffs", "height"]))
     sys.stdout.write(
@@ -291,22 +290,25 @@ def cmd_roots(args) -> int:
 
 
 def cmd_ideals(args) -> int:
-    rs = _system(args.system)
+    rs, grid = _read(args)
     rows = []
-    for i, ideal in enumerate(enumerate_ideals(rs)):
+    for mask, i in grid:
+        ideal = Ideal(rs, mask)
         rows.append((i, ideal.size, ideal_exponents(ideal), ", ".join(r.name for r in ideal.roots)))
     sys.stdout.write(text_table(rows, ["idx", "size", "exponents", "roots"]))
     return 0
 
 
 def cmd_exponents(args) -> int:
-    rs = _system(args.system)
+    rs, grid = _read(args)
     if args.k is None:
+        if args.subset is not None or args.all_ideals:
+            raise UsageError("--subset and --all-ideals need -k")
         exps = weyl_exponents(rs)
         sys.stdout.write(f"{rs.type}: exponents {exps}, coxeter number {rs.coxeter_number}\n")
         return 0
     rows = []
-    for mask, idx in _subset_grid(rs, args):
+    for mask, idx in grid:
         roots = _mask_roots(rs, mask)
         if not is_ideal(rs, mask):
             raise UsageError("dual-partition exponents are defined for ideals only")
@@ -322,13 +324,18 @@ def _signs(sign: str) -> tuple[str, ...]:
     return ("+", "-") if sign == "both" else (sign,)
 
 
-def _subset_grid(rs: RootSystem, args) -> list[tuple[int, Optional[int]]]:
-    if getattr(args, "all_ideals", False):
-        return [(ideal.mask, i) for i, ideal in enumerate(enumerate_ideals(rs))]
-    if getattr(args, "subset", None) is None:
-        return [(0, None)]
-    mask, idx = _parse_subset(rs, args.subset)
-    return [(mask, idx)]
+def _read(args) -> tuple[RootSystem, list[tuple[int, Optional[int]]]]:
+    """The root system and the (subset mask, ideal index) grid that the
+    arguments name.  Only user input is read here, so a ValueError is a
+    usage error: a bad name, a bad subset or the ideal-enumeration bound."""
+    try:
+        rs = _system(args.system)
+        if getattr(args, "all_ideals", False):
+            return rs, [(ideal.mask, i) for i, ideal in enumerate(enumerate_ideals(rs))]
+        spec = getattr(args, "subset", None)
+        return rs, [(0, None) if spec is None else _parse_subset(rs, spec)]
+    except ValueError as err:
+        raise UsageError(str(err)) from err
 
 
 def _default_checks(rs: RootSystem, mask: int, sign_mode: str) -> tuple[str, ...]:
@@ -344,7 +351,7 @@ def _default_checks(rs: RootSystem, mask: int, sign_mode: str) -> tuple[str, ...
 
 
 def cmd_verify(args) -> int:
-    rs = _system(args.system)
+    rs, grid = _read(args)
     if args.checks:
         unknown = [c for c in args.checks.split(",") if c not in CHECKS]
         if unknown:
@@ -361,7 +368,7 @@ def cmd_verify(args) -> int:
             max_hyperplanes=args.max_hyperplanes,
             max_dim=args.max_dim,
         )
-        for mask, idx in _subset_grid(rs, args)
+        for mask, idx in grid
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -378,7 +385,9 @@ def _cache_dir(args) -> Optional[str]:
 
 
 def cmd_filtration(args) -> int:
-    rs = _system(args.system)
+    rs, _ = _read(args)
+    if args.steps < 1:
+        raise UsageError("--steps must be at least 1")
     cache = LatticeCache(_cache_dir(args))
     cases = []
     previous: Optional[Arrangement] = None
@@ -420,10 +429,9 @@ def cmd_filtration(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    rs = _system(args.system)
+    rs, [(mask, _)] = _read(args)
     if args.sign == "both":  # a single polynomial is requested; default to adding planes
         args.sign = "+"
-    mask, _ = (0, None) if args.subset is None else _parse_subset(rs, args.subset)
     roots = _mask_roots(rs, mask)
     if args.k is None:
         arr = root_arrangement(rs, roots if args.subset is not None else None)
@@ -470,12 +478,14 @@ def _emit(report: Report, args) -> None:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, k_required: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, k_required: bool = False, all_ideals: bool = True) -> None:
     p.add_argument("system", help="root system type, e.g. A2, B3, F4")
     p.add_argument("-k", type=int, required=k_required, default=None, help="Shi extension level")
     p.add_argument("--sign", choices=["+", "-", "both"], default="both")
-    p.add_argument("--subset", help="comma-separated roots (a1,a1+a2), ideal:IDX, none, all")
-    p.add_argument("--all-ideals", action="store_true", help="run over every ideal")
+    subsets = p.add_mutually_exclusive_group()
+    subsets.add_argument("--subset", help="comma-separated roots (a1,a1+a2), ideal:IDX, none, all")
+    if all_ideals:
+        subsets.add_argument("--all-ideals", action="store_true", help="run over every ideal")
 
 
 def _add_limits(p: argparse.ArgumentParser) -> None:
@@ -507,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideals", help="enumerate ideals of the root poset")
     p.add_argument("system")
-    p.set_defaults(func=cmd_ideals)
+    p.set_defaults(func=cmd_ideals, all_ideals=True)
 
     p = sub.add_parser("exponents", help="Weyl or ideal-Shi dual-partition exponents")
     _add_common(p)
@@ -526,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_filtration)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial by chosen method")
-    _add_common(p)
+    _add_common(p, all_ideals=False)
     p.add_argument("--method", choices=["mobius", "whitney", "finite-field", "all"], default="all")
     _add_limits(p)
     p.set_defaults(func=cmd_charpoly)
@@ -540,16 +550,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        if getattr(args, "all_ideals", False) and getattr(args, "subset", None):
-            raise UsageError("--all-ideals and --subset are mutually exclusive")
+        if getattr(args, "k", None) is not None and args.k < 1:
+            raise UsageError("k must be a positive integer")
         jobs = getattr(args, "jobs", 1)
         if jobs < 1 or (jobs > 1 and args.func is not cmd_verify):
             raise UsageError(f"--jobs {jobs}: need a positive count, and only verify runs more than 1")
         return args.func(args)
-    except (UsageError, ValueError) as err:
+    except UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except (AssertionError, BadReductionError) as err:
+    except (AssertionError, BadReductionError, ValueError) as err:
         sys.stderr.write(f"internal error: {err}\n")
         return 3
 

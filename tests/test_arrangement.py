@@ -156,8 +156,10 @@ def assert_levels_match_brute_force(arr):
 @settings(max_examples=60, deadline=None)
 def test_random_shi_subarrangements_match_oracles(systems, name, k, size, rng):
     cone = shi_plus(systems[name], k, systems[name].positive_roots)
+    # sampled planes keep their drawn order, which Arrangement.of never
+    # produces, so the lowest-plane rule of the build runs under any order
     chosen = rng.sample(cone.covectors, min(size, cone.size))
-    arr = Arrangement(cone.dim, tuple(sorted(chosen)))
+    arr = Arrangement(cone.dim, tuple(chosen))
     lattice = assert_levels_match_brute_force(arr)
     assert lattice.charpoly_coeffs() == charpoly_whitney(arr).coeffs
 

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import idealshi.arrangement
+import idealshi.cli
 import idealshi.multiarr
 from idealshi.cli import main
+from idealshi.rootsys import DualPartitionError
 
 
 def run(capsys, *argv):
@@ -36,6 +38,39 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "A2", "-k", "1", "--subset", "2a1"),
+        ("verify", "A2", "-k", "1", "--subset", "ideal:x"),
+        ("verify", "A2", "-k", "0", "--subset", "none"),
+        ("charpoly", "A2", "-k", "-1"),
+        ("exponents", "E6", "-k", "1", "--all-ideals"),
+        ("ideals", "E6"),
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_charpoly_rejects_all_ideals(capsys):
+    code, out, err = run(capsys, "charpoly", "A2", "-k", "1", "--all-ideals")
+    assert code == 2 and out == "" and "unrecognized arguments: --all-ideals" in err
+
+
+@pytest.mark.parametrize("grid", [("--subset", "a1"), ("--all-ideals",)])
+def test_exponents_subsets_need_k(capsys, grid):
+    code, out, err = run(capsys, "exponents", "A2", *grid)
+    assert code == 2 and out == "" and "need -k" in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_filtration_needs_a_step(capsys, steps):
+    code, out, err = run(capsys, "filtration", "A2", "--steps", steps)
+    assert code == 2 and out == "" and "--steps" in err
 
 
 def test_ideals_listing(capsys):
@@ -291,6 +326,16 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
     assert code == 3 and out == ""
     assert err.startswith("internal error: Mobius values")
+
+
+def test_internal_value_error_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args):
+        raise DualPartitionError("level-count profile is not weakly decreasing")
+
+    monkeypatch.setattr(idealshi.cli, "shi_exponents_dp", broken)
+    code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: level-count profile")
 
 
 def test_bad_reduction_is_an_internal_error(capsys, monkeypatch):
