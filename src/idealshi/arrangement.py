@@ -150,31 +150,18 @@ def filtration_exponents(rs: RootSystem, i: int) -> ExponentMultiset:
 
 
 @dataclass(frozen=True)
-class LatticeNode:
-    """A flat, named by the hyperplanes that contain it."""
-
-    mask: int  # bit i set when covectors[i] contains the flat
-    mu: int
-
-
-@dataclass(frozen=True)
 class IntersectionLattice:
     arrangement: Arrangement
-    levels: tuple[tuple[LatticeNode, ...], ...]  # levels[c] = flats of codim c
-
-    @property
-    def dim(self) -> int:
-        return self.arrangement.dim
-
-    def nodes(self) -> Iterable[LatticeNode]:
-        for level in self.levels:
-            yield from level
+    # levels[c] holds the flats of codim c, one record each: "mask" (uint64
+    # words, bit i set when covectors[i] contains the flat) and "mu"
+    levels: tuple[np.ndarray, ...]
 
     def charpoly_coeffs(self) -> tuple[int, ...]:
         """Coefficients (ascending degree) of sum mu(X) t^dim(X)."""
-        coeffs = [0] * (self.dim + 1)
+        n = self.arrangement.dim
+        coeffs = [0] * (n + 1)
         for codim, level in enumerate(self.levels):
-            coeffs[self.dim - codim] += sum(node.mu for node in level)
+            coeffs[n - codim] += int(level["mu"].sum())
         return tuple(coeffs)
 
 
@@ -301,12 +288,9 @@ def intersection_lattice(
         top = np.frombuffer(((1 << m) - 1).to_bytes(8 * words, "little"), dtype="<u8")[None]
         levels.append((top, -mus[lows > 0].sum(keepdims=True)))
 
-    out_levels = []
-    for masks, mus in levels:
-        ints = [int.from_bytes(row.tobytes(), "little") for row in masks.astype("<u8")]
-        out_levels.append(tuple(LatticeNode(mk, mu) for mk, mu in zip(ints, mus.tolist())))
-    lattice = IntersectionLattice(arr, tuple(out_levels))
-    if m and sum(node.mu for node in lattice.nodes()) != 0:
+    flats = np.dtype([("mask", np.uint64, (words,)), ("mu", np.int64)])
+    lattice = IntersectionLattice(arr, tuple(np.rec.fromarrays(level, dtype=flats) for level in levels))
+    if m and sum(lattice.charpoly_coeffs()) != 0:
         raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
     return lattice
 

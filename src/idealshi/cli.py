@@ -312,7 +312,7 @@ def cmd_exponents(args) -> int:
         roots = _mask_roots(rs, mask)
         if not is_ideal(rs, mask):
             raise UsageError("dual-partition exponents are defined for ideals only")
-        for sign in _signs(args.sign):
+        for sign in _signs(args.sign or "both"):
             exps = shi_exponents_dp(rs, args.k, roots, sign)
             label = ",".join(r.name for r in roots) or "(empty)"
             rows.append((idx if idx is not None else "-", sign, label, exps))
@@ -356,14 +356,15 @@ def cmd_verify(args) -> int:
         unknown = [c for c in args.checks.split(",") if c not in CHECKS]
         if unknown:
             raise UsageError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")
+    sign = args.sign or "both"
     specs = [
         CaseSpec(
             system=str(rs.type),
             k=args.k,
-            sign=args.sign,
+            sign=sign,
             subset_mask=mask,
             subset_index=idx,
-            checks=tuple(args.checks.split(",")) if args.checks else _default_checks(rs, mask, args.sign),
+            checks=tuple(args.checks.split(",")) if args.checks else _default_checks(rs, mask, sign),
             cache_dir=_cache_dir(args),
             max_hyperplanes=args.max_hyperplanes,
             max_dim=args.max_dim,
@@ -430,15 +431,14 @@ def cmd_filtration(args) -> int:
 
 def cmd_charpoly(args) -> int:
     rs, [(mask, _)] = _read(args)
-    if args.sign == "both":  # a single polynomial is requested; default to adding planes
-        args.sign = "+"
+    sign = "-" if args.sign == "-" else "+"  # one polynomial: by default the one adding planes
     roots = _mask_roots(rs, mask)
     if args.k is None:
         arr = root_arrangement(rs, roots if args.subset is not None else None)
         label = f"A({args.subset or 'all roots'}) in {arr.dim} coordinates"
     else:
-        arr = shi_arrangement(rs, args.k, roots, args.sign)
-        label = f"Shi k={args.k} sign {args.sign} subset {{{','.join(r.name for r in roots)}}}"
+        arr = shi_arrangement(rs, args.k, roots, sign)
+        label = f"Shi k={args.k} sign {sign} subset {{{','.join(r.name for r in roots)}}}"
     cache = LatticeCache(_cache_dir(args))
     bounds = {"max_hyperplanes": args.max_hyperplanes, "max_dim": args.max_dim}
     polys = {}
@@ -481,7 +481,7 @@ def _emit(report: Report, args) -> None:
 def _add_common(p: argparse.ArgumentParser, k_required: bool = False, all_ideals: bool = True) -> None:
     p.add_argument("system", help="root system type, e.g. A2, B3, F4")
     p.add_argument("-k", type=int, required=k_required, default=None, help="Shi extension level")
-    p.add_argument("--sign", choices=["+", "-", "both"], default="both")
+    p.add_argument("--sign", choices=["+", "-", "both"], help="Shi sign, with -k (default both)")
     subsets = p.add_mutually_exclusive_group()
     subsets.add_argument("--subset", help="comma-separated roots (a1,a1+a2), ideal:IDX, none, all")
     if all_ideals:
@@ -552,6 +552,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "k", None) is not None and args.k < 1:
             raise UsageError("k must be a positive integer")
+        if getattr(args, "sign", None) is not None and args.k is None:
+            raise UsageError("--sign needs -k")
         jobs = getattr(args, "jobs", 1)
         if jobs < 1 or (jobs > 1 and args.func is not cmd_verify):
             raise UsageError(f"--jobs {jobs}: need a positive count, and only verify runs more than 1")

@@ -6,14 +6,16 @@ when a*P + b*Q is divisible by (a*x + b*y)^m, a linear condition on the
 coefficients of (P, Q).  For basis degrees d1 <= d2 (d1 + d2 = |m|),
 degree d* = ceil(|m|/2) - 1 < d2 has dimension max(0, d* - d1 + 1): one
 rank there gives d1, the kernels at d1 and d2 a basis, and Saito's
-criterion (Ziegler 1989) checks it, so no exponent pair is taken on trust.
+criterion (Ziegler 1989) checks it on every row.  The rank and kernels
+first drop the rows of the lines x and y, which each pin an unknown to 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .linalg import Vec
 from .rootsys import ExponentMultiset
 
 Multiplicity = Mapping[Vec, int]
+Rows = Callable[[int], list[list[int]]]  # degree -> the condition rows a caller built
 _PRIME = 2147483629  # below 2**31, so products of residues fit in int64
 
 
@@ -59,24 +62,46 @@ def _conditions(arr2: Arrangement, mult: Multiplicity, degree: int) -> list[list
     return [row for cov in arr2.covectors for row in _line_conditions(*cov, mult.get(cov, 0), degree)]
 
 
-def derivation_space_dim(arr2: Arrangement, mult: Multiplicity, degree: int, prime: Optional[int] = None) -> int:
+def _unpinned(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
+    """The rows and columns left after dropping each row with one nonzero
+    entry, which pins its unknown to 0, and that unknown's column."""
+    pinned = {linalg.first_nonzero(r) for r in rows if sum(map(bool, r)) == 1}
+    cols = [j for j in range(n) if j not in pinned]
+    return [[r[j] for j in cols] for r in rows if sum(map(bool, r)) > 1], cols
+
+
+def _kernel(rows: list[list[int]], n: int) -> list[Vec]:
+    """:func:`linalg.nullspace` of ``rows``, eliminated on the unpinned unknowns
+    only.  Pivot columns do not depend on row order, so the basis is the same."""
+    kept, cols = _unpinned(rows, n)
+    lifted = [dict(zip(cols, v)) for v in linalg.nullspace(kept, len(cols))]
+    return [tuple(x.get(j, 0) for j in range(n)) for x in lifted]
+
+
+def derivation_space_dim(
+    arr2: Arrangement, mult: Multiplicity, degree: int, prime: Optional[int] = None, rows: Optional[Rows] = None
+) -> int:
     """Dimension of the degree-d part of the constrained derivation module,
     or with ``prime`` of its reduction mod ``prime`` (< 2**31), never less."""
-    rows, n = _conditions(arr2, mult, degree), 2 * (degree + 1)
+    conditions, n = (rows or partial(_conditions, arr2, mult))(degree), 2 * (degree + 1)
     if prime is None:
-        return n - linalg.rank(rows)
-    a, dim = np.array([[x % prime for x in r] for r in rows], dtype=np.int64).reshape(len(rows), n), n
-    for c in range(n):
+        return n - linalg.rank(conditions)
+    kept, cols = _unpinned(conditions, n)
+    a, dim = np.array([[x % prime for x in r] for r in kept], dtype=np.int64).reshape(len(kept), len(cols)), len(cols)
+    for c in range(len(cols)):
         if (nz := np.flatnonzero(a[:, c])).size:  # clear column c with row nz[0], zeroing that row
             a, dim = (a[nz[0], c] * a - a[:, c, None] * a[nz[0]]) % prime, dim - 1
     return dim
 
 
-def saito_certified(arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int], theta2: Sequence[int]) -> bool:
+def saito_certified(
+    arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int], theta2: Sequence[int], rows: Optional[Rows] = None
+) -> bool:
     """Saito's criterion: do theta1, theta2 (unknowns as in :func:`_line_conditions`)
     meet every line condition, with det[theta1 theta2] = c * prod alpha_H^(m_H),
     c != 0?  Both sides are forms of degree |m|, compared at y = 1."""
-    if any(linalg.dot(r, t) for t in (theta1, theta2) for r in _conditions(arr2, mult, len(t) // 2 - 1)):
+    rows = rows or partial(_conditions, arr2, mult)
+    if any(linalg.dot(r, t) for t in (theta1, theta2) for r in rows(len(t) // 2 - 1)):
         return False
     (p1, q1), (p2, q2) = (np.array(t, dtype=object).reshape(2, -1) for t in (theta1, theta2))
     det, target = np.convolve(p1, q2) - np.convolve(p2, q1), np.ones(1, dtype=object)
@@ -91,16 +116,17 @@ def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity) -> tuple[int, int]:
     """Exponent pair (d1, d2), d1 <= d2, of a basis passing Saito's criterion.
     A prime that overstates dim D_{d*} guesses d1 too low, where the exact
     kernel is empty; the exact rank is then taken instead."""
+    rows = cache(partial(_conditions, arr2, mult))  # each degree's rows, built once
     total = sum(mult.get(cov, 0) for cov in arr2.covectors)
     dstar = (total + 1) // 2 - 1
     for prime in (_PRIME, None):
-        dim = derivation_space_dim(arr2, mult, dstar, prime)
+        dim = derivation_space_dim(arr2, mult, dstar, prime, rows)
         d1 = dstar + 1 - dim if dim else total // 2
-        if first := linalg.nullspace(_conditions(arr2, mult, d1), 2 * d1 + 2):
+        if first := _kernel(rows(d1), 2 * d1 + 2):
             break
     d2 = total - d1
-    second = first[1:] if d1 == d2 else linalg.nullspace(_conditions(arr2, mult, d2), 2 * d2 + 2)
-    if not first or not any(saito_certified(arr2, mult, first[0], theta2) for theta2 in second):
+    second = first[1:] if d1 == d2 else _kernel(rows(d2), 2 * d2 + 2)
+    if not first or not any(saito_certified(arr2, mult, first[0], theta2, rows) for theta2 in second):
         raise AssertionError(f"no derivation basis of degrees ({d1}, {d2}) passes Saito's criterion")
     return d1, d2
 

@@ -74,6 +74,16 @@ def flat_mask(arr, rows):
     return sum(1 << i for i, c in enumerate(arr.covectors) if in_rowspace(c, rows, piv))
 
 
+def flats(level):
+    """The (int mask, mu) pair of each flat of one lattice level; bit i of
+    the mask is set when covectors[i] contains the flat."""
+    return [(int.from_bytes(mask.astype("<u8").tobytes(), "little"), int(mu)) for mask, mu in level]
+
+
+def all_flats(lattice):
+    return [flat for level in lattice.levels for flat in flats(level)]
+
+
 def oracle_charpoly(arr):
     mu = brute_force_lattice(arr)
     coeffs = [0] * (arr.dim + 1)
@@ -115,7 +125,7 @@ def test_lattice_matches_brute_force(idx):
     arr = _small_corpus()[idx]
     lattice = intersection_lattice(arr)
     oracle = brute_force_lattice(arr)
-    assert {node.mask: node.mu for node in lattice.nodes()} == {
+    assert dict(all_flats(lattice)) == {
         flat_mask(arr, rows): mu for rows, mu in oracle.items()
     }
     assert sum(len(level) for level in lattice.levels) == len(oracle)
@@ -132,9 +142,9 @@ def test_coned_weyl_a2_lattice_structure():
     arr = shi_minus(a2, 1, a2.positive_roots)  # {z, a1, a2, a1+a2} coned
     lattice = intersection_lattice(arr)
     assert [len(lv) for lv in lattice.levels] == [1, 4, 4, 1]
-    level2 = sorted(node.mu for node in lattice.levels[2])
+    level2 = sorted(mu for _, mu in flats(lattice.levels[2]))
     assert level2 == [1, 1, 1, 2]  # three double points and one triple line
-    assert lattice.levels[3][0].mu == -2
+    assert flats(lattice.levels[3]) == [((1 << arr.size) - 1, -2)]
 
 
 def assert_levels_match_brute_force(arr):
@@ -142,7 +152,7 @@ def assert_levels_match_brute_force(arr):
     oracle = brute_force_lattice(arr, max_size=arr.dim)
     for codim, level in enumerate(lattice.levels):
         want = {flat_mask(arr, rows): mu for rows, mu in oracle.items() if len(rows) == codim}
-        assert {node.mask: node.mu for node in level} == want
+        assert dict(flats(level)) == want
     assert sum(len(level) for level in lattice.levels) == len(oracle)
     return lattice
 
@@ -200,9 +210,9 @@ def test_masks_wider_than_one_word(systems):
     arr = shi_plus(g2, 5, g2.positive_roots)
     assert arr.size > 64
     lattice = intersection_lattice(arr)
-    assert all(node.mu == -1 for node in lattice.levels[1])
-    assert all(node.mu == bin(node.mask).count("1") - 1 for node in lattice.levels[2])
-    assert lattice.levels[3][0].mask == (1 << arr.size) - 1
+    assert all(mu == -1 for _, mu in flats(lattice.levels[1]))
+    assert all(mu == bin(mask).count("1") - 1 for mask, mu in flats(lattice.levels[2]))
+    assert flats(lattice.levels[3])[0][0] == (1 << arr.size) - 1
     predicted = shi_exponents_dp(g2, 5, g2.positive_roots, "+")
     assert lattice.charpoly_coeffs() == CharPoly.from_roots(tuple(predicted)).coeffs
 
@@ -210,10 +220,10 @@ def test_masks_wider_than_one_word(systems):
 def test_mu_invariants_across_corpus():
     for arr in _small_corpus():
         lattice = intersection_lattice(arr)
-        assert lattice.levels[0][0].mu == 1
-        assert all(node.mu == -1 for node in lattice.levels[1])
-        assert sum(abs(n.mu) for n in lattice.levels[1]) == arr.size
-        assert sum(n.mu for n in lattice.nodes()) == 0
+        assert flats(lattice.levels[0])[0][1] == 1
+        assert all(mu == -1 for _, mu in flats(lattice.levels[1]))
+        assert sum(abs(mu) for _, mu in flats(lattice.levels[1])) == arr.size
+        assert sum(mu for _, mu in all_flats(lattice)) == 0
 
 
 # --- shi construction sizes and identities ---------------------------------
@@ -290,16 +300,16 @@ def test_filtration_rounds_hit_shi_arrangements(systems):
 def test_localization_examples(systems):
     arr = shi_plus(systems["A2"], 1, [])
     lattice = intersection_lattice(arr)
-    assert lattice.levels[0][0].mask == 0  # no hyperplane contains the whole space
-    assert sorted(node.mask for node in lattice.levels[1]) == [1 << i for i in range(arr.size)]
+    assert flats(lattice.levels[0])[0][0] == 0  # no hyperplane contains the whole space
+    assert sorted(mask for mask, _ in flats(lattice.levels[1])) == [1 << i for i in range(arr.size)]
 
 
 def test_localization_through_z_is_a_sub_shi(systems):
     a2 = systems["A2"]
     arr = shi_plus(a2, 1, [])
     localizations = [
-        {c for i, c in enumerate(arr.covectors) if node.mask >> i & 1}
-        for node in intersection_lattice(arr).levels[2]
+        {c for i, c in enumerate(arr.covectors) if mask >> i & 1}
+        for mask, _ in flats(intersection_lattice(arr).levels[2])
     ]
     # the planes through {z = a1 = 0}: H_z and both levels of a1
     assert {z_covector(a2), (1, 0, 0), covector((1, 0, -1))} in localizations

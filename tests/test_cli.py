@@ -67,6 +67,14 @@ def test_exponents_subsets_need_k(capsys, grid):
     assert code == 2 and out == "" and "need -k" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("exponents", "A2", "--sign", "+"), ("charpoly", "A2", "--sign", "-", "--method", "mobius")]
+)
+def test_sign_needs_k(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "--sign needs -k" in err
+
+
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_filtration_needs_a_step(capsys, steps):
     code, out, err = run(capsys, "filtration", "A2", "--steps", steps)

@@ -80,11 +80,12 @@ def ladder_exponents(arr2, mult):
 
 @st.composite
 def multiarrangements(draw):
-    """The A2, B2 or G2 lines, or one of them alone, with multiplicities 0..12."""
-    lines = root_arrangement(build(draw(st.sampled_from(["A2", "B2", "G2"])))).covectors
-    if draw(st.booleans()):
-        lines = (draw(st.sampled_from(lines)),)
-    return Arrangement.of(2, lines), {cov: draw(st.integers(0, 12)) for cov in lines}
+    """Any nonempty subset of the A2, B2 or G2 lines and the non-root line
+    x - y, with multiplicities 0..12.  A subset holds none, one or both of
+    the coordinate lines x and y, whose condition rows pin unknowns."""
+    lines = root_arrangement(build(draw(st.sampled_from(["A2", "B2", "G2"])))).covectors + ((1, -1),)
+    chosen = draw(st.lists(st.sampled_from(lines), min_size=1, unique=True))
+    return Arrangement.of(2, chosen), {cov: draw(st.integers(0, 12)) for cov in chosen}
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,9 +116,9 @@ def test_overstating_prime_falls_back_to_exact_rank(monkeypatch, name, m):
     primes = []
     original = idealshi.multiarr.derivation_space_dim
 
-    def spy(arr2, mult, degree, prime=None):
+    def spy(arr2, mult, degree, prime=None, rows=None):
         primes.append(prime)
-        return original(arr2, mult, degree, prime)
+        return original(arr2, mult, degree, prime, rows)
 
     monkeypatch.setattr(idealshi.multiarr, "derivation_space_dim", spy)
     assert exp_rank2_multi(arr2, mult) == want
@@ -134,7 +135,7 @@ def certified_basis(monkeypatch, arr2, mult):
 
     def spy(*args):
         if original(*args):
-            passed.append(args[2:])
+            passed.append(args[2:4])
             return True
         return False
 
@@ -154,6 +155,15 @@ def multiarrangement_cases():
         (base, {c: 2 for c in base.covectors}),  # (3, 3)
         (g2, {c: 10 + (i == 5) for i, c in enumerate(g2.covectors)}),  # (30, 31)
     ]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_pinned_kernel_matches_full_nullspace(index):
+    arr2, mult = multiarrangement_cases()[index]
+    for d in exp_rank2_multi(arr2, mult):
+        rows = idealshi.multiarr._conditions(arr2, mult, d)
+        assert any(sum(map(bool, row)) == 1 for row in rows)  # the coordinate lines pin unknowns
+        assert idealshi.multiarr._kernel(rows, 2 * d + 2) == linalg.nullspace(rows, 2 * d + 2)
 
 
 @pytest.mark.parametrize("index", range(3))
