@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Vec
-from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, ext_height, ext_height_z, shi_planes
+from .rootsys import ExponentMultiset, Root, RootSystem, shi_exponents_dp, shi_planes
 
 
 class SizeBoundError(RuntimeError):
@@ -107,42 +107,34 @@ def shi_minus(rs: RootSystem, k: int, sigma: Iterable[Root]) -> Arrangement:
     return shi_arrangement(rs, k, sigma, "-")
 
 
-def filtration_vectors(rs: RootSystem, i: int) -> tuple[tuple[Root, int], ...]:
-    """The (root, level) pairs of the first i-1 planes of the saturated chain.
+def _filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]:
+    """Step i of the saturated chain as the ideal-Shi cone (k, ideal, sign).
 
-    Within each full round of 2n planes the chain first lays down level -q
-    along the canonical root order, then level q+1 in reverse order.
-    Height never decreases along that order, so every prefix is an ideal.
+    With n positive roots and q, r = divmod(i - 1, 2n), round q first adds
+    level -q along the canonical root order, giving (q, first r roots, '+'),
+    then level q+1 in reverse order, giving (q+1, first 2n-r roots, '-').
+    Height never decreases along that order, so every prefix is an ideal;
+    at q = 0 the cone is {z = 0} plus the planes {root = 0} of the ideal.
     """
     if i < 1:
         raise ValueError("filtration steps are indexed from 1")
-    order = rs.positive_roots
-    n = len(order)
-    out = []
-    for p in range(1, i):
-        q, r = divmod(p - 1, 2 * n)
-        r += 1
-        if r <= n:
-            out.append((order[r - 1], -q))
-        else:
-            out.append((order[2 * n - r], q + 1))
-    return tuple(out)
+    n = rs.n_positive
+    q, r = divmod(i - 1, 2 * n)
+    if r <= n:
+        return q, rs.positive_roots[:r], "+"
+    return q + 1, rs.positive_roots[: 2 * n - r], "-"
 
 
 def filtration_step(rs: RootSystem, i: int) -> Arrangement:
     """The i-th member of the saturated filtration of the coned affine
-    Weyl arrangement: {z = 0} plus the first i-1 chain planes."""
-    covs = [z_covector(rs)]
-    covs.extend(root_covector(rs, root, j, coned=True) for root, j in filtration_vectors(rs, i))
-    return Arrangement.of(rs.rank + 1, covs)
+    Weyl arrangement: the ideal-Shi cone of :func:`_filtration_cone`."""
+    return shi_arrangement(rs, *_filtration_cone(rs, i))
 
 
 def filtration_exponents(rs: RootSystem, i: int) -> ExponentMultiset:
-    """Predicted exponents of the i-th filtration step (dual partition of
-    the extended heights of its defining vectors, including z)."""
-    values = [ext_height_z()]
-    values.extend(ext_height(rs, root, j) for root, j in filtration_vectors(rs, i))
-    return dual_partition(values, rs.rank + 1)
+    """Predicted exponents of the i-th filtration step: those of its
+    ideal-Shi cone."""
+    return shi_exponents_dp(rs, *_filtration_cone(rs, i))
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +292,22 @@ def intersection_lattice(
 
 
 def _traces(arr: Arrangement, h0: Vec) -> list[Vec]:
-    basis = linalg.kernel_basis(h0)
-    out = []
-    for c in arr.covectors:
-        if c == h0:
-            continue
-        t = tuple(linalg.dot(c, b) for b in basis)
-        out.append(covector(t))
-    return out
+    """The primitive forms on h0 of the hyperplanes other than h0, in the
+    basis that :func:`_restricted_basis` gives h0 (e_1 ... e_{n-1} when h0
+    is a coordinate plane)."""
+    vecs = np.array([h0, *(c for c in arr.covectors if c != h0)], dtype=object)
+    eye = np.eye(arr.dim, dtype=np.int64)[None]
+    basis = _restricted_basis(*_exact(_maxabs(vecs), vecs[:1], eye))[0]
+    covs, basis = _exact(_maxabs(vecs) * _maxabs(basis) * arr.dim, vecs[1:], basis)
+    return [covector(row) for row in (covs @ basis.T).tolist()]
 
 
 def restriction(arr: Arrangement, h0: Sequence[int]) -> Arrangement:
     """The arrangement {K cap H0 : K != H0} inside H0.
 
-    H0 may be any hyperplane, member of the arrangement or not.  The basis
-    of H0 is the Hermite normal form of its integer kernel lattice, so
-    restricted arrangements are canonical.
+    H0 may be any hyperplane, member of the arrangement or not.  Its basis
+    comes from the lattice build's kernel rule, so restricted arrangements
+    are canonical, and {z = 0} keeps the first n-1 coordinates.
     """
     h0v = covector(h0)
     return Arrangement.of(arr.dim - 1, _traces(arr, h0v))

@@ -165,17 +165,14 @@ def count_free_points(arr: Arrangement, q: int) -> int:
     return (q - 1) * total
 
 
-def charpoly_finite_field(
-    arr: Arrangement,
-    primes: Optional[Sequence[int]] = None,
-    *,
-    retries: int = 3,
-    max_dim: int = 5,
-) -> CharPoly:
+_BATCHES = 3  # prime batches tried, each from a floor four times higher
+
+
+def charpoly_finite_field(arr: Arrangement, *, max_dim: int = 5) -> CharPoly:
     """Interpolate the polynomial from point counts over prime fields.
 
     Uses dim+1 primes for interpolation plus two more as consistency
-    witnesses; each prime must exceed every covector entry and dim+1.
+    witnesses; each prime exceeds every covector entry and dim+1.
     Inconsistent batches are retried with larger primes, then flagged.
     """
     n = arr.dim
@@ -183,15 +180,8 @@ def charpoly_finite_field(
         raise SizeBoundError(f"ambient dimension {n} exceeds the point-counting bound {max_dim}")
     max_entry = max((abs(e) for c in arr.covectors for e in c), default=0)
     floor = max(max_entry, n + 1) + 1
-    if primes is not None:
-        batch = list(primes)
-        if len(batch) < n + 1:
-            raise ValueError(f"need at least {n + 1} primes, got {len(batch)}")
-        if min(batch) <= max(max_entry, n + 1):
-            raise ValueError("primes must exceed every covector entry and dim+1")
-        return _interpolate_batch(arr, batch)
     last_error: Optional[Exception] = None
-    for attempt in range(retries):
+    for attempt in range(_BATCHES):
         gen = _primes_from(floor * (4**attempt))
         batch = [next(gen) for _ in range(n + 3)]
         try:

@@ -431,7 +431,9 @@ def cmd_filtration(args) -> int:
 
 def cmd_charpoly(args) -> int:
     rs, [(mask, _)] = _read(args)
-    sign = "-" if args.sign == "-" else "+"  # one polynomial: by default the one adding planes
+    if args.sign == "both":
+        raise UsageError("charpoly computes one polynomial: --sign takes + or -")
+    sign = args.sign or "+"  # by default the polynomial of the cone adding planes
     roots = _mask_roots(rs, mask)
     if args.k is None:
         arr = root_arrangement(rs, roots if args.subset is not None else None)

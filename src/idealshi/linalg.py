@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: canonical row spaces and kernel lattices.
+"""Exact integer linear algebra: canonical row spaces and nullspaces.
 
 Everything here works over arbitrary-precision Python integers.  A linear
 subspace of Q^n is represented by the unique "integer RREF" of a spanning
@@ -132,68 +132,6 @@ def nullspace(rows: Iterable[Sequence[int]], n: int) -> list[Vec]:
                 x[p] = -s // g
         basis.append(normalize_primitive(x))
     return basis
-
-
-def hermite_normal_form(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
-    """Row-style Hermite normal form of the lattice generated by ``vectors``.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    Unlike :func:`rref` this is a canonical basis of the integer row
-    *lattice*, so rows are never rescaled.
-    """
-    mat = [list(v) for v in vectors]
-    mat = [m for m in mat if any(m)]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(mat)) if mat[i][c]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: (abs(mat[i][c]), i))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = mat[i][c] // mat[i0][c]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[i0])]
-        nz = [i for i in range(r, len(mat)) if mat[i][c]]
-        if not nz:
-            continue
-        i0 = nz[0]
-        mat[r], mat[i0] = mat[i0], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-a for a in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return tuple(tuple(m) for m in mat[:r] if any(m))
-
-
-def kernel_basis(v: Sequence[int]) -> tuple[Vec, ...]:
-    """Basis of the saturated integer kernel lattice {x : x.v = 0}.
-
-    Requires a nonzero vector; returns n-1 rows in Hermite normal form.
-    """
-    n = len(v)
-    if not any(v):
-        raise ValueError("kernel of the zero covector is the whole space")
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vals = list(v)
-    while True:
-        nz = [i for i in range(n) if vals[i]]
-        if len(nz) == 1:
-            break
-        nz.sort(key=lambda i: (abs(vals[i]), i))
-        i0 = nz[0]
-        for i in nz[1:]:
-            q = vals[i] // vals[i0]
-            vals[i] -= q * vals[i0]
-            rows[i] = [a - q * b for a, b in zip(rows[i], rows[i0])]
-    keep = [rows[i] for i in range(n) if not vals[i]]
-    return hermite_normal_form(keep)
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:

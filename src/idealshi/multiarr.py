@@ -176,9 +176,8 @@ def yoshinaga_check(
     """
     if arr3.dim != 3:
         raise ValueError("this criterion applies in ambient dimension 3 only")
-    restricted, mult = ziegler_multiplicity(arr3, h0)
-    d1, d2 = exp_rank2_multi(restricted, mult)
-    czero = chi0_at_zero(arr3, cache, **bounds)
+    czero = chi0_at_zero(arr3, cache, **bounds)  # first: it applies the size guards
+    d1, d2 = exp_rank2_multi(*ziegler_multiplicity(arr3, h0))
     if czero == d1 * d2:
         return FreenessVerdict(True, ExponentMultiset((1, d1, d2)), czero, (d1, d2))
     return FreenessVerdict(False, None, czero, (d1, d2))

@@ -332,11 +332,12 @@ def shi_planes(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list
 
     Sign '+': levels 1-k..k for all roots, plus level -k on the subset.
     Sign '-': levels 1-k..k with level k removed on the subset.
+    At k = 0 only sign '+' is defined: the subset's planes {root = 0}.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    if k < 0 or (k == 0 and sign == "-"):
+        raise ValueError("k must be a positive integer, or 0 with sign '+'")
     mask = mask_of(rs, roots)
     planes = []
     for i, root in enumerate(rs.positive_roots):

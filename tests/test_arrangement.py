@@ -5,6 +5,7 @@ point geometry."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,9 @@ from idealshi import (
     SizeBoundError,
     build,
     charpoly_whitney,
+    dual_partition,
+    ext_height,
+    ext_height_z,
     filtration_exponents,
     filtration_step,
     intersection_count,
@@ -30,7 +34,7 @@ from idealshi import (
     ziegler_multiplicity,
 )
 from idealshi import linalg
-from idealshi.arrangement import covector
+from idealshi.arrangement import _restricted_basis, covector
 
 
 # --- independent oracle: sweep all subsets, Mobius by definition -----------
@@ -248,14 +252,47 @@ def test_shi_minus_full_is_coned_weyl(systems):
 
 def test_shi_rejects_bad_input(systems):
     a2 = systems["A2"]
-    with pytest.raises(ValueError):
-        shi_plus(a2, 0, [])
+    for k, sign in ((-1, "+"), (-1, "-"), (0, "-")):
+        with pytest.raises(ValueError):
+            shi_arrangement(a2, k, [], sign)
     b2 = systems["B2"]
     with pytest.raises(ValueError):
         shi_plus(a2, 1, [b2.positive_roots[3]])
+    # k = 0 with '+' is the coned ideal subarrangement
+    ideal = a2.positive_roots[:2]
+    want = {z_covector(a2)} | {root_covector(a2, r, 0, coned=True) for r in ideal}
+    assert set(shi_plus(a2, 0, ideal).covectors) == want
 
 
 # --- filtration -------------------------------------------------------------
+
+
+def chain_planes(rs, i):
+    """Reference chain rule: the (root, level) pairs of the first i-1
+    planes.  Within each full round of 2n planes the chain first lays down
+    level -q along the canonical root order, then level q+1 in reverse."""
+    order = rs.positive_roots
+    n = len(order)
+    out = []
+    for p in range(1, i):
+        q, r = divmod(p - 1, 2 * n)
+        r += 1
+        if r <= n:
+            out.append((order[r - 1], -q))
+        else:
+            out.append((order[2 * n - r], q + 1))
+    return out
+
+
+def test_filtration_steps_follow_the_chain_rule(systems):
+    for name in ("A2", "B2", "G2", "A3", "B3", "C3"):
+        rs = systems[name]
+        for i in range(1, 4 * rs.n_positive + 2):
+            planes = chain_planes(rs, i)
+            covs = [z_covector(rs)] + [root_covector(rs, root, j, coned=True) for root, j in planes]
+            assert filtration_step(rs, i) == Arrangement.of(rs.rank + 1, covs)
+            values = [ext_height_z()] + [ext_height(rs, root, j) for root, j in planes]
+            assert filtration_exponents(rs, i) == dual_partition(values, rs.rank + 1)
 
 
 def test_filtration_first_steps_a2(systems):
@@ -345,6 +382,23 @@ def test_charpoly_invariant_under_unimodular_change():
 
 
 # --- restriction and counts --------------------------------------------------
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(any))
+@settings(max_examples=300, deadline=None)
+def test_restricted_basis_spans_the_kernel(v):
+    basis = _restricted_basis(np.array([v]), np.eye(len(v), dtype=np.int64)[None])[0].tolist()
+    assert len(basis) == len(v) - 1
+    for row in basis:
+        assert linalg.dot(row, v) == 0
+    assert linalg.rank(basis) == len(v) - 1
+
+
+def test_restriction_onto_a_coordinate_plane_keeps_coordinates():
+    eye = np.eye(3, dtype=np.int64)[None]
+    assert _restricted_basis(np.array([[0, 0, 1]]), eye)[0].tolist() == [[1, 0, 0], [0, 1, 0]]
+    arr = Arrangement.of(3, [(1, 0, 0), (1, 2, 0), (0, 1, 1), (0, 0, 1)])
+    assert restriction(arr, (0, 0, 1)).covectors == ((0, 1), (1, 0), (1, 2))
 
 
 def test_restriction_count_examples(systems):

@@ -167,13 +167,6 @@ print(json.dumps({"polys": polys, "peak_mb": peak / (1 << (20 if sys.platform ==
     assert out["peak_mb"] < 200
 
 
-def test_finite_field_rejects_small_primes():
-    a2 = build("A2")
-    shi = shi_plus(a2, 1, [])
-    with pytest.raises(ValueError):
-        charpoly_finite_field(shi, primes=[2, 3, 5, 7])
-
-
 def corpus():
     out = []
     for name in ("A2", "B2", "G2"):

@@ -75,6 +75,11 @@ def test_sign_needs_k(capsys, argv):
     assert code == 2 and out == "" and "--sign needs -k" in err
 
 
+def test_charpoly_rejects_sign_both(capsys):
+    code, out, err = run(capsys, "charpoly", "A2", "-k", "1", "--sign", "both")
+    assert code == 2 and out == "" and "--sign takes + or -" in err
+
+
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_filtration_needs_a_step(capsys, steps):
     code, out, err = run(capsys, "filtration", "A2", "--steps", steps)
@@ -239,6 +244,14 @@ def test_verify_computes_shared_work_once(capsys, monkeypatch):
     assert len(arrangements) == len(set(arrangements)) == 11
 
 
+@pytest.mark.parametrize("argv", [("--subset", "none", "--checks", "yoshinaga"), ("--subset", "3a1+2a2")])
+def test_refused_case_skips_the_rank2_solve(capsys, monkeypatch, argv):
+    rank2 = _count_calls(monkeypatch, idealshi.multiarr, "exp_rank2_multi")
+    code, out, _ = run(capsys, "verify", "G2", "-k", "2", "--sign", "+", "--max-hyperplanes", "20", *argv)
+    assert code == 0 and "bound:SKIPPED" in out
+    assert rank2 == []
+
+
 def test_verify_timings_flag(capsys):
     code, out, _ = run(
         capsys, "verify", "A2", "-k", "1", "--subset", "none", "--sign", "+",
@@ -271,13 +284,9 @@ def test_charpoly_all_methods_agree(capsys):
 
 
 def test_filtration_reports_an_unsaturated_step(capsys, monkeypatch):
-    original = idealshi.arrangement.filtration_vectors
-
-    def repeating(rs, i):
-        planes = original(rs, i)
-        return planes[:1] + planes[:-1]  # the first plane twice, so |A_i| < i
-
-    monkeypatch.setattr(idealshi.arrangement, "filtration_vectors", repeating)
+    original = idealshi.cli.filtration_step
+    # step i-1 in place of step i, so |A_i| < i from the second step on
+    monkeypatch.setattr(idealshi.cli, "filtration_step", lambda rs, i: original(rs, max(i - 1, 1)))
     code, out, _ = run(capsys, "filtration", "A2", "--steps", "3")
     assert code == 1
     assert "saturated:FAIL" in out

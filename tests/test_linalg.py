@@ -1,4 +1,4 @@
-"""Canonicality of the exact row-space and kernel-lattice forms."""
+"""Canonicality of the exact row-space forms."""
 
 import random
 
@@ -43,32 +43,6 @@ def test_rref_rows_are_reduced_and_primitive(rows):
         for j, other in enumerate(out):
             if i != j:
                 assert other[pivots[i]] == 0
-
-
-@given(st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(lambda v: any(v)))
-@settings(max_examples=300, deadline=None)
-def test_kernel_basis_spans_the_kernel(v):
-    basis = linalg.kernel_basis(v)
-    assert len(basis) == len(v) - 1
-    for row in basis:
-        assert linalg.dot(row, v) == 0
-    assert linalg.rank(basis) == len(v) - 1
-
-
-def test_kernel_basis_is_saturated():
-    # kernel of (1, 2) in Z^2 is generated by (2, -1); content 1 overall
-    assert linalg.kernel_basis((1, 2)) == ((2, -1),)
-    assert linalg.kernel_basis((0, 0, 1)) == ((1, 0, 0), (0, 1, 0))
-
-
-def test_hermite_normal_form_canonical():
-    a = [(2, 4, 4), (-2, 0, 2)]
-    b = [(0, 4, 6), (2, 4, 4)]  # same lattice, different generators
-    assert linalg.hermite_normal_form(a) == linalg.hermite_normal_form(b)
-    h = linalg.hermite_normal_form(a)
-    for row in h:
-        p = linalg.first_nonzero(row)
-        assert row[p] > 0
 
 
 def test_insert_row_detects_dependence():
