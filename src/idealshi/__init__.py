@@ -39,6 +39,7 @@ from .charpoly import (
     chi0,
     chi0_at_zero,
     count_free_points,
+    shi_charpoly,
     terao_check,
     try_factor_exponents,
 )

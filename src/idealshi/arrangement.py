@@ -107,7 +107,7 @@ def shi_minus(rs: RootSystem, k: int, sigma: Iterable[Root]) -> Arrangement:
     return shi_arrangement(rs, k, sigma, "-")
 
 
-def _filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]:
+def filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]:
     """Step i of the saturated chain as the ideal-Shi cone (k, ideal, sign).
 
     With n positive roots and q, r = divmod(i - 1, 2n), round q first adds
@@ -127,14 +127,14 @@ def _filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str
 
 def filtration_step(rs: RootSystem, i: int) -> Arrangement:
     """The i-th member of the saturated filtration of the coned affine
-    Weyl arrangement: the ideal-Shi cone of :func:`_filtration_cone`."""
-    return shi_arrangement(rs, *_filtration_cone(rs, i))
+    Weyl arrangement: the ideal-Shi cone of :func:`filtration_cone`."""
+    return shi_arrangement(rs, *filtration_cone(rs, i))
 
 
 def filtration_exponents(rs: RootSystem, i: int) -> ExponentMultiset:
     """Predicted exponents of the i-th filtration step: those of its
     ideal-Shi cone."""
-    return shi_exponents_dp(rs, *_filtration_cone(rs, i))
+    return shi_exponents_dp(rs, *filtration_cone(rs, i))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +344,10 @@ def arrangement_key(arr: Arrangement) -> str:
 
 class LatticeCache:
     """Characteristic-polynomial summaries of arrangements: an in-memory
-    layer for one job, in front of an optional on-disk store keyed by a
-    hash of the canonical covector set.  The file format is internal and
-    versioned, not a compatibility surface."""
+    layer for one command (one campaign, or one worker of it), in front of
+    an optional on-disk store keyed by a hash of the canonical covector
+    set.  The file format is internal and versioned, not a compatibility
+    surface."""
 
     def __init__(self, directory: Optional[str] = None):
         self.directory = directory

@@ -3,7 +3,8 @@
 The Mobius-function sum over the intersection lattice is authoritative.
 The signed subset sum (Whitney) and finite-field point counting are
 consistency oracles: divergence means a bug or a bad prime, never
-something to hide.
+something to hide.  Ideal-Shi cones also get the Mobius polynomial by
+deletion-restriction along the ideal tree, from two anchor lattices.
 """
 
 from __future__ import annotations
@@ -15,8 +16,17 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .arrangement import Arrangement, LatticeCache, SizeBoundError, check_size, intersection_lattice
-from .rootsys import ExponentMultiset
+from .arrangement import (
+    Arrangement,
+    LatticeCache,
+    SizeBoundError,
+    check_size,
+    intersection_lattice,
+    restriction,
+    root_covector,
+    shi_arrangement,
+)
+from .rootsys import ExponentMultiset, Root, RootSystem, mask_of
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,58 @@ def charpoly_mobius(
     poly = CharPoly(lattice.charpoly_coeffs())
     if cache is not None:
         cache.put_charpoly(arr, poly.coeffs)
+    return poly
+
+
+def shi_charpoly(
+    rs: RootSystem,
+    k: int,
+    roots: Sequence[Root],
+    sign: str,
+    cache: Optional[LatticeCache] = None,
+    *,
+    max_hyperplanes: int = 80,
+    max_dim: int = 5,
+) -> CharPoly:
+    """Polynomial of the ideal-Shi cone (k, roots, sign) by deletion-restriction,
+    chi(A) = chi(A - H) - chi(A^H), one plane at a time.
+
+    The parent of (k, I, '+') is (k, I - last root, '+'), without the plane
+    {last = -k*z}; the parent of (k, I, '-') is (k, I + first missing root,
+    '-'), without {that root = k*z}.  The walk stops at a cone the cache
+    holds or at an anchor, (k, {}, '+') or (k, all roots, '-'), whose
+    polynomial comes from its own lattice.  Every cone and restriction on
+    the way lies inside the case, so the guards that admit the case bound
+    all of its work.  The canonical order is a linear extension, so the
+    parents of an ideal are ideals, and in a campaign each case costs one
+    restriction lattice.  Each step's result must vanish at t = 1 and have
+    -|A| as its t^(n-1) coefficient, as every central polynomial does.
+    """
+    bounds = {"max_hyperplanes": max_hyperplanes, "max_dim": max_dim}
+    arr = shi_arrangement(rs, k, roots, sign)
+    check_size(arr, **bounds)
+    cache = LatticeCache() if cache is None else cache
+    mask, full = mask_of(rs, roots), (1 << rs.n_positive) - 1
+    chain = []  # (cone, the plane its parent lacks), the case first
+    while (hit := cache.get_charpoly(arr)) is None and mask != (0 if sign == "+" else full):
+        if sign == "+":
+            i, level = mask.bit_length() - 1, -k
+        else:
+            i, level = (~mask & (mask + 1)).bit_length() - 1, k
+        mask ^= 1 << i
+        plane = root_covector(rs, rs.positive_roots[i], level, coned=True)
+        chain.append((arr, plane))
+        arr = arr.delete(plane)
+    poly = charpoly_mobius(arr, cache, **bounds) if hit is None else CharPoly(hit)
+    for cone, plane in reversed(chain):
+        restricted = charpoly_mobius(restriction(cone, plane), cache, **bounds).coeffs
+        poly = CharPoly(tuple(c - r for c, r in zip(poly.coeffs, restricted + (0,))))
+        if poly(1) != 0 or poly.coeffs[-2] != -cone.size:
+            raise AssertionError(
+                f"deletion-restriction gave chi(1) = {poly(1)} and a t^(n-1) coefficient "
+                f"{poly.coeffs[-2]} for {cone.size} central planes"
+            )
+        cache.put_charpoly(cone, poly.coeffs)
     return poly
 
 

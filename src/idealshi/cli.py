@@ -14,7 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import __version__
@@ -22,6 +22,7 @@ from .arrangement import (
     Arrangement,
     LatticeCache,
     SizeBoundError,
+    filtration_cone,
     filtration_exponents,
     filtration_step,
     root_arrangement,
@@ -37,6 +38,7 @@ from .charpoly import (
     charpoly_finite_field,
     charpoly_mobius,
     charpoly_whitney,
+    shi_charpoly,
     terao_check,
     try_factor_exponents,
 )
@@ -56,7 +58,6 @@ from .rootsys import (
     ExponentMultiset,
     Root,
     RootSystem,
-    RootSystemType,
     build,
     mask_of,
     shi_exponents_dp,
@@ -69,11 +70,6 @@ DEFAULT_MAX_DIM = 5
 
 class UsageError(Exception):
     pass
-
-
-@lru_cache(maxsize=None)
-def _system(name: str) -> RootSystem:
-    return build(RootSystemType.parse(name))
 
 
 def _parse_subset(rs: RootSystem, spec: str) -> tuple[int, Optional[int]]:
@@ -102,29 +98,32 @@ class CaseSpec:
     """One subset of a campaign, checked under each sign of ``sign``
     ('+', '-' or 'both')."""
 
-    system: str
+    rs: RootSystem
     k: int
     sign: str
     subset_mask: int
     subset_index: Optional[int]
     checks: tuple[str, ...]
-    cache_dir: Optional[str]
     max_hyperplanes: int
     max_dim: int
+
+    @property
+    def system(self) -> str:
+        return str(self.rs.type)
 
 
 class SubsetFacts:
     """What the checks of one subset share across both signs, each computed
-    at most once: the arrangements, their verdicts, the shift law, and
-    (through ``cache``) every characteristic polynomial."""
+    at most once: the arrangements, their verdicts and the shift law.  The
+    characteristic polynomials live in ``cache``, the campaign's table."""
 
-    def __init__(self, spec: CaseSpec):
-        self.rs = _system(spec.system)
+    def __init__(self, spec: CaseSpec, cache: LatticeCache):
+        self.rs = spec.rs
         self.k = spec.k
         self.mask = spec.subset_mask
         self.roots = _mask_roots(self.rs, self.mask)
         self.ideal = is_ideal(self.rs, self.mask)
-        self.cache = LatticeCache(spec.cache_dir)
+        self.cache = cache
         self.bounds = {"max_hyperplanes": spec.max_hyperplanes, "max_dim": spec.max_dim}
         self.arrangements: dict[str, Arrangement] = {}
         self.terao_verdicts: dict[str, TeraoVerdict] = {}
@@ -135,10 +134,16 @@ class SubsetFacts:
             self.arrangements[sign] = shi_arrangement(self.rs, self.k, self.roots, sign)
         return self.arrangements[sign]
 
+    def table(self, sign: str) -> LatticeCache:
+        """The table, holding the polynomial of this sign's cone (taken by
+        deletion-restriction; the size guards apply first)."""
+        shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, **self.bounds)
+        return self.cache
+
     def yoshinaga(self, sign: str) -> FreenessVerdict:
         if sign not in self.yoshinaga_verdicts:
             self.yoshinaga_verdicts[sign] = yoshinaga_check(
-                self.arrangement(sign), z_covector(self.rs), self.cache, **self.bounds
+                self.arrangement(sign), z_covector(self.rs), self.table(sign), **self.bounds
             )
         return self.yoshinaga_verdicts[sign]
 
@@ -160,7 +165,7 @@ def _check_terao(facts: SubsetFacts, sign: str) -> CheckResult:
     if not facts.ideal:
         return CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal")
     predicted = shi_exponents_dp(facts.rs, facts.k, facts.roots, sign)
-    verdict = terao_check(facts.arrangement(sign), predicted, facts.cache, **facts.bounds)
+    verdict = terao_check(facts.arrangement(sign), predicted, facts.table(sign), **facts.bounds)
     facts.terao_verdicts[sign] = verdict  # the record reports its prediction and chi
     return CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
 
@@ -212,7 +217,7 @@ def _check_duality(facts: SubsetFacts, sign: str) -> CheckResult:
     verdicts = []
     for s in "+-":
         want = ExponentMultiset((1,) + shift_predict(split, facts.k, rs.coxeter_number, s).parts)
-        verdicts.append(terao_check(facts.arrangement(s), want, facts.cache, **facts.bounds))
+        verdicts.append(terao_check(facts.arrangement(s), want, facts.table(s), **facts.bounds))
     if all(v.passed for v in verdicts):
         return CheckResult("duality", PASS, "both signs match the shifted base exponents")
     if all(isinstance(try_factor_exponents(v.computed), FactorFailure) for v in verdicts):
@@ -228,31 +233,35 @@ CHECKS = {
 }
 
 
-def _verdict(checks: Sequence[CheckResult]) -> str:
+def _verdict(checks: Sequence[CheckResult], refused: bool) -> str:
+    """The case verdict; ``refused`` when the size guards turned a check
+    away, which leaves the case SKIPPED unless another check failed."""
     statuses = [c.status for c in checks]
     if FAIL in statuses:
         return FAIL
+    if refused or (statuses and all(s == SKIPPED for s in statuses)):
+        return SKIPPED
     if NOT_FREE_CONFIRMED in statuses:
         return NOT_FREE_CONFIRMED
-    if statuses and all(s == SKIPPED for s in statuses):
-        return SKIPPED
     return PASS
 
 
-def run_case(spec: CaseSpec) -> list[CaseRecord]:
-    """One record per sign of the spec, in sign order.  Work that both signs
-    share is done once, and its time is charged to the first record that
-    needs it."""
+def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
+    """One record per sign of the spec, in sign order.  Work that both signs,
+    or several subsets of the campaign, share through the chi table ``cache``
+    is done once, and its time is charged to the first record that needs it."""
     t0 = time.perf_counter()
-    facts = SubsetFacts(spec)
+    facts = SubsetFacts(spec, cache)
     records = []
     for sign in _signs(spec.sign):
         checks = []
+        refused = False
         try:
             for name in spec.checks:
                 checks.append(CHECKS[name](facts, sign))
         except SizeBoundError as err:
             checks.append(CheckResult("bound", SKIPPED, str(err)))
+            refused = True
         terao = facts.terao_verdicts.get(sign)
         t1 = time.perf_counter()
         records.append(
@@ -266,13 +275,25 @@ def run_case(spec: CaseSpec) -> list[CaseRecord]:
                 arrangement_size=facts.arrangement(sign).size,
                 predicted_exponents=terao and terao.predicted.parts,
                 chi_coeffs=terao and terao.computed.coeffs,
-                verdict=_verdict(checks),
+                verdict=_verdict(checks, refused),
                 checks=checks,
                 timing_ms=(t1 - t0) * 1000.0,
             )
         )
         t0 = t1
     return records
+
+
+_worker_cache: Optional[LatticeCache] = None  # set in each worker process of a --jobs pool
+
+
+def _start_worker(cache_dir: Optional[str]) -> None:
+    global _worker_cache
+    _worker_cache = LatticeCache(cache_dir)
+
+
+def _run_in_worker(spec: CaseSpec) -> list[CaseRecord]:
+    return run_case(spec, _worker_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +350,7 @@ def _read(args) -> tuple[RootSystem, list[tuple[int, Optional[int]]]]:
     arguments name.  Only user input is read here, so a ValueError is a
     usage error: a bad name, a bad subset or the ideal-enumeration bound."""
     try:
-        rs = _system(args.system)
+        rs = build(args.system)
         if getattr(args, "all_ideals", False):
             return rs, [(ideal.mask, i) for i, ideal in enumerate(enumerate_ideals(rs))]
         spec = getattr(args, "subset", None)
@@ -359,23 +380,24 @@ def cmd_verify(args) -> int:
     sign = args.sign or "both"
     specs = [
         CaseSpec(
-            system=str(rs.type),
+            rs=rs,
             k=args.k,
             sign=sign,
             subset_mask=mask,
             subset_index=idx,
             checks=tuple(args.checks.split(",")) if args.checks else _default_checks(rs, mask, sign),
-            cache_dir=_cache_dir(args),
             max_hyperplanes=args.max_hyperplanes,
             max_dim=args.max_dim,
         )
         for mask, idx in grid
     ]
+    # one chi table for the campaign, or one per worker process
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_subset = list(pool.map(run_case, specs))
+        with ProcessPoolExecutor(args.jobs, initializer=_start_worker, initargs=(_cache_dir(args),)) as pool:
+            per_subset = list(pool.map(_run_in_worker, specs))
     else:
-        per_subset = [run_case(s) for s in specs]
+        cache = LatticeCache(_cache_dir(args))
+        per_subset = [run_case(s, cache) for s in specs]
     report = Report(command="verify", tool_version=__version__, cases=[c for cs in per_subset for c in cs])
     _emit(report, args)
     return 0 if report.ok else 1
@@ -390,6 +412,7 @@ def cmd_filtration(args) -> int:
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
     cache = LatticeCache(_cache_dir(args))
+    bounds = {"max_hyperplanes": args.max_hyperplanes, "max_dim": args.max_dim}
     cases = []
     previous: Optional[Arrangement] = None
     for i in range(1, args.steps + 1):
@@ -401,14 +424,17 @@ def cmd_filtration(args) -> int:
             checks.append(CheckResult("nested", PASS if nested else FAIL, "previous step contained"))
         predicted = filtration_exponents(rs, i)
         chi = None
+        refused = False
         try:
-            verdict = terao_check(arr, predicted, cache, max_hyperplanes=args.max_hyperplanes, max_dim=args.max_dim)
+            shi_charpoly(rs, *filtration_cone(rs, i), cache, **bounds)  # into the table terao reads
+            verdict = terao_check(arr, predicted, cache, **bounds)
             chi = verdict.computed.coeffs
             checks.append(
                 CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
             )
         except SizeBoundError as err:
             checks.append(CheckResult("terao", SKIPPED, str(err)))
+            refused = True
         cases.append(CaseRecord(
             system=str(rs.type),
             k=None,
@@ -419,7 +445,7 @@ def cmd_filtration(args) -> int:
             arrangement_size=arr.size,
             predicted_exponents=predicted.parts,
             chi_coeffs=chi,
-            verdict=_verdict(checks),
+            verdict=_verdict(checks, refused),
             checks=checks,
             timing_ms=(time.perf_counter() - t0) * 1000.0,
         ))

@@ -1,5 +1,5 @@
 """Characteristic polynomials: frozen values, oracle agreement, chi_0,
-factorization, deletion-restriction."""
+factorization, deletion-restriction and the ideal-Shi chain."""
 
 import json
 import os
@@ -28,16 +28,18 @@ from idealshi import (
     chi0,
     chi0_at_zero,
     count_free_points,
+    enumerate_ideals,
     restriction,
     root_arrangement,
     shi_arrangement,
+    shi_charpoly,
     shi_minus,
     shi_plus,
     terao_check,
     try_factor_exponents,
 )
 from idealshi.arrangement import arrangement_key
-from idealshi.rootsys import ExponentMultiset
+from idealshi.rootsys import ExponentMultiset, Root
 
 
 def poly_of_roots(*roots):
@@ -204,6 +206,70 @@ def test_deletion_restriction_sampled():
         for d, c in enumerate(restricted):
             want[d] -= c
         assert tuple(want) == whole
+
+
+CHAIN_CAMPAIGNS = [(name, k) for name in ("A2", "B2", "G2") for k in (1, 2, 3)]
+CHAIN_CAMPAIGNS += [(name, k) for name in ("A3", "B3", "C3") for k in (1, 2)]
+CHAIN_CAMPAIGNS += [("A4", 1), ("D4", 1)]
+
+
+@pytest.mark.parametrize("name,k", CHAIN_CAMPAIGNS)
+def test_shi_chain_matches_the_lattice(systems, name, k, monkeypatch):
+    # a campaign's walk: ideals in enumeration order, both signs, one table
+    rs = systems[name]
+    cases = [(ideal.roots, sign) for ideal in enumerate_ideals(rs) for sign in "+-"]
+    want = [charpoly_mobius(shi_arrangement(rs, k, roots, sign)) for roots, sign in cases]
+    builds = []
+    build_lattice = idealshi.charpoly.intersection_lattice
+    monkeypatch.setattr(idealshi.charpoly, "intersection_lattice", lambda arr, **kw: builds.append(arr) or build_lattice(arr, **kw))
+    table = LatticeCache()
+    got = [shi_charpoly(rs, k, roots, sign, table) for roots, sign in cases]
+    assert got == want
+    # parents of ideals are ideals: each cone costs one lattice (its own at
+    # an anchor, else one restriction), and nothing is built twice
+    cones = {shi_arrangement(rs, k, roots, sign) for roots, sign in cases}
+    assert len(builds) == len(set(builds)) <= len(cones)
+
+
+@pytest.mark.parametrize("name,k,names", [("B3", 2, ["a2", "a3", "a1+a2"]), ("A3", 1, ["a1+a2"]), ("G2", 2, ["3a1+2a2"])])
+def test_shi_chain_on_a_non_ideal_subset(systems, name, k, names):
+    rs = systems[name]
+    roots = [rs.root_at(Root.parse(n, rs.rank).coeffs) for n in names]
+    table = LatticeCache()
+    for sign in "+-":
+        want = charpoly_mobius(shi_arrangement(rs, k, roots, sign))
+        assert shi_charpoly(rs, k, roots, sign, table) == want
+
+
+@pytest.mark.parametrize("name,k", [("B3", 2), ("C3", 1), ("D4", 1)])
+def test_shi_chain_from_a_cold_table(systems, name, k):
+    # a single case walks the whole chain to its anchor
+    rs = systems[name]
+    ideals = enumerate_ideals(rs)
+    middle = ideals[len(ideals) // 2].roots
+    for sign in "+-":
+        want = charpoly_mobius(shi_arrangement(rs, k, middle, sign))
+        assert shi_charpoly(rs, k, middle, sign) == want
+
+
+def test_shi_chain_checks_every_step(systems):
+    # a wrong parent polynomial that still vanishes at t = 1, as a sign
+    # slip in the subtraction would give
+    rs = systems["A2"]
+    parent = shi_arrangement(rs, 1, rs.positive_roots[:2], "+")
+    c0, c1, c2, c3 = charpoly_mobius(parent).coeffs
+    table = LatticeCache()
+    table.put_charpoly(parent, (c0, c1 - 1, c2 + 1, c3))
+    with pytest.raises(AssertionError, match=r"t\^\(n-1\) coefficient -9 for 10 central planes"):
+        shi_charpoly(rs, 1, rs.positive_roots, "+", table)
+
+
+def test_shi_chain_refuses_before_reading_the_table(systems):
+    rs = systems["B3"]
+    table = LatticeCache()
+    shi_charpoly(rs, 2, rs.positive_roots, "+", table)
+    with pytest.raises(SizeBoundError, match="46 hyperplanes exceed bound 40"):
+        shi_charpoly(rs, 2, rs.positive_roots, "+", table, max_hyperplanes=40)
 
 
 def test_chi0_examples():

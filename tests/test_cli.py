@@ -240,8 +240,69 @@ def test_verify_computes_shared_work_once(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["cases"]) == 12
     assert len(rank2) == 3 * 6  # the shift-law base and one multirestriction per sign
+    # 11 distinct cones: the two anchors' own lattices and one restriction
+    # for each other cone, two of which restrict to the same arrangement
     arrangements = [args[0] for args in lattices]
-    assert len(arrangements) == len(set(arrangements)) == 11
+    assert len(arrangements) == len(set(arrangements)) == 10
+
+
+def test_campaign_chi_stays_inside_the_guards(capsys, monkeypatch):
+    # the case has 28 planes and passes a guard of 30; the k-Shi cone (37
+    # planes) does not, so the chain must not build it
+    lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    code, out, _ = run(
+        capsys, "verify", "B3", "-k", "2", "--subset", "all", "--sign", "-",
+        "--max-hyperplanes", "30", "--format", "json",
+    )
+    assert code == 0
+    [case] = json.loads(out)["cases"]
+    assert case["verdict"] == "PASS" and case["arrangement_size"] == 28
+    assert case["chi_coeffs"] == ["693", "-932", "266", "-28", "1"]
+    assert lattices and max(args[0].size for args in lattices) <= 28
+
+
+def test_no_table_outlives_a_call(capsys, monkeypatch):
+    lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    counts = []
+    for _ in range(2):
+        assert run(capsys, "verify", "B3", "-k", "2", "--all-ideals", "--format", "json")[0] == 0
+        counts.append(len(lattices))
+        lattices.clear()
+    assert counts[0] == counts[1] > 0
+
+
+def test_charpoly_mobius_builds_the_case_lattice(capsys, monkeypatch):
+    lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    assert run(capsys, "charpoly", "B3", "-k", "1", "--method", "mobius")[0] == 0
+    rs = idealshi.cli.build("B3")
+    assert [args[0] for args in lattices] == [idealshi.arrangement.shi_plus(rs, 1, [])]
+
+
+def test_guard_refusal_makes_the_case_skipped(capsys):
+    # ziegler passes, then terao is refused: the case did not check chi
+    code, out, _ = run(
+        capsys, "verify", "G2", "-k", "3", "--subset", "none", "--sign", "+",
+        "--checks", "ziegler,terao", "--max-hyperplanes", "30", "--format", "json",
+    )
+    assert code == 0
+    [case] = json.loads(out)["cases"]
+    assert [c["status"] for c in case["checks"]] == ["PASS", "SKIPPED"]
+    assert case["verdict"] == "SKIPPED"
+    # a filtration step whose chi check is refused is no pass either
+    code, out, _ = run(capsys, "filtration", "A2", "--steps", "80")
+    assert code == 0
+    assert out.count("terao:SKIPPED") == 7
+    assert "summary: pass=73 fail=0 not_free_confirmed=0 skipped=7" in out
+
+
+def test_non_ideal_terao_skip_still_passes(capsys):
+    code, out, _ = run(
+        capsys, "verify", "A3", "-k", "1", "--subset", "a1+a2", "--checks", "terao,ziegler", "--format", "json"
+    )
+    assert code == 0
+    for case in json.loads(out)["cases"]:
+        assert [(c["name"], c["status"]) for c in case["checks"]] == [("terao", "SKIPPED"), ("ziegler", "PASS")]
+        assert case["verdict"] == "PASS"
 
 
 @pytest.mark.parametrize("argv", [("--subset", "none", "--checks", "yoshinaga"), ("--subset", "3a1+2a2")])
@@ -343,6 +404,16 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
     assert code == 3 and out == ""
     assert err.startswith("internal error: Mobius values")
+
+
+def test_broken_chain_step_is_an_internal_error(capsys, monkeypatch):
+    import idealshi.charpoly
+
+    # an empty restriction has chi = t^(n-1), so the step's chi(1) is -1
+    monkeypatch.setattr(idealshi.charpoly, "restriction", lambda arr, h: idealshi.Arrangement(arr.dim - 1, ()))
+    code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "all", "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: deletion-restriction gave chi(1) = -1")
 
 
 def test_internal_value_error_is_an_internal_error(capsys, monkeypatch):
