@@ -16,13 +16,11 @@ from .arrangement import (
     SizeBoundError,
     filtration_exponents,
     filtration_step,
-    intersection_count,
     intersection_lattice,
     restriction,
     root_arrangement,
     root_covector,
     shi_arrangement,
-    shi_minus,
     shi_plus,
     z_covector,
     ziegler_multiplicity,
@@ -66,7 +64,6 @@ from .rootsys import (
     build,
     dual_partition,
     ext_height,
-    ext_height_z,
     shi_exponents_dp,
     weyl_exponents,
 )

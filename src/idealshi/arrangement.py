@@ -95,16 +95,12 @@ def root_arrangement(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> 
 def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root], sign: str) -> Arrangement:
     """Coned k-extended Shi arrangement plus the level -k planes of sigma
     (sign '+') or minus the level k planes of sigma (sign '-')."""
-    covs = [root_covector(rs, root, j, coned=True) for root, j in shi_planes(rs, k, sigma, sign)]
-    return Arrangement.of(rs.rank + 1, [z_covector(rs)] + covs)
+    covs = {root_covector(rs, root, j, coned=True) for root, j in shi_planes(rs, k, sigma, sign)}
+    return Arrangement(rs.rank + 1, tuple(sorted(covs | {z_covector(rs)})))  # already normalized
 
 
 def shi_plus(rs: RootSystem, k: int, sigma: Iterable[Root]) -> Arrangement:
     return shi_arrangement(rs, k, sigma, "+")
-
-
-def shi_minus(rs: RootSystem, k: int, sigma: Iterable[Root]) -> Arrangement:
-    return shi_arrangement(rs, k, sigma, "-")
 
 
 def filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]:
@@ -311,10 +307,6 @@ def restriction(arr: Arrangement, h0: Sequence[int]) -> Arrangement:
     """
     h0v = covector(h0)
     return Arrangement.of(arr.dim - 1, _traces(arr, h0v))
-
-
-def intersection_count(arr: Arrangement, h0: Sequence[int]) -> int:
-    return restriction(arr, h0).size
 
 
 def ziegler_multiplicity(

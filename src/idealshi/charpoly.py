@@ -113,11 +113,13 @@ def shi_charpoly(
     sign: str,
     cache: Optional[LatticeCache] = None,
     *,
+    cone: Optional[Arrangement] = None,
     max_hyperplanes: int = 80,
     max_dim: int = 5,
 ) -> CharPoly:
     """Polynomial of the ideal-Shi cone (k, roots, sign) by deletion-restriction,
-    chi(A) = chi(A - H) - chi(A^H), one plane at a time.
+    chi(A) = chi(A - H) - chi(A^H), one plane at a time.  ``cone`` is that
+    cone when the caller has already built it.
 
     The parent of (k, I, '+') is (k, I - last root, '+'), without the plane
     {last = -k*z}; the parent of (k, I, '-') is (k, I + first missing root,
@@ -131,7 +133,7 @@ def shi_charpoly(
     -|A| as its t^(n-1) coefficient, as every central polynomial does.
     """
     bounds = {"max_hyperplanes": max_hyperplanes, "max_dim": max_dim}
-    arr = shi_arrangement(rs, k, roots, sign)
+    arr = shi_arrangement(rs, k, roots, sign) if cone is None else cone
     check_size(arr, **bounds)
     cache = LatticeCache() if cache is None else cache
     mask, full = mask_of(rs, roots), (1 << rs.n_positive) - 1

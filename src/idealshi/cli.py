@@ -137,7 +137,7 @@ class SubsetFacts:
     def table(self, sign: str) -> LatticeCache:
         """The table, holding the polynomial of this sign's cone (taken by
         deletion-restriction; the size guards apply first)."""
-        shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, **self.bounds)
+        shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, cone=self.arrangement(sign), **self.bounds)
         return self.cache
 
     def yoshinaga(self, sign: str) -> FreenessVerdict:

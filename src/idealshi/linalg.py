@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: canonical row spaces and nullspaces.
+"""Exact integer linear algebra: canonical row spaces.
 
 Everything here works over arbitrary-precision Python integers.  A linear
 subspace of Q^n is represented by the unique "integer RREF" of a spanning
@@ -62,14 +62,13 @@ def reduce_row(v: Sequence[int], rows: Sequence[Vec], pivots: Sequence[int]) -> 
     return out
 
 
-def _insert(rows: list[list[int]], pivots: list[int], v: Sequence[int], clear: bool = True) -> bool:
+def _insert(rows: list[list[int]], pivots: list[int], v: Sequence[int]) -> bool:
     """Extend a canonical row set, held in lists, by one vector in place.
 
     Returns False when ``v`` already lies in the row space.  The update is
     incremental: reduce ``v``, normalize, then clear the new pivot column
     from the old rows (whose leading entries stay positive).  Rows keep
-    insertion order; callers sort them by pivot.  ``clear=False`` keeps the
-    old rows, so each row is zero only at the pivots of the rows before it.
+    insertion order; callers sort them by pivot.
     """
     new = reduce_row(v, rows, pivots)
     piv = first_nonzero(new)
@@ -77,7 +76,7 @@ def _insert(rows: list[list[int]], pivots: list[int], v: Sequence[int], clear: b
         return False
     g = content(new) if new[piv] > 0 else -content(new)
     new = [x // g for x in new]
-    for i, r in enumerate(rows if clear else ()):
+    for i, r in enumerate(rows):
         b = r[piv]
         if b:
             r = [new[piv] * x - b * y for x, y in zip(r, new)]
@@ -111,27 +110,6 @@ def rref(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
 
 def rank(vectors: Iterable[Sequence[int]]) -> int:
     return len(rref(vectors))
-
-
-def nullspace(rows: Iterable[Sequence[int]], n: int) -> list[Vec]:
-    """Primitive integer basis of {x in Q^n : r.x = 0 for all rows r}, one vector
-    per free column: an echelon form not cleared above its pivots (unlike
-    :func:`rref`), then back-substitution scaling by each pivot, not dividing."""
-    echelon: list[list[int]] = []
-    pivots: list[int] = []
-    for v in rows:
-        _insert(echelon, pivots, v, clear=False)
-    basis = []
-    for free in sorted(set(range(n)) - set(pivots)):
-        x = [int(j == free) for j in range(n)]
-        for r, p in zip(reversed(echelon), reversed(pivots)):
-            s = dot(r[p + 1 :], x[p + 1 :])
-            if s:
-                g = gcd(s, r[p])
-                x = [xi * (r[p] // g) for xi in x]
-                x[p] = -s // g
-        basis.append(normalize_primitive(x))
-    return basis
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -3,11 +3,11 @@
 A derivation on the plane is a pair (P, Q) of homogeneous degree-d
 polynomials; it respects a line with form a*x + b*y and multiplicity m
 when a*P + b*Q is divisible by (a*x + b*y)^m, a linear condition on the
-coefficients of (P, Q).  For basis degrees d1 <= d2 (d1 + d2 = |m|),
-degree d* = ceil(|m|/2) - 1 < d2 has dimension max(0, d* - d1 + 1): one
-rank there gives d1, the kernels at d1 and d2 a basis, and Saito's
-criterion (Ziegler 1989) checks it on every row.  The rank and kernels
-first drop the rows of the lines x and y, which each pin an unknown to 0.
+coefficients of (P, Q).  A basis of the derivation module is built by
+raising the multiplicities one unit at a time from d/dx, d/dy at m = 0,
+each step in closed form (the rank-2 case of the Abe-Terao-Wakefield
+addition), and the finished pair is checked by Saito's criterion
+(Ziegler 1989) on every row.  No linear system is solved.
 """
 
 from __future__ import annotations
@@ -27,7 +27,21 @@ from .rootsys import ExponentMultiset
 
 Multiplicity = Mapping[Vec, int]
 Rows = Callable[[int], list[list[int]]]  # degree -> the condition rows a caller built
-_PRIME = 2147483629  # below 2**31, so products of residues fit in int64
+
+
+def _line_row(a: int, b: int, t: int, d: int) -> list[int]:
+    """Row t of :func:`_line_conditions`: the coefficient of u^t w^(d-t)
+    in b^d * (a*P + b*Q), or of x^t y^(d-t) in a*P when b = 0."""
+    row = [0] * (2 * (d + 1))
+    if b == 0:
+        row[t] = a
+        return row
+    for s in range(0, d - t + 1):
+        coef = (b**s) * comb(d - s, t) * ((-a) ** (d - s - t))
+        if coef:
+            row[s] += a * coef
+            row[d + 1 + s] += b * coef
+    return row
 
 
 def _line_conditions(a: int, b: int, m: int, d: int) -> list[list[int]]:
@@ -38,60 +52,24 @@ def _line_conditions(a: int, b: int, m: int, d: int) -> list[list[int]]:
     in b^d * (a*P + b*Q) is sum_s r_s b^s C(d-s, t) (-a)^(d-s-t), where
     r_s = a*p_s + b*q_s; the first m of these must vanish.
     """
-    rows = []
-    for t in range(min(m, d + 1)):
-        row = [0] * (2 * (d + 1))
-        if b == 0:
-            # form is a*x: kill the x^t y^(d-t) coefficient directly
-            row[t] = a
-        else:
-            for s in range(0, d - t + 1):
-                coef = (b**s) * comb(d - s, t) * ((-a) ** (d - s - t))
-                if coef:
-                    row[s] += a * coef
-                    row[d + 1 + s] += b * coef
-        rows.append(row)
-    return rows
+    return [_line_row(a, b, t, d) for t in range(min(m, d + 1))]
 
 
-def _conditions(arr2: Arrangement, mult: Multiplicity, degree: int) -> list[list[int]]:
+def _validate(arr2: Arrangement, mult: Multiplicity) -> None:
     if arr2.dim != 2 or arr2.size < 1:
         raise ValueError("multiarrangement exponents need at least one line in 2 coordinates")
     if min(mult.values(), default=0) < 0 or not set(mult) <= set(arr2.covectors):
         raise ValueError(f"multiplicities must be nonnegative and on lines of the arrangement: {dict(mult)}")
+
+
+def _conditions(arr2: Arrangement, mult: Multiplicity, degree: int) -> list[list[int]]:
+    _validate(arr2, mult)
     return [row for cov in arr2.covectors for row in _line_conditions(*cov, mult.get(cov, 0), degree)]
 
 
-def _unpinned(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
-    """The rows and columns left after dropping each row with one nonzero
-    entry, which pins its unknown to 0, and that unknown's column."""
-    pinned = {linalg.first_nonzero(r) for r in rows if sum(map(bool, r)) == 1}
-    cols = [j for j in range(n) if j not in pinned]
-    return [[r[j] for j in cols] for r in rows if sum(map(bool, r)) > 1], cols
-
-
-def _kernel(rows: list[list[int]], n: int) -> list[Vec]:
-    """:func:`linalg.nullspace` of ``rows``, eliminated on the unpinned unknowns
-    only.  Pivot columns do not depend on row order, so the basis is the same."""
-    kept, cols = _unpinned(rows, n)
-    lifted = [dict(zip(cols, v)) for v in linalg.nullspace(kept, len(cols))]
-    return [tuple(x.get(j, 0) for j in range(n)) for x in lifted]
-
-
-def derivation_space_dim(
-    arr2: Arrangement, mult: Multiplicity, degree: int, prime: Optional[int] = None, rows: Optional[Rows] = None
-) -> int:
-    """Dimension of the degree-d part of the constrained derivation module,
-    or with ``prime`` of its reduction mod ``prime`` (< 2**31), never less."""
-    conditions, n = (rows or partial(_conditions, arr2, mult))(degree), 2 * (degree + 1)
-    if prime is None:
-        return n - linalg.rank(conditions)
-    kept, cols = _unpinned(conditions, n)
-    a, dim = np.array([[x % prime for x in r] for r in kept], dtype=np.int64).reshape(len(kept), len(cols)), len(cols)
-    for c in range(len(cols)):
-        if (nz := np.flatnonzero(a[:, c])).size:  # clear column c with row nz[0], zeroing that row
-            a, dim = (a[nz[0], c] * a - a[:, c, None] * a[nz[0]]) % prime, dim - 1
-    return dim
+def derivation_space_dim(arr2: Arrangement, mult: Multiplicity, degree: int) -> int:
+    """Dimension of the degree-d part of the constrained derivation module."""
+    return 2 * (degree + 1) - linalg.rank(_conditions(arr2, mult, degree))
 
 
 def saito_certified(
@@ -112,21 +90,64 @@ def saito_certified(
     return len(det) == len(target) and det[j] != 0 and all(det * target[j] == target * det[j])
 
 
+def _step_coefficient(a: int, b: int, j: int, theta: Vec) -> int:
+    """Row t = j of the line's conditions at theta's degree, dotted with
+    theta; 0 when j exceeds the degree (then theta(alpha_H) = 0)."""
+    d = len(theta) // 2 - 1
+    return linalg.dot(_line_row(a, b, j, d), theta) if j <= d else 0
+
+
+def _halves(theta: Vec) -> tuple[list[int], list[int]]:
+    n = len(theta) // 2
+    return list(theta[:n]), list(theta[n:])
+
+
+def _times_line(a: int, b: int, theta: Vec) -> Vec:
+    """(a*x + b*y) * theta: coefficient s of each half is a*c_(s-1) + b*c_s."""
+    return tuple(b * hi + a * lo for half in _halves(theta) for hi, lo in zip(half + [0], [0] + half))
+
+
+def _raise(a: int, b: int, j: int, theta1: Vec, theta2: Vec) -> tuple[Vec, Vec]:
+    """A basis of D(A, m + delta_H) from a basis (theta1, theta2) of D(A, m),
+    deg theta1 <= deg theta2, where m_H = j and alpha_H = a*x + b*y."""
+    c1, c2 = _step_coefficient(a, b, j, theta1), _step_coefficient(a, b, j, theta2)
+    if c1 == 0:
+        pair = theta1, _times_line(a, b, theta2)
+    elif c2 == 0:
+        pair = _times_line(a, b, theta1), theta2
+    else:
+        delta = len(theta2) // 2 - len(theta1) // 2
+        p1, q1 = ([0] * delta + h if b else h + [0] * delta for h in _halves(theta1))  # x^delta or y^delta times theta1
+        scale = c1 * b**delta if b else c1
+        combined = [scale * u - c2 * v for u, v in zip(theta2, p1 + q1)]
+        pair = _times_line(a, b, theta1), linalg.normalize_primitive(combined)
+    return tuple(sorted(pair, key=len))
+
+
 def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity) -> tuple[int, int]:
     """Exponent pair (d1, d2), d1 <= d2, of a basis passing Saito's criterion.
-    A prime that overstates dim D_{d*} guesses d1 too low, where the exact
-    kernel is empty; the exact rank is then taken instead."""
-    rows = cache(partial(_conditions, arr2, mult))  # each degree's rows, built once
-    total = sum(mult.get(cov, 0) for cov in arr2.covectors)
-    dstar = (total + 1) // 2 - 1
-    for prime in (_PRIME, None):
-        dim = derivation_space_dim(arr2, mult, dstar, prime, rows)
-        d1 = dstar + 1 - dim if dim else total // 2
-        if first := _kernel(rows(d1), 2 * d1 + 2):
-            break
-    d2 = total - d1
-    second = first[1:] if d1 == d2 else _kernel(rows(d2), 2 * d2 + 2)
-    if not first or not any(saito_certified(arr2, mult, first[0], theta2, rows) for theta2 in second):
+
+    The basis starts as d/dx, d/dy at m = 0, and the lines are raised
+    round-robin, one unit per step.  Raising H = {a*x + b*y = 0} from
+    m_H = j: with f_i = theta_i(alpha_H) / alpha_H^j, D(A, m + delta_H) is
+    the set of g1*theta1 + g2*theta2 with alpha_H | g1*f1 + g2*f2.  On H,
+    at s*(b, -a), f_i = C_i s^(d_i - j) and theta_i's row-j coefficient is
+    c_i = b^j C_i, so those (g1, g2) are generated by (alpha_H, 0) and
+    (-C2 w^delta, C1), with w = s = x/b on H and delta = d2 - d1.  The new
+    pair is (theta1, alpha_H*theta2) if c1 = 0, (alpha_H*theta1, theta2) if
+    c2 = 0, and otherwise (alpha_H*theta1, c1 b^delta theta2 - c2 x^delta
+    theta1), made primitive.  On the line x, s*(0, 1), w = y and c_i = a C_i,
+    so the last is c1 theta2 - c2 y^delta theta1.  Each step multiplies the
+    determinant by a nonzero multiple of alpha_H.
+    """
+    _validate(arr2, mult)
+    theta1, theta2 = (1, 0), (0, 1)
+    for j in range(max(mult.values(), default=0)):
+        for a, b in arr2.covectors:
+            if mult.get((a, b), 0) > j:
+                theta1, theta2 = _raise(a, b, j, theta1, theta2)
+    d1, d2 = len(theta1) // 2 - 1, len(theta2) // 2 - 1
+    if not saito_certified(arr2, mult, theta1, theta2, cache(partial(_conditions, arr2, mult))):
         raise AssertionError(f"no derivation basis of degrees ({d1}, {d2}) passes Saito's criterion")
     return d1, d2
 

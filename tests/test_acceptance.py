@@ -25,13 +25,11 @@ from idealshi import (
     filtration_exponents,
     filtration_step,
     ideal_exponents,
-    intersection_count,
     restriction,
     root_arrangement,
     root_covector,
     shi_arrangement,
     shi_exponents_dp,
-    shi_minus,
     shi_plus,
     shift_predict,
     terao_check,
@@ -176,13 +174,13 @@ def test_c06_boundary_restriction_counts(systems):
                 sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
                 sigma_set = set(sigma)
                 plus = shi_plus(rs, k, sigma)
-                minus = shi_minus(rs, k, sigma)
+                minus = shi_arrangement(rs, k, sigma, "-")
                 for alpha in rs.positive_roots:
                     if alpha in sigma_set:
                         continue
                     low = alpha in simple and not (sigma_set & simple)
-                    got_p = intersection_count(plus, root_covector(rs, alpha, -k, coned=True))
-                    got_m = intersection_count(minus, root_covector(rs, alpha, k, coned=True))
+                    got_p = restriction(plus, root_covector(rs, alpha, -k, coned=True)).size
+                    got_m = restriction(minus, root_covector(rs, alpha, k, coned=True)).size
                     checked += 2
                     if got_p != (k * h + 1 if low else k * h + 2):
                         bad.append((name, k, mask, alpha.name, "+"))
@@ -241,13 +239,13 @@ def _oracle_corpus(systems):
         rs = systems[name]
         corpus.append(shi_plus(rs, 1, []))
         corpus.append(shi_plus(rs, 1, rs.positive_roots))
-        corpus.append(shi_minus(rs, 1, rs.positive_roots))
+        corpus.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
         corpus.append(shi_plus(rs, 1, [rs.positive_roots[0]]))
         corpus.append(root_arrangement(rs))
     for name in ("A3", "B3"):
         rs = systems[name]
         corpus.append(shi_plus(rs, 1, []))
-        corpus.append(shi_minus(rs, 1, rs.positive_roots))
+        corpus.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
         corpus.append(root_arrangement(rs))
     a2 = systems["A2"]
     corpus.extend(filtration_step(a2, i) for i in (2, 5, 9))

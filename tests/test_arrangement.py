@@ -18,23 +18,21 @@ from idealshi import (
     charpoly_whitney,
     dual_partition,
     ext_height,
-    ext_height_z,
     filtration_exponents,
     filtration_step,
-    intersection_count,
     intersection_lattice,
     restriction,
     root_arrangement,
     root_covector,
     shi_arrangement,
     shi_exponents_dp,
-    shi_minus,
     shi_plus,
     z_covector,
     ziegler_multiplicity,
 )
 from idealshi import linalg
 from idealshi.arrangement import _restricted_basis, covector
+from idealshi.rootsys import ext_height_z
 
 
 # --- independent oracle: sweep all subsets, Mobius by definition -----------
@@ -111,11 +109,11 @@ def _small_corpus():
     SMALL_CORPUS.extend(
         [
             Arrangement.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),  # boolean
-            shi_minus(a2, 1, a2.positive_roots),  # coned Weyl A2
+            shi_arrangement(a2, 1, a2.positive_roots, "-"),  # coned Weyl A2
             shi_plus(a2, 1, []),
             shi_plus(a2, 1, [a2.positive_roots[0]]),
             shi_plus(a2, 1, a2.positive_roots),
-            shi_minus(b2, 1, b2.positive_roots),
+            shi_arrangement(b2, 1, b2.positive_roots, "-"),
             root_arrangement(b2),
             Arrangement.of(3, [(1, 1, 1), (1, -1, 0), (0, 1, -1), (1, 0, -1), (2, 1, 1)]),
             Arrangement.of(4, [(1, 0, 0, 0), (0, 1, -1, 0), (1, 1, 1, 1), (0, 0, 1, -1), (1, 0, 1, 0), (0, 1, 0, 1)]),
@@ -143,7 +141,7 @@ def test_boolean_lattice_levels():
 
 def test_coned_weyl_a2_lattice_structure():
     a2 = build("A2")
-    arr = shi_minus(a2, 1, a2.positive_roots)  # {z, a1, a2, a1+a2} coned
+    arr = shi_arrangement(a2, 1, a2.positive_roots, "-")  # {z, a1, a2, a1+a2} coned
     lattice = intersection_lattice(arr)
     assert [len(lv) for lv in lattice.levels] == [1, 4, 4, 1]
     level2 = sorted(mu for _, mu in flats(lattice.levels[2]))
@@ -240,12 +238,12 @@ def test_shi_sizes(systems):
         for k in (1, 2):
             assert shi_plus(rs, k, []).size == 2 * k * n + 1
             assert shi_plus(rs, k, rs.positive_roots).size == 2 * k * n + 1 + n
-            assert shi_minus(rs, k, rs.positive_roots).size == 2 * k * n + 1 - n
+            assert shi_arrangement(rs, k, rs.positive_roots, "-").size == 2 * k * n + 1 - n
 
 
 def test_shi_minus_full_is_coned_weyl(systems):
     a2 = systems["A2"]
-    arr = shi_minus(a2, 1, a2.positive_roots)
+    arr = shi_arrangement(a2, 1, a2.positive_roots, "-")
     want = {z_covector(a2)} | {r.coeffs + (0,) for r in a2.positive_roots}
     assert set(arr.covectors) == want
 
@@ -405,10 +403,10 @@ def test_restriction_count_examples(systems):
     a2 = systems["A2"]
     shi = shi_plus(a2, 1, [])
     a1, a2r, a12 = a2.positive_roots
-    assert intersection_count(shi, root_covector(a2, a1, -1, coned=True)) == 4
-    assert intersection_count(shi, root_covector(a2, a12, -1, coned=True)) == 5
+    assert restriction(shi, root_covector(a2, a1, -1, coned=True)).size == 4
+    assert restriction(shi, root_covector(a2, a12, -1, coned=True)).size == 5
     arr = shi_plus(a2, 1, [a1])
-    assert intersection_count(arr, root_covector(a2, a2r, -1, coned=True)) == 5
+    assert restriction(arr, root_covector(a2, a2r, -1, coned=True)).size == 5
 
 
 def count_table(systems):
@@ -426,10 +424,10 @@ def count_table(systems):
                         continue
                     boundary_case = alpha in simple and not (sigma_set & simple)
                     plus = shi_plus(rs, k, sigma)
-                    got_plus = intersection_count(plus, root_covector(rs, alpha, -k, coned=True))
+                    got_plus = restriction(plus, root_covector(rs, alpha, -k, coned=True)).size
                     want_plus = k * h + 1 if boundary_case else k * h + 2
-                    minus = shi_minus(rs, k, sigma)
-                    got_minus = intersection_count(minus, root_covector(rs, alpha, k, coned=True))
+                    minus = shi_arrangement(rs, k, sigma, "-")
+                    got_minus = restriction(minus, root_covector(rs, alpha, k, coned=True)).size
                     want_minus = k * h + 1 if boundary_case else k * h
                     cases.append((got_plus == want_plus) and (got_minus == want_minus))
     return cases
@@ -449,7 +447,7 @@ def test_ziegler_examples(systems):
     restricted, mult = ziegler_multiplicity(arr, z_covector(a2))
     assert restricted.covectors == root_arrangement(a2).covectors
     assert sorted(mult.values()) == [2, 2, 3]
-    arr2 = shi_minus(a2, 1, a2.positive_roots)
+    arr2 = shi_arrangement(a2, 1, a2.positive_roots, "-")
     assert sorted(ziegler_multiplicity(arr2, z_covector(a2))[1].values()) == [1, 1, 1]
     boolean = Arrangement.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     restricted, mult = ziegler_multiplicity(boolean, (0, 0, 1))

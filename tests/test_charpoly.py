@@ -33,7 +33,6 @@ from idealshi import (
     root_arrangement,
     shi_arrangement,
     shi_charpoly,
-    shi_minus,
     shi_plus,
     terao_check,
     try_factor_exponents,
@@ -51,7 +50,7 @@ def test_frozen_polynomials():
     b2 = build("B2")
     assert charpoly_mobius(shi_plus(a2, 1, [])).coeffs == poly_of_roots(1, 3, 3)
     assert charpoly_mobius(shi_plus(a2, 1, a2.positive_roots)).coeffs == poly_of_roots(1, 4, 5)
-    assert charpoly_mobius(shi_minus(a2, 1, a2.positive_roots)).coeffs == poly_of_roots(1, 1, 2)
+    assert charpoly_mobius(shi_arrangement(a2, 1, a2.positive_roots, "-")).coeffs == poly_of_roots(1, 1, 2)
     assert charpoly_mobius(shi_plus(b2, 1, [])).coeffs == poly_of_roots(1, 4, 4)
     assert charpoly_mobius(root_arrangement(a2)).coeffs == poly_of_roots(1, 2)
     boolean = Arrangement.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -64,7 +63,7 @@ def test_frozen_polynomials():
 
 def test_whitney_matches_hand_values():
     a2 = build("A2")
-    assert charpoly_whitney(shi_minus(a2, 1, a2.positive_roots)).coeffs == poly_of_roots(1, 1, 2)
+    assert charpoly_whitney(shi_arrangement(a2, 1, a2.positive_roots, "-")).coeffs == poly_of_roots(1, 1, 2)
     b2 = build("B2")
     assert charpoly_whitney(shi_plus(b2, 1, [])).coeffs == poly_of_roots(1, 4, 4)
     single = Arrangement.of(2, [(1, 0)])
@@ -175,11 +174,11 @@ def corpus():
         rs = build(name)
         out.append(shi_plus(rs, 1, []))
         out.append(shi_plus(rs, 1, rs.positive_roots))
-        out.append(shi_minus(rs, 1, rs.positive_roots))
+        out.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
         out.append(root_arrangement(rs))
     a3 = build("A3")
     out.append(shi_plus(a3, 1, []))
-    out.append(shi_minus(a3, 1, a3.positive_roots))
+    out.append(shi_arrangement(a3, 1, a3.positive_roots, "-"))
     return out
 
 

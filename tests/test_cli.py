@@ -443,6 +443,14 @@ def test_failed_saito_certificate_is_an_internal_error(capsys, monkeypatch):
     assert err.startswith("internal error: no derivation basis of degrees")
 
 
+def test_corrupted_rank2_step_is_an_internal_error(capsys, monkeypatch):
+    original = idealshi.multiarr._step_coefficient
+    monkeypatch.setattr(idealshi.multiarr, "_step_coefficient", lambda *args: original(*args) + 1)
+    code, out, err = run(capsys, "verify", "G2", "-k", "1", "--subset", "none", "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: no derivation basis of degrees")
+
+
 JOBS_COMMANDS = {
     "verify": ("verify", "A2", "-k", "1", "--subset", "none"),
     "filtration": ("filtration", "A2", "--steps", "3"),

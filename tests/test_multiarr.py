@@ -105,29 +105,6 @@ def test_one_solve_matches_degree_ladder_edge_cases(name):
         assert exp_rank2_multi(arr2, mult) == ladder_exponents(arr2, mult), (covs, mult)
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
-@pytest.mark.parametrize("m", [2, 3, 5])
-def test_overstating_prime_falls_back_to_exact_rank(monkeypatch, name, m):
-    # mod 2 the conditions can lose rank; then the guessed d1 is too low
-    arr2 = root_arrangement(build(name))
-    mult = {cov: m for cov in arr2.covectors}
-    want = exp_rank2_multi(arr2, mult)
-    monkeypatch.setattr(idealshi.multiarr, "_PRIME", 2)
-    primes = []
-    original = idealshi.multiarr.derivation_space_dim
-
-    def spy(arr2, mult, degree, prime=None, rows=None):
-        primes.append(prime)
-        return original(arr2, mult, degree, prime, rows)
-
-    monkeypatch.setattr(idealshi.multiarr, "derivation_space_dim", spy)
-    assert exp_rank2_multi(arr2, mult) == want
-    total = m * len(arr2.covectors)
-    dstar = (total + 1) // 2 - 1
-    overstated = original(arr2, mult, dstar, 2) > original(arr2, mult, dstar)
-    assert primes == ([2, None] if overstated else [2])
-
-
 def certified_basis(monkeypatch, arr2, mult):
     """The basis (theta1, theta2) that exp_rank2_multi certified."""
     passed = []
@@ -157,13 +134,61 @@ def multiarrangement_cases():
     ]
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_certified_basis_meets_every_row(monkeypatch, name, m):
+    arr2 = root_arrangement(build(name))
+    mult = {cov: m + (i == 0) for i, cov in enumerate(arr2.covectors)}
+    for theta in certified_basis(monkeypatch, arr2, mult):
+        rows = idealshi.multiarr._conditions(arr2, mult, len(theta) // 2 - 1)
+        assert len(rows) == sum(min(e, len(theta) // 2) for e in mult.values())
+        assert not any(linalg.dot(row, theta) for row in rows)
+
+
 @pytest.mark.parametrize("index", range(3))
-def test_pinned_kernel_matches_full_nullspace(index):
+def test_pinned_kernel_matches_full_nullspace(monkeypatch, index):
+    # the coordinate lines pin unknowns to zero; the kernel of the other rows
+    # on the unpinned unknowns has the full nullspace's dimension, and the
+    # certified basis is zero on the pinned ones
     arr2, mult = multiarrangement_cases()[index]
-    for d in exp_rank2_multi(arr2, mult):
+    for d, theta in zip(exp_rank2_multi(arr2, mult), certified_basis(monkeypatch, arr2, mult)):
         rows = idealshi.multiarr._conditions(arr2, mult, d)
-        assert any(sum(map(bool, row)) == 1 for row in rows)  # the coordinate lines pin unknowns
-        assert idealshi.multiarr._kernel(rows, 2 * d + 2) == linalg.nullspace(rows, 2 * d + 2)
+        pins = [row for row in rows if sum(map(bool, row)) == 1]
+        assert pins  # the coordinate lines pin unknowns
+        pinned = {next(j for j, c in enumerate(row) if c) for row in pins}
+        free = [j for j in range(2 * d + 2) if j not in pinned]
+        reduced = [[row[j] for j in free] for row in rows if row not in pins]
+        assert len(free) - linalg.rank(reduced) == derivation_space_dim(arr2, mult, d)
+        assert not any(theta[j] for j in pinned)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_no_derivation_below_the_first_exponent(index):
+    arr2, mult = multiarrangement_cases()[index]
+    d1, d2 = exp_rank2_multi(arr2, mult)
+    assert derivation_space_dim(arr2, mult, d1 - 1) == 0
+    assert derivation_space_dim(arr2, mult, d1) == 1 + (d1 == d2)
+
+
+def test_large_multiplicity_follows_the_shift_law():
+    # 40 + indicator on the G2 lines: the shift by 2k = 40 of the indicator's
+    # exponents (k = 20, h = 6)
+    g2 = root_arrangement(build("G2"))
+    indicator = {cov: i % 2 for i, cov in enumerate(g2.covectors)}
+    shifted = {cov: 40 + e for cov, e in indicator.items()}
+    base = ExponentMultiset(exp_rank2_multi(g2, indicator))
+    assert exp_rank2_multi(g2, shifted) == (121, 122) == shift_predict(base, 20, 6, "+").parts
+
+
+@pytest.mark.parametrize("index", range(2))
+def test_corrupted_step_fails_the_certificate(monkeypatch, index):
+    # every step's coefficient off by one; not on the G2 case, whose 61
+    # wrong combinations have no content to divide out and grow too large
+    arr2, mult = multiarrangement_cases()[index]
+    original = idealshi.multiarr._step_coefficient
+    monkeypatch.setattr(idealshi.multiarr, "_step_coefficient", lambda *args: original(*args) + 1)
+    with pytest.raises(AssertionError, match="passes Saito's criterion"):
+        exp_rank2_multi(arr2, mult)
 
 
 @pytest.mark.parametrize("index", range(3))

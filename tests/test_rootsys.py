@@ -11,11 +11,10 @@ from idealshi import (
     build,
     dual_partition,
     ext_height,
-    ext_height_z,
     shi_exponents_dp,
     weyl_exponents,
 )
-from idealshi.rootsys import shi_defining_values
+from idealshi.rootsys import ext_height_z, shi_defining_values
 
 # hand-checked root lists for the small systems
 A2_ROOTS = {(1, 0), (0, 1), (1, 1)}
