@@ -39,7 +39,7 @@ print("\npredicted vs computed exponents over every ideal of G2, k = 1:")
 g2 = build("G2")
 for ideal in enumerate_ideals(g2):
     predicted = shi_exponents_dp(g2, 1, ideal.roots, "+")
-    verdict = terao_check(shi_plus(g2, 1, ideal.roots), predicted)
+    verdict = terao_check(charpoly_mobius(shi_plus(g2, 1, ideal.roots)), predicted)
     label = ",".join(r.name for r in ideal.roots) or "empty"
     status = "ok" if verdict.passed else "MISMATCH"
     print(f"  +{{{label:<22}}} predicted {predicted}  {status}")

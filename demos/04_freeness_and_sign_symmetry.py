@@ -11,6 +11,7 @@ multirestriction exponents.
 from idealshi import (
     ExponentMultiset,
     build,
+    charpoly_mobius,
     exp_rank2_multi,
     root_arrangement,
     root_covector,
@@ -33,8 +34,8 @@ for mask in range(1 << rs.n_positive):
     label = ",".join(r.name for r in sigma) or "(empty)"
     cells = []
     for sign in "+-":
-        v = yoshinaga_check(shi_arrangement(rs, k, sigma, sign), hz)
-        cells.append(str(v))
+        arr = shi_arrangement(rs, k, sigma, sign)
+        cells.append(str(yoshinaga_check(arr, hz, charpoly_mobius(arr))))
     print(f"{label:<22} {cells[0]:<34} {cells[1]:<34}")
 
 print("\nwhen free, the exponents follow the shift law k*h +/- m_i,")
@@ -44,6 +45,7 @@ indicator = {root_covector(rs, r): (1 if r in sigma else 0) for r in rs.positive
 m = exp_rank2_multi(base, indicator)
 print("  sigma = {a1, a1+a2}, base exponents:", m)
 for sign in "+-":
-    v = yoshinaga_check(shi_arrangement(rs, k, sigma, sign), hz)
+    arr = shi_arrangement(rs, k, sigma, sign)
+    v = yoshinaga_check(arr, hz, charpoly_mobius(arr))
     predicted = shift_predict(ExponentMultiset(m), k, h, sign)
     print(f"  sign {sign}: verdict {v}  (shift law gives {predicted})")

@@ -10,8 +10,9 @@ full rounds land exactly on the extended Shi cones.
 from idealshi import (
     build,
     charpoly_mobius,
-    filtration_exponents,
-    filtration_step,
+    filtration_cone,
+    shi_arrangement,
+    shi_exponents_dp,
     shi_plus,
     terao_check,
 )
@@ -22,9 +23,10 @@ n = rs.n_positive
 print(f"{rs.type}: 2n = {2 * n} planes per round\n")
 prev = None
 for i in range(1, 2 * 2 * n + 2):
-    arr = filtration_step(rs, i)
-    exps = filtration_exponents(rs, i)
-    verdict = terao_check(arr, exps)
+    step = filtration_cone(rs, i)  # (k, ideal, sign): each step is an ideal-Shi cone
+    arr = shi_arrangement(rs, *step)
+    exps = shi_exponents_dp(rs, *step)
+    verdict = terao_check(charpoly_mobius(arr), exps)
     nested = "" if prev is None else ("  nested" if set(prev.covectors) <= set(arr.covectors) else "  BROKEN")
     mark = ""
     for k in (1, 2):
@@ -34,4 +36,4 @@ for i in range(1, 2 * 2 * n + 2):
     print(f"step {i:>2}  |A| = {arr.size:>2}  exponents {str(exps):<14} {status}{nested}{mark}")
     prev = arr
 
-print("\nchi at the second full round:", charpoly_mobius(filtration_step(rs, 4 * n + 1)))
+print("\nchi at the second full round:", charpoly_mobius(shi_arrangement(rs, *filtration_cone(rs, 4 * n + 1))))

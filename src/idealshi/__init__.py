@@ -14,8 +14,7 @@ from .arrangement import (
     IntersectionLattice,
     LatticeCache,
     SizeBoundError,
-    filtration_exponents,
-    filtration_step,
+    filtration_cone,
     intersection_lattice,
     restriction,
     root_arrangement,
@@ -35,7 +34,6 @@ from .charpoly import (
     charpoly_mobius,
     charpoly_whitney,
     chi0,
-    chi0_at_zero,
     count_free_points,
     shi_charpoly,
     terao_check,

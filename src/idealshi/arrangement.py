@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Vec
-from .rootsys import ExponentMultiset, Root, RootSystem, shi_exponents_dp, shi_planes
+from .rootsys import Root, RootSystem, shi_planes
 
 
 class SizeBoundError(RuntimeError):
@@ -119,18 +120,6 @@ def filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]
     if r <= n:
         return q, rs.positive_roots[:r], "+"
     return q + 1, rs.positive_roots[: 2 * n - r], "-"
-
-
-def filtration_step(rs: RootSystem, i: int) -> Arrangement:
-    """The i-th member of the saturated filtration of the coned affine
-    Weyl arrangement: the ideal-Shi cone of :func:`filtration_cone`."""
-    return shi_arrangement(rs, *filtration_cone(rs, i))
-
-
-def filtration_exponents(rs: RootSystem, i: int) -> ExponentMultiset:
-    """Predicted exponents of the i-th filtration step: those of its
-    ideal-Shi cone."""
-    return shi_exponents_dp(rs, *filtration_cone(rs, i))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +222,14 @@ def _children(
     return child[keep], _restricted_basis(rows[reps[keep]], bases[parent[keep]]), low[keep], sums
 
 
+# Default size guards.  A campaign's largest cone, (k, all roots, '+'), has
+# |Phi+|(2k+1) + 1 planes in rank + 1 coordinates, so every case is admitted
+# for A2 k <= 11, B2 k <= 8, G2 k <= 5, A3 k <= 5, B3/C3/A4 k <= 3, D4 k <= 2
+# and B4/C4/F4 k = 1.
+MAX_HYPERPLANES = 73
+MAX_DIM = 5
+
+
 def check_size(arr: Arrangement, *, max_hyperplanes: int, max_dim: int) -> None:
     """Refuse an arrangement beyond the size guards of a lattice build."""
     if arr.dim > max_dim:
@@ -242,7 +239,7 @@ def check_size(arr: Arrangement, *, max_hyperplanes: int, max_dim: int) -> None:
 
 
 def intersection_lattice(
-    arr: Arrangement, *, max_hyperplanes: int = 80, max_dim: int = 5
+    arr: Arrangement, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM
 ) -> IntersectionLattice:
     """Build the full intersection lattice, level by level.
 
@@ -326,6 +323,15 @@ def ziegler_multiplicity(
 # ---------------------------------------------------------------------------
 # lattice cache
 
+
+def is_central_charpoly(arr: Arrangement, coeffs: Sequence[int]) -> bool:
+    """Whether ``coeffs`` (ascending degree) meet the identities of every
+    characteristic polynomial of ``arr``: monic of degree dim, -|A| as the
+    t^(dim-1) coefficient, and chi(1) = 0 unless the arrangement is empty."""
+    top = (-arr.size, 1) if arr.dim else (1,)
+    return len(coeffs) == arr.dim + 1 and tuple(coeffs[-2:]) == top and sum(coeffs) == (0 if arr.size else 1)
+
+
 CACHE_VERSION = 1
 
 
@@ -353,25 +359,20 @@ class LatticeCache:
     def get_charpoly(self, arr: Arrangement) -> Optional[tuple[int, ...]]:
         if arr in self._memory or not self.directory:
             return self._memory.get(arr)
-        path = self._path(arrangement_key(arr))
-        if not os.path.exists(path):
-            return None
         try:
-            with open(path) as fh:
+            with open(self._path(arrangement_key(arr))) as fh:
                 blob = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # missing, unreadable, or not JSON text
             return None
-        # anything but a well-formed summary of this arrangement is a miss
+        # anything but a well-formed summary of this arrangement is a miss,
+        # and so is a polynomial that breaks the identities every chi meets
         if not isinstance(blob, dict) or blob.get("version") != CACHE_VERSION or blob.get("dim") != arr.dim:
             return None
         chi = blob.get("chi")
-        if not isinstance(chi, list) or len(chi) != arr.dim + 1 or not all(isinstance(c, str) for c in chi):
+        if not isinstance(chi, list) or not all(isinstance(c, str) and re.fullmatch("-?[0-9]+", c) for c in chi):
             return None
-        try:
-            coeffs = tuple(int(c) for c in chi)
-        except ValueError:
-            return None
-        return coeffs if coeffs[-1] == 1 else None
+        coeffs = tuple(int(c) for c in chi)
+        return coeffs if is_central_charpoly(arr, coeffs) else None
 
     def put_charpoly(self, arr: Arrangement, coeffs: Sequence[int]) -> None:
         self._memory[arr] = tuple(coeffs)

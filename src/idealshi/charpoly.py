@@ -11,17 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import linalg
 from .arrangement import (
+    MAX_DIM,
+    MAX_HYPERPLANES,
     Arrangement,
     LatticeCache,
     SizeBoundError,
     check_size,
     intersection_lattice,
+    is_central_charpoly,
     restriction,
     root_covector,
     shi_arrangement,
@@ -64,13 +68,8 @@ class CharPoly:
             c = self.coeffs[d]
             if c == 0:
                 continue
-            mono = "1" if d == 0 else ("t" if d == 1 else f"t^{d}")
-            if d == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}{mono}"
+            mono = "" if d == 0 else ("t" if d == 1 else f"t^{d}")
+            body = mono if abs(c) == 1 and d else f"{abs(c)}{mono}"
             terms.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(terms) if terms else "0"
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -88,8 +87,8 @@ def charpoly_mobius(
     arr: Arrangement,
     cache: Optional[LatticeCache] = None,
     *,
-    max_hyperplanes: int = 80,
-    max_dim: int = 5,
+    max_hyperplanes: int = MAX_HYPERPLANES,
+    max_dim: int = MAX_DIM,
 ) -> CharPoly:
     """Mobius-weighted sum of t^dim(X) over the intersection lattice.  The
     size guards apply before the cache is read, so a warm cache refuses
@@ -114,8 +113,8 @@ def shi_charpoly(
     cache: Optional[LatticeCache] = None,
     *,
     cone: Optional[Arrangement] = None,
-    max_hyperplanes: int = 80,
-    max_dim: int = 5,
+    max_hyperplanes: int = MAX_HYPERPLANES,
+    max_dim: int = MAX_DIM,
 ) -> CharPoly:
     """Polynomial of the ideal-Shi cone (k, roots, sign) by deletion-restriction,
     chi(A) = chi(A - H) - chi(A^H), one plane at a time.  ``cone`` is that
@@ -151,7 +150,7 @@ def shi_charpoly(
     for cone, plane in reversed(chain):
         restricted = charpoly_mobius(restriction(cone, plane), cache, **bounds).coeffs
         poly = CharPoly(tuple(c - r for c, r in zip(poly.coeffs, restricted + (0,))))
-        if poly(1) != 0 or poly.coeffs[-2] != -cone.size:
+        if not is_central_charpoly(cone, poly.coeffs):
             raise AssertionError(
                 f"deletion-restriction gave chi(1) = {poly(1)} and a t^(n-1) coefficient "
                 f"{poly.coeffs[-2]} for {cone.size} central planes"
@@ -281,20 +280,19 @@ def _interpolate_batch(arr: Arrangement, primes: Sequence[int]) -> CharPoly:
     return poly
 
 
+def _divide(coeffs: Sequence[int], r: int) -> tuple[list[int], int]:
+    """Quotient (ascending degree) and remainder of a division by (t - r),
+    by synthetic division."""
+    out = list(accumulate(reversed(coeffs), lambda carry, c: carry * r + c))
+    return out[-2::-1], out[-1]
+
+
 def chi0(p: CharPoly) -> CharPoly:
     """Exact quotient by (t - 1)."""
-    quot = [0] * p.degree
-    carry = 0
-    for d in range(p.degree, 0, -1):
-        carry = p.coeffs[d] + carry
-        quot[d - 1] = carry
-    if carry + p.coeffs[0] != 0:
+    quot, rem = _divide(p.coeffs, 1)
+    if rem:
         raise NotDivisibleError("(t - 1) does not divide; arrangement was empty or not central")
     return CharPoly(tuple(quot))
-
-
-def chi0_at_zero(arr: Arrangement, cache: Optional[LatticeCache] = None, **bounds) -> int:
-    return chi0(charpoly_mobius(arr, cache, **bounds)).coeffs[0]
 
 
 @dataclass(frozen=True)
@@ -317,25 +315,13 @@ def try_factor_exponents(p: CharPoly) -> Union[ExponentMultiset, FactorFailure]:
     """
     roots: list[int] = []
     current = list(p.coeffs)
-
-    def divide_out(r: int) -> bool:
-        # synthetic division by (t - r); only commit when remainder is 0
-        out = []
-        carry = 0
-        for c in reversed(current):
-            carry = carry * r + c
-            out.append(carry)
-        if out[-1] != 0:
-            return False
-        del current[:]
-        current.extend(reversed(out[:-1]))
-        return True
-
     bound = 1 + max(abs(c) for c in p.coeffs)
     r = 0
     while len(current) > 1 and r <= bound:
-        if divide_out(r):
+        quot, rem = _divide(current, r)
+        if rem == 0:  # take the root, and try r again for its multiplicity
             roots.append(r)
+            current = quot
         else:
             r += 1
     if len(current) == 1:
@@ -354,19 +340,11 @@ class TeraoVerdict:
         return f"{flag}: chi = {self.computed}, predicted roots {self.predicted}"
 
 
-def terao_check(
-    arr: Arrangement,
-    predicted: ExponentMultiset,
-    cache: Optional[LatticeCache] = None,
-    **bounds,
-) -> TeraoVerdict:
-    """Exact test that chi equals the product of (t - e) over the
-    predicted exponents.  A pass is necessary for freeness with those
-    exponents; in ambient dimension 3 see the complete criterion in
-    :mod:`idealshi.multiarr`."""
-    if len(predicted) != arr.dim:
-        raise ValueError(f"predicted multiset has {len(predicted)} parts, ambient is {arr.dim}")
-    computed = charpoly_mobius(arr, cache, **bounds)
-    return TeraoVerdict(
-        computed.coeffs == CharPoly.from_roots(tuple(predicted)).coeffs, computed, predicted
-    )
+def terao_check(chi: CharPoly, predicted: ExponentMultiset) -> TeraoVerdict:
+    """Exact test that the polynomial ``chi`` of an arrangement equals the
+    product of (t - e) over the predicted exponents.  A pass is necessary
+    for freeness with those exponents; in ambient dimension 3 see the
+    complete criterion in :mod:`idealshi.multiarr`."""
+    if len(predicted) != chi.degree:
+        raise ValueError(f"predicted multiset has {len(predicted)} parts, chi has degree {chi.degree}")
+    return TeraoVerdict(chi.coeffs == CharPoly.from_roots(tuple(predicted)).coeffs, chi, predicted)

@@ -19,12 +19,12 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .arrangement import (
+    MAX_DIM,
+    MAX_HYPERPLANES,
     Arrangement,
     LatticeCache,
     SizeBoundError,
     filtration_cone,
-    filtration_exponents,
-    filtration_step,
     root_arrangement,
     root_covector,
     shi_arrangement,
@@ -33,6 +33,7 @@ from .arrangement import (
 )
 from .charpoly import (
     BadReductionError,
+    CharPoly,
     FactorFailure,
     TeraoVerdict,
     charpoly_finite_field,
@@ -63,10 +64,6 @@ from .rootsys import (
     shi_exponents_dp,
     weyl_exponents,
 )
-
-DEFAULT_MAX_HYPERPLANES = 73  # admits every rank <= 3 campaign and rank 4 at k = 1
-DEFAULT_MAX_DIM = 5
-
 
 class UsageError(Exception):
     pass
@@ -134,17 +131,14 @@ class SubsetFacts:
             self.arrangements[sign] = shi_arrangement(self.rs, self.k, self.roots, sign)
         return self.arrangements[sign]
 
-    def table(self, sign: str) -> LatticeCache:
-        """The table, holding the polynomial of this sign's cone (taken by
-        deletion-restriction; the size guards apply first)."""
-        shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, cone=self.arrangement(sign), **self.bounds)
-        return self.cache
+    def chi(self, sign: str) -> CharPoly:
+        """The polynomial of this sign's cone, by deletion-restriction
+        through the table; the size guards apply first."""
+        return shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, cone=self.arrangement(sign), **self.bounds)
 
     def yoshinaga(self, sign: str) -> FreenessVerdict:
         if sign not in self.yoshinaga_verdicts:
-            self.yoshinaga_verdicts[sign] = yoshinaga_check(
-                self.arrangement(sign), z_covector(self.rs), self.table(sign), **self.bounds
-            )
+            self.yoshinaga_verdicts[sign] = yoshinaga_check(self.arrangement(sign), z_covector(self.rs), self.chi(sign))
         return self.yoshinaga_verdicts[sign]
 
     @cached_property
@@ -165,7 +159,7 @@ def _check_terao(facts: SubsetFacts, sign: str) -> CheckResult:
     if not facts.ideal:
         return CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal")
     predicted = shi_exponents_dp(facts.rs, facts.k, facts.roots, sign)
-    verdict = terao_check(facts.arrangement(sign), predicted, facts.table(sign), **facts.bounds)
+    verdict = terao_check(facts.chi(sign), predicted)
     facts.terao_verdicts[sign] = verdict  # the record reports its prediction and chi
     return CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
 
@@ -214,10 +208,8 @@ def _check_duality(facts: SubsetFacts, sign: str) -> CheckResult:
     split = try_factor_exponents(base_chi)
     if isinstance(split, FactorFailure):
         return CheckResult("duality", SKIPPED, "subset arrangement chi does not split")
-    verdicts = []
-    for s in "+-":
-        want = ExponentMultiset((1,) + shift_predict(split, facts.k, rs.coxeter_number, s).parts)
-        verdicts.append(terao_check(facts.arrangement(s), want, facts.table(s), **facts.bounds))
+    wants = {s: ExponentMultiset((1,) + shift_predict(split, facts.k, rs.coxeter_number, s).parts) for s in "+-"}
+    verdicts = [terao_check(facts.chi(s), want) for s, want in wants.items()]
     if all(v.passed for v in verdicts):
         return CheckResult("duality", PASS, "both signs match the shifted base exponents")
     if all(isinstance(try_factor_exponents(v.computed), FactorFailure) for v in verdicts):
@@ -392,46 +384,49 @@ def cmd_verify(args) -> int:
         for mask, idx in grid
     ]
     # one chi table for the campaign, or one per worker process
+    cache = _table(args)
     if args.jobs > 1:
-        with ProcessPoolExecutor(args.jobs, initializer=_start_worker, initargs=(_cache_dir(args),)) as pool:
+        with ProcessPoolExecutor(args.jobs, initializer=_start_worker, initargs=(cache.directory,)) as pool:
             per_subset = list(pool.map(_run_in_worker, specs))
     else:
-        cache = LatticeCache(_cache_dir(args))
         per_subset = [run_case(s, cache) for s in specs]
     report = Report(command="verify", tool_version=__version__, cases=[c for cs in per_subset for c in cs])
     _emit(report, args)
     return 0 if report.ok else 1
 
 
-def _cache_dir(args) -> Optional[str]:
-    return args.cache_dir or os.environ.get("IDEALSHI_CACHE")
+def _table(args) -> LatticeCache:
+    """A fresh chi table.  It makes the on-disk store's directory now, so
+    a path that cannot be one is a usage error before any case runs."""
+    directory = args.cache_dir or os.environ.get("IDEALSHI_CACHE")
+    try:
+        return LatticeCache(directory)
+    except OSError as err:
+        raise UsageError(f"cache directory {directory}: {err.strerror}") from err
 
 
 def cmd_filtration(args) -> int:
     rs, _ = _read(args)
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
-    cache = LatticeCache(_cache_dir(args))
+    cache = _table(args)
     bounds = {"max_hyperplanes": args.max_hyperplanes, "max_dim": args.max_dim}
     cases = []
     previous: Optional[Arrangement] = None
     for i in range(1, args.steps + 1):
         t0 = time.perf_counter()
-        arr = filtration_step(rs, i)
+        step = filtration_cone(rs, i)  # each step is an ideal-Shi cone, built once
+        arr = shi_arrangement(rs, *step)
         checks = [CheckResult("saturated", PASS if arr.size == i else FAIL, f"|A_{i}| = {arr.size}")]
         if previous is not None:
             nested = set(previous.covectors) <= set(arr.covectors)
             checks.append(CheckResult("nested", PASS if nested else FAIL, "previous step contained"))
-        predicted = filtration_exponents(rs, i)
-        chi = None
-        refused = False
+        predicted = shi_exponents_dp(rs, *step)
+        chi, refused = None, False
         try:
-            shi_charpoly(rs, *filtration_cone(rs, i), cache, **bounds)  # into the table terao reads
-            verdict = terao_check(arr, predicted, cache, **bounds)
+            verdict = terao_check(shi_charpoly(rs, *step, cache, cone=arr, **bounds), predicted)
             chi = verdict.computed.coeffs
-            checks.append(
-                CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
-            )
+            checks.append(CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}"))
         except SizeBoundError as err:
             checks.append(CheckResult("terao", SKIPPED, str(err)))
             refused = True
@@ -467,7 +462,7 @@ def cmd_charpoly(args) -> int:
     else:
         arr = shi_arrangement(rs, args.k, roots, sign)
         label = f"Shi k={args.k} sign {sign} subset {{{','.join(r.name for r in roots)}}}"
-    cache = LatticeCache(_cache_dir(args))
+    cache = _table(args)
     bounds = {"max_hyperplanes": args.max_hyperplanes, "max_dim": args.max_dim}
     polys = {}
     methods = ("mobius", "whitney", "finite-field") if args.method == "all" else (args.method,)
@@ -496,8 +491,11 @@ def cmd_charpoly(args) -> int:
 def _emit(report: Report, args) -> None:
     text = report.render(args.format, with_timings=args.timings)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write --out {args.out}: {err.strerror}") from err
     else:
         sys.stdout.write(text)
 
@@ -519,8 +517,8 @@ def _add_common(p: argparse.ArgumentParser, k_required: bool = False, all_ideals
 def _add_limits(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1, help="worker processes (above 1 for verify only)")
     p.add_argument("--cache-dir", help="lattice cache directory (or env IDEALSHI_CACHE)")
-    p.add_argument("--max-hyperplanes", type=int, default=DEFAULT_MAX_HYPERPLANES)
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    p.add_argument("--max-hyperplanes", type=int, default=MAX_HYPERPLANES)
+    p.add_argument("--max-dim", type=int, default=MAX_DIM)
 
 
 def _add_report(p: argparse.ArgumentParser) -> None:

@@ -20,8 +20,8 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .arrangement import Arrangement, LatticeCache, ziegler_multiplicity
-from .charpoly import chi0_at_zero
+from .arrangement import Arrangement, ziegler_multiplicity
+from .charpoly import CharPoly, chi0
 from .linalg import Vec
 from .rootsys import ExponentMultiset
 
@@ -183,21 +183,18 @@ class FreenessVerdict:
         return f"not free: chi0(0) = {self.chi0_zero} != {d1 * d2} = {d1}*{d2}"
 
 
-def yoshinaga_check(
-    arr3: Arrangement,
-    h0: Sequence[int],
-    cache: Optional[LatticeCache] = None,
-    **bounds,
-) -> FreenessVerdict:
+def yoshinaga_check(arr3: Arrangement, h0: Sequence[int], chi: CharPoly) -> FreenessVerdict:
     """Complete freeness test for central arrangements in 3 coordinates.
 
-    Compares chi_0 at zero with the product of the exponents of the
-    multirestriction onto ``h0``; equality is equivalent to freeness.
-    ``bounds`` are the size guards of :func:`charpoly.charpoly_mobius`.
+    Compares chi_0 at zero, read from ``chi``, the characteristic
+    polynomial of ``arr3``, with the product of the exponents of the
+    multirestriction onto ``h0``; equality is equivalent to freeness.  The
+    caller computes chi, so size guards apply there, before the rank-2
+    solve runs.
     """
-    if arr3.dim != 3:
-        raise ValueError("this criterion applies in ambient dimension 3 only")
-    czero = chi0_at_zero(arr3, cache, **bounds)  # first: it applies the size guards
+    if (arr3.dim, chi.degree) != (3, 3):
+        raise ValueError(f"the criterion needs ambient dimension 3, got {arr3.dim} and chi of degree {chi.degree}")
+    czero = chi0(chi).coeffs[0]
     d1, d2 = exp_rank2_multi(*ziegler_multiplicity(arr3, h0))
     if czero == d1 * d2:
         return FreenessVerdict(True, ExponentMultiset((1, d1, d2)), czero, (d1, d2))

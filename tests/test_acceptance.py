@@ -22,8 +22,7 @@ from idealshi import (
     enumerate_ideals,
     exp_rank2_multi,
     ext_height,
-    filtration_exponents,
-    filtration_step,
+    filtration_cone,
     ideal_exponents,
     restriction,
     root_arrangement,
@@ -97,7 +96,7 @@ def test_c03_ideal_shi_exponent_campaign(systems):
                 for sign in "+-":
                     arr = shi_arrangement(rs, k, ideal.roots, sign)
                     predicted = shi_exponents_dp(rs, k, ideal.roots, sign)
-                    verdict = terao_check(arr, predicted)
+                    verdict = terao_check(charpoly_mobius(arr), predicted)
                     checked += 1
                     if not verdict.passed:
                         bad.append((name, k, ideal.mask, sign))
@@ -125,7 +124,8 @@ def test_c04_rank2_sign_symmetry_complete(systems):
                 base_exp = exp_rank2_multi(base, indicator)
                 verdicts = {}
                 for sign in "+-":
-                    v = yoshinaga_check(shi_arrangement(rs, k, sigma, sign), hz)
+                    arr = shi_arrangement(rs, k, sigma, sign)
+                    v = yoshinaga_check(arr, hz, charpoly_mobius(arr))
                     verdicts[sign] = v
                     checked += 1
                     if v.free:
@@ -141,7 +141,8 @@ def test_c04_rank2_sign_symmetry_complete(systems):
                     bad.append((name, k, mask, "freeness"))
     # the explicit witness: Sigma = {a1+a2} in A2 at k = 1
     a2 = systems["A2"]
-    witness = yoshinaga_check(shi_plus(a2, 1, [a2.root_at((1, 1))]), z_covector(a2))
+    witness_arr = shi_plus(a2, 1, [a2.root_at((1, 1))])
+    witness = yoshinaga_check(witness_arr, z_covector(a2), charpoly_mobius(witness_arr))
     if witness.free or witness.chi0_zero != 13 or witness.restriction_exponents != (3, 4):
         bad.append(("A2", "witness"))
     _report(4, "rank2-sign-symmetry", not bad, f"{checked} freeness verdicts{bad or ''}")
@@ -196,12 +197,12 @@ def test_c07_saturated_filtration(systems):
         rs = systems[name]
         prev = None
         for i in range(1, 41):
-            arr = filtration_step(rs, i)
+            arr = shi_arrangement(rs, *filtration_cone(rs, i))
             if arr.size != i:
                 bad.append((name, i, "size"))
             if prev is not None and not set(prev.covectors) <= set(arr.covectors):
                 bad.append((name, i, "nesting"))
-            verdict = terao_check(arr, filtration_exponents(rs, i))
+            verdict = terao_check(charpoly_mobius(arr), shi_exponents_dp(rs, *filtration_cone(rs, i)))
             checked += 1
             if not verdict.passed:
                 bad.append((name, i, "exponents"))
@@ -248,7 +249,7 @@ def _oracle_corpus(systems):
         corpus.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
         corpus.append(root_arrangement(rs))
     a2 = systems["A2"]
-    corpus.extend(filtration_step(a2, i) for i in (2, 5, 9))
+    corpus.extend(shi_arrangement(a2, *filtration_cone(a2, i)) for i in (2, 5, 9))
     corpus.append(Arrangement.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     return corpus
 

@@ -18,8 +18,7 @@ from idealshi import (
     charpoly_whitney,
     dual_partition,
     ext_height,
-    filtration_exponents,
-    filtration_step,
+    filtration_cone,
     intersection_lattice,
     restriction,
     root_arrangement,
@@ -288,18 +287,18 @@ def test_filtration_steps_follow_the_chain_rule(systems):
         for i in range(1, 4 * rs.n_positive + 2):
             planes = chain_planes(rs, i)
             covs = [z_covector(rs)] + [root_covector(rs, root, j, coned=True) for root, j in planes]
-            assert filtration_step(rs, i) == Arrangement.of(rs.rank + 1, covs)
+            assert shi_arrangement(rs, *filtration_cone(rs, i)) == Arrangement.of(rs.rank + 1, covs)
             values = [ext_height_z()] + [ext_height(rs, root, j) for root, j in planes]
-            assert filtration_exponents(rs, i) == dual_partition(values, rs.rank + 1)
+            assert shi_exponents_dp(rs, *filtration_cone(rs, i)) == dual_partition(values, rs.rank + 1)
 
 
 def test_filtration_first_steps_a2(systems):
     a2 = systems["A2"]
-    assert filtration_step(a2, 1).covectors == (z_covector(a2),)
-    step4 = filtration_step(a2, 4)
+    assert shi_arrangement(a2, *filtration_cone(a2, 1)).covectors == (z_covector(a2),)
+    step4 = shi_arrangement(a2, *filtration_cone(a2, 4))
     want = {z_covector(a2)} | {r.coeffs + (0,) for r in a2.positive_roots}
     assert set(step4.covectors) == want
-    assert set(filtration_step(a2, 7).covectors) == set(shi_plus(a2, 1, []).covectors)
+    assert set(shi_arrangement(a2, *filtration_cone(a2, 7)).covectors) == set(shi_plus(a2, 1, []).covectors)
 
 
 def test_filtration_saturated_and_nested(systems):
@@ -307,7 +306,7 @@ def test_filtration_saturated_and_nested(systems):
         rs = systems[name]
         prev = None
         for i in range(1, 30):
-            arr = filtration_step(rs, i)
+            arr = shi_arrangement(rs, *filtration_cone(rs, i))
             assert arr.size == i
             if prev is not None:
                 assert set(prev.covectors) <= set(arr.covectors)
@@ -316,8 +315,8 @@ def test_filtration_saturated_and_nested(systems):
 
 def test_filtration_exponent_edge_cases(systems):
     a2 = systems["A2"]
-    assert filtration_exponents(a2, 1).parts == (0, 0, 1)
-    assert filtration_exponents(a2, 7).parts == (1, 3, 3)
+    assert shi_exponents_dp(a2, *filtration_cone(a2, 1)).parts == (0, 0, 1)
+    assert shi_exponents_dp(a2, *filtration_cone(a2, 7)).parts == (1, 3, 3)
 
 
 def test_filtration_rounds_hit_shi_arrangements(systems):
@@ -325,7 +324,7 @@ def test_filtration_rounds_hit_shi_arrangements(systems):
         rs = systems[name]
         n = rs.n_positive
         for k in (1, 2):
-            arr = filtration_step(rs, 2 * n * k + 1)
+            arr = shi_arrangement(rs, *filtration_cone(rs, 2 * n * k + 1))
             assert set(arr.covectors) == set(shi_plus(rs, k, []).covectors)
 
 

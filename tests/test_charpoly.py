@@ -26,7 +26,6 @@ from idealshi import (
     charpoly_mobius,
     charpoly_whitney,
     chi0,
-    chi0_at_zero,
     count_free_points,
     enumerate_ideals,
     restriction,
@@ -276,9 +275,9 @@ def test_chi0_examples():
     shi = shi_plus(a2, 1, [])
     q = chi0(charpoly_mobius(shi))
     assert q.coeffs == (9, -6, 1)  # (t-3)^2
-    assert chi0_at_zero(shi) == 9
-    assert chi0_at_zero(shi_plus(a2, 1, [a2.root_at((1, 1))])) == 13
-    assert chi0_at_zero(shi_plus(a2, 1, [a2.positive_roots[0]])) == 12
+    assert q.coeffs[0] == 9
+    assert chi0(charpoly_mobius(shi_plus(a2, 1, [a2.root_at((1, 1))]))).coeffs[0] == 13
+    assert chi0(charpoly_mobius(shi_plus(a2, 1, [a2.positive_roots[0]]))).coeffs[0] == 12
 
 
 def test_chi0_rejects_non_divisible():
@@ -304,7 +303,7 @@ def test_chi0_zero_closed_form(systems, name, k):
     rs = systems[name]
     for mask in range(1 << rs.n_positive):
         sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
-        got = chi0_at_zero(shi_plus(rs, k, sigma))
+        got = chi0(charpoly_mobius(shi_plus(rs, k, sigma))).coeffs[0]
         assert got == chi0_zero_formula(rs, k, mask), (name, k, mask)
 
 
@@ -323,12 +322,18 @@ def test_try_factor_exponents():
 
 def test_terao_check_examples():
     a2 = build("A2")
-    assert terao_check(shi_plus(a2, 1, []), ExponentMultiset((1, 3, 3))).passed
-    cat = shi_plus(a2, 1, a2.positive_roots)
-    assert terao_check(cat, ExponentMultiset((1, 4, 5))).passed
+    assert terao_check(charpoly_mobius(shi_plus(a2, 1, [])), ExponentMultiset((1, 3, 3))).passed
+    cat = charpoly_mobius(shi_plus(a2, 1, a2.positive_roots))
+    verdict = terao_check(cat, ExponentMultiset((1, 4, 5)))
+    assert verdict.passed and verdict.computed == cat
     assert not terao_check(cat, ExponentMultiset((1, 3, 3))).passed
     with pytest.raises(ValueError):
         terao_check(cat, ExponentMultiset((1, 2)))
+    # a chi whose degree is not the number of exponents: the wrong arrangement's
+    with pytest.raises(ValueError, match="chi has degree 2"):
+        terao_check(charpoly_mobius(root_arrangement(a2)), ExponentMultiset((1, 4, 5)))
+    with pytest.raises(ValueError, match="chi has degree 4"):
+        terao_check(charpoly_mobius(shi_plus(build("A3"), 1, [])), ExponentMultiset((1, 4, 5)))
 
 
 def test_root_sums_track_sizes():
@@ -350,6 +355,8 @@ def test_root_sums_track_sizes():
         {"version": 1, "dim": 3, "chi": ["1.5", "9", "-7", "1"]},
         {"version": 1, "dim": 3, "chi": ["9", "-7", "1"]},
         {"version": 1, "dim": 3, "chi": ["-3", "9", "-7", "2"]},
+        # chi(1) = 0, but the t^2 coefficient is not -|A| = -7
+        {"version": 1, "dim": 3, "chi": ["-8", "15", "-8", "1"]},
     ],
 )
 def test_malformed_cache_file_is_a_miss(tmp_path, blob):

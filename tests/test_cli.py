@@ -345,12 +345,35 @@ def test_charpoly_all_methods_agree(capsys):
 
 
 def test_filtration_reports_an_unsaturated_step(capsys, monkeypatch):
-    original = idealshi.cli.filtration_step
-    # step i-1 in place of step i, so |A_i| < i from the second step on
-    monkeypatch.setattr(idealshi.cli, "filtration_step", lambda rs, i: original(rs, max(i - 1, 1)))
+    original = idealshi.cli.filtration_cone
+    # the cone of step i-1 in place of step i, so |A_i| < i from the second step on
+    monkeypatch.setattr(idealshi.cli, "filtration_cone", lambda rs, i: original(rs, max(i - 1, 1)))
     code, out, _ = run(capsys, "filtration", "A2", "--steps", "3")
     assert code == 1
     assert "saturated:FAIL" in out
+
+
+def test_filtration_builds_each_step_once(capsys, monkeypatch):
+    cones = _count_calls(monkeypatch, idealshi.arrangement, "shi_arrangement")
+    code, out, _ = run(capsys, "filtration", "B3", "--steps", "40", "--format", "json")
+    assert code == 0 and len(json.loads(out)["cases"]) == 40
+    assert len(cones) == 40
+
+
+@pytest.mark.parametrize(
+    "option",
+    [("--out", "{missing}/r.json"), ("--cache-dir", "{file}/chi"), ("--cache-dir", "{file}/chi", "--jobs", "2")],
+    ids=["out", "cache-dir", "cache-dir-jobs"],
+)
+def test_unwritable_path_is_a_usage_error(tmp_path, capsys, monkeypatch, option):
+    (tmp_path / "file").write_text("")
+    option = [a.format(missing=tmp_path / "missing", file=tmp_path / "file") for a in option]
+    cases = _count_calls(monkeypatch, idealshi.cli, "run_case")
+    code, out, err = run(capsys, "verify", "A2", "-k", "1", "--all-ideals", *option)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    if option[0] == "--cache-dir":
+        assert cases == []  # refused before any case ran
 
 
 def test_charpoly_rejects_report_options(tmp_path, capsys):

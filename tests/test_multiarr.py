@@ -238,20 +238,30 @@ def test_shift_predict():
 def test_yoshinaga_examples():
     rs = build("A2")
     hz = z_covector(rs)
-    v = yoshinaga_check(shi_arrangement(rs, 1, [rs.root_at((1, 1))], "+"), hz)
-    assert not v.free and v.chi0_zero == 13 and v.restriction_exponents == (3, 4)
-    v = yoshinaga_check(shi_arrangement(rs, 1, [rs.positive_roots[0]], "+"), hz)
-    assert v.free and v.exponents.parts == (1, 3, 4)
-    v = yoshinaga_check(shi_arrangement(rs, 1, [], "+"), hz)
-    assert v.free and v.exponents.parts == (1, 3, 3)
+    verdicts = []
+    for sigma in ([rs.root_at((1, 1))], [rs.positive_roots[0]], []):
+        arr = shi_arrangement(rs, 1, sigma, "+")
+        verdicts.append(yoshinaga_check(arr, hz, charpoly_mobius(arr)))
+    witness, simple, empty = verdicts
+    assert not witness.free and witness.chi0_zero == 13 and witness.restriction_exponents == (3, 4)
+    assert simple.free and simple.exponents.parts == (1, 3, 4)
+    assert empty.free and empty.exponents.parts == (1, 3, 3)
 
 
 def test_yoshinaga_requires_dimension_3():
     a3 = build("A3")
     from idealshi import shi_plus
 
+    arr3 = shi_plus(a3, 1, [])
     with pytest.raises(ValueError):
-        yoshinaga_check(shi_plus(a3, 1, []), z_covector(a3))
+        yoshinaga_check(arr3, z_covector(a3), charpoly_mobius(arr3))
+    # chi must be the polynomial of an arrangement in 3 coordinates too
+    a2 = build("A2")
+    arr = shi_plus(a2, 1, [])
+    with pytest.raises(ValueError, match="chi of degree 4"):
+        yoshinaga_check(arr, z_covector(a2), charpoly_mobius(arr3))
+    with pytest.raises(ValueError, match="chi of degree 2"):
+        yoshinaga_check(arr, z_covector(a2), charpoly_mobius(root_arrangement(a2)))
 
 
 def freeness_survey(rs, k):
@@ -272,7 +282,7 @@ def freeness_survey(rs, k):
         verdicts = {}
         for sign in "+-":
             arr = shi_arrangement(rs, k, sigma, sign)
-            v = yoshinaga_check(arr, hz)
+            v = yoshinaga_check(arr, hz, charpoly_mobius(arr))
             verdicts[sign] = v
             if v.free:
                 want = tuple(
