@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -345,10 +346,15 @@ class LatticeCache:
     layer for one command (one campaign, or one worker of it), in front of
     an optional on-disk store keyed by a hash of the canonical covector
     set.  The file format is internal and versioned, not a compatibility
-    surface."""
+    surface.  The table carries the size guards of the lattices built to
+    fill it, and a read refuses an arrangement beyond them, so a warm
+    table refuses exactly what a cold one does."""
 
-    def __init__(self, directory: Optional[str] = None):
+    def __init__(
+        self, directory: Optional[str] = None, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM
+    ):
         self.directory = directory
+        self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -357,6 +363,7 @@ class LatticeCache:
         return os.path.join(self.directory, key + ".json")
 
     def get_charpoly(self, arr: Arrangement) -> Optional[tuple[int, ...]]:
+        check_size(arr, max_hyperplanes=self.max_hyperplanes, max_dim=self.max_dim)
         if arr in self._memory or not self.directory:
             return self._memory.get(arr)
         try:
@@ -384,8 +391,8 @@ class LatticeCache:
             "size": arr.size,
             "chi": [str(c) for c in coeffs],
         }
-        path = self._path(arrangement_key(arr))
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        # a temp file of its own, so writers of one entry never share one
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
             json.dump(blob, fh, sort_keys=True)
-        os.replace(tmp, path)
+        os.replace(tmp, self._path(arrangement_key(arr)))

@@ -18,12 +18,9 @@ import numpy as np
 
 from . import linalg
 from .arrangement import (
-    MAX_DIM,
-    MAX_HYPERPLANES,
     Arrangement,
     LatticeCache,
     SizeBoundError,
-    check_size,
     intersection_lattice,
     is_central_charpoly,
     restriction,
@@ -83,25 +80,16 @@ class BadReductionError(RuntimeError):
     """Finite-field counts were inconsistent across the prime set."""
 
 
-def charpoly_mobius(
-    arr: Arrangement,
-    cache: Optional[LatticeCache] = None,
-    *,
-    max_hyperplanes: int = MAX_HYPERPLANES,
-    max_dim: int = MAX_DIM,
-) -> CharPoly:
-    """Mobius-weighted sum of t^dim(X) over the intersection lattice.  The
-    size guards apply before the cache is read, so a warm cache refuses
-    exactly what a cold one does."""
-    check_size(arr, max_hyperplanes=max_hyperplanes, max_dim=max_dim)
-    if cache is not None:
-        hit = cache.get_charpoly(arr)
-        if hit is not None:
-            return CharPoly(hit)
-    lattice = intersection_lattice(arr, max_hyperplanes=max_hyperplanes, max_dim=max_dim)
+def charpoly_mobius(arr: Arrangement, cache: Optional[LatticeCache] = None) -> CharPoly:
+    """Mobius-weighted sum of t^dim(X) over the intersection lattice, built
+    under the size guards of ``cache`` (default ones without it)."""
+    cache = LatticeCache() if cache is None else cache
+    hit = cache.get_charpoly(arr)
+    if hit is not None:
+        return CharPoly(hit)
+    lattice = intersection_lattice(arr, max_hyperplanes=cache.max_hyperplanes, max_dim=cache.max_dim)
     poly = CharPoly(lattice.charpoly_coeffs())
-    if cache is not None:
-        cache.put_charpoly(arr, poly.coeffs)
+    cache.put_charpoly(arr, poly.coeffs)
     return poly
 
 
@@ -113,8 +101,6 @@ def shi_charpoly(
     cache: Optional[LatticeCache] = None,
     *,
     cone: Optional[Arrangement] = None,
-    max_hyperplanes: int = MAX_HYPERPLANES,
-    max_dim: int = MAX_DIM,
 ) -> CharPoly:
     """Polynomial of the ideal-Shi cone (k, roots, sign) by deletion-restriction,
     chi(A) = chi(A - H) - chi(A^H), one plane at a time.  ``cone`` is that
@@ -125,15 +111,14 @@ def shi_charpoly(
     '-'), without {that root = k*z}.  The walk stops at a cone the cache
     holds or at an anchor, (k, {}, '+') or (k, all roots, '-'), whose
     polynomial comes from its own lattice.  Every cone and restriction on
-    the way lies inside the case, so the guards that admit the case bound
-    all of its work.  The canonical order is a linear extension, so the
-    parents of an ideal are ideals, and in a campaign each case costs one
-    restriction lattice.  Each step's result must vanish at t = 1 and have
-    -|A| as its t^(n-1) coefficient, as every central polynomial does.
+    the way lies inside the case, so the table's guards, which its first
+    read applies to the case, bound all of its work.  The canonical
+    order is a linear extension, so the parents of an ideal are ideals, and
+    in a campaign each case costs one restriction lattice.  Each step's
+    result must vanish at t = 1 and have -|A| as its t^(n-1) coefficient,
+    as every central polynomial does.
     """
-    bounds = {"max_hyperplanes": max_hyperplanes, "max_dim": max_dim}
     arr = shi_arrangement(rs, k, roots, sign) if cone is None else cone
-    check_size(arr, **bounds)
     cache = LatticeCache() if cache is None else cache
     mask, full = mask_of(rs, roots), (1 << rs.n_positive) - 1
     chain = []  # (cone, the plane its parent lacks), the case first
@@ -146,9 +131,9 @@ def shi_charpoly(
         plane = root_covector(rs, rs.positive_roots[i], level, coned=True)
         chain.append((arr, plane))
         arr = arr.delete(plane)
-    poly = charpoly_mobius(arr, cache, **bounds) if hit is None else CharPoly(hit)
+    poly = charpoly_mobius(arr, cache) if hit is None else CharPoly(hit)
     for cone, plane in reversed(chain):
-        restricted = charpoly_mobius(restriction(cone, plane), cache, **bounds).coeffs
+        restricted = charpoly_mobius(restriction(cone, plane), cache).coeffs
         poly = CharPoly(tuple(c - r for c, r in zip(poly.coeffs, restricted + (0,))))
         if not is_central_charpoly(cone, poly.coeffs):
             raise AssertionError(

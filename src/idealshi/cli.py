@@ -101,8 +101,6 @@ class CaseSpec:
     subset_mask: int
     subset_index: Optional[int]
     checks: tuple[str, ...]
-    max_hyperplanes: int
-    max_dim: int
 
     @property
     def system(self) -> str:
@@ -121,7 +119,6 @@ class SubsetFacts:
         self.roots = _mask_roots(self.rs, self.mask)
         self.ideal = is_ideal(self.rs, self.mask)
         self.cache = cache
-        self.bounds = {"max_hyperplanes": spec.max_hyperplanes, "max_dim": spec.max_dim}
         self.arrangements: dict[str, Arrangement] = {}
         self.terao_verdicts: dict[str, TeraoVerdict] = {}
         self.yoshinaga_verdicts: dict[str, FreenessVerdict] = {}
@@ -133,8 +130,8 @@ class SubsetFacts:
 
     def chi(self, sign: str) -> CharPoly:
         """The polynomial of this sign's cone, by deletion-restriction
-        through the table; the size guards apply first."""
-        return shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, cone=self.arrangement(sign), **self.bounds)
+        through the table; its size guards apply first."""
+        return shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, cone=self.arrangement(sign))
 
     def yoshinaga(self, sign: str) -> FreenessVerdict:
         if sign not in self.yoshinaga_verdicts:
@@ -204,7 +201,7 @@ def _check_duality(facts: SubsetFacts, sign: str) -> CheckResult:
     # In rank >= 3 freeness cannot be certified from chi, so only the
     # polynomial-level consequences are judged: both signs matching the
     # shifted base exponents, or both provably non-free (chi not split).
-    base_chi = charpoly_mobius(root_arrangement(rs, facts.roots), facts.cache, **facts.bounds)
+    base_chi = charpoly_mobius(root_arrangement(rs, facts.roots), facts.cache)
     split = try_factor_exponents(base_chi)
     if isinstance(split, FactorFailure):
         return CheckResult("duality", SKIPPED, "subset arrangement chi does not split")
@@ -279,9 +276,9 @@ def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
 _worker_cache: Optional[LatticeCache] = None  # set in each worker process of a --jobs pool
 
 
-def _start_worker(cache_dir: Optional[str]) -> None:
+def _start_worker(cache: LatticeCache) -> None:
     global _worker_cache
-    _worker_cache = LatticeCache(cache_dir)
+    _worker_cache = cache
 
 
 def _run_in_worker(spec: CaseSpec) -> list[CaseRecord]:
@@ -369,6 +366,7 @@ def cmd_verify(args) -> int:
         unknown = [c for c in args.checks.split(",") if c not in CHECKS]
         if unknown:
             raise UsageError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")
+    _emit("", args, "a")
     sign = args.sign or "both"
     specs = [
         CaseSpec(
@@ -378,29 +376,28 @@ def cmd_verify(args) -> int:
             subset_mask=mask,
             subset_index=idx,
             checks=tuple(args.checks.split(",")) if args.checks else _default_checks(rs, mask, sign),
-            max_hyperplanes=args.max_hyperplanes,
-            max_dim=args.max_dim,
         )
         for mask, idx in grid
     ]
-    # one chi table for the campaign, or one per worker process
+    # one chi table for the campaign; each worker process starts from a copy
     cache = _table(args)
     if args.jobs > 1:
-        with ProcessPoolExecutor(args.jobs, initializer=_start_worker, initargs=(cache.directory,)) as pool:
+        with ProcessPoolExecutor(args.jobs, initializer=_start_worker, initargs=(cache,)) as pool:
             per_subset = list(pool.map(_run_in_worker, specs))
     else:
         per_subset = [run_case(s, cache) for s in specs]
     report = Report(command="verify", tool_version=__version__, cases=[c for cs in per_subset for c in cs])
-    _emit(report, args)
+    _emit(report.render(args.format, with_timings=args.timings), args)
     return 0 if report.ok else 1
 
 
 def _table(args) -> LatticeCache:
-    """A fresh chi table.  It makes the on-disk store's directory now, so
-    a path that cannot be one is a usage error before any case runs."""
+    """A fresh chi table under the size guards the arguments name.  It
+    makes the on-disk store's directory now, so a path that cannot be one
+    is a usage error before any case runs."""
     directory = args.cache_dir or os.environ.get("IDEALSHI_CACHE")
     try:
-        return LatticeCache(directory)
+        return LatticeCache(directory, max_hyperplanes=args.max_hyperplanes, max_dim=args.max_dim)
     except OSError as err:
         raise UsageError(f"cache directory {directory}: {err.strerror}") from err
 
@@ -409,8 +406,8 @@ def cmd_filtration(args) -> int:
     rs, _ = _read(args)
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
+    _emit("", args, "a")
     cache = _table(args)
-    bounds = {"max_hyperplanes": args.max_hyperplanes, "max_dim": args.max_dim}
     cases = []
     previous: Optional[Arrangement] = None
     for i in range(1, args.steps + 1):
@@ -424,7 +421,7 @@ def cmd_filtration(args) -> int:
         predicted = shi_exponents_dp(rs, *step)
         chi, refused = None, False
         try:
-            verdict = terao_check(shi_charpoly(rs, *step, cache, cone=arr, **bounds), predicted)
+            verdict = terao_check(shi_charpoly(rs, *step, cache, cone=arr), predicted)
             chi = verdict.computed.coeffs
             checks.append(CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}"))
         except SizeBoundError as err:
@@ -446,7 +443,7 @@ def cmd_filtration(args) -> int:
         ))
         previous = arr
     report = Report(command="filtration", tool_version=__version__, cases=cases)
-    _emit(report, args)
+    _emit(report.render(args.format, with_timings=args.timings), args)
     return 0 if report.ok else 1
 
 
@@ -463,13 +460,12 @@ def cmd_charpoly(args) -> int:
         arr = shi_arrangement(rs, args.k, roots, sign)
         label = f"Shi k={args.k} sign {sign} subset {{{','.join(r.name for r in roots)}}}"
     cache = _table(args)
-    bounds = {"max_hyperplanes": args.max_hyperplanes, "max_dim": args.max_dim}
     polys = {}
     methods = ("mobius", "whitney", "finite-field") if args.method == "all" else (args.method,)
     for method in methods:
         try:
             if method == "mobius":
-                polys[method] = charpoly_mobius(arr, cache, **bounds)
+                polys[method] = charpoly_mobius(arr, cache)
             elif method == "whitney":
                 polys[method] = charpoly_whitney(arr)
             else:
@@ -488,16 +484,18 @@ def cmd_charpoly(args) -> int:
     return 0
 
 
-def _emit(report: Report, args) -> None:
-    text = report.render(args.format, with_timings=args.timings)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise UsageError(f"cannot write --out {args.out}: {err.strerror}") from err
-    else:
+def _emit(text: str, args, mode: str = "w") -> None:
+    """Write ``text`` to ``--out``, or to stdout without it.  The report
+    commands first append "" to ``--out``, so a path that cannot be
+    written is a usage error before any case runs."""
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, mode) as fh:
+            fh.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write --out {args.out}: {err.strerror}") from err
 
 
 # ---------------------------------------------------------------------------

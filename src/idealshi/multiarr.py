@@ -13,9 +13,8 @@ addition), and the finished pair is checked by Saito's criterion
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 from math import comb
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .linalg import Vec
 from .rootsys import ExponentMultiset
 
 Multiplicity = Mapping[Vec, int]
-Rows = Callable[[int], list[list[int]]]  # degree -> the condition rows a caller built
 
 
 def _line_row(a: int, b: int, t: int, d: int) -> list[int]:
@@ -72,14 +70,12 @@ def derivation_space_dim(arr2: Arrangement, mult: Multiplicity, degree: int) -> 
     return 2 * (degree + 1) - linalg.rank(_conditions(arr2, mult, degree))
 
 
-def saito_certified(
-    arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int], theta2: Sequence[int], rows: Optional[Rows] = None
-) -> bool:
+def saito_certified(arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int], theta2: Sequence[int]) -> bool:
     """Saito's criterion: do theta1, theta2 (unknowns as in :func:`_line_conditions`)
     meet every line condition, with det[theta1 theta2] = c * prod alpha_H^(m_H),
     c != 0?  Both sides are forms of degree |m|, compared at y = 1."""
-    rows = rows or partial(_conditions, arr2, mult)
-    if any(linalg.dot(r, t) for t in (theta1, theta2) for r in rows(len(t) // 2 - 1)):
+    rows = {d: _conditions(arr2, mult, d) for d in {len(theta1) // 2 - 1, len(theta2) // 2 - 1}}
+    if any(linalg.dot(r, t) for t in (theta1, theta2) for r in rows[len(t) // 2 - 1]):
         return False
     (p1, q1), (p2, q2) = (np.array(t, dtype=object).reshape(2, -1) for t in (theta1, theta2))
     det, target = np.convolve(p1, q2) - np.convolve(p2, q1), np.ones(1, dtype=object)
@@ -147,7 +143,7 @@ def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity) -> tuple[int, int]:
             if mult.get((a, b), 0) > j:
                 theta1, theta2 = _raise(a, b, j, theta1, theta2)
     d1, d2 = len(theta1) // 2 - 1, len(theta2) // 2 - 1
-    if not saito_certified(arr2, mult, theta1, theta2, cache(partial(_conditions, arr2, mult))):
+    if not saito_certified(arr2, mult, theta1, theta2):
         raise AssertionError(f"no derivation basis of degrees ({d1}, {d2}) passes Saito's criterion")
     return d1, d2
 

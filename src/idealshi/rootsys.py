@@ -150,7 +150,6 @@ class RootSystem:
     def __init__(self, rstype: RootSystemType, positive_roots: Sequence[Root]):
         self.type = rstype
         self.rank = rstype.rank
-        self.cartan = rstype.cartan_matrix()
         self.positive_roots: tuple[Root, ...] = tuple(positive_roots)
         self.index: dict[Vec, int] = {r.coeffs: i for i, r in enumerate(self.positive_roots)}
         self.n_positive = len(self.positive_roots)

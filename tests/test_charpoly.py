@@ -262,12 +262,16 @@ def test_shi_chain_checks_every_step(systems):
         shi_charpoly(rs, 1, rs.positive_roots, "+", table)
 
 
-def test_shi_chain_refuses_before_reading_the_table(systems):
+def test_shi_chain_refuses_before_reading_the_table(systems, tmp_path):
+    # a store filled under the default guards, then read under tighter ones
     rs = systems["B3"]
-    table = LatticeCache()
-    shi_charpoly(rs, 2, rs.positive_roots, "+", table)
-    with pytest.raises(SizeBoundError, match="46 hyperplanes exceed bound 40"):
-        shi_charpoly(rs, 2, rs.positive_roots, "+", table, max_hyperplanes=40)
+    shi_charpoly(rs, 2, rs.positive_roots, "+", LatticeCache(str(tmp_path)))
+    table = LatticeCache(str(tmp_path), max_hyperplanes=40)
+    cone = shi_arrangement(rs, 2, rs.positive_roots, "+")
+    for read in (lambda: shi_charpoly(rs, 2, rs.positive_roots, "+", table), lambda: charpoly_mobius(cone, table)):
+        with pytest.raises(SizeBoundError, match="46 hyperplanes exceed bound 40"):
+            read()
+    assert LatticeCache(str(tmp_path)).get_charpoly(cone) == charpoly_mobius(cone).coeffs
 
 
 def test_chi0_examples():
@@ -342,6 +346,26 @@ def test_root_sums_track_sizes():
         split = try_factor_exponents(charpoly_mobius(arr))
         if not isinstance(split, FactorFailure):
             assert split.total() == arr.size
+
+
+def test_concurrent_writers_of_one_entry(tmp_path, monkeypatch):
+    # two workers of a campaign store the same arrangement at once: the
+    # second writes its whole entry while the first is about to rename
+    arr = shi_plus(build("A2"), 1, [])
+    chi = poly_of_roots(1, 3, 3)
+    first, second = LatticeCache(str(tmp_path)), LatticeCache(str(tmp_path))
+    replace = os.replace
+    pending = [lambda: second.put_charpoly(arr, chi)]
+
+    def interleaved(src, dst):
+        while pending:
+            pending.pop()()
+        replace(src, dst)
+
+    monkeypatch.setattr(idealshi.arrangement.os, "replace", interleaved)
+    first.put_charpoly(arr, chi)
+    assert not pending
+    assert LatticeCache(str(tmp_path)).get_charpoly(arr) == chi
 
 
 @pytest.mark.parametrize(

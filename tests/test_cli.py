@@ -154,10 +154,13 @@ def test_verify_out_file(tmp_path, capsys):
 
 
 def test_verify_jobs_parallel_matches_sequential(capsys):
-    args = ("verify", "B2", "-k", "1", "--all-ideals", "--format", "json")
-    _, seq, _ = run(capsys, *args)
-    _, par, _ = run(capsys, *args, "--jobs", "2")
-    assert seq == par
+    # the workers run under the campaign table's guards
+    for guards, skipped in (((), 0), (("--max-hyperplanes", "9"), 10)):
+        args = ("verify", "B2", "-k", "1", "--all-ideals", "--format", "json", *guards)
+        _, seq, _ = run(capsys, *args)
+        _, par, _ = run(capsys, *args, "--jobs", "2")
+        assert seq == par
+        assert json.loads(seq)["summary"]["skipped"] == skipped
 
 
 def test_verify_cache_roundtrip(tmp_path, capsys):
@@ -372,8 +375,14 @@ def test_unwritable_path_is_a_usage_error(tmp_path, capsys, monkeypatch, option)
     code, out, err = run(capsys, "verify", "A2", "-k", "1", "--all-ideals", *option)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
-    if option[0] == "--cache-dir":
-        assert cases == []  # refused before any case ran
+    assert cases == []  # refused before any case ran
+
+
+def test_filtration_checks_out_before_any_step(tmp_path, capsys, monkeypatch):
+    steps = _count_calls(monkeypatch, idealshi.arrangement, "filtration_cone")
+    code, out, err = run(capsys, "filtration", "A2", "--steps", "3", "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2 and out == "" and err.startswith("error: cannot write --out")
+    assert steps == []
 
 
 def test_charpoly_rejects_report_options(tmp_path, capsys):
