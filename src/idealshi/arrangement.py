@@ -356,6 +356,7 @@ class LatticeCache:
         self.directory = directory
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
+        self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, never on disk
         if directory:
             os.makedirs(directory, exist_ok=True)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -245,17 +246,10 @@ def _interpolate_batch(arr: Arrangement, primes: Sequence[int]) -> CharPoly:
     xs, ys = primes[: n + 1], counts[: n + 1]
     coeffs = [Fraction(0)] * (n + 1)
     for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for d in range(len(basis) - 1):
-                basis[d] -= xj * basis[d + 1]
-            denom *= xi - xj
-        for d in range(len(basis)):
-            coeffs[d] += Fraction(yi) * basis[d] / denom
+        others = xs[:i] + xs[i + 1 :]  # Lagrange basis: prod (t - xj) / (xi - xj) over j != i
+        denom = prod(xi - xj for xj in others)
+        for d, c in enumerate(CharPoly.from_roots(others).coeffs):
+            coeffs[d] += Fraction(yi * c, denom)
     if any(c.denominator != 1 for c in coeffs) or coeffs[-1] != 1:
         raise BadReductionError(f"interpolant from primes {list(primes)} is not monic integral")
     poly = CharPoly(tuple(int(c) for c in coeffs))

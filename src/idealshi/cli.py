@@ -135,7 +135,8 @@ class SubsetFacts:
 
     def yoshinaga(self, sign: str) -> FreenessVerdict:
         if sign not in self.yoshinaga_verdicts:
-            self.yoshinaga_verdicts[sign] = yoshinaga_check(self.arrangement(sign), z_covector(self.rs), self.chi(sign))
+            arr, bases = self.arrangement(sign), self.cache.rank2_bases
+            self.yoshinaga_verdicts[sign] = yoshinaga_check(arr, z_covector(self.rs), self.chi(sign), bases=bases)
         return self.yoshinaga_verdicts[sign]
 
     @cached_property
@@ -148,7 +149,7 @@ class SubsetFacts:
         """Exponents (z included) that the shift law predicts for each sign:
         the base exponents of the 0/1 indicator multiplicity, shifted by 2k."""
         rs = self.rs
-        base = ExponentMultiset(exp_rank2_multi(root_arrangement(rs), self.indicator))
+        base = ExponentMultiset(exp_rank2_multi(root_arrangement(rs), self.indicator, bases=self.cache.rank2_bases))
         return {s: tuple(sorted((1,) + shift_predict(base, self.k, rs.coxeter_number, s).parts)) for s in "+-"}
 
 

@@ -110,7 +110,3 @@ def rref(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
 
 def rank(vectors: Iterable[Sequence[int]]) -> int:
     return len(rref(vectors))
-
-
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))

@@ -6,8 +6,8 @@ when a*P + b*Q is divisible by (a*x + b*y)^m, a linear condition on the
 coefficients of (P, Q).  A basis of the derivation module is built by
 raising the multiplicities one unit at a time from d/dx, d/dy at m = 0,
 each step in closed form (the rank-2 case of the Abe-Terao-Wakefield
-addition), and the finished pair is checked by Saito's criterion
-(Ziegler 1989) on every row.  No linear system is solved.
+addition).  Saito's criterion (Ziegler 1989) certifies the finished pair,
+membership by exact division.  No linear system is solved.
 """
 
 from __future__ import annotations
@@ -27,30 +27,21 @@ from .rootsys import ExponentMultiset
 Multiplicity = Mapping[Vec, int]
 
 
-def _line_row(a: int, b: int, t: int, d: int) -> list[int]:
-    """Row t of :func:`_line_conditions`: the coefficient of u^t w^(d-t)
-    in b^d * (a*P + b*Q), or of x^t y^(d-t) in a*P when b = 0."""
-    row = [0] * (2 * (d + 1))
-    if b == 0:
-        row[t] = a
-        return row
-    for s in range(0, d - t + 1):
-        coef = (b**s) * comb(d - s, t) * ((-a) ** (d - s - t))
-        if coef:
-            row[s] += a * coef
-            row[d + 1 + s] += b * coef
-    return row
-
-
 def _line_conditions(a: int, b: int, m: int, d: int) -> list[list[int]]:
     """Rows forcing (a*x + b*y)^m to divide a*P + b*Q, P, Q of degree d.
 
     Unknown layout: p_0..p_d then q_0..q_d, where P = sum p_s x^s y^(d-s).
-    With u = a*x + b*y and w = x (b != 0), the coefficient of u^t w^(d-t)
-    in b^d * (a*P + b*Q) is sum_s r_s b^s C(d-s, t) (-a)^(d-s-t), where
-    r_s = a*p_s + b*q_s; the first m of these must vanish.
+    Row t is the coefficient of u^t w^(d-t), u = a*x + b*y and w = x, in
+    b^d * (a*P + b*Q): sum_s r_s b^s C(d-s, t) (-a)^(d-s-t), r_s = a*p_s +
+    b*q_s; or of x^t y^(d-t) in a*P when b = 0.  The first m must vanish.
     """
-    return [_line_row(a, b, t, d) for t in range(min(m, d + 1))]
+    rows = [[0] * (2 * (d + 1)) for _ in range(min(m, d + 1))]
+    for t, row in enumerate(rows):
+        for s in range(d - t + 1) if b else ():
+            coef = b**s * comb(d - s, t) * (-a) ** (d - s - t)
+            row[s], row[d + 1 + s] = a * coef, b * coef
+        row[t] += 0 if b else a  # when b = 0, row t reads a*p_t
+    return rows
 
 
 def _validate(arr2: Arrangement, mult: Multiplicity) -> None:
@@ -70,12 +61,31 @@ def derivation_space_dim(arr2: Arrangement, mult: Multiplicity, degree: int) -> 
     return 2 * (degree + 1) - linalg.rank(_conditions(arr2, mult, degree))
 
 
+def _respects(a: int, b: int, m: int, theta: Sequence[int]) -> bool:
+    """Does alpha^m divide g = a*P + b*Q, alpha = a*x + b*y primitive?  g is
+    divided by alpha m times by integer synthetic division from its top term
+    (in y when a = 0); by Gauss's lemma an inexact quotient means no."""
+    n = len(theta) // 2
+    g = [a * u + b * v for u, v in zip(theta[:n], theta[n:])][:: -1 if a else 1]
+    a, b = (a, b) if a else (b, a)
+    for _ in range(m if any(g) else 0):  # a nonzero g fails by m = deg g + 1
+        h, quotient = [], 0  # h_(s-1) = (g_s - b*h_s) / a, s = deg g .. 0; h_(-1) = 0
+        for c in g:
+            quotient, rest = divmod(c - b * quotient, a)
+            if rest:
+                return False
+            h.append(quotient)
+        if h.pop():
+            return False
+        g = h
+    return True
+
+
 def saito_certified(arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int], theta2: Sequence[int]) -> bool:
     """Saito's criterion: do theta1, theta2 (unknowns as in :func:`_line_conditions`)
-    meet every line condition, with det[theta1 theta2] = c * prod alpha_H^(m_H),
-    c != 0?  Both sides are forms of degree |m|, compared at y = 1."""
-    rows = {d: _conditions(arr2, mult, d) for d in {len(theta1) // 2 - 1, len(theta2) // 2 - 1}}
-    if any(linalg.dot(r, t) for t in (theta1, theta2) for r in rows[len(t) // 2 - 1]):
+    lie in D(A, m), by exact division, with det[theta1 theta2] = c * prod
+    alpha_H^(m_H), c != 0?  Both sides are forms of degree |m|, compared at y = 1."""
+    if not all(_respects(a, b, mult.get((a, b), 0), t) for a, b in arr2.covectors for t in (theta1, theta2)):
         return False
     (p1, q1), (p2, q2) = (np.array(t, dtype=object).reshape(2, -1) for t in (theta1, theta2))
     det, target = np.convolve(p1, q2) - np.convolve(p2, q1), np.ones(1, dtype=object)
@@ -87,10 +97,14 @@ def saito_certified(arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int]
 
 
 def _step_coefficient(a: int, b: int, j: int, theta: Vec) -> int:
-    """Row t = j of the line's conditions at theta's degree, dotted with
-    theta; 0 when j exceeds the degree (then theta(alpha_H) = 0)."""
+    """Row t = j of the line's conditions at theta's degree d, dotted with
+    theta, read without building the row: sum_s (a*p_s + b*q_s) b^s C(d-s, j)
+    (-a)^(d-s-j), or a*p_j when b = 0; 0 when j > d (theta(alpha_H) = 0)."""
     d = len(theta) // 2 - 1
-    return linalg.dot(_line_row(a, b, j, d), theta) if j <= d else 0
+    if j > d or b == 0:
+        return 0 if j > d else a * theta[j]
+    g = [a * p + b * q for p, q in zip(theta[: d + 1], theta[d + 1 :])]
+    return sum(g[s] * b**s * comb(d - s, j) * (-a) ** (d - s - j) for s in range(d - j + 1))
 
 
 def _halves(theta: Vec) -> tuple[list[int], list[int]]:
@@ -120,7 +134,7 @@ def _raise(a: int, b: int, j: int, theta1: Vec, theta2: Vec) -> tuple[Vec, Vec]:
     return tuple(sorted(pair, key=len))
 
 
-def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity) -> tuple[int, int]:
+def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity, bases: Optional[dict] = None) -> tuple[int, int]:
     """Exponent pair (d1, d2), d1 <= d2, of a basis passing Saito's criterion.
 
     The basis starts as d/dx, d/dy at m = 0, and the lines are raised
@@ -135,13 +149,22 @@ def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity) -> tuple[int, int]:
     theta1), made primitive.  On the line x, s*(0, 1), w = y and c_i = a C_i,
     so the last is c1 theta2 - c2 y^delta theta1.  Each step multiplies the
     determinant by a nonzero multiple of alpha_H.
+
+    After j rounds the pair is the one raised for min(m_H, j).  ``bases``
+    maps (lines, multiplicities in line order) to such pairs; the raising
+    resumes from the deepest round it holds and records each one it makes.
     """
     _validate(arr2, mult)
-    theta1, theta2 = (1, 0), (0, 1)
-    for j in range(max(mult.values(), default=0)):
-        for a, b in arr2.covectors:
-            if mult.get((a, b), 0) > j:
+    ms = tuple(mult.get(c, 0) for c in arr2.covectors)
+    keys = [(arr2.covectors, tuple(min(m, j) for m in ms)) for j in range(max(ms) + 1)]  # keys[j]: after j rounds
+    bases = {} if bases is None else bases
+    done = max((j for j, key in enumerate(keys) if key in bases), default=0)
+    theta1, theta2 = bases.get(keys[done], ((1, 0), (0, 1)))  # d/dx, d/dy at m = 0
+    for j in range(done, len(keys) - 1):
+        for (a, b), m in zip(arr2.covectors, ms):
+            if m > j:
                 theta1, theta2 = _raise(a, b, j, theta1, theta2)
+        bases[keys[j + 1]] = theta1, theta2
     d1, d2 = len(theta1) // 2 - 1, len(theta2) // 2 - 1
     if not saito_certified(arr2, mult, theta1, theta2):
         raise AssertionError(f"no derivation basis of degrees ({d1}, {d2}) passes Saito's criterion")
@@ -179,19 +202,21 @@ class FreenessVerdict:
         return f"not free: chi0(0) = {self.chi0_zero} != {d1 * d2} = {d1}*{d2}"
 
 
-def yoshinaga_check(arr3: Arrangement, h0: Sequence[int], chi: CharPoly) -> FreenessVerdict:
+def yoshinaga_check(
+    arr3: Arrangement, h0: Sequence[int], chi: CharPoly, bases: Optional[dict] = None
+) -> FreenessVerdict:
     """Complete freeness test for central arrangements in 3 coordinates.
 
     Compares chi_0 at zero, read from ``chi``, the characteristic
     polynomial of ``arr3``, with the product of the exponents of the
     multirestriction onto ``h0``; equality is equivalent to freeness.  The
     caller computes chi, so size guards apply there, before the rank-2
-    solve runs.
+    solve runs; ``bases`` is passed on to :func:`exp_rank2_multi`.
     """
     if (arr3.dim, chi.degree) != (3, 3):
         raise ValueError(f"the criterion needs ambient dimension 3, got {arr3.dim} and chi of degree {chi.degree}")
     czero = chi0(chi).coeffs[0]
-    d1, d2 = exp_rank2_multi(*ziegler_multiplicity(arr3, h0))
+    d1, d2 = exp_rank2_multi(*ziegler_multiplicity(arr3, h0), bases=bases)
     if czero == d1 * d2:
         return FreenessVerdict(True, ExponentMultiset((1, d1, d2)), czero, (d1, d2))
     return FreenessVerdict(False, None, czero, (d1, d2))

@@ -79,14 +79,12 @@ class Report:
     seed: int = 0
 
     def summary(self) -> dict:
-        counts = {PASS: 0, FAIL: 0, NOT_FREE_CONFIRMED: 0, SKIPPED: 0}
-        for c in self.cases:
-            counts[c.verdict] = counts.get(c.verdict, 0) + 1
+        verdicts = [c.verdict for c in self.cases]
         return {
-            "pass": counts[PASS],
-            "fail": counts[FAIL],
-            "not_free_confirmed": counts[NOT_FREE_CONFIRMED],
-            "skipped": counts[SKIPPED],
+            "pass": verdicts.count(PASS),
+            "fail": verdicts.count(FAIL),
+            "not_free_confirmed": verdicts.count(NOT_FREE_CONFIRMED),
+            "skipped": verdicts.count(SKIPPED),
             "tool_version": self.tool_version,
             "seed": self.seed,
         }

@@ -387,7 +387,7 @@ def test_restricted_basis_spans_the_kernel(v):
     basis = _restricted_basis(np.array([v]), np.eye(len(v), dtype=np.int64)[None])[0].tolist()
     assert len(basis) == len(v) - 1
     for row in basis:
-        assert linalg.dot(row, v) == 0
+        assert sum(x * y for x, y in zip(row, v)) == 0
     assert linalg.rank(basis) == len(v) - 1
 
 

@@ -274,6 +274,41 @@ def test_no_table_outlives_a_call(capsys, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_no_rank2_basis_outlives_a_call(capsys, monkeypatch):
+    # the bases of a campaign live in its table: a second run in the same
+    # process raises exactly as many steps as the first
+    steps = _count_calls(monkeypatch, idealshi.multiarr, "_raise")
+    counts = []
+    for _ in range(2):
+        assert run(capsys, "verify", "G2", "-k", "5", "--all-ideals", "--format", "json")[0] == 0
+        counts.append(len(steps))
+        steps.clear()
+    assert counts[0] == counts[1] > 0
+
+
+def test_tampered_rank2_basis_is_an_internal_error(capsys, monkeypatch):
+    # the G2 k=1 multirestrictions put 2 on each line; their first round,
+    # with theta2 replaced by x * theta2, sits in the campaign's table
+    g2 = idealshi.arrangement.root_arrangement(idealshi.cli.build("G2"))
+    bases = {}
+    idealshi.multiarr.exp_rank2_multi(g2, dict.fromkeys(g2.covectors, 1), bases=bases)
+    key = (g2.covectors, (1,) * 6)
+    theta1, theta2 = bases[key]
+    n = len(theta2) // 2
+    tampered = {key: (theta1, (0,) + theta2[:n] + (0,) + theta2[n:])}
+    table = idealshi.cli._table
+
+    def tampered_table(args):
+        cache = table(args)
+        cache.rank2_bases.update(tampered)
+        return cache
+
+    monkeypatch.setattr(idealshi.cli, "_table", tampered_table)
+    code, out, err = run(capsys, "verify", "G2", "-k", "1", "--all-ideals", "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: no derivation basis of degrees")
+
+
 def test_charpoly_mobius_builds_the_case_lattice(capsys, monkeypatch):
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
     assert run(capsys, "charpoly", "B3", "-k", "1", "--method", "mobius")[0] == 0

@@ -1,5 +1,7 @@
 """Rank-2 multiarrangement exponents and the ambient-3 freeness criterion."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from idealshi import (
     build,
     charpoly_mobius,
     derivation_space_dim,
+    enumerate_ideals,
     exp_rank2_multi,
     linalg,
     root_arrangement,
@@ -20,8 +23,13 @@ from idealshi import (
     shift_predict,
     yoshinaga_check,
     z_covector,
+    ziegler_multiplicity,
 )
 from idealshi.multiarr import saito_certified
+
+
+def dot(row, theta):
+    return sum(x * y for x, y in zip(row, theta))
 
 
 def a2_lines():
@@ -142,7 +150,7 @@ def test_certified_basis_meets_every_row(monkeypatch, name, m):
     for theta in certified_basis(monkeypatch, arr2, mult):
         rows = idealshi.multiarr._conditions(arr2, mult, len(theta) // 2 - 1)
         assert len(rows) == sum(min(e, len(theta) // 2) for e in mult.values())
-        assert not any(linalg.dot(row, theta) for row in rows)
+        assert not any(dot(row, theta) for row in rows)
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -202,7 +210,7 @@ def test_tampered_basis_fails_the_certificate(monkeypatch, index):
     pad = (0,) * (d2 - d1)
     multiple = tuple(2 * c for c in pad + theta1[: d1 + 1] + pad + theta1[d1 + 1 :])
     conditions = idealshi.multiarr._conditions(arr2, mult, d2)
-    assert not any(linalg.dot(row, multiple) for row in conditions)
+    assert not any(dot(row, multiple) for row in conditions)
     assert not saito_certified(arr2, mult, theta1, multiple)
     # one perturbed coefficient, anywhere in either derivation
     for theta, other in ((theta1, theta2), (theta2, theta1)):
@@ -220,6 +228,127 @@ def test_certificate_checks_membership_and_degree():
     assert not saito_certified(axes, mult, (1, 0, 0, 0), (0, 0, 0, 1))
     # (x + y) * theta2 is a derivation, but the degrees sum to |m| + 1
     assert not saito_certified(axes, mult, theta1, (0, 0, 0, 1, 1, 0))
+
+
+@st.composite
+def line_memberships(draw):
+    """A primitive line, a derivation theta of degree d as in _line_conditions,
+    and a multiplicity m up to d + 3.  Half of the draws make a*P + b*Q a
+    multiple of alpha^m (theta = alpha^m * theta'), or zero, so that the
+    positive answer is exercised too."""
+    a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+    a, b = linalg.normalize_primitive((a, b))
+    m = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["random", "multiple", "zero"]))
+    if kind == "random":
+        d = draw(st.integers(0, 8))
+        m = min(m, d + 3)
+        theta = tuple(draw(st.lists(st.integers(-5, 5), min_size=2 * d + 2, max_size=2 * d + 2)))
+    elif kind == "multiple":
+        e = draw(st.integers(0, 4))
+        theta = tuple(draw(st.lists(st.integers(-5, 5), min_size=2 * e + 2, max_size=2 * e + 2)))
+        m = min(m, 6)
+        for _ in range(m):
+            theta = idealshi.multiarr._times_line(a, b, theta)
+    else:  # P = b*R, Q = -a*R: a*P + b*Q = 0, so every m > d + 1 holds too
+        r = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=9))
+        theta = tuple(b * c for c in r) + tuple(-a * c for c in r)
+    return a, b, m, theta, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_memberships())
+def test_division_matches_condition_rows(case):
+    # exact division by alpha^m decides what the condition rows decide
+    a, b, m, theta, kind = case
+    d = len(theta) // 2 - 1
+    rows = idealshi.multiarr._line_conditions(a, b, m, d)
+    by_rows = not any(dot(row, theta) for row in rows)
+    assert idealshi.multiarr._respects(a, b, m, theta) == by_rows
+    if kind != "random":
+        assert by_rows
+    # the step rule reads row j of the same conditions
+    for j in range(d + 2):
+        want = dot(idealshi.multiarr._line_conditions(a, b, j + 1, d)[j], theta) if j <= d else 0
+        assert idealshi.multiarr._step_coefficient(a, b, j, theta) == want
+
+
+def test_division_examples():
+    # theta = (p_0, .., p_d, q_0, .., q_d), P = sum p_s x^s y^(d-s)
+    respects = idealshi.multiarr._respects
+    # x - y: P = (x - y)^2, Q = 0; (x - y)^2 divides P - Q, (x - y)^3 does not
+    assert respects(1, -1, 2, (1, -2, 1, 0, 0, 0)) and not respects(1, -1, 3, (1, -2, 1, 0, 0, 0))
+    # y (a = 0): y^2 divides Q = y^2, y does not divide Q = x^2
+    assert respects(0, 1, 2, (0, 0, 0, 1, 0, 0)) and not respects(0, 1, 1, (0, 0, 0, 0, 0, 1))
+    # 2x + 3y: P = x, Q = y gives 2P + 3Q = 2x + 3y
+    assert respects(2, 3, 1, (0, 1, 1, 0))
+    # 2x + y: P = x, Q = x + 2y gives 3x + 2y, whose first quotient 3/2 is
+    # not an integer; rounded down, the remainder y would divide to 1/2 -> 0
+    assert not respects(2, 1, 1, (0, 1, 2, 1))
+    # x (b = 0): x^2 divides P = x^2; a nonzero form of degree 2 is never
+    # divisible by x^3
+    assert respects(1, 0, 2, (0, 0, 1, 0, 0, 0)) and not respects(1, 0, 3, (0, 0, 1, 0, 0, 0))
+
+
+def g2_campaign_inputs(k):
+    """The rank-2 inputs of ``verify G2 -k K --all-ideals``: per ideal, the
+    shift law's indicator on the root lines and the multirestriction of
+    each sign's cone onto {z = 0}."""
+    rs = build("G2")
+    base, hz = root_arrangement(rs), z_covector(rs)
+    inputs = []
+    for ideal in enumerate_ideals(rs):
+        inputs.append((base, {root_covector(rs, r): r in ideal.roots for r in rs.positive_roots}))
+        inputs += [ziegler_multiplicity(shi_arrangement(rs, k, ideal.roots, s), hz) for s in "+-"]
+    return inputs
+
+
+def test_shared_bases_match_cold_calls(monkeypatch):
+    inputs = g2_campaign_inputs(5)
+    assert len(inputs) == 24
+    cold = [exp_rank2_multi(arr2, mult) for arr2, mult in inputs]
+    steps = []
+    original = idealshi.multiarr._raise
+    monkeypatch.setattr(idealshi.multiarr, "_raise", lambda *args: steps.append(args) or original(*args))
+    order, counts = list(range(len(inputs))), []
+    for seed in range(3):
+        random.Random(seed).shuffle(order)
+        bases, steps[:] = {}, []
+        warm = {i: exp_rank2_multi(*inputs[i], bases=bases) for i in order}
+        assert [warm[i] for i in range(len(inputs))] == cold
+        counts.append(len(steps))
+        # a full table raises nothing more
+        assert all(exp_rank2_multi(*inputs[i], bases=bases) == cold[i] for i in order)
+        assert len(steps) == counts[-1]
+    # each round that any input reaches is raised once, whatever the order;
+    # one step raises one unit of one line, so the cold calls take sum |m| steps
+    assert len(set(counts)) == 1 and counts[0] < sum(sum(mult.values()) for _, mult in inputs) // 4
+
+
+def times_x(theta):
+    """x * theta, each half shifted up one power of x."""
+    n = len(theta) // 2
+    return (0,) + theta[:n] + (0,) + theta[n:]
+
+
+@pytest.mark.parametrize("depth", ["last", "middle"])
+def test_tampered_bases_fail_the_certificate(depth):
+    # the raising resumes from the deepest round held, so the "middle" table
+    # drops the rounds after the tampered one
+    g2 = root_arrangement(build("G2"))
+    mult = {c: 10 + (i == 5) for i, c in enumerate(g2.covectors)}
+    bases = {}
+    assert exp_rank2_multi(g2, mult, bases=bases) == (30, 31)
+    keys = sorted(bases, key=lambda key: sum(key[1]))
+    assert len(keys) == 11 and all(key[0] == g2.covectors for key in keys)
+    kept = keys if depth == "last" else keys[:6]
+    theta1, theta2 = bases[kept[-1]]
+    for tampered in ((theta1, times_x(theta2)), (theta1[:-1] + (theta1[-1] + 1,), theta2)):
+        bad = {**{key: bases[key] for key in kept}, kept[-1]: tampered}
+        with pytest.raises(AssertionError, match="passes Saito's criterion"):
+            exp_rank2_multi(g2, mult, bases=bad)
+    # the untouched table still certifies
+    assert exp_rank2_multi(g2, mult, bases=bases) == (30, 31)
 
 
 def test_dimension_nondecreasing():
