@@ -91,7 +91,7 @@ def z_covector(rs: RootSystem) -> Vec:
 def root_arrangement(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> Arrangement:
     """The arrangement {root = 0 : root in subset} in rank-many coordinates."""
     chosen = rs.positive_roots if roots is None else tuple(roots)
-    return Arrangement.of(rs.rank, [root_covector(rs, r) for r in chosen])
+    return Arrangement(rs.rank, tuple(sorted({root_covector(rs, r) for r in chosen})))
 
 
 def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root], sign: str) -> Arrangement:
@@ -161,7 +161,7 @@ def _maxabs(a: np.ndarray) -> int:
 def _primitive(rows: np.ndarray) -> np.ndarray:
     """Divide each row (last axis) by its content and make its first
     nonzero entry positive; zero rows stay zero."""
-    g = np.gcd.reduce(rows, axis=-1)
+    g = np.abs(np.gcd.reduce(rows, axis=-1))  # a lone entry reduces to itself
     lead = np.take_along_axis(rows, np.argmax(rows != 0, axis=-1)[..., None], axis=-1)[..., 0]
     g = np.where(lead < 0, -g, g)
     g[g == 0] = 1
@@ -293,7 +293,10 @@ def _traces(arr: Arrangement, h0: Vec) -> list[Vec]:
     eye = np.eye(arr.dim, dtype=np.int64)[None]
     basis = _restricted_basis(*_exact(_maxabs(vecs), vecs[:1], eye))[0]
     covs, basis = _exact(_maxabs(vecs) * _maxabs(basis) * arr.dim, vecs[1:], basis)
-    return [covector(row) for row in (covs @ basis.T).tolist()]
+    traces = covs @ basis.T
+    if not traces.any(axis=1).all():
+        raise ValueError("the zero vector does not define a hyperplane")
+    return [tuple(row) for row in _primitive(traces).tolist()] if traces.size else []
 
 
 def restriction(arr: Arrangement, h0: Sequence[int]) -> Arrangement:
@@ -303,8 +306,7 @@ def restriction(arr: Arrangement, h0: Sequence[int]) -> Arrangement:
     comes from the lattice build's kernel rule, so restricted arrangements
     are canonical, and {z = 0} keeps the first n-1 coordinates.
     """
-    h0v = covector(h0)
-    return Arrangement.of(arr.dim - 1, _traces(arr, h0v))
+    return Arrangement(arr.dim - 1, tuple(sorted(set(_traces(arr, covector(h0))))))
 
 
 def ziegler_multiplicity(

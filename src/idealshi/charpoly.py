@@ -163,11 +163,11 @@ def charpoly_whitney(arr: Arrangement, max_hyperplanes: int = 22) -> CharPoly:
         if i == m:
             coeffs[n - size] += -1 if size % 2 else 1
             return
-        ins = linalg.insert_row(rows, pivots, covs[i])
-        if ins is None:
+        new = linalg.reduce_row(covs[i], rows, pivots)
+        if (piv := linalg.first_nonzero(new)) < 0:
             return  # dependent: the include/exclude subtrees cancel exactly
         walk(i + 1, rows, pivots, size)
-        walk(i + 1, ins[0], ins[1], size + 1)
+        walk(i + 1, rows + (new,), pivots + (piv,), size + 1)
 
     walk(0, (), (), 0)
     return CharPoly(tuple(coeffs))

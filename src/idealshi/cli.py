@@ -61,6 +61,7 @@ from .rootsys import (
     RootSystem,
     build,
     mask_of,
+    roots_of,
     shi_exponents_dp,
     weyl_exponents,
 )
@@ -84,10 +85,6 @@ def _parse_subset(rs: RootSystem, spec: str) -> tuple[int, Optional[int]]:
         return ideals[idx].mask, idx
     roots = [Root.parse(tok, rs.rank) for tok in spec.split(",")]
     return mask_of(rs, roots), None
-
-
-def _mask_roots(rs: RootSystem, mask: int) -> tuple[Root, ...]:
-    return tuple(r for i, r in enumerate(rs.positive_roots) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class SubsetFacts:
         self.rs = spec.rs
         self.k = spec.k
         self.mask = spec.subset_mask
-        self.roots = _mask_roots(self.rs, self.mask)
+        self.roots = roots_of(self.rs, self.mask)
         self.ideal = is_ideal(self.rs, self.mask)
         self.cache = cache
         self.arrangements: dict[str, Arrangement] = {}
@@ -320,7 +317,7 @@ def cmd_exponents(args) -> int:
         return 0
     rows = []
     for mask, idx in grid:
-        roots = _mask_roots(rs, mask)
+        roots = roots_of(rs, mask)
         if not is_ideal(rs, mask):
             raise UsageError("dual-partition exponents are defined for ideals only")
         for sign in _signs(args.sign or "both"):
@@ -453,7 +450,7 @@ def cmd_charpoly(args) -> int:
     if args.sign == "both":
         raise UsageError("charpoly computes one polynomial: --sign takes + or -")
     sign = args.sign or "+"  # by default the polynomial of the cone adding planes
-    roots = _mask_roots(rs, mask)
+    roots = roots_of(rs, mask)
     if args.k is None:
         arr = root_arrangement(rs, roots if args.subset is not None else None)
         label = f"A({args.subset or 'all roots'}) in {arr.dim} coordinates"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, is_ideal, weyl_exponents
+from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, is_ideal, roots_of, weyl_exponents
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class Ideal:
 
     @property
     def roots(self) -> tuple[Root, ...]:
-        return tuple(r for i, r in enumerate(self.rs.positive_roots) if self.mask >> i & 1)
+        return roots_of(self.rs, self.mask)
 
     @property
     def heights(self) -> tuple[int, ...]:

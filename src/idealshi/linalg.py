@@ -1,11 +1,11 @@
-"""Exact integer linear algebra: canonical row spaces.
+"""Exact integer linear algebra: primitive vectors and fraction-free elimination.
 
-Everything here works over arbitrary-precision Python integers.  A linear
-subspace of Q^n is represented by the unique "integer RREF" of a spanning
-set of row vectors: rows have distinct pivot columns, zeros above and below
-every pivot, each row is primitive (content 1) with a positive pivot, and
-rows are sorted by pivot column.  Two row sets span the same subspace if
-and only if their canonical forms are equal.
+Everything here works over arbitrary-precision Python integers.  The
+program needs primitive covectors and fraction-free row reduction.  The
+canonical "integer RREF" (distinct pivot columns, zeros above and below
+every pivot, each row primitive with a positive pivot, rows sorted by
+pivot) remains for :func:`rank` and for the tests' brute-force lattice
+oracle, which compares row spaces by their canonical forms.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def normalize_primitive(v: Sequence[int]) -> Optional[Vec]:
 
 
 def reduce_row(v: Sequence[int], rows: Sequence[Vec], pivots: Sequence[int]) -> list[int]:
-    """Eliminate the pivot entries of ``rows`` from ``v``.
+    """Eliminate the pivot entries of ``rows``, an echelon basis, from ``v``.
 
     Fraction-free: the result is an integer multiple of the rational
     reduction, which is all callers need (zero test, span building).
@@ -70,33 +70,19 @@ def _insert(rows: list[list[int]], pivots: list[int], v: Sequence[int]) -> bool:
     from the old rows (whose leading entries stay positive).  Rows keep
     insertion order; callers sort them by pivot.
     """
-    new = reduce_row(v, rows, pivots)
-    piv = first_nonzero(new)
-    if piv < 0:
+    new = normalize_primitive(reduce_row(v, rows, pivots))
+    if new is None:
         return False
-    g = content(new) if new[piv] > 0 else -content(new)
-    new = [x // g for x in new]
+    piv = first_nonzero(new)
     for i, r in enumerate(rows):
         b = r[piv]
         if b:
             r = [new[piv] * x - b * y for x, y in zip(r, new)]
             g = content(r)
             rows[i] = [x // g for x in r]
-    rows.append(new)
+    rows.append(list(new))
     pivots.append(piv)
     return True
-
-
-def insert_row(
-    rows: tuple[Vec, ...], pivots: tuple[int, ...], v: Sequence[int]
-) -> Optional[tuple[tuple[Vec, ...], tuple[int, ...]]]:
-    """The canonical (rows, pivots) of the span of ``rows`` and ``v``, or
-    None when ``v`` already lies in the row space."""
-    new_rows, new_pivots = list(rows), list(pivots)
-    if not _insert(new_rows, new_pivots, v):
-        return None
-    ordered = sorted(zip(new_pivots, new_rows))
-    return tuple(tuple(r) for _, r in ordered), tuple(p for p, _ in ordered)
 
 
 def rref(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:

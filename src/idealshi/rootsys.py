@@ -315,6 +315,11 @@ def mask_of(rs: RootSystem, roots: Iterable[Root]) -> int:
     return mask
 
 
+def roots_of(rs: RootSystem, mask: int) -> tuple[Root, ...]:
+    """The positive roots in a bitmask, in canonical order: the inverse of :func:`mask_of`."""
+    return tuple(r for i, r in enumerate(rs.positive_roots) if mask >> i & 1)
+
+
 def is_ideal(rs: RootSystem, roots: Iterable[Root] | int) -> bool:
     """Downward-closure test under dominance."""
     mask = roots if isinstance(roots, int) else mask_of(rs, roots)

@@ -30,7 +30,7 @@ from idealshi import (
     ziegler_multiplicity,
 )
 from idealshi import linalg
-from idealshi.arrangement import _restricted_basis, covector
+from idealshi.arrangement import _primitive, _restricted_basis, covector
 from idealshi.rootsys import ext_height_z
 
 
@@ -391,6 +391,32 @@ def test_restricted_basis_spans_the_kernel(v):
     assert linalg.rank(basis) == len(v) - 1
 
 
+def integer_rows(width):
+    """Rows with entries in -9..9: plain, scaled by a common factor, or zero."""
+    plain = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+    scaled = st.tuples(st.lists(st.integers(-3, 3), min_size=width, max_size=width), st.integers(2, 3))
+    zero = st.just([0] * width)
+    return st.one_of(plain, scaled.map(lambda rc: [rc[1] * x for x in rc[0]]), zero)
+
+
+@given(st.integers(1, 5).flatmap(lambda w: st.lists(integer_rows(w), min_size=1, max_size=8)))
+@settings(max_examples=300, deadline=None)
+def test_batch_primitive_matches_covector_rule(rows):
+    # restriction relies on the two normalizers agreeing row by row
+    for dtype in (np.int64, object):
+        out = _primitive(np.array(rows, dtype=dtype)).tolist()
+        for row, got in zip(rows, out):
+            assert tuple(got) == (linalg.normalize_primitive(row) or tuple(row))
+
+
+def test_a_zero_trace_is_refused():
+    # (2, 0, 0) is the plane (1, 0, 0) unnormalized, so its trace on it is 0
+    arr = Arrangement(3, ((1, 0, 0), (2, 0, 0), (0, 1, 0)))
+    for restrict in (restriction, ziegler_multiplicity):
+        with pytest.raises(ValueError, match="zero vector does not define a hyperplane"):
+            restrict(arr, (1, 0, 0))
+
+
 def test_restriction_onto_a_coordinate_plane_keeps_coordinates():
     eye = np.eye(3, dtype=np.int64)[None]
     assert _restricted_basis(np.array([[0, 0, 1]]), eye)[0].tolist() == [[1, 0, 0], [0, 1, 0]]
@@ -406,6 +432,7 @@ def test_restriction_count_examples(systems):
     assert restriction(shi, root_covector(a2, a12, -1, coned=True)).size == 5
     arr = shi_plus(a2, 1, [a1])
     assert restriction(arr, root_covector(a2, a2r, -1, coned=True)).size == 5
+    assert restriction(Arrangement.of(1, [(1,)]), (1,)) == Arrangement(0, ())  # a line to its point
 
 
 def count_table(systems):

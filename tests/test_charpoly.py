@@ -28,6 +28,7 @@ from idealshi import (
     chi0,
     count_free_points,
     enumerate_ideals,
+    intersection_lattice,
     restriction,
     root_arrangement,
     shi_arrangement,
@@ -142,6 +143,7 @@ def test_counts_match_brute_force_on_random_arrangements(dim, data):
     arr = Arrangement(dim, tuple(c for c in arr.covectors if c != z))  # not a cone over {z = 0}
     q = small_prime(data, dim)
     assert count_free_points(arr, q) == brute_force_count(arr, q)
+    assert charpoly_whitney(arr).coeffs == intersection_lattice(arr).charpoly_coeffs()
 
 
 def test_rank4_finite_field_memory():

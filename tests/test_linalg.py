@@ -43,12 +43,3 @@ def test_rref_rows_are_reduced_and_primitive(rows):
         for j, other in enumerate(out):
             if i != j:
                 assert other[pivots[i]] == 0
-
-
-def test_insert_row_detects_dependence():
-    rows, pivots = (), ()
-    rows, pivots = linalg.insert_row(rows, pivots, (2, 4, 0))
-    assert rows == ((1, 2, 0),)
-    assert linalg.insert_row(rows, pivots, (-3, -6, 0)) is None
-    rows2, _ = linalg.insert_row(rows, pivots, (0, 0, 5))
-    assert rows2 == ((1, 2, 0), (0, 0, 1))
