@@ -382,7 +382,9 @@ class LatticeCache:
         if not isinstance(chi, list) or not all(isinstance(c, str) and re.fullmatch("-?[0-9]+", c) for c in chi):
             return None
         coeffs = tuple(int(c) for c in chi)
-        return coeffs if is_central_charpoly(arr, coeffs) else None
+        if is_central_charpoly(arr, coeffs):
+            self._memory[arr] = coeffs  # later reads of this entry open no file
+        return self._memory.get(arr)
 
     def put_charpoly(self, arr: Arrangement, coeffs: Sequence[int]) -> None:
         self._memory[arr] = tuple(coeffs)

@@ -9,16 +9,18 @@ deletion-restriction along the ideal tree, from two anchor lattices.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import prod
+from itertools import accumulate, count
+from math import isqrt, prod
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import linalg
 from .arrangement import (
+    MAX_DIM,
     Arrangement,
     LatticeCache,
     SizeBoundError,
@@ -174,11 +176,7 @@ def charpoly_whitney(arr: Arrangement, max_hyperplanes: int = 22) -> CharPoly:
 
 
 def _primes_from(start: int):
-    q = max(5, start)
-    while True:
-        if all(q % p for p in range(2, int(q**0.5) + 1)):
-            yield q
-        q += 1
+    return (q for q in count(max(5, start)) if all(q % p for p in range(2, isqrt(q) + 1)))
 
 
 def count_free_points(arr: Arrangement, q: int) -> int:
@@ -214,49 +212,49 @@ def count_free_points(arr: Arrangement, q: int) -> int:
     return (q - 1) * total
 
 
-_BATCHES = 3  # prime batches tried, each from a floor four times higher
+_RANGE = 16  # windows are tried until the smallest prime passes this multiple of the floor
 
 
-def charpoly_finite_field(arr: Arrangement, *, max_dim: int = 5) -> CharPoly:
+def charpoly_finite_field(arr: Arrangement, *, max_dim: int = MAX_DIM) -> CharPoly:
     """Interpolate the polynomial from point counts over prime fields.
 
-    Uses dim+1 primes for interpolation plus two more as consistency
-    witnesses; each prime exceeds every covector entry and dim+1.
-    Inconsistent batches are retried with larger primes, then flagged.
+    Primes above every covector entry and dim+1 are counted in ascending
+    order, each once.  A window of dim+3 of them is accepted when the
+    interpolant of its first dim+1 counts is integral and central and the
+    last two counts agree with it; otherwise it drops its smallest prime,
+    until that prime passes _RANGE times the floor.  If every prime of a
+    window reduces the planes badly in one way, the window can still fit a
+    wrong central polynomial: the Mobius route is the authority.
     """
     n = arr.dim
     if n > max_dim:
         raise SizeBoundError(f"ambient dimension {n} exceeds the point-counting bound {max_dim}")
     max_entry = max((abs(e) for c in arr.covectors for e in c), default=0)
     floor = max(max_entry, n + 1) + 1
-    last_error: Optional[Exception] = None
-    for attempt in range(_BATCHES):
-        gen = _primes_from(floor * (4**attempt))
-        batch = [next(gen) for _ in range(n + 3)]
-        try:
-            return _interpolate_batch(arr, batch)
-        except BadReductionError as err:
-            last_error = err
-    raise BadReductionError(f"no consistent prime batch found: {last_error}")
+    window: deque[tuple[int, int]] = deque(maxlen=n + 3)  # (prime, count), oldest first
+    for q in _primes_from(floor):
+        window.append((q, count_free_points(arr, q)))
+        if len(window) == n + 3 and (poly := _interpolate(arr, list(window))) is not None:
+            return poly
+        if window[0][0] > _RANGE * floor:  # only a full window has slid this far
+            break
+    raise BadReductionError(f"no consistent prime batch found among the primes from {floor} to {q}")
 
 
-def _interpolate_batch(arr: Arrangement, primes: Sequence[int]) -> CharPoly:
+def _interpolate(arr: Arrangement, window: Sequence[tuple[int, int]]) -> Optional[CharPoly]:
     n = arr.dim
-    counts = [count_free_points(arr, q) for q in primes]
-    xs, ys = primes[: n + 1], counts[: n + 1]
+    xs, ys = zip(*window[: n + 1])
     coeffs = [Fraction(0)] * (n + 1)
     for i, (xi, yi) in enumerate(zip(xs, ys)):
         others = xs[:i] + xs[i + 1 :]  # Lagrange basis: prod (t - xj) / (xi - xj) over j != i
         denom = prod(xi - xj for xj in others)
         for d, c in enumerate(CharPoly.from_roots(others).coeffs):
             coeffs[d] += Fraction(yi * c, denom)
-    if any(c.denominator != 1 for c in coeffs) or coeffs[-1] != 1:
-        raise BadReductionError(f"interpolant from primes {list(primes)} is not monic integral")
-    poly = CharPoly(tuple(int(c) for c in coeffs))
-    for q, cnt in zip(primes[n + 1 :], counts[n + 1 :]):
-        if poly(q) != cnt:
-            raise BadReductionError(f"count at extra prime {q} disagrees with the interpolant")
-    return poly
+    chi = tuple(int(c) for c in coeffs)
+    if chi != tuple(coeffs) or not is_central_charpoly(arr, chi):  # a fraction truncates to another value
+        return None
+    poly = CharPoly(chi)
+    return poly if all(poly(q) == cnt for q, cnt in window[n + 1 :]) else None
 
 
 def _divide(coeffs: Sequence[int], r: int) -> tuple[list[int], int]:

@@ -106,6 +106,55 @@ def test_finite_field_counts():
     assert count_free_points(Arrangement(2, ((3, 0),)), 3) == 0  # not primitive: vanishes mod 3
 
 
+def logged_counts(monkeypatch, corrupt=None):
+    """Record the prime of each point count; ``corrupt`` names one prime
+    whose count is off by one."""
+    exact, primes = count_free_points, []
+
+    def counted(arr, q):
+        primes.append(q)
+        return exact(arr, q) + (q == corrupt)
+
+    monkeypatch.setattr(idealshi.charpoly, "count_free_points", counted)
+    return primes
+
+
+def test_prime_stream_counts_each_prime_once(monkeypatch):
+    # 7 and 11 are bad for this cone, so its first window slides twice
+    rs = build("B3")
+    cone = shi_plus(rs, 2, [])
+    primes = logged_counts(monkeypatch)
+    assert charpoly_finite_field(cone) == charpoly_mobius(cone)
+    assert primes == [7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def test_prime_stream_range_cap():
+    # the twenty primes 53 to 149 above this cone's floor of 51 are all bad
+    assert charpoly_finite_field(shi_plus(build("A2"), 50, [])) == CharPoly.from_roots((1, 150, 150))
+
+
+def test_window_steps_past_a_bad_prime_inside_it(monkeypatch):
+    # 13 is the third prime of the first window, so three windows fail
+    rs = build("A3")
+    cone = shi_plus(rs, 1, rs.positive_roots)
+    primes = logged_counts(monkeypatch, corrupt=13)
+    assert charpoly_finite_field(cone) == charpoly_mobius(cone)
+    assert len(primes) == len(set(primes))
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # each prime of the first window makes one pair of lines coincide
+        ((1, 3), (2, 1), (3, -7), (3, -4), (3, 1), (4, -7), (4, 3), (6, -7)),
+        ((1, 3), (2, 5), (4, -3), (11, -13), (13, 12), (23, -5), (25, 8)),
+    ],
+)
+def test_finite_field_refuses_a_non_central_interpolant(lines):
+    arr = Arrangement.of(2, lines)
+    assert charpoly_finite_field(arr) == charpoly_mobius(arr)
+
+
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 GRID_LIMIT = 300_000  # keeps the brute-force reference to a few hundred thousand points
 

@@ -175,6 +175,22 @@ def test_verify_cache_roundtrip(tmp_path, capsys):
     assert first == second
 
 
+def test_warm_cache_opens_each_entry_once(tmp_path, capsys, monkeypatch):
+    # a disk hit stays in memory, so a warm campaign reads each chi file once
+    args = ("verify", "G2", "-k", "3", "--all-ideals", "--format", "json", "--cache-dir", str(tmp_path))
+    _, cold, _ = run(capsys, *args)
+    opened = []
+
+    def counted(path, *rest):
+        opened.append(path)
+        return open(path, *rest)
+
+    monkeypatch.setattr(idealshi.arrangement, "open", counted, raising=False)
+    _, warm, _ = run(capsys, *args)
+    assert warm == cold
+    assert opened and len(opened) == len(set(opened))
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("IDEALSHI_CACHE", str(cache))
