@@ -56,17 +56,11 @@ class Arrangement:
     def size(self) -> int:
         return len(self.covectors)
 
-    def __len__(self) -> int:
-        return len(self.covectors)
-
     def delete(self, v: Sequence[int]) -> "Arrangement":
         cov = covector(v)
         if cov not in self.covectors:
             raise ValueError("hyperplane not in arrangement")
         return Arrangement(self.dim, tuple(c for c in self.covectors if c != cov))
-
-    def rank(self) -> int:
-        return linalg.rank(self.covectors)
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +72,10 @@ def root_covector(rs: RootSystem, root: Root, j: int = 0, coned: bool = False) -
     if root.coeffs not in rs.index:
         raise ValueError(f"{root} is not a positive root of {rs.type}")
     if coned:
-        return covector(root.coeffs + (-j,))
+        return root.coeffs + (-j,)  # a positive root is already primitive and nonnegative
     if j != 0:
         raise ValueError("unconed hyperplanes only exist at level 0")
-    return covector(root.coeffs)
+    return root.coeffs
 
 
 def z_covector(rs: RootSystem) -> Vec:
@@ -262,7 +256,7 @@ def intersection_lattice(
         widest = max(abs(x) for cov in arr.covectors for x in cov)
         covs = np.array(arr.covectors, dtype=np.int64 if widest < _INT64_SAFE else object)
         (masks, mus), bases, lows = levels[0], np.eye(n, dtype=np.int64)[None], np.full(1, m)
-        for _ in range(1, arr.rank()):
+        for _ in range(1, linalg.rank(arr.covectors)):
             found = [
                 _children(covs, *(a[s : s + _BLOCK] for a in (masks, bases, mus, lows)))
                 for s in range(0, len(masks), _BLOCK)

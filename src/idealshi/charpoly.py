@@ -147,15 +147,15 @@ def shi_charpoly(
     return poly
 
 
-def charpoly_whitney(arr: Arrangement, max_hyperplanes: int = 22) -> CharPoly:
+def charpoly_whitney(arr: Arrangement) -> CharPoly:
     """Signed sum of t^(dim - rank B) over subsets B of the arrangement.
 
     Subsets whose next element depends on the ones already chosen cancel
     in +/- pairs, so the walk only ever branches on independent sets;
     that keeps |A| = 22 comfortably feasible without changing the sum.
     """
-    if arr.size > max_hyperplanes:
-        raise SizeBoundError(f"{arr.size} hyperplanes exceed the subset-sum bound {max_hyperplanes}")
+    if arr.size > _WHITNEY_MAX:
+        raise SizeBoundError(f"{arr.size} hyperplanes exceed the subset-sum bound {_WHITNEY_MAX}")
     n = arr.dim
     covs = arr.covectors
     m = len(covs)
@@ -213,6 +213,7 @@ def count_free_points(arr: Arrangement, q: int) -> int:
 
 
 _RANGE = 16  # windows are tried until the smallest prime passes this multiple of the floor
+_WHITNEY_MAX = 22  # charpoly_whitney refuses arrangements with more planes
 
 
 def charpoly_finite_field(arr: Arrangement, *, max_dim: int = MAX_DIM) -> CharPoly:

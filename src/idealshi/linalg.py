@@ -1,11 +1,6 @@
-"""Exact integer linear algebra: primitive vectors and fraction-free elimination.
+"""Exact integer linear algebra: primitive vectors and fraction-free forward elimination.
 
-Everything here works over arbitrary-precision Python integers.  The
-program needs primitive covectors and fraction-free row reduction.  The
-canonical "integer RREF" (distinct pivot columns, zeros above and below
-every pivot, each row primitive with a positive pivot, rows sorted by
-pivot) remains for :func:`rank` and for the tests' brute-force lattice
-oracle, which compares row spaces by their canonical forms.
+Everything here works over arbitrary-precision Python integers.
 """
 
 from __future__ import annotations
@@ -62,37 +57,18 @@ def reduce_row(v: Sequence[int], rows: Sequence[Vec], pivots: Sequence[int]) -> 
     return out
 
 
-def _insert(rows: list[list[int]], pivots: list[int], v: Sequence[int]) -> bool:
-    """Extend a canonical row set, held in lists, by one vector in place.
-
-    Returns False when ``v`` already lies in the row space.  The update is
-    incremental: reduce ``v``, normalize, then clear the new pivot column
-    from the old rows (whose leading entries stay positive).  Rows keep
-    insertion order; callers sort them by pivot.
-    """
-    new = normalize_primitive(reduce_row(v, rows, pivots))
-    if new is None:
-        return False
-    piv = first_nonzero(new)
-    for i, r in enumerate(rows):
-        b = r[piv]
-        if b:
-            r = [new[piv] * x - b * y for x, y in zip(r, new)]
-            g = content(r)
-            rows[i] = [x // g for x in r]
-    rows.append(list(new))
-    pivots.append(piv)
-    return True
-
-
-def rref(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
-    """Canonical integer RREF of the span of ``vectors``."""
-    rows: list[list[int]] = []
+def echelon(vectors: Iterable[Sequence[int]]) -> tuple[list[Vec], list[int]]:
+    """Primitive echelon rows spanning ``vectors``, kept in insertion order,
+    and their pivots: each row's first nonzero column, zero in later rows."""
+    rows: list[Vec] = []
     pivots: list[int] = []
     for v in vectors:
-        _insert(rows, pivots, v)
-    return tuple(tuple(r) for _, r in sorted(zip(pivots, rows)))
+        new = normalize_primitive(reduce_row(v, rows, pivots))
+        if new is not None:
+            rows.append(new)
+            pivots.append(first_nonzero(new))
+    return rows, pivots
 
 
 def rank(vectors: Iterable[Sequence[int]]) -> int:
-    return len(rref(vectors))
+    return len(echelon(vectors)[0])

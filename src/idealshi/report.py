@@ -76,7 +76,6 @@ class Report:
     command: str
     tool_version: str
     cases: list[CaseRecord]
-    seed: int = 0
 
     def summary(self) -> dict:
         verdicts = [c.verdict for c in self.cases]
@@ -86,7 +85,7 @@ class Report:
             "not_free_confirmed": verdicts.count(NOT_FREE_CONFIRMED),
             "skipped": verdicts.count(SKIPPED),
             "tool_version": self.tool_version,
-            "seed": self.seed,
+            "seed": 0,
         }
 
     @property

@@ -42,37 +42,28 @@ def in_rowspace(v, rows, pivots):
 
 
 def brute_force_lattice(arr, max_size=None):
-    """Map canonical flat rows -> mu, via the definition only.
+    """Map each flat's mask -> (codim, mu), via the definition only.
 
-    Every flat of codimension c is cut out by c of the hyperplanes, so
+    A flat of codimension c is cut out by c independent hyperplanes, so
     subsets of at most ``max_size = arr.dim`` planes already give them all.
+    A dependent subset gives a flat that a smaller independent subset has
+    given already, so it is skipped.  A flat is named, as in the lattice
+    build, by the mask of the planes containing it: those in its subset's
+    span.
     """
-    flats = set()
+    codim = {}
     top = len(arr.covectors) if max_size is None else max_size
     for size in range(top + 1):
         for chosen in itertools.combinations(arr.covectors, size):
-            flats.add(linalg.rref(chosen))
-    order = sorted(flats, key=len)
+            rows, pivots = linalg.echelon(chosen)
+            if len(rows) == size:
+                mask = sum(1 << i for i, c in enumerate(arr.covectors) if in_rowspace(c, rows, pivots))
+                codim[mask] = size
     mu = {}
-    for rows in order:
-        if not rows:
-            mu[rows] = 1
-            continue
-        piv = tuple(linalg.first_nonzero(r) for r in rows)
-        above = 0
-        for other in order:
-            if len(other) >= len(rows):
-                continue
-            if all(in_rowspace(r, rows, piv) for r in other):
-                above += mu[other]
-        mu[rows] = -above
-    return mu
-
-
-def flat_mask(arr, rows):
-    """The mask of the hyperplanes containing the flat with row form ``rows``."""
-    piv = tuple(linalg.first_nonzero(r) for r in rows)
-    return sum(1 << i for i, c in enumerate(arr.covectors) if in_rowspace(c, rows, piv))
+    for mask in sorted(codim, key=codim.get):
+        # Y lies above X iff mask(Y) is a proper subset of mask(X)
+        mu[mask] = -sum(mu[other] for other in mu if other & mask == other) if mask else 1
+    return {mask: (codim[mask], value) for mask, value in mu.items()}
 
 
 def flats(level):
@@ -83,14 +74,6 @@ def flats(level):
 
 def all_flats(lattice):
     return [flat for level in lattice.levels for flat in flats(level)]
-
-
-def oracle_charpoly(arr):
-    mu = brute_force_lattice(arr)
-    coeffs = [0] * (arr.dim + 1)
-    for rows, value in mu.items():
-        coeffs[arr.dim - len(rows)] += value
-    return tuple(coeffs)
 
 
 def lattice_charpoly(arr):
@@ -126,9 +109,7 @@ def test_lattice_matches_brute_force(idx):
     arr = _small_corpus()[idx]
     lattice = intersection_lattice(arr)
     oracle = brute_force_lattice(arr)
-    assert dict(all_flats(lattice)) == {
-        flat_mask(arr, rows): mu for rows, mu in oracle.items()
-    }
+    assert dict(all_flats(lattice)) == {mask: mu for mask, (_, mu) in oracle.items()}
     assert sum(len(level) for level in lattice.levels) == len(oracle)
 
 
@@ -152,7 +133,7 @@ def assert_levels_match_brute_force(arr):
     lattice = intersection_lattice(arr)
     oracle = brute_force_lattice(arr, max_size=arr.dim)
     for codim, level in enumerate(lattice.levels):
-        want = {flat_mask(arr, rows): mu for rows, mu in oracle.items() if len(rows) == codim}
+        want = {mask: mu for mask, (c, mu) in oracle.items() if c == codim}
         assert dict(flats(level)) == want
     assert sum(len(level) for level in lattice.levels) == len(oracle)
     return lattice
@@ -259,6 +240,26 @@ def test_shi_rejects_bad_input(systems):
     ideal = a2.positive_roots[:2]
     want = {z_covector(a2)} | {root_covector(a2, r, 0, coned=True) for r in ideal}
     assert set(shi_plus(a2, 0, ideal).covectors) == want
+
+
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_root_covectors_are_already_primitive(name):
+    # root_covector returns a root's coefficients without normalizing them
+    rs = build(name)
+    for r in rs.positive_roots:
+        assert linalg.normalize_primitive(r.coeffs) == r.coeffs
+        assert root_covector(rs, r) == covector(r.coeffs)
+        for j in range(-2, 3):
+            assert root_covector(rs, r, j, coned=True) == covector(r.coeffs + (-j,))
 
 
 # --- filtration -------------------------------------------------------------
@@ -532,10 +533,9 @@ def point_containment_cases(rs, k):
     simple = {r for r in rs.positive_roots if r.height == 1}
     for alpha, beta in itertools.combinations(rs.positive_roots, 2):
         for level in (k, -k):
-            point = linalg.rref(
+            point, pivots = linalg.echelon(
                 [root_covector(rs, alpha, level, coned=True), root_covector(rs, beta, level, coned=True)]
             )
-            pivots = tuple(linalg.first_nonzero(r) for r in point)
             through = {
                 (gamma, s)
                 for gamma in rs.positive_roots

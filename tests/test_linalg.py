@@ -1,4 +1,4 @@
-"""Canonicality of the exact row-space forms."""
+"""Rank and echelon bases of exact integer row spaces."""
 
 import random
 
@@ -16,8 +16,8 @@ small_matrix = st.lists(
 
 @given(small_matrix)
 @settings(max_examples=200, deadline=None)
-def test_rref_invariant_under_row_operations(rows):
-    base = linalg.rref(rows)
+def test_rank_invariant_under_row_operations(rows):
+    base = linalg.rank(rows)
     rng = random.Random(sum(sum(r) for r in rows) + len(rows))
     mixed = [list(r) for r in rows]
     for _ in range(6):
@@ -28,18 +28,16 @@ def test_rref_invariant_under_row_operations(rows):
         else:
             mixed[i] = [3 * a for a in mixed[i]]
     rng.shuffle(mixed)
-    assert linalg.rref(mixed) == base
+    assert linalg.rank(mixed) == base
 
 
 @given(small_matrix)
 @settings(max_examples=200, deadline=None)
-def test_rref_rows_are_reduced_and_primitive(rows):
-    out = linalg.rref(rows)
-    pivots = [linalg.first_nonzero(r) for r in out]
-    assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-    for i, r in enumerate(out):
+def test_echelon_rows_are_primitive_and_span_the_input(rows):
+    out, pivots = linalg.echelon(rows)
+    assert len(set(pivots)) == len(pivots)
+    for r, p in zip(out, pivots):
         assert linalg.content(r) == 1
-        assert r[pivots[i]] > 0
-        for j, other in enumerate(out):
-            if i != j:
-                assert other[pivots[i]] == 0
+        assert p == linalg.first_nonzero(r) and r[p] > 0
+    for v in rows:
+        assert not any(linalg.reduce_row(v, out, pivots))
