@@ -34,15 +34,6 @@ class Ideal:
     def heights(self) -> tuple[int, ...]:
         return tuple(r.height for r in self.roots)
 
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(r.name for r in self.roots) + "}"
-
 
 def weyl_catalan_number(rs: RootSystem) -> int:
     """prod (e_i + h + 1) / (e_i + 1) over the Weyl exponents."""
@@ -56,35 +47,24 @@ def weyl_catalan_number(rs: RootSystem) -> int:
 
 
 def enumerate_ideals(rs: RootSystem, max_rank: int = 4) -> tuple[Ideal, ...]:
-    """All ideals, BFS over the lattice of downward-closed sets.
+    """All ideals, sorted by (size, mask), from one sweep of the root order.
 
-    Grows each ideal by one addable root (a root whose strict lower set is
-    already inside).  The count is cross-checked against the Weyl-Catalan
-    product, which counts ideals independently of this construction.
+    The canonical order is a linear extension of dominance, so every root
+    below root i comes before it: each ideal of the first i + 1 roots leaves
+    root i out, or adds it to an ideal of the first i roots that already
+    holds every root strictly below it.  The count is cross-checked against
+    the Weyl-Catalan product, which counts ideals independently of this
+    construction; an order that is not a linear extension would lose ideals.
     """
     if rs.rank > max_rank:
         raise ValueError(
             f"rank {rs.rank} exceeds the enumeration bound {max_rank}; "
             "raise max_rank explicitly if you mean it"
         )
-    below = rs.below_masks
-    n = rs.n_positive
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for i in range(n):
-                if mask >> i & 1:
-                    continue
-                if below[i] & ~mask & ~(1 << i):
-                    continue
-                child = mask | (1 << i)
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    masks = sorted(seen, key=lambda m: (bin(m).count("1"), m))
+    masks = [0]
+    for i, below in enumerate(rs.below_masks):
+        masks += [m | 1 << i for m in masks if not below & ~m & ~(1 << i)]
+    masks.sort(key=lambda m: (bin(m).count("1"), m))
     if len(masks) != weyl_catalan_number(rs):
         raise AssertionError(
             f"ideal count {len(masks)} for {rs.type} disagrees with the Weyl-Catalan number"

@@ -11,15 +11,6 @@ from typing import Iterable, Optional, Sequence
 Vec = tuple[int, ...]
 
 
-def content(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            return 1
-    return g
-
-
 def first_nonzero(v: Sequence[int]) -> int:
     """Index of the first nonzero entry, or -1 for the zero vector."""
     for i, x in enumerate(v):
@@ -36,7 +27,7 @@ def normalize_primitive(v: Sequence[int]) -> Optional[Vec]:
     p = first_nonzero(v)
     if p < 0:
         return None
-    g = content(v)
+    g = gcd(*v)
     if v[p] < 0:
         g = -g
     return tuple(x // g for x in v)

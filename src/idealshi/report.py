@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 SCHEMA_VERSION = 1
@@ -39,8 +39,8 @@ class CaseRecord:
     k: Optional[int]
     sign: Optional[str]
     subset_kind: str  # "ideal" | "roots" | "step"
-    subset_roots: tuple[str, ...]
     subset_index: Optional[int]
+    subset_roots: tuple[str, ...]
     arrangement_size: int
     predicted_exponents: Optional[tuple[int, ...]]
     chi_coeffs: Optional[tuple[int, ...]]
@@ -102,30 +102,12 @@ class Report:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self, with_timings: bool = False) -> str:
+        """One row per case; the columns are the record's fields in order."""
+        names = [f.name for f in fields(CaseRecord) if with_timings or f.name != "timing_ms"]
         buf = io.StringIO()
-        headers = ["system", "k", "sign", "subset_kind", "subset_index", "subset_roots"]
-        headers += ["arrangement_size", "predicted_exponents", "chi_coeffs", "verdict", "checks"]
-        if with_timings:
-            headers.append("timing_ms")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        for c in self.cases:
-            row = [
-                c.system,
-                c.k,
-                c.sign,
-                c.subset_kind,
-                c.subset_index,
-                " ".join(c.subset_roots),
-                c.arrangement_size,
-                " ".join(map(str, c.predicted_exponents)) if c.predicted_exponents else "",
-                " ".join(map(str, c.chi_coeffs)) if c.chi_coeffs else "",
-                c.verdict,
-                "; ".join(f"{r.name}={r.status}" for r in c.checks),
-            ]
-            if with_timings:
-                row.append(c.timing_ms)
-            writer.writerow(row)
+        writer.writerow(names)
+        writer.writerows([_csv_cell(getattr(c, name)) for name in names] for c in self.cases)
         return buf.getvalue()
 
     def to_pretty(self) -> str:
@@ -155,6 +137,16 @@ class Report:
         if fmt == "pretty":
             return self.to_pretty()
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def _csv_cell(value):
+    """Tuples space-joined, checks as ``name=status; ...``, anything else
+    as is (the csv writer leaves None empty)."""
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    if isinstance(value, list):
+        return "; ".join(f"{r.name}={r.status}" for r in value)
+    return value
 
 
 def text_table(rows: Sequence[tuple], headers: Sequence[str]) -> str:

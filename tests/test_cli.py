@@ -138,6 +138,47 @@ def test_verify_csv_one_row_per_case(capsys):
     assert len(out.strip().splitlines()) == 1 + 10
 
 
+CSV_HEADER = (
+    "system,k,sign,subset_kind,subset_index,subset_roots,"
+    "arrangement_size,predicted_exponents,chi_coeffs,verdict,checks"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,row",
+    [
+        (
+            ("verify", "A2", "-k", "1", "--subset", "none", "--sign", "+"),
+            "A2,1,+,ideal,,,7,1 3 3,-9 15 -7 1,PASS,terao=PASS; ziegler=PASS; yoshinaga=PASS",
+        ),
+        (
+            ("verify", "A2", "-k", "1", "--subset", "a1+a2", "--sign", "+", "--checks", "ziegler,yoshinaga"),
+            "A2,1,+,roots,,a1+a2,8,,,NOT_FREE_CONFIRMED,ziegler=PASS; yoshinaga=NOT_FREE_CONFIRMED",
+        ),
+        (("filtration", "A2", "--steps", "1"), "A2,,,step,1,,1,0 0 1,0 0 -1 1,PASS,saturated=PASS; terao=PASS"),
+    ],
+    ids=["ideal", "roots", "step"],
+)
+def test_csv_columns_are_the_record_fields(capsys, argv, row):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and out == f"{CSV_HEADER}\n{row}\n"
+    code, out, _ = run(capsys, *argv, "--format", "csv", "--timings")
+    header, timed = out.splitlines()
+    assert code == 0 and header == CSV_HEADER + ",timing_ms"
+    assert timed.startswith(row + ",") and float(timed[len(row) + 1:]) >= 0
+
+
+@pytest.mark.parametrize("checks", ["", "terao,terao"], ids=["empty", "repeated"])
+def test_checks_name_each_check_once(tmp_path, capsys, checks):
+    argv = ("verify", "A2", "-k", "1", "--subset", "none", "--checks", checks)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    target = tmp_path / "r.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_verify_pretty_sorted_exponents(capsys):
     code, out, _ = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "pretty")
     assert code == 0 and "(1,3,3)" in out

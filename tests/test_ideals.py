@@ -62,6 +62,16 @@ def test_enumeration_guard():
     assert len(enumerate_ideals(rs, max_rank=4)) == 70
 
 
+def test_e6_enumeration_past_the_default_bound():
+    import idealshi
+
+    rs = idealshi.build("E6")
+    masks = [ideal.mask for ideal in enumerate_ideals(rs, max_rank=8)]
+    assert len(masks) == 833
+    assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    assert all(is_ideal(rs, m) for m in masks)
+
+
 def test_dominance(systems):
     def dominates(rs, alpha, beta):
         return bool(rs.below_masks[rs.index[alpha.coeffs]] >> rs.index[beta.coeffs] & 1)
