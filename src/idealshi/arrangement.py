@@ -225,12 +225,12 @@ MAX_HYPERPLANES = 73
 MAX_DIM = 5
 
 
-def check_size(arr: Arrangement, *, max_hyperplanes: int, max_dim: int) -> None:
-    """Refuse an arrangement beyond the size guards of a lattice build."""
-    if arr.dim > max_dim:
-        raise SizeBoundError(f"ambient dimension {arr.dim} exceeds bound {max_dim}")
-    if arr.size > max_hyperplanes:
-        raise SizeBoundError(f"{arr.size} hyperplanes exceed bound {max_hyperplanes}")
+def check_size(dim: int, size: int, *, max_hyperplanes: int, max_dim: int) -> None:
+    """Refuse ``size`` planes in ``dim`` coordinates beyond the size guards of a lattice build."""
+    if dim > max_dim:
+        raise SizeBoundError(f"ambient dimension {dim} exceeds bound {max_dim}")
+    if size > max_hyperplanes:
+        raise SizeBoundError(f"{size} hyperplanes exceed bound {max_hyperplanes}")
 
 
 def intersection_lattice(
@@ -248,7 +248,7 @@ def intersection_lattice(
     lowest plane.  The top flat is unique, so it is written down directly,
     with mu from the coatoms that miss plane 0; sum mu = 0 is checked apart.
     """
-    check_size(arr, max_hyperplanes=max_hyperplanes, max_dim=max_dim)
+    check_size(arr.dim, arr.size, max_hyperplanes=max_hyperplanes, max_dim=max_dim)
     n, m = arr.dim, arr.size
     words = max(1, -(-m // 64))
     levels = [(np.zeros((1, words), dtype=np.uint64), np.ones(1, dtype=np.int64))]
@@ -359,8 +359,12 @@ class LatticeCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".json")
 
+    def admit(self, dim: int, size: int) -> None:
+        """Refuse a cone of ``size`` planes in ``dim`` coordinates beyond the table's guards."""
+        check_size(dim, size, max_hyperplanes=self.max_hyperplanes, max_dim=self.max_dim)
+
     def get_charpoly(self, arr: Arrangement) -> Optional[tuple[int, ...]]:
-        check_size(arr, max_hyperplanes=self.max_hyperplanes, max_dim=self.max_dim)
+        self.admit(arr.dim, arr.size)
         if arr in self._memory or not self.directory:
             return self._memory.get(arr)
         try:

@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Optional, Sequence
 
 from . import __version__
@@ -63,6 +64,7 @@ from .rootsys import (
     mask_of,
     roots_of,
     shi_exponents_dp,
+    shi_plane_count,
     weyl_exponents,
 )
 
@@ -125,15 +127,21 @@ class SubsetFacts:
             self.arrangements[sign] = shi_arrangement(self.rs, self.k, self.roots, sign)
         return self.arrangements[sign]
 
+    def size(self, sign: str) -> int:
+        """Planes of this sign's cone, counted without building it."""
+        return shi_plane_count(self.rs, self.k, self.roots, sign)
+
     def chi(self, sign: str) -> CharPoly:
         """The polynomial of this sign's cone, by deletion-restriction
-        through the table; its size guards apply first."""
+        through the table; its size guards refuse the cone before it is built."""
+        self.cache.admit(self.rs.rank + 1, self.size(sign))
         return shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, cone=self.arrangement(sign))
 
     def yoshinaga(self, sign: str) -> FreenessVerdict:
         if sign not in self.yoshinaga_verdicts:
+            chi = self.chi(sign)  # first, so the guards refuse the cone before it is built
             arr, bases = self.arrangement(sign), self.cache.rank2_bases
-            self.yoshinaga_verdicts[sign] = yoshinaga_check(arr, z_covector(self.rs), self.chi(sign), bases=bases)
+            self.yoshinaga_verdicts[sign] = yoshinaga_check(arr, z_covector(self.rs), chi, bases=bases)
         return self.yoshinaga_verdicts[sign]
 
     @cached_property
@@ -153,14 +161,14 @@ class SubsetFacts:
 def _check_terao(facts: SubsetFacts, sign: str) -> CheckResult:
     if not facts.ideal:
         return CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal")
-    predicted = shi_exponents_dp(facts.rs, facts.k, facts.roots, sign)
-    verdict = terao_check(facts.chi(sign), predicted)
+    chi = facts.chi(sign)  # first, so the guards refuse the case before its planes are listed
+    verdict = terao_check(chi, shi_exponents_dp(facts.rs, facts.k, facts.roots, sign))
     facts.terao_verdicts[sign] = verdict  # the record reports its prediction and chi
     return CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
 
 
 def _check_yoshinaga(facts: SubsetFacts, sign: str) -> CheckResult:
-    if facts.arrangement(sign).dim != 3:
+    if facts.rs.rank != 2:
         return CheckResult("yoshinaga", SKIPPED, "complete criterion needs ambient dimension 3")
     verdict = facts.yoshinaga(sign)
     simple_mask = sum(1 << i for i, r in enumerate(facts.rs.positive_roots) if r.height == 1)
@@ -259,7 +267,7 @@ def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
                 subset_kind="ideal" if facts.ideal else "roots",
                 subset_roots=tuple(r.name for r in facts.roots),
                 subset_index=spec.subset_index,
-                arrangement_size=facts.arrangement(sign).size,
+                arrangement_size=facts.size(sign),
                 predicted_exponents=terao and terao.predicted.parts,
                 chi_coeffs=terao and terao.computed.coeffs,
                 verdict=_verdict(checks, refused),
@@ -271,16 +279,9 @@ def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
     return records
 
 
-_worker_cache: Optional[LatticeCache] = None  # set in each worker process of a --jobs pool
-
-
-def _start_worker(cache: LatticeCache) -> None:
-    global _worker_cache
-    _worker_cache = cache
-
-
-def _run_in_worker(spec: CaseSpec) -> list[CaseRecord]:
-    return run_case(spec, _worker_cache)
+def run_cases(specs: Sequence[CaseSpec], cache: LatticeCache) -> list[CaseRecord]:
+    """The records of consecutive subsets, in order, under one chi table."""
+    return [c for spec in specs for c in run_case(spec, cache)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +380,17 @@ def cmd_verify(args) -> int:
         )
         for mask, idx in grid
     ]
-    # one chi table for the campaign; each worker process starts from a copy
+    # one chi table for the campaign; each worker runs one contiguous share with its
+    # own copy, where a case's chain parents, smaller ideals, come earlier
     cache = _table(args)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(args.jobs, initializer=_start_worker, initargs=(cache,)) as pool:
-            per_subset = list(pool.map(_run_in_worker, specs))
+    size = -(-len(specs) // args.jobs)
+    shares = [specs[i : i + size] for i in range(0, len(specs), size)]
+    if len(shares) == 1:
+        cases = run_cases(specs, cache)
     else:
-        per_subset = [run_case(s, cache) for s in specs]
-    report = Report(command="verify", tool_version=__version__, cases=[c for cs in per_subset for c in cs])
+        with ProcessPoolExecutor(len(shares)) as pool:
+            cases = [c for share in pool.map(run_cases, shares, repeat(cache)) for c in share]
+    report = Report(command="verify", tool_version=__version__, cases=cases)
     _emit(report.render(args.format, with_timings=args.timings), args)
     return 0 if report.ok else 1
 

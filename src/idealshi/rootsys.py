@@ -330,9 +330,9 @@ def is_ideal(rs: RootSystem, roots: Iterable[Root] | int) -> bool:
     return True
 
 
-def shi_planes(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[tuple[Root, int]]:
-    """The (root, level) pairs of the planes {root = level*z} of an
-    ideal-Shi cone, besides {z = 0}.
+def _levels(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[range]:
+    """For each positive root, the levels j of the planes {root = j*z} of
+    an ideal-Shi cone.
 
     Sign '+': levels 1-k..k for all roots, plus level -k on the subset.
     Sign '-': levels 1-k..k with level k removed on the subset.
@@ -343,12 +343,22 @@ def shi_planes(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list
     if k < 0 or (k == 0 and sign == "-"):
         raise ValueError("k must be a positive integer, or 0 with sign '+'")
     mask = mask_of(rs, roots)
-    planes = []
-    for i, root in enumerate(rs.positive_roots):
-        member = mask >> i & 1
-        low, high = (-k + 1 - member, k) if sign == "+" else (-k + 1, k - member)
-        planes.extend((root, j) for j in range(low, high + 1))
-    return planes
+    members = [mask >> i & 1 for i in range(rs.n_positive)]
+    if sign == "+":
+        return [range(1 - k - m, k + 1) for m in members]
+    return [range(1 - k, k - m + 1) for m in members]
+
+
+def shi_planes(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[tuple[Root, int]]:
+    """The (root, level) pairs of the planes {root = level*z} of an
+    ideal-Shi cone, besides {z = 0}."""
+    levels = _levels(rs, k, roots, sign)
+    return [(root, j) for root, js in zip(rs.positive_roots, levels) for j in js]
+
+
+def shi_plane_count(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> int:
+    """Hyperplanes of the ideal-Shi cone, {z = 0} included, without listing them."""
+    return 1 + sum(len(js) for js in _levels(rs, k, roots, sign))
 
 
 def shi_defining_values(rs: RootSystem, k: int, ideal_roots: Iterable[Root], sign: str) -> list[int]:

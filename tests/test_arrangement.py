@@ -17,6 +17,7 @@ from idealshi import (
     build,
     charpoly_whitney,
     dual_partition,
+    enumerate_ideals,
     ext_height,
     filtration_cone,
     intersection_lattice,
@@ -31,7 +32,7 @@ from idealshi import (
 )
 from idealshi import linalg
 from idealshi.arrangement import _primitive, _restricted_basis, covector
-from idealshi.rootsys import ext_height_z
+from idealshi.rootsys import ext_height_z, is_ideal, roots_of, shi_plane_count, shi_planes
 
 
 # --- independent oracle: sweep all subsets, Mobius by definition -----------
@@ -219,6 +220,21 @@ def test_shi_sizes(systems):
             assert shi_plus(rs, k, []).size == 2 * k * n + 1
             assert shi_plus(rs, k, rs.positive_roots).size == 2 * k * n + 1 + n
             assert shi_arrangement(rs, k, rs.positive_roots, "-").size == 2 * k * n + 1 - n
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "F4", "G2"])
+def test_plane_count_matches_the_cone(systems, name):
+    rs = systems[name]
+    n = rs.n_positive
+    # beyond rank 1, non-ideals: the highest root alone, all roots but the first, every other root
+    others = [1 << (n - 1), (1 << n) - 2, int("01" * n, 2) & ((1 << n) - 1)]
+    masks = [ideal.mask for ideal in enumerate_ideals(rs)] + others
+    assert rs.rank == 1 or not any(is_ideal(rs, m) for m in others)
+    for mask in masks:
+        roots = roots_of(rs, mask)
+        for k, sign in ((0, "+"), (1, "+"), (1, "-"), (2, "+"), (2, "-"), (5, "+"), (5, "-")):
+            count = shi_plane_count(rs, k, roots, sign)
+            assert count == len(shi_planes(rs, k, roots, sign)) + 1 == shi_arrangement(rs, k, roots, sign).size
 
 
 def test_shi_minus_full_is_coned_weyl(systems):

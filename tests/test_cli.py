@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, report formats, determinism."""
 
 import json
+import pickle
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import idealshi.arrangement
 import idealshi.cli
 import idealshi.multiarr
+import idealshi.rootsys
 from idealshi.cli import main
 from idealshi.rootsys import DualPartitionError
 
@@ -195,13 +197,65 @@ def test_verify_out_file(tmp_path, capsys):
 
 
 def test_verify_jobs_parallel_matches_sequential(capsys):
-    # the workers run under the campaign table's guards
-    for guards, skipped in (((), 0), (("--max-hyperplanes", "9"), 10)):
-        args = ("verify", "B2", "-k", "1", "--all-ideals", "--format", "json", *guards)
+    # the workers run their shares under the campaign table's guards; A2 has
+    # five ideals, so --jobs 8 starts at most five processes
+    for system, guards, skipped, jobs in (
+        ("B2", (), 0, ("2", "3")),
+        ("B2", ("--max-hyperplanes", "9"), 10, ("2", "3")),
+        ("A2", (), 0, ("8",)),
+    ):
+        args = ("verify", system, "-k", "1", "--all-ideals", "--format", "json", *guards)
         _, seq, _ = run(capsys, *args)
-        _, par, _ = run(capsys, *args, "--jobs", "2")
-        assert seq == par
         assert json.loads(seq)["summary"]["skipped"] == skipped
+        for n in jobs:
+            assert run(capsys, *args, "--jobs", n) == (0, seq, "")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the process pool by one that runs in this process and records
+    its worker count and the shares it receives.  Each share runs on a
+    pickled copy of its arguments, as a worker process would receive them."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.shares = max_workers, []
+            started.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            calls = [pickle.loads(pickle.dumps(args)) for args in zip(*iterables)]
+            self.shares.extend(args[0] for args in calls)
+            return [fn(*args) for args in calls]
+
+    monkeypatch.setattr(idealshi.cli, "ProcessPoolExecutor", InlinePool)
+    return started
+
+
+@pytest.mark.parametrize("system, jobs, workers", [("B2", 2, 2), ("B2", 3, 3), ("B2", 4, 3), ("A2", 8, 5)])
+def test_each_worker_runs_one_contiguous_share(capsys, pools, system, jobs, workers):
+    args = ("verify", system, "-k", "1", "--all-ideals", "--format", "json")
+    _, serial, _ = run(capsys, *args)
+    assert pools == []
+    assert run(capsys, *args, "--jobs", str(jobs)) == (0, serial, "")
+    [pool] = pools
+    subsets = len(json.loads(serial)["cases"]) // 2
+    assert pool.max_workers == len(pool.shares) == workers <= min(jobs, subsets)
+    # the shares cut the campaign, in its order, into runs of ceil(n / jobs) subsets
+    assert [spec.subset_index for share in pool.shares for spec in share] == list(range(subsets))
+    assert all(len(share) == -(-subsets // jobs) for share in pool.shares[:-1])
+
+
+def test_single_subset_starts_no_pool(capsys, pools):
+    args = ("verify", "B2", "-k", "1", "--subset", "none", "--format", "json")
+    assert run(capsys, *args, "--jobs", "3") == run(capsys, *args)
+    assert pools == []
 
 
 def test_verify_cache_roundtrip(tmp_path, capsys):
@@ -290,6 +344,18 @@ def _count_calls(monkeypatch, owner, name):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def test_refused_case_builds_no_cone(capsys, monkeypatch):
+    # the guards refuse chi from the plane count, so no plane is listed
+    cones = _count_calls(monkeypatch, idealshi.arrangement, "shi_arrangement")
+    planes = _count_calls(monkeypatch, idealshi.rootsys, "shi_planes")
+    code, out, _ = run(capsys, "verify", "A2", "-k", "1000000", "--subset", "none", "--sign", "+", "--format", "json")
+    assert code == 0
+    [case] = json.loads(out)["cases"]
+    assert case["arrangement_size"] == 6000001
+    assert case["checks"] == [{"name": "bound", "status": "SKIPPED", "detail": "6000001 hyperplanes exceed bound 73"}]
+    assert cones == planes == []
 
 
 def test_verify_computes_shared_work_once(capsys, monkeypatch):
