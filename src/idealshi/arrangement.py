@@ -225,17 +225,7 @@ MAX_HYPERPLANES = 73
 MAX_DIM = 5
 
 
-def check_size(dim: int, size: int, *, max_hyperplanes: int, max_dim: int) -> None:
-    """Refuse ``size`` planes in ``dim`` coordinates beyond the size guards of a lattice build."""
-    if dim > max_dim:
-        raise SizeBoundError(f"ambient dimension {dim} exceeds bound {max_dim}")
-    if size > max_hyperplanes:
-        raise SizeBoundError(f"{size} hyperplanes exceed bound {max_hyperplanes}")
-
-
-def intersection_lattice(
-    arr: Arrangement, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM
-) -> IntersectionLattice:
+def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     """Build the full intersection lattice, level by level.
 
     A flat X carries the mask of the hyperplanes containing it, an integer
@@ -248,7 +238,6 @@ def intersection_lattice(
     lowest plane.  The top flat is unique, so it is written down directly,
     with mu from the coatoms that miss plane 0; sum mu = 0 is checked apart.
     """
-    check_size(arr.dim, arr.size, max_hyperplanes=max_hyperplanes, max_dim=max_dim)
     n, m = arr.dim, arr.size
     words = max(1, -(-m // 64))
     levels = [(np.zeros((1, words), dtype=np.uint64), np.ones(1, dtype=np.int64))]
@@ -360,8 +349,11 @@ class LatticeCache:
         return os.path.join(self.directory, key + ".json")
 
     def admit(self, dim: int, size: int) -> None:
-        """Refuse a cone of ``size`` planes in ``dim`` coordinates beyond the table's guards."""
-        check_size(dim, size, max_hyperplanes=self.max_hyperplanes, max_dim=self.max_dim)
+        """Refuse a cone of ``size`` planes in ``dim`` coordinates: the one size guard, asked before any build."""
+        if dim > self.max_dim:
+            raise SizeBoundError(f"ambient dimension {dim} exceeds bound {self.max_dim}")
+        if size > self.max_hyperplanes:
+            raise SizeBoundError(f"{size} hyperplanes exceed bound {self.max_hyperplanes}")
 
     def get_charpoly(self, arr: Arrangement) -> Optional[tuple[int, ...]]:
         self.admit(arr.dim, arr.size)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import linalg
 from .arrangement import (
-    MAX_DIM,
     Arrangement,
     LatticeCache,
     SizeBoundError,
@@ -90,8 +89,7 @@ def charpoly_mobius(arr: Arrangement, cache: Optional[LatticeCache] = None) -> C
     hit = cache.get_charpoly(arr)
     if hit is not None:
         return CharPoly(hit)
-    lattice = intersection_lattice(arr, max_hyperplanes=cache.max_hyperplanes, max_dim=cache.max_dim)
-    poly = CharPoly(lattice.charpoly_coeffs())
+    poly = CharPoly(intersection_lattice(arr).charpoly_coeffs())
     cache.put_charpoly(arr, poly.coeffs)
     return poly
 
@@ -184,7 +182,8 @@ def count_free_points(arr: Arrangement, q: int) -> int:
 
     F_q^* scales {h.x = 1} onto the rest of the complement of the first
     plane h.  That slice is counted fibre by fibre over y in F_q^(n-2),
-    solving for the last coordinate t, with y streamed in fixed blocks.
+    solving for the last coordinate t, with y streamed in blocks of at
+    most 2^20 plane values, so no temporary grows with the plane count.
     """
     n = arr.dim
     if not arr.covectors:
@@ -202,7 +201,7 @@ def count_free_points(arr: Arrangement, q: int) -> int:
     scale = np.array([pow(int(b), -1, q) for b in slope[tilted]], dtype=np.int64)
     tilt_a, tilt_c = base[tilted] * scale[:, None] % q, const[tilted] * scale % q  # forbid t = -(a.y+c)
     radix = q ** np.arange(max(n - 2, 0), dtype=np.int64)
-    block, total = 1 << 13, 0  # memory is O(planes * block), never the whole grid
+    block, total = max(1, min(1 << 13, (1 << 20) // len(rows))), 0
     for start in range(0, q ** len(radix), block):
         y = np.arange(start, min(start + block, q ** len(radix)), dtype=np.int64)[:, None] // radix % q
         blocked = ((y @ base[~tilted].T + const[~tilted]) % q == 0).any(axis=1)
@@ -216,7 +215,7 @@ _RANGE = 16  # windows are tried until the smallest prime passes this multiple o
 _WHITNEY_MAX = 22  # charpoly_whitney refuses arrangements with more planes
 
 
-def charpoly_finite_field(arr: Arrangement, *, max_dim: int = MAX_DIM) -> CharPoly:
+def charpoly_finite_field(arr: Arrangement) -> CharPoly:
     """Interpolate the polynomial from point counts over prime fields.
 
     Primes above every covector entry and dim+1 are counted in ascending
@@ -228,8 +227,6 @@ def charpoly_finite_field(arr: Arrangement, *, max_dim: int = MAX_DIM) -> CharPo
     wrong central polynomial: the Mobius route is the authority.
     """
     n = arr.dim
-    if n > max_dim:
-        raise SizeBoundError(f"ambient dimension {n} exceeds the point-counting bound {max_dim}")
     max_entry = max((abs(e) for c in arr.covectors for e in c), default=0)
     floor = max(max_entry, n + 1) + 1
     window: deque[tuple[int, int]] = deque(maxlen=n + 3)  # (prime, count), oldest first

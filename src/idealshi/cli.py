@@ -65,6 +65,7 @@ from .rootsys import (
     roots_of,
     shi_exponents_dp,
     shi_plane_count,
+    shi_planes,
     weyl_exponents,
 )
 
@@ -413,24 +414,22 @@ def cmd_filtration(args) -> int:
     _emit("", args, "a")
     cache = _table(args)
     cases = []
-    previous: Optional[Arrangement] = None
+    previous: Optional[set] = None
     for i in range(1, args.steps + 1):
         t0 = time.perf_counter()
-        step = filtration_cone(rs, i)  # each step is an ideal-Shi cone, built once
-        arr = shi_arrangement(rs, *step)
-        checks = [CheckResult("saturated", PASS if arr.size == i else FAIL, f"|A_{i}| = {arr.size}")]
+        k, prefix, sign = filtration_cone(rs, i)  # each step is an ideal-Shi cone, checked as in verify
+        facts = SubsetFacts(CaseSpec(rs, k, sign, mask_of(rs, prefix), i, ("terao",)), cache)
+        planes, size = set(shi_planes(rs, k, prefix, sign)), facts.size(sign)
+        checks = [CheckResult("saturated", PASS if size == i else FAIL, f"|A_{i}| = {size}")]
         if previous is not None:
-            nested = set(previous.covectors) <= set(arr.covectors)
-            checks.append(CheckResult("nested", PASS if nested else FAIL, "previous step contained"))
-        predicted = shi_exponents_dp(rs, *step)
-        chi, refused = None, False
+            checks.append(CheckResult("nested", PASS if previous <= planes else FAIL, "previous step contained"))
+        refused = False
         try:
-            verdict = terao_check(shi_charpoly(rs, *step, cache, cone=arr), predicted)
-            chi = verdict.computed.coeffs
-            checks.append(CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}"))
+            checks.append(_check_terao(facts, sign))
         except SizeBoundError as err:
             checks.append(CheckResult("terao", SKIPPED, str(err)))
             refused = True
+        terao = facts.terao_verdicts.get(sign)
         cases.append(CaseRecord(
             system=str(rs.type),
             k=None,
@@ -438,14 +437,14 @@ def cmd_filtration(args) -> int:
             subset_kind="step",
             subset_roots=(),
             subset_index=i,
-            arrangement_size=arr.size,
-            predicted_exponents=predicted.parts,
-            chi_coeffs=chi,
+            arrangement_size=size,
+            predicted_exponents=(terao.predicted if terao else shi_exponents_dp(rs, k, prefix, sign)).parts,
+            chi_coeffs=terao and terao.computed.coeffs,
             verdict=_verdict(checks, refused),
             checks=checks,
             timing_ms=(time.perf_counter() - t0) * 1000.0,
         ))
-        previous = arr
+        previous = planes
     report = Report(command="filtration", tool_version=__version__, cases=cases)
     _emit(report.render(args.format, with_timings=args.timings), args)
     return 0 if report.ok else 1
@@ -473,7 +472,8 @@ def cmd_charpoly(args) -> int:
             elif method == "whitney":
                 polys[method] = charpoly_whitney(arr)
             else:
-                polys[method] = charpoly_finite_field(arr, max_dim=args.max_dim)
+                cache.admit(arr.dim, arr.size)
+                polys[method] = charpoly_finite_field(arr)
         except SizeBoundError as err:
             sys.stdout.write(f"{method}: skipped ({err})\n")
     sys.stdout.write(f"{rs.type} {label}: {arr.size} hyperplanes\n")
@@ -589,7 +589,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except (AssertionError, BadReductionError, ValueError) as err:
+    except (AssertionError, BadReductionError, MemoryError, ValueError) as err:
         sys.stderr.write(f"internal error: {err}\n")
         return 3
 

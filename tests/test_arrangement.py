@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from idealshi import (
     Arrangement,
     CharPoly,
+    LatticeCache,
     SizeBoundError,
     build,
+    charpoly_mobius,
     charpoly_whitney,
     dual_partition,
     enumerate_ideals,
@@ -531,12 +533,13 @@ def test_ziegler_matches_2k_plus_indicator(systems):
 
 
 def test_lattice_bounds():
+    # the chi table is the one size guard: it refuses the cone before its lattice is built
     a2 = build("A2")
     arr = shi_plus(a2, 1, [])
-    with pytest.raises(SizeBoundError):
-        intersection_lattice(arr, max_hyperplanes=3)
-    with pytest.raises(SizeBoundError):
-        intersection_lattice(arr, max_dim=2)
+    with pytest.raises(SizeBoundError, match="7 hyperplanes exceed bound 3"):
+        charpoly_mobius(arr, LatticeCache(max_hyperplanes=3))
+    with pytest.raises(SizeBoundError, match="ambient dimension 3 exceeds bound 2"):
+        charpoly_mobius(arr, LatticeCache(max_dim=2))
 
 
 # --- rank-2 boundary intersection points -------------------------------------

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ def test_finite_field_counts():
     assert charpoly_finite_field(empty).coeffs == (0, 0, 1)
     assert count_free_points(Arrangement.of(1, [(1,)]), 5) == 4
     assert count_free_points(Arrangement(2, ((3, 0),)), 3) == 0  # not primitive: vanishes mod 3
+
+
+def test_point_count_memory_is_bounded_in_the_plane_count():
+    # A2 (1000, {}, '+') has 6,001 planes; at q = 3k + 1 it has (q - 1)(q - 3k)^2 = 3000 free points
+    arr = shi_plus(build("A2"), 1000, [])
+    tracemalloc.start()
+    try:
+        assert count_free_points(arr, 3001) == 3000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.size == 6001 and peak < 64 << 20
 
 
 def logged_counts(monkeypatch, corrupt=None):

@@ -505,6 +505,35 @@ def test_charpoly_all_methods_agree(capsys):
     assert "(1, 3, 3)" in out
 
 
+def test_charpoly_refuses_a_huge_cone_on_every_route(capsys):
+    # all three routes ask the guards before building anything from the 120,001 planes
+    code, out, _ = run(capsys, "charpoly", "A2", "-k", "20000", "--subset", "none")
+    assert code == 0
+    assert out.splitlines() == [
+        "mobius: skipped (120001 hyperplanes exceed bound 73)",
+        "whitney: skipped (120001 hyperplanes exceed the subset-sum bound 22)",
+        "finite-field: skipped (120001 hyperplanes exceed bound 73)",
+        "A2 Shi k=20000 sign + subset {}: 120001 hyperplanes",
+    ]
+
+
+def test_finite_field_route_obeys_the_hyperplane_guard(capsys):
+    argv = ("charpoly", "A2", "-k", "50", "--subset", "none", "--method", "finite-field")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "finite-field: skipped (301 hyperplanes exceed bound 73)" in out
+    code, out, _ = run(capsys, *argv, "--max-hyperplanes", "301")
+    assert code == 0
+    assert "finite-field: t^3 - 301t^2 + 22800t - 22500" in out and "(1, 150, 150)" in out
+
+
+def test_whitney_runs_beyond_the_dimension_guard(capsys):
+    # the subset sum has its own fixed bound of 22 planes, not the table's guards
+    code, out, _ = run(capsys, "charpoly", "A6")
+    assert code == 0
+    assert "finite-field: skipped (ambient dimension 6 exceeds bound 5)" in out
+    assert "whitney: t^6 - 21t^5 + 175t^4" in out
+
+
 def test_filtration_reports_an_unsaturated_step(capsys, monkeypatch):
     original = idealshi.cli.filtration_cone
     # the cone of step i-1 in place of step i, so |A_i| < i from the second step on
@@ -519,6 +548,20 @@ def test_filtration_builds_each_step_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "filtration", "B3", "--steps", "40", "--format", "json")
     assert code == 0 and len(json.loads(out)["cases"]) == 40
     assert len(cones) == 40
+
+
+def test_filtration_refuses_a_step_before_building_its_cone(capsys, monkeypatch):
+    # steps beyond 73 planes are refused from their plane count, and keep their prediction
+    cones = _count_calls(monkeypatch, idealshi.arrangement, "shi_arrangement")
+    code, out, _ = run(capsys, "filtration", "A2", "--steps", "200", "--format", "json")
+    assert code == 0
+    cases = json.loads(out)["cases"]
+    verdicts = [c["verdict"] for c in cases]
+    assert verdicts.count("PASS") == 73 and verdicts.count("SKIPPED") == 127
+    assert len(cones) == 73
+    refused = cases[73]
+    assert refused["checks"][-1] == {"name": "terao", "status": "SKIPPED", "detail": "74 hyperplanes exceed bound 73"}
+    assert refused["chi_coeffs"] is None and len(refused["predicted_exponents"]) == 3
 
 
 @pytest.mark.parametrize(
@@ -594,6 +637,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
     assert code == 3 and out == ""
     assert err.startswith("internal error: Mobius values")
+
+
+def test_out_of_memory_is_an_internal_error(capsys, monkeypatch):
+    import idealshi.charpoly
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 12.2 GiB for an array")
+
+    monkeypatch.setattr(idealshi.charpoly, "intersection_lattice", exhausted)
+    code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: Unable to allocate") and "Traceback" not in err
 
 
 def test_broken_chain_step_is_an_internal_error(capsys, monkeypatch):
