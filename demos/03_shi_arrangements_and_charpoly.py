@@ -13,8 +13,8 @@ from idealshi import (
     charpoly_mobius,
     charpoly_whitney,
     enumerate_ideals,
+    shi_arrangement,
     shi_exponents_dp,
-    shi_plus,
     terao_check,
     try_factor_exponents,
 )
@@ -23,14 +23,14 @@ rs = build("A2")
 
 print("the plain Shi cone, the Catalan cone, and everything between:")
 for ideal in enumerate_ideals(rs):
-    arr = shi_plus(rs, 1, ideal.roots)
+    arr = shi_arrangement(rs, 1, ideal.roots, "+")
     chi = charpoly_mobius(arr)
     label = ",".join(r.name for r in ideal.roots) or "empty"
     print(f"  +{{{label:<14}}} |A| = {arr.size:>2}   chi = {chi}   roots {try_factor_exponents(chi)}")
 
 print("\nthree methods on the k = 2 Shi cone of B2:")
 b2 = build("B2")
-arr = shi_plus(b2, 2, [])
+arr = shi_arrangement(b2, 2, [], "+")
 print("   mobius      :", charpoly_mobius(arr))
 print("   subset sum  :", charpoly_whitney(arr))
 print("   finite field:", charpoly_finite_field(arr))
@@ -39,7 +39,7 @@ print("\npredicted vs computed exponents over every ideal of G2, k = 1:")
 g2 = build("G2")
 for ideal in enumerate_ideals(g2):
     predicted = shi_exponents_dp(g2, 1, ideal.roots, "+")
-    verdict = terao_check(charpoly_mobius(shi_plus(g2, 1, ideal.roots)), predicted)
+    verdict = terao_check(charpoly_mobius(shi_arrangement(g2, 1, ideal.roots, "+")), predicted)
     label = ",".join(r.name for r in ideal.roots) or "empty"
     status = "ok" if verdict.passed else "MISMATCH"
     print(f"  +{{{label:<22}}} predicted {predicted}  {status}")

@@ -13,7 +13,6 @@ from idealshi import (
     filtration_cone,
     shi_arrangement,
     shi_exponents_dp,
-    shi_plus,
     terao_check,
 )
 
@@ -30,7 +29,7 @@ for i in range(1, 2 * 2 * n + 2):
     nested = "" if prev is None else ("  nested" if set(prev.covectors) <= set(arr.covectors) else "  BROKEN")
     mark = ""
     for k in (1, 2):
-        if set(arr.covectors) == set(shi_plus(rs, k, []).covectors):
+        if set(arr.covectors) == set(shi_arrangement(rs, k, [], "+").covectors):
             mark = f"   <- Shi cone, k = {k}"
     status = "ok" if verdict.passed else "MISMATCH"
     print(f"step {i:>2}  |A| = {arr.size:>2}  exponents {str(exps):<14} {status}{nested}{mark}")

@@ -20,7 +20,6 @@ from .arrangement import (
     root_arrangement,
     root_covector,
     shi_arrangement,
-    shi_plus,
     z_covector,
     ziegler_multiplicity,
 )
@@ -50,7 +49,6 @@ from .multiarr import (
     FreenessVerdict,
     derivation_space_dim,
     exp_rank2_multi,
-    shift_predict,
     yoshinaga_check,
 )
 from .rootsys import (
@@ -61,7 +59,7 @@ from .rootsys import (
     RootSystemType,
     build,
     dual_partition,
-    ext_height,
     shi_exponents_dp,
+    shift_predict,
     weyl_exponents,
 )

@@ -95,10 +95,6 @@ def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root], sign: str) ->
     return Arrangement(rs.rank + 1, tuple(sorted(covs | {z_covector(rs)})))  # already normalized
 
 
-def shi_plus(rs: RootSystem, k: int, sigma: Iterable[Root]) -> Arrangement:
-    return shi_arrangement(rs, k, sigma, "+")
-
-
 def filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]:
     """Step i of the saturated chain as the ideal-Shi cone (k, ideal, sign).
 

@@ -145,6 +145,15 @@ def shi_charpoly(
     return poly
 
 
+_WHITNEY_MAX = 22  # charpoly_whitney refuses arrangements with more planes
+
+
+def whitney_admit(size: int) -> None:
+    """Refuse a subset sum over ``size`` planes: the fixed bound of :func:`charpoly_whitney`, asked before any build."""
+    if size > _WHITNEY_MAX:
+        raise SizeBoundError(f"{size} hyperplanes exceed the subset-sum bound {_WHITNEY_MAX}")
+
+
 def charpoly_whitney(arr: Arrangement) -> CharPoly:
     """Signed sum of t^(dim - rank B) over subsets B of the arrangement.
 
@@ -152,8 +161,7 @@ def charpoly_whitney(arr: Arrangement) -> CharPoly:
     in +/- pairs, so the walk only ever branches on independent sets;
     that keeps |A| = 22 comfortably feasible without changing the sum.
     """
-    if arr.size > _WHITNEY_MAX:
-        raise SizeBoundError(f"{arr.size} hyperplanes exceed the subset-sum bound {_WHITNEY_MAX}")
+    whitney_admit(arr.size)
     n = arr.dim
     covs = arr.covectors
     m = len(covs)
@@ -212,7 +220,6 @@ def count_free_points(arr: Arrangement, q: int) -> int:
 
 
 _RANGE = 16  # windows are tried until the smallest prime passes this multiple of the floor
-_WHITNEY_MAX = 22  # charpoly_whitney refuses arrangements with more planes
 
 
 def charpoly_finite_field(arr: Arrangement) -> CharPoly:

@@ -43,9 +43,10 @@ from .charpoly import (
     shi_charpoly,
     terao_check,
     try_factor_exponents,
+    whitney_admit,
 )
 from .ideals import Ideal, enumerate_ideals, ideal_exponents, is_ideal
-from .multiarr import FreenessVerdict, exp_rank2_multi, shift_predict, yoshinaga_check
+from .multiarr import FreenessVerdict, exp_rank2_multi, yoshinaga_check
 from .report import (
     FAIL,
     NOT_FREE_CONFIRMED,
@@ -64,8 +65,9 @@ from .rootsys import (
     mask_of,
     roots_of,
     shi_exponents_dp,
+    shi_levels,
     shi_plane_count,
-    shi_planes,
+    shift_predict,
     weyl_exponents,
 )
 
@@ -414,15 +416,19 @@ def cmd_filtration(args) -> int:
     _emit("", args, "a")
     cache = _table(args)
     cases = []
-    previous: Optional[set] = None
+    previous: Optional[list[range]] = None
     for i in range(1, args.steps + 1):
         t0 = time.perf_counter()
         k, prefix, sign = filtration_cone(rs, i)  # each step is an ideal-Shi cone, checked as in verify
         facts = SubsetFacts(CaseSpec(rs, k, sign, mask_of(rs, prefix), i, ("terao",)), cache)
-        planes, size = set(shi_planes(rs, k, prefix, sign)), facts.size(sign)
+        levels, size = shi_levels(rs, k, prefix, sign), facts.size(sign)
         checks = [CheckResult("saturated", PASS if size == i else FAIL, f"|A_{i}| = {size}")]
         if previous is not None:
-            checks.append(CheckResult("nested", PASS if previous <= planes else FAIL, "previous step contained"))
+            # each root's levels hold the previous step's; an empty range (k = 0) lies in any range
+            nested = all(
+                not was or now.start <= was.start and was.stop <= now.stop for was, now in zip(previous, levels)
+            )
+            checks.append(CheckResult("nested", PASS if nested else FAIL, "previous step contained"))
         refused = False
         try:
             checks.append(_check_terao(facts, sign))
@@ -444,7 +450,7 @@ def cmd_filtration(args) -> int:
             checks=checks,
             timing_ms=(time.perf_counter() - t0) * 1000.0,
         ))
-        previous = planes
+        previous = levels
     report = Report(command="filtration", tool_version=__version__, cases=cases)
     _emit(report.render(args.format, with_timings=args.timings), args)
     return 0 if report.ok else 1
@@ -458,25 +464,31 @@ def cmd_charpoly(args) -> int:
     roots = roots_of(rs, mask)
     if args.k is None:
         arr = root_arrangement(rs, roots if args.subset is not None else None)
+        dim, size = arr.dim, arr.size
         label = f"A({args.subset or 'all roots'}) in {arr.dim} coordinates"
     else:
-        arr = shi_arrangement(rs, args.k, roots, sign)
+        arr, dim, size = None, rs.rank + 1, shi_plane_count(rs, args.k, roots, sign)  # built once a route admits it
         label = f"Shi k={args.k} sign {sign} subset {{{','.join(r.name for r in roots)}}}"
     cache = _table(args)
     polys = {}
     methods = ("mobius", "whitney", "finite-field") if args.method == "all" else (args.method,)
     for method in methods:
         try:
+            if method == "whitney":
+                whitney_admit(size)
+            else:
+                cache.admit(dim, size)
+            if arr is None:
+                arr = shi_arrangement(rs, args.k, roots, sign)
             if method == "mobius":
                 polys[method] = charpoly_mobius(arr, cache)
             elif method == "whitney":
                 polys[method] = charpoly_whitney(arr)
             else:
-                cache.admit(arr.dim, arr.size)
                 polys[method] = charpoly_finite_field(arr)
         except SizeBoundError as err:
             sys.stdout.write(f"{method}: skipped ({err})\n")
-    sys.stdout.write(f"{rs.type} {label}: {arr.size} hyperplanes\n")
+    sys.stdout.write(f"{rs.type} {label}: {size} hyperplanes\n")
     for method, poly in polys.items():
         sys.stdout.write(f"{method}: {poly}\n")
     if len(set(p.coeffs for p in polys.values())) > 1:

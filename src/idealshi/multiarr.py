@@ -171,16 +171,6 @@ def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity, bases: Optional[dict]
     return d1, d2
 
 
-def shift_predict(base_exp: ExponentMultiset, k: int, h: int, sign: str) -> ExponentMultiset:
-    """Exponents after shifting a 0/1 multiplicity by the constant 2k:
-    componentwise k*h + m_i (sign '+') or k*h - m_i (sign '-')."""
-    if sign == "+":
-        return ExponentMultiset(tuple(k * h + m for m in base_exp))
-    if sign == "-":
-        return ExponentMultiset(tuple(k * h - m for m in base_exp))
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
 @dataclass(frozen=True)
 class FreenessVerdict:
     """Outcome of the complete ambient-3 freeness test.

@@ -285,25 +285,6 @@ def weyl_exponents(rs: RootSystem) -> ExponentMultiset:
     return dual_partition((r.height for r in rs.positive_roots), rs.rank)
 
 
-def ext_height(rs: RootSystem, root: Root, j: int) -> int:
-    """Height of the affine vector ``root - j*z``, extended h-periodically.
-
-    Positive levels mirror the height through the top of the window:
-    -Ht + j*h + 1; nonpositive levels shift it: Ht - j*h.
-    """
-    if root.coeffs not in rs.index:
-        raise ValueError(f"{root} is not a positive root of {rs.type}")
-    h = rs.coxeter_number
-    if j > 0:
-        return -root.height + j * h + 1
-    return root.height - j * h
-
-
-def ext_height_z() -> int:
-    """Height assigned to the coning direction."""
-    return 1
-
-
 def mask_of(rs: RootSystem, roots: Iterable[Root]) -> int:
     """Bitmask of a subset of the positive roots, by canonical index."""
     mask = 0
@@ -330,7 +311,14 @@ def is_ideal(rs: RootSystem, roots: Iterable[Root] | int) -> bool:
     return True
 
 
-def _levels(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[range]:
+def _check_cone(k: int, sign: str) -> None:
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    if k < 0 or (k == 0 and sign == "-"):
+        raise ValueError("k must be a positive integer, or 0 with sign '+'")
+
+
+def shi_levels(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[range]:
     """For each positive root, the levels j of the planes {root = j*z} of
     an ideal-Shi cone.
 
@@ -338,10 +326,7 @@ def _levels(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[ra
     Sign '-': levels 1-k..k with level k removed on the subset.
     At k = 0 only sign '+' is defined: the subset's planes {root = 0}.
     """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if k < 0 or (k == 0 and sign == "-"):
-        raise ValueError("k must be a positive integer, or 0 with sign '+'")
+    _check_cone(k, sign)
     mask = mask_of(rs, roots)
     members = [mask >> i & 1 for i in range(rs.n_positive)]
     if sign == "+":
@@ -352,25 +337,31 @@ def _levels(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[ra
 def shi_planes(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> list[tuple[Root, int]]:
     """The (root, level) pairs of the planes {root = level*z} of an
     ideal-Shi cone, besides {z = 0}."""
-    levels = _levels(rs, k, roots, sign)
+    levels = shi_levels(rs, k, roots, sign)
     return [(root, j) for root, js in zip(rs.positive_roots, levels) for j in js]
 
 
 def shi_plane_count(rs: RootSystem, k: int, roots: Iterable[Root], sign: str) -> int:
     """Hyperplanes of the ideal-Shi cone, {z = 0} included, without listing them."""
-    return 1 + sum(len(js) for js in _levels(rs, k, roots, sign))
+    return 1 + sum(len(js) for js in shi_levels(rs, k, roots, sign))
 
 
-def shi_defining_values(rs: RootSystem, k: int, ideal_roots: Iterable[Root], sign: str) -> list[int]:
-    """Extended heights of the defining vectors of an ideal-Shi arrangement:
-    z plus every plane of :func:`shi_planes`."""
-    ideal_roots = tuple(ideal_roots)
-    if not is_ideal(rs, ideal_roots):
-        raise ValueError("subset is not downward closed under dominance")
-    return [ext_height_z()] + [ext_height(rs, r, j) for r, j in shi_planes(rs, k, ideal_roots, sign)]
+def shift_predict(base_exp: ExponentMultiset, k: int, h: int, sign: str) -> ExponentMultiset:
+    """Exponents after shifting a 0/1 multiplicity by the constant 2k:
+    componentwise k*h + m_i (sign '+') or k*h - m_i (sign '-')."""
+    if sign == "+":
+        return ExponentMultiset(tuple(k * h + m for m in base_exp))
+    if sign == "-":
+        return ExponentMultiset(tuple(k * h - m for m in base_exp))
+    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
 def shi_exponents_dp(rs: RootSystem, k: int, ideal_roots: Iterable[Root], sign: str) -> ExponentMultiset:
-    """Predicted ideal-Shi exponents: dual partition of the extended heights."""
-    values = shi_defining_values(rs, k, ideal_roots, sign)
-    return dual_partition(values, rs.rank + 1)
+    """Predicted ideal-Shi exponents (1, kh +/- e_i(I)): the shift law applied
+    to e(I), the dual partition of the ideal's heights."""
+    ideal_roots = tuple(ideal_roots)
+    if not is_ideal(rs, ideal_roots):
+        raise ValueError("subset is not downward closed under dominance")
+    _check_cone(k, sign)
+    e = dual_partition((r.height for r in ideal_roots), rs.rank)
+    return ExponentMultiset((1,) + shift_predict(e, k, rs.coxeter_number, sign).parts)

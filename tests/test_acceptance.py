@@ -21,7 +21,6 @@ from idealshi import (
     charpoly_whitney,
     enumerate_ideals,
     exp_rank2_multi,
-    ext_height,
     filtration_cone,
     ideal_exponents,
     restriction,
@@ -29,7 +28,6 @@ from idealshi import (
     root_covector,
     shi_arrangement,
     shi_exponents_dp,
-    shi_plus,
     shift_predict,
     terao_check,
     weyl_exponents,
@@ -37,6 +35,8 @@ from idealshi import (
     z_covector,
     ziegler_multiplicity,
 )
+
+from extended_heights import ext_height
 
 CAMPAIGN_SYSTEMS = ("A2", "B2", "G2", "A3", "B3")
 RANK2 = ("A2", "B2", "G2")
@@ -75,7 +75,7 @@ def test_c02_shi_charpoly_product_form(systems):
         rs = systems[name]
         h, ell = rs.coxeter_number, rs.rank
         for k in (1, 2):
-            got = charpoly_mobius(shi_plus(rs, k, []))
+            got = charpoly_mobius(shi_arrangement(rs, k, [], "+"))
             want = CharPoly.from_roots([1] + [k * h] * ell)
             checked += 1
             if got.coeffs != want.coeffs:
@@ -141,7 +141,7 @@ def test_c04_rank2_sign_symmetry_complete(systems):
                     bad.append((name, k, mask, "freeness"))
     # the explicit witness: Sigma = {a1+a2} in A2 at k = 1
     a2 = systems["A2"]
-    witness_arr = shi_plus(a2, 1, [a2.root_at((1, 1))])
+    witness_arr = shi_arrangement(a2, 1, [a2.root_at((1, 1))], "+")
     witness = yoshinaga_check(witness_arr, z_covector(a2), charpoly_mobius(witness_arr))
     if witness.free or witness.chi0_zero != 13 or witness.restriction_exponents != (3, 4):
         bad.append(("A2", "witness"))
@@ -174,7 +174,7 @@ def test_c06_boundary_restriction_counts(systems):
             for mask in range(1 << rs.n_positive):
                 sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
                 sigma_set = set(sigma)
-                plus = shi_plus(rs, k, sigma)
+                plus = shi_arrangement(rs, k, sigma, "+")
                 minus = shi_arrangement(rs, k, sigma, "-")
                 for alpha in rs.positive_roots:
                     if alpha in sigma_set:
@@ -238,14 +238,14 @@ def _oracle_corpus(systems):
     corpus = []
     for name in RANK2:
         rs = systems[name]
-        corpus.append(shi_plus(rs, 1, []))
-        corpus.append(shi_plus(rs, 1, rs.positive_roots))
+        corpus.append(shi_arrangement(rs, 1, [], "+"))
+        corpus.append(shi_arrangement(rs, 1, rs.positive_roots, "+"))
         corpus.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
-        corpus.append(shi_plus(rs, 1, [rs.positive_roots[0]]))
+        corpus.append(shi_arrangement(rs, 1, [rs.positive_roots[0]], "+"))
         corpus.append(root_arrangement(rs))
     for name in ("A3", "B3"):
         rs = systems[name]
-        corpus.append(shi_plus(rs, 1, []))
+        corpus.append(shi_arrangement(rs, 1, [], "+"))
         corpus.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
         corpus.append(root_arrangement(rs))
     a2 = systems["A2"]

@@ -20,7 +20,6 @@ from idealshi import (
     charpoly_whitney,
     dual_partition,
     enumerate_ideals,
-    ext_height,
     filtration_cone,
     intersection_lattice,
     restriction,
@@ -28,13 +27,14 @@ from idealshi import (
     root_covector,
     shi_arrangement,
     shi_exponents_dp,
-    shi_plus,
     z_covector,
     ziegler_multiplicity,
 )
 from idealshi import linalg
 from idealshi.arrangement import _primitive, _restricted_basis, covector
-from idealshi.rootsys import ext_height_z, is_ideal, roots_of, shi_plane_count, shi_planes
+from idealshi.rootsys import is_ideal, roots_of, shi_plane_count, shi_planes
+
+from extended_heights import ext_height, ext_height_z
 
 
 # --- independent oracle: sweep all subsets, Mobius by definition -----------
@@ -95,9 +95,9 @@ def _small_corpus():
         [
             Arrangement.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),  # boolean
             shi_arrangement(a2, 1, a2.positive_roots, "-"),  # coned Weyl A2
-            shi_plus(a2, 1, []),
-            shi_plus(a2, 1, [a2.positive_roots[0]]),
-            shi_plus(a2, 1, a2.positive_roots),
+            shi_arrangement(a2, 1, [], "+"),
+            shi_arrangement(a2, 1, [a2.positive_roots[0]], "+"),
+            shi_arrangement(a2, 1, a2.positive_roots, "+"),
             shi_arrangement(b2, 1, b2.positive_roots, "-"),
             root_arrangement(b2),
             Arrangement.of(3, [(1, 1, 1), (1, -1, 0), (0, 1, -1), (1, 0, -1), (2, 1, 1)]),
@@ -150,7 +150,7 @@ def assert_levels_match_brute_force(arr):
 )
 @settings(max_examples=60, deadline=None)
 def test_random_shi_subarrangements_match_oracles(systems, name, k, size, rng):
-    cone = shi_plus(systems[name], k, systems[name].positive_roots)
+    cone = shi_arrangement(systems[name], k, systems[name].positive_roots, "+")
     # sampled planes keep their drawn order, which Arrangement.of never
     # produces, so the lowest-plane rule of the build runs under any order
     chosen = rng.sample(cone.covectors, min(size, cone.size))
@@ -164,7 +164,7 @@ def test_wide_entries_stay_exact(systems):
     # but pushes its covector entries past 2^31, so products of covectors
     # and flat bases no longer fit in int64 and must run on Python integers.
     a3 = systems["A3"]
-    cone = shi_plus(a3, 1, a3.positive_roots[:2])
+    cone = shi_arrangement(a3, 1, a3.positive_roots[:2], "+")
     t = 2**16 + 3
     lower = [[1, 0, 0, 0], [t, 1, 0, 0], [0, t, 1, 0], [0, 0, t, 1]]
     upper = [[1, t, 0, 0], [0, 1, t, 0], [0, 0, 1, t], [0, 0, 0, 1]]
@@ -192,7 +192,7 @@ def test_masks_wider_than_one_word(systems):
     # 67 planes: masks take two 64-bit words.  In rank 3, a point X has
     # mu(X) = |A_X| - 1 and chi must split as the dual partition predicts.
     g2 = systems["G2"]
-    arr = shi_plus(g2, 5, g2.positive_roots)
+    arr = shi_arrangement(g2, 5, g2.positive_roots, "+")
     assert arr.size > 64
     lattice = intersection_lattice(arr)
     assert all(mu == -1 for _, mu in flats(lattice.levels[1]))
@@ -219,8 +219,8 @@ def test_shi_sizes(systems):
         rs = systems[name]
         n = rs.n_positive
         for k in (1, 2):
-            assert shi_plus(rs, k, []).size == 2 * k * n + 1
-            assert shi_plus(rs, k, rs.positive_roots).size == 2 * k * n + 1 + n
+            assert shi_arrangement(rs, k, [], "+").size == 2 * k * n + 1
+            assert shi_arrangement(rs, k, rs.positive_roots, "+").size == 2 * k * n + 1 + n
             assert shi_arrangement(rs, k, rs.positive_roots, "-").size == 2 * k * n + 1 - n
 
 
@@ -253,11 +253,11 @@ def test_shi_rejects_bad_input(systems):
             shi_arrangement(a2, k, [], sign)
     b2 = systems["B2"]
     with pytest.raises(ValueError):
-        shi_plus(a2, 1, [b2.positive_roots[3]])
+        shi_arrangement(a2, 1, [b2.positive_roots[3]], "+")
     # k = 0 with '+' is the coned ideal subarrangement
     ideal = a2.positive_roots[:2]
     want = {z_covector(a2)} | {root_covector(a2, r, 0, coned=True) for r in ideal}
-    assert set(shi_plus(a2, 0, ideal).covectors) == want
+    assert set(shi_arrangement(a2, 0, ideal, "+").covectors) == want
 
 
 ALL_TYPES = (
@@ -317,7 +317,7 @@ def test_filtration_first_steps_a2(systems):
     step4 = shi_arrangement(a2, *filtration_cone(a2, 4))
     want = {z_covector(a2)} | {r.coeffs + (0,) for r in a2.positive_roots}
     assert set(step4.covectors) == want
-    assert set(shi_arrangement(a2, *filtration_cone(a2, 7)).covectors) == set(shi_plus(a2, 1, []).covectors)
+    assert set(shi_arrangement(a2, *filtration_cone(a2, 7)).covectors) == set(shi_arrangement(a2, 1, [], "+").covectors)
 
 
 def test_filtration_saturated_and_nested(systems):
@@ -344,14 +344,14 @@ def test_filtration_rounds_hit_shi_arrangements(systems):
         n = rs.n_positive
         for k in (1, 2):
             arr = shi_arrangement(rs, *filtration_cone(rs, 2 * n * k + 1))
-            assert set(arr.covectors) == set(shi_plus(rs, k, []).covectors)
+            assert set(arr.covectors) == set(shi_arrangement(rs, k, [], "+").covectors)
 
 
 # --- localization: the hyperplanes in a flat's mask -------------------------
 
 
 def test_localization_examples(systems):
-    arr = shi_plus(systems["A2"], 1, [])
+    arr = shi_arrangement(systems["A2"], 1, [], "+")
     lattice = intersection_lattice(arr)
     assert flats(lattice.levels[0])[0][0] == 0  # no hyperplane contains the whole space
     assert sorted(mask for mask, _ in flats(lattice.levels[1])) == [1 << i for i in range(arr.size)]
@@ -359,7 +359,7 @@ def test_localization_examples(systems):
 
 def test_localization_through_z_is_a_sub_shi(systems):
     a2 = systems["A2"]
-    arr = shi_plus(a2, 1, [])
+    arr = shi_arrangement(a2, 1, [], "+")
     localizations = [
         {c for i, c in enumerate(arr.covectors) if mask >> i & 1}
         for mask, _ in flats(intersection_lattice(arr).levels[2])
@@ -445,11 +445,11 @@ def test_restriction_onto_a_coordinate_plane_keeps_coordinates():
 
 def test_restriction_count_examples(systems):
     a2 = systems["A2"]
-    shi = shi_plus(a2, 1, [])
+    shi = shi_arrangement(a2, 1, [], "+")
     a1, a2r, a12 = a2.positive_roots
     assert restriction(shi, root_covector(a2, a1, -1, coned=True)).size == 4
     assert restriction(shi, root_covector(a2, a12, -1, coned=True)).size == 5
-    arr = shi_plus(a2, 1, [a1])
+    arr = shi_arrangement(a2, 1, [a1], "+")
     assert restriction(arr, root_covector(a2, a2r, -1, coned=True)).size == 5
     assert restriction(Arrangement.of(1, [(1,)]), (1,)) == Arrangement(0, ())  # a line to its point
 
@@ -468,7 +468,7 @@ def count_table(systems):
                     if alpha in sigma_set:
                         continue
                     boundary_case = alpha in simple and not (sigma_set & simple)
-                    plus = shi_plus(rs, k, sigma)
+                    plus = shi_arrangement(rs, k, sigma, "+")
                     got_plus = restriction(plus, root_covector(rs, alpha, -k, coned=True)).size
                     want_plus = k * h + 1 if boundary_case else k * h + 2
                     minus = shi_arrangement(rs, k, sigma, "-")
@@ -488,7 +488,7 @@ def test_count_table_complete(systems):
 
 def test_ziegler_examples(systems):
     a2 = systems["A2"]
-    arr = shi_plus(a2, 1, [a2.positive_roots[0]])
+    arr = shi_arrangement(a2, 1, [a2.positive_roots[0]], "+")
     restricted, mult = ziegler_multiplicity(arr, z_covector(a2))
     assert restricted.covectors == root_arrangement(a2).covectors
     assert sorted(mult.values()) == [2, 2, 3]
@@ -501,7 +501,7 @@ def test_ziegler_examples(systems):
 
 def test_ziegler_requires_membership(systems):
     a2 = systems["A2"]
-    arr = shi_plus(a2, 1, [])
+    arr = shi_arrangement(a2, 1, [], "+")
     with pytest.raises(ValueError):
         ziegler_multiplicity(arr, root_covector(a2, a2.positive_roots[0], -1, coned=True))
 
@@ -535,7 +535,7 @@ def test_ziegler_matches_2k_plus_indicator(systems):
 def test_lattice_bounds():
     # the chi table is the one size guard: it refuses the cone before its lattice is built
     a2 = build("A2")
-    arr = shi_plus(a2, 1, [])
+    arr = shi_arrangement(a2, 1, [], "+")
     with pytest.raises(SizeBoundError, match="7 hyperplanes exceed bound 3"):
         charpoly_mobius(arr, LatticeCache(max_hyperplanes=3))
     with pytest.raises(SizeBoundError, match="ambient dimension 3 exceeds bound 2"):

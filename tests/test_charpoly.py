@@ -34,7 +34,6 @@ from idealshi import (
     root_arrangement,
     shi_arrangement,
     shi_charpoly,
-    shi_plus,
     terao_check,
     try_factor_exponents,
 )
@@ -49,10 +48,10 @@ def poly_of_roots(*roots):
 def test_frozen_polynomials():
     a2 = build("A2")
     b2 = build("B2")
-    assert charpoly_mobius(shi_plus(a2, 1, [])).coeffs == poly_of_roots(1, 3, 3)
-    assert charpoly_mobius(shi_plus(a2, 1, a2.positive_roots)).coeffs == poly_of_roots(1, 4, 5)
+    assert charpoly_mobius(shi_arrangement(a2, 1, [], "+")).coeffs == poly_of_roots(1, 3, 3)
+    assert charpoly_mobius(shi_arrangement(a2, 1, a2.positive_roots, "+")).coeffs == poly_of_roots(1, 4, 5)
     assert charpoly_mobius(shi_arrangement(a2, 1, a2.positive_roots, "-")).coeffs == poly_of_roots(1, 1, 2)
-    assert charpoly_mobius(shi_plus(b2, 1, [])).coeffs == poly_of_roots(1, 4, 4)
+    assert charpoly_mobius(shi_arrangement(b2, 1, [], "+")).coeffs == poly_of_roots(1, 4, 4)
     assert charpoly_mobius(root_arrangement(a2)).coeffs == poly_of_roots(1, 2)
     boolean = Arrangement.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert charpoly_mobius(boolean).coeffs == poly_of_roots(1, 1, 1)
@@ -66,14 +65,14 @@ def test_whitney_matches_hand_values():
     a2 = build("A2")
     assert charpoly_whitney(shi_arrangement(a2, 1, a2.positive_roots, "-")).coeffs == poly_of_roots(1, 1, 2)
     b2 = build("B2")
-    assert charpoly_whitney(shi_plus(b2, 1, [])).coeffs == poly_of_roots(1, 4, 4)
+    assert charpoly_whitney(shi_arrangement(b2, 1, [], "+")).coeffs == poly_of_roots(1, 4, 4)
     single = Arrangement.of(2, [(1, 0)])
     assert charpoly_whitney(single).coeffs == (0, -1, 1)
 
 
 def test_whitney_size_guard():
     g2 = build("G2")
-    big = shi_plus(g2, 2, g2.positive_roots)  # 31 planes
+    big = shi_arrangement(g2, 2, g2.positive_roots, "+")  # 31 planes
     with pytest.raises(SizeBoundError):
         charpoly_whitney(big)
 
@@ -96,7 +95,7 @@ def brute_force_count(arr, q):
 
 def test_finite_field_counts():
     a2 = build("A2")
-    shi = shi_plus(a2, 1, [])
+    shi = shi_arrangement(a2, 1, [], "+")
     assert count_free_points(shi, 7) == 96  # (7-1)(7-3)^2
     boolean = Arrangement.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert count_free_points(boolean, 5) == 64
@@ -109,7 +108,7 @@ def test_finite_field_counts():
 
 def test_point_count_memory_is_bounded_in_the_plane_count():
     # A2 (1000, {}, '+') has 6,001 planes; at q = 3k + 1 it has (q - 1)(q - 3k)^2 = 3000 free points
-    arr = shi_plus(build("A2"), 1000, [])
+    arr = shi_arrangement(build("A2"), 1000, [], "+")
     tracemalloc.start()
     try:
         assert count_free_points(arr, 3001) == 3000
@@ -135,7 +134,7 @@ def logged_counts(monkeypatch, corrupt=None):
 def test_prime_stream_counts_each_prime_once(monkeypatch):
     # 7 and 11 are bad for this cone, so its first window slides twice
     rs = build("B3")
-    cone = shi_plus(rs, 2, [])
+    cone = shi_arrangement(rs, 2, [], "+")
     primes = logged_counts(monkeypatch)
     assert charpoly_finite_field(cone) == charpoly_mobius(cone)
     assert primes == [7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -143,13 +142,13 @@ def test_prime_stream_counts_each_prime_once(monkeypatch):
 
 def test_prime_stream_range_cap():
     # the twenty primes 53 to 149 above this cone's floor of 51 are all bad
-    assert charpoly_finite_field(shi_plus(build("A2"), 50, [])) == CharPoly.from_roots((1, 150, 150))
+    assert charpoly_finite_field(shi_arrangement(build("A2"), 50, [], "+")) == CharPoly.from_roots((1, 150, 150))
 
 
 def test_window_steps_past_a_bad_prime_inside_it(monkeypatch):
     # 13 is the third prime of the first window, so three windows fail
     rs = build("A3")
-    cone = shi_plus(rs, 1, rs.positive_roots)
+    cone = shi_arrangement(rs, 1, rs.positive_roots, "+")
     primes = logged_counts(monkeypatch, corrupt=13)
     assert charpoly_finite_field(cone) == charpoly_mobius(cone)
     assert len(primes) == len(set(primes))
@@ -212,11 +211,11 @@ def test_rank4_finite_field_memory():
     # B4 k=1 in a fresh process, so the peak resident set is this count's own
     script = """
 import json, resource, sys
-from idealshi import build, charpoly_finite_field, charpoly_mobius, shi_plus
+from idealshi import build, charpoly_finite_field, charpoly_mobius, shi_arrangement
 rs = build("B4")
 polys = []
 for roots in ((), rs.positive_roots):
-    arr = shi_plus(rs, 1, roots)
+    arr = shi_arrangement(rs, 1, roots, "+")
     polys.append([charpoly_finite_field(arr).coeffs, charpoly_mobius(arr).coeffs])
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
 print(json.dumps({"polys": polys, "peak_mb": peak / (1 << (20 if sys.platform == "darwin" else 10))}))
@@ -235,12 +234,12 @@ def corpus():
     out = []
     for name in ("A2", "B2", "G2"):
         rs = build(name)
-        out.append(shi_plus(rs, 1, []))
-        out.append(shi_plus(rs, 1, rs.positive_roots))
+        out.append(shi_arrangement(rs, 1, [], "+"))
+        out.append(shi_arrangement(rs, 1, rs.positive_roots, "+"))
         out.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
         out.append(root_arrangement(rs))
     a3 = build("A3")
-    out.append(shi_plus(a3, 1, []))
+    out.append(shi_arrangement(a3, 1, [], "+"))
     out.append(shi_arrangement(a3, 1, a3.positive_roots, "-"))
     return out
 
@@ -340,12 +339,12 @@ def test_shi_chain_refuses_before_reading_the_table(systems, tmp_path):
 
 def test_chi0_examples():
     a2 = build("A2")
-    shi = shi_plus(a2, 1, [])
+    shi = shi_arrangement(a2, 1, [], "+")
     q = chi0(charpoly_mobius(shi))
     assert q.coeffs == (9, -6, 1)  # (t-3)^2
     assert q.coeffs[0] == 9
-    assert chi0(charpoly_mobius(shi_plus(a2, 1, [a2.root_at((1, 1))]))).coeffs[0] == 13
-    assert chi0(charpoly_mobius(shi_plus(a2, 1, [a2.positive_roots[0]]))).coeffs[0] == 12
+    assert chi0(charpoly_mobius(shi_arrangement(a2, 1, [a2.root_at((1, 1))], "+"))).coeffs[0] == 13
+    assert chi0(charpoly_mobius(shi_arrangement(a2, 1, [a2.positive_roots[0]], "+"))).coeffs[0] == 12
 
 
 def test_chi0_rejects_non_divisible():
@@ -371,7 +370,7 @@ def test_chi0_zero_closed_form(systems, name, k):
     rs = systems[name]
     for mask in range(1 << rs.n_positive):
         sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
-        got = chi0(charpoly_mobius(shi_plus(rs, k, sigma))).coeffs[0]
+        got = chi0(charpoly_mobius(shi_arrangement(rs, k, sigma, "+"))).coeffs[0]
         assert got == chi0_zero_formula(rs, k, mask), (name, k, mask)
 
 
@@ -390,8 +389,8 @@ def test_try_factor_exponents():
 
 def test_terao_check_examples():
     a2 = build("A2")
-    assert terao_check(charpoly_mobius(shi_plus(a2, 1, [])), ExponentMultiset((1, 3, 3))).passed
-    cat = charpoly_mobius(shi_plus(a2, 1, a2.positive_roots))
+    assert terao_check(charpoly_mobius(shi_arrangement(a2, 1, [], "+")), ExponentMultiset((1, 3, 3))).passed
+    cat = charpoly_mobius(shi_arrangement(a2, 1, a2.positive_roots, "+"))
     verdict = terao_check(cat, ExponentMultiset((1, 4, 5)))
     assert verdict.passed and verdict.computed == cat
     assert not terao_check(cat, ExponentMultiset((1, 3, 3))).passed
@@ -401,7 +400,7 @@ def test_terao_check_examples():
     with pytest.raises(ValueError, match="chi has degree 2"):
         terao_check(charpoly_mobius(root_arrangement(a2)), ExponentMultiset((1, 4, 5)))
     with pytest.raises(ValueError, match="chi has degree 4"):
-        terao_check(charpoly_mobius(shi_plus(build("A3"), 1, [])), ExponentMultiset((1, 4, 5)))
+        terao_check(charpoly_mobius(shi_arrangement(build("A3"), 1, [], "+")), ExponentMultiset((1, 4, 5)))
 
 
 def test_root_sums_track_sizes():
@@ -415,7 +414,7 @@ def test_root_sums_track_sizes():
 def test_concurrent_writers_of_one_entry(tmp_path, monkeypatch):
     # two workers of a campaign store the same arrangement at once: the
     # second writes its whole entry while the first is about to rename
-    arr = shi_plus(build("A2"), 1, [])
+    arr = shi_arrangement(build("A2"), 1, [], "+")
     chi = poly_of_roots(1, 3, 3)
     first, second = LatticeCache(str(tmp_path)), LatticeCache(str(tmp_path))
     replace = os.replace
@@ -448,7 +447,7 @@ def test_concurrent_writers_of_one_entry(tmp_path, monkeypatch):
     ],
 )
 def test_malformed_cache_file_is_a_miss(tmp_path, blob):
-    arr = shi_plus(build("A2"), 1, [])
+    arr = shi_arrangement(build("A2"), 1, [], "+")
     cache = LatticeCache(str(tmp_path))
     (tmp_path / (arrangement_key(arr) + ".json")).write_text(json.dumps(blob))
     assert cache.get_charpoly(arr) is None

@@ -436,7 +436,7 @@ def test_charpoly_mobius_builds_the_case_lattice(capsys, monkeypatch):
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
     assert run(capsys, "charpoly", "B3", "-k", "1", "--method", "mobius")[0] == 0
     rs = idealshi.cli.build("B3")
-    assert [args[0] for args in lattices] == [idealshi.arrangement.shi_plus(rs, 1, [])]
+    assert [args[0] for args in lattices] == [idealshi.arrangement.shi_arrangement(rs, 1, [], "+")]
 
 
 def test_guard_refusal_makes_the_case_skipped(capsys):
@@ -505,10 +505,11 @@ def test_charpoly_all_methods_agree(capsys):
     assert "(1, 3, 3)" in out
 
 
-def test_charpoly_refuses_a_huge_cone_on_every_route(capsys):
-    # all three routes ask the guards before building anything from the 120,001 planes
+def test_charpoly_refuses_a_huge_cone_on_every_route(capsys, monkeypatch):
+    # all three routes ask the guards from the plane count, so the 120,001 planes are never built
+    cones = _count_calls(monkeypatch, idealshi.arrangement, "shi_arrangement")
     code, out, _ = run(capsys, "charpoly", "A2", "-k", "20000", "--subset", "none")
-    assert code == 0
+    assert code == 0 and cones == []
     assert out.splitlines() == [
         "mobius: skipped (120001 hyperplanes exceed bound 73)",
         "whitney: skipped (120001 hyperplanes exceed the subset-sum bound 22)",
@@ -541,6 +542,21 @@ def test_filtration_reports_an_unsaturated_step(capsys, monkeypatch):
     code, out, _ = run(capsys, "filtration", "A2", "--steps", "3")
     assert code == 1
     assert "saturated:FAIL" in out
+
+
+def test_filtration_reports_a_step_that_drops_a_plane(capsys, monkeypatch):
+    original = idealshi.cli.filtration_cone
+
+    # steps 3 and 4 of A3 through other ideals of the right sizes: {a1, a3}, then
+    # {a1, a2, a1+a2}, which lacks the plane {a3 = 0} of step 3
+    def swapped(rs, i):
+        a1, a2, a3, a12 = rs.positive_roots[:4]
+        return {3: (0, (a1, a3), "+"), 4: (0, (a1, a2, a12), "+")}.get(i) or original(rs, i)
+
+    monkeypatch.setattr(idealshi.cli, "filtration_cone", swapped)
+    code, out, _ = run(capsys, "filtration", "A3", "--steps", "5")
+    assert code == 1
+    assert out.count("nested:FAIL") == 1 and "saturated:FAIL" not in out and "terao:FAIL" not in out
 
 
 def test_filtration_builds_each_step_once(capsys, monkeypatch):

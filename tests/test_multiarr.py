@@ -379,14 +379,12 @@ def test_yoshinaga_examples():
 
 def test_yoshinaga_requires_dimension_3():
     a3 = build("A3")
-    from idealshi import shi_plus
-
-    arr3 = shi_plus(a3, 1, [])
+    arr3 = shi_arrangement(a3, 1, [], "+")
     with pytest.raises(ValueError):
         yoshinaga_check(arr3, z_covector(a3), charpoly_mobius(arr3))
     # chi must be the polynomial of an arrangement in 3 coordinates too
     a2 = build("A2")
-    arr = shi_plus(a2, 1, [])
+    arr = shi_arrangement(a2, 1, [], "+")
     with pytest.raises(ValueError, match="chi of degree 4"):
         yoshinaga_check(arr, z_covector(a2), charpoly_mobius(arr3))
     with pytest.raises(ValueError, match="chi of degree 2"):

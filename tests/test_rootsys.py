@@ -10,11 +10,12 @@ from idealshi import (
     RootSystemType,
     build,
     dual_partition,
-    ext_height,
+    enumerate_ideals,
     shi_exponents_dp,
     weyl_exponents,
 )
-from idealshi.rootsys import ext_height_z, shi_defining_values
+
+from extended_heights import ext_height, ext_height_z, shi_defining_values
 
 # hand-checked root lists for the small systems
 A2_ROOTS = {(1, 0), (0, 1), (1, 1)}
@@ -201,3 +202,33 @@ def test_shi_exponents_reject_non_ideals(systems):
     highest = a2.root_at((1, 1))
     with pytest.raises(ValueError):
         shi_exponents_dp(a2, 1, [highest], "+")
+
+
+@pytest.mark.parametrize(
+    "k, sign, match",
+    [(-1, "+", "k must be"), (-2, "-", "k must be"), (0, "-", "k must be"), (1, "*", "sign must be")],
+    ids=["k<0", "k<0 sign -", "k=0 sign -", "bad sign"],
+)
+def test_shi_exponents_refuse_undefined_cones(systems, k, sign, match):
+    a2 = systems["A2"]
+    with pytest.raises(ValueError, match=match):
+        shi_exponents_dp(a2, k, [a2.positive_roots[0]], sign)
+    with pytest.raises(ValueError, match=match):
+        shi_exponents_dp(a2, k, [], sign)  # the empty ideal too, whose e(I) is all zeros
+
+
+ORACLE_CORPUS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2")
+
+
+def test_shift_law_matches_the_extended_height_oracle(systems):
+    # (1, kh +/- e_i(I)) against the dual partition of the extended heights,
+    # on every ideal at k = 0, 1, 2, 7, both signs (only '+' at k = 0)
+    cases = 0
+    for name in ORACLE_CORPUS:
+        rs = systems[name]
+        for ideal in enumerate_ideals(rs):
+            for k, sign in [(0, "+")] + [(k, s) for k in (1, 2, 7) for s in "+-"]:
+                oracle = dual_partition(shi_defining_values(rs, k, ideal.roots, sign), rs.rank + 1)
+                assert shi_exponents_dp(rs, k, ideal.roots, sign) == oracle, (name, ideal.mask, k, sign)
+                cases += 1
+    assert cases == 2884
