@@ -187,13 +187,16 @@ def _merge(masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _children(
-    covs: np.ndarray, masks: np.ndarray, bases: np.ndarray, mus: np.ndarray, lows: np.ndarray
+    covs: np.ndarray, start: int, masks: np.ndarray, bases: np.ndarray, mus: np.ndarray, lows: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Flats one codimension below a block of flats, one per parallel class
-    of each flat's restricted forms, merged on their masks.  Each (flat Y,
-    class) pair is a cover edge Y -> X; beside X's mask, basis and lowest
-    plane comes the sum of mu(Y) over the edges whose class holds X's
-    lowest plane, i.e. lies below every plane of Y."""
+    """Flats one codimension below a block of flats, whose first flat is
+    flat ``start`` of its level: one per parallel class of each flat's
+    restricted forms, merged on their masks.  Each (flat Y, class) pair is
+    a cover edge Y -> X.  Beside X's mask and lowest plane come a class
+    representative and Y's index in its level, from which the caller makes
+    X's basis when another level follows, and the sum of mu(Y) over the
+    edges whose class holds X's lowest plane, i.e. lies below every plane
+    of Y."""
     n = bases.shape[2]
     c, b = _exact(_maxabs(covs) * _maxabs(bases) * n, covs, bases)
     forms = _primitive(np.matmul(c, b.transpose(0, 2, 1)))  # (flat, hyperplane, coord)
@@ -210,7 +213,29 @@ def _children(
     bits = np.uint64(1) << (hyp & 63).astype(np.uint64)
     np.bitwise_or.at(child, (np.cumsum(first) - 1, hyp >> 6), bits)
     keep, sums = _merge(child, np.where(low < lows[parent], mus[parent], 0))
-    return child[keep], _restricted_basis(rows[reps[keep]], bases[parent[keep]]), low[keep], sums
+    return child[keep], rows[reps[keep]], start + parent[keep], low[keep], sums
+
+
+def _below(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j < m in np.triu_indices order; triu_indices
+    itself is slower and pages in numpy code the build otherwise never runs."""
+    return np.nonzero(np.arange(m)[:, None] < np.arange(m))
+
+
+def _pairs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The codim-2 flats: the plane pairs i < j grouped on the primitive
+    wedge c_i ^ c_j (its entries c_i[a] c_j[b] - c_i[b] c_j[a], a < b).
+    Returns each group's pairs (in their triu order, which the stable sort
+    keeps, so a group's first pair holds its lowest plane) and group starts."""
+    m, n = covs.shape
+    i, j = _below(m)
+    a, b = _below(n)
+    ci, cj = _exact(2 * _maxabs(covs) ** 2, covs[i], covs[j])
+    wedge = ci[:, a] * cj[:, b] - ci[:, b] * cj[:, a]
+    if not (wedge != 0).any(axis=1).all():
+        raise ValueError("two covectors define the same hyperplane")
+    order, first = _sorted_groups([*_primitive(wedge).T])
+    return i[order], j[order], np.flatnonzero(first)
 
 
 # Default size guards.  A campaign's largest cone, (k, all roots, '+'), has
@@ -224,15 +249,21 @@ MAX_DIM = 5
 def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     """Build the full intersection lattice, level by level.
 
-    A flat X carries the mask of the hyperplanes containing it, an integer
-    basis B of X, its lowest plane and mu(X).  The hyperplanes not
-    containing X restrict to the nonzero rows of C.B^T (C the covectors);
-    each parallel class of those rows is a cover edge to a flat one
-    codimension down, with mask mask(X) | class.  Flats merge on their
-    masks, so no row reduction happens inside the build.  By Weisner's
-    theorem mu(X) = -sum mu(Y) over the edges Y -> X whose class holds X's
-    lowest plane.  The top flat is unique, so it is written down directly,
-    with mu from the coatoms that miss plane 0; sum mu = 0 is checked apart.
+    A flat X carries the mask of the hyperplanes containing it, its lowest
+    plane and mu(X).  Levels 1 and 2 come straight from the planes: each
+    plane is an atom with mu = -1, and the plane pairs, grouped on their
+    wedge, are the codim-2 flats, with mu(X) = |A_X| - 1 (Weisner's
+    theorem with X's lowest plane; Orlik-Terao, section 2.3).  In at most
+    3 coordinates only the top is left: one codim-2 flat means rank 2,
+    more mean rank 3.  From codim 3 on, a flat also carries an integer
+    basis B of X.  The hyperplanes not containing X restrict to the
+    nonzero rows of C.B^T (C the covectors); each parallel class of those
+    rows is a cover edge to a flat one codimension down, with mask
+    mask(X) | class.  Flats merge on their masks, so no row reduction
+    happens inside the build.  By Weisner's theorem mu(X) = -sum mu(Y)
+    over the edges Y -> X whose class holds X's lowest plane.  The top
+    flat is unique, so it is written down directly, with mu from the
+    coatoms that miss plane 0; sum mu = 0 is checked apart.
     """
     n, m = arr.dim, arr.size
     words = max(1, -(-m // 64))
@@ -240,18 +271,35 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     if m:
         widest = max(abs(x) for cov in arr.covectors for x in cov)
         covs = np.array(arr.covectors, dtype=np.int64 if widest < _INT64_SAFE else object)
-        (masks, mus), bases, lows = levels[0], np.eye(n, dtype=np.int64)[None], np.full(1, m)
-        for _ in range(1, linalg.rank(arr.covectors)):
+        planes = np.arange(m)
+        atoms = np.zeros((m, words), dtype=np.uint64)
+        atoms[planes, planes >> 6] = np.uint64(1) << (planes & 63).astype(np.uint64)
+        levels.append((atoms, np.full(m, -1, dtype=np.int64)))
+    if m > 1:
+        i, j, starts = _pairs(covs)
+        masks = np.bitwise_or.reduceat(atoms[i] | atoms[j], starts)
+        mus = np.unpackbits(masks.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64) - 1
+        levels.append((masks, mus))
+        rank = 2 if len(masks) == 1 else 3 if n <= 3 else linalg.rank(arr.covectors)
+        lows = i[starts]
+        if rank > 3:  # each flat's basis: the kernel of its first pair's second plane traced on the first
+            kernel = _restricted_basis(covs[lows], np.eye(n, dtype=np.int64)[None])
+            c, b = _exact(_maxabs(covs) * _maxabs(kernel) * n, covs[j[starts]], kernel)
+            bases = _restricted_basis(_primitive(np.matmul(b, c[:, :, None])[..., 0]), kernel)
+        for codim in range(3, rank):
             found = [
-                _children(covs, *(a[s : s + _BLOCK] for a in (masks, bases, mus, lows)))
+                _children(covs, s, *(a[s : s + _BLOCK] for a in (masks, bases, mus, lows)))
                 for s in range(0, len(masks), _BLOCK)
             ]
-            masks, bases, lows, sums = (np.concatenate(part) for part in zip(*found))
+            masks, forms, parents, lows, sums = (np.concatenate(part) for part in zip(*found))
             keep, sums = _merge(masks, sums)
-            masks, bases, lows, mus = masks[keep], bases[keep], lows[keep], -sums
+            masks, lows, mus = masks[keep], lows[keep], -sums
             levels.append((masks, mus))
-        top = np.frombuffer(((1 << m) - 1).to_bytes(8 * words, "little"), dtype="<u8")[None]
-        levels.append((top, -mus[lows > 0].sum(keepdims=True)))
+            if codim + 1 < rank:  # the top needs no basis
+                bases = _restricted_basis(forms[keep], bases[parents[keep]])
+        if rank > 2:
+            top = np.frombuffer(((1 << m) - 1).to_bytes(8 * words, "little"), dtype="<u8")[None]
+            levels.append((top, -mus[lows > 0].sum(keepdims=True)))
 
     flats = np.dtype([("mask", np.uint64, (words,)), ("mu", np.int64)])
     lattice = IntersectionLattice(arr, tuple(np.rec.fromarrays(level, dtype=flats) for level in levels))

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idealshi
 from idealshi import (
     Arrangement,
     CharPoly,
     LatticeCache,
     SizeBoundError,
     build,
+    charpoly_finite_field,
     charpoly_mobius,
     charpoly_whitney,
     dual_partition,
@@ -26,6 +28,7 @@ from idealshi import (
     root_arrangement,
     root_covector,
     shi_arrangement,
+    shi_charpoly,
     shi_exponents_dp,
     z_covector,
     ziegler_multiplicity,
@@ -176,6 +179,98 @@ def test_wide_entries_stay_exact(systems):
     sizes = [len(level) for level in intersection_lattice(cone).levels]
     assert [len(level) for level in lattice.levels] == sizes
     assert lattice.charpoly_coeffs() == lattice_charpoly(cone)
+
+
+def test_wide_wedges_stay_exact(systems):
+    # Levels 1 and 2 come from wedges of plane pairs.  Here the covectors
+    # still fit in int64 but their pair products pass 2^62, so the wedges
+    # must run on Python integers.
+    a2 = systems["A2"]
+    cone = shi_arrangement(a2, 2, a2.positive_roots[:2], "+")
+    t = 2**20 + 3  # wrapped int64 wedges would split some codim-2 flats here
+    lower = [[1, 0, 0], [t, 1, 0], [0, t, 1]]
+    upper = [[1, t, 0], [0, 1, t], [0, 0, 1]]
+    unimodular = [[sum(lower[i][k] * upper[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    mapped = [[sum(c[i] * unimodular[i][j] for i in range(3)) for j in range(3)] for c in cone.covectors]
+    arr = Arrangement.of(3, mapped)
+    widest = max(abs(x) for c in arr.covectors for x in c)
+    assert widest < 2**62 <= widest**2
+    lattice = assert_levels_match_brute_force(arr)
+    assert [len(level) for level in lattice.levels] == [len(level) for level in intersection_lattice(cone).levels]
+    assert lattice.charpoly_coeffs() == lattice_charpoly(cone)
+
+
+def _edge_case(kind, n):
+    pad = (0,) * (n - 2)
+    return {
+        "empty": [],
+        "one plane": [(1, 2) + pad],
+        # four planes through the codim-2 flat {x_0 = x_1 = 0}
+        "pencil": [(1, 0) + pad, (0, 1) + pad, (1, 1) + pad, (1, -1) + pad],
+        # rank 3, so in 4 coordinates the top still comes straight from level 2
+        "three coordinate planes": [tuple(int(i == j) for j in range(n)) for i in range(3)],
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, sizes, n",
+    [
+        (kind, sizes, n)
+        for kind, sizes in [
+            ("empty", [1]),
+            ("one plane", [1, 1]),
+            ("pencil", [1, 4, 1]),
+            ("three coordinate planes", [1, 3, 3, 1]),
+        ]
+        for n in (2, 3, 4)
+        if len(sizes) - 1 <= n
+    ],
+)
+def test_degenerate_lattices_match_brute_force(kind, sizes, n):
+    lattice = assert_levels_match_brute_force(Arrangement.of(n, _edge_case(kind, n)))
+    assert [len(level) for level in lattice.levels] == sizes
+
+
+def test_parallel_covectors_are_refused():
+    # (2, 0, 0) is the plane (1, 0, 0) unnormalized: their wedge is zero
+    with pytest.raises(ValueError, match="two covectors define the same hyperplane"):
+        intersection_lattice(Arrangement(3, ((1, 0, 0), (2, 0, 0), (0, 1, 0))))
+
+
+def walked_arrangements(monkeypatch, rs, k):
+    """Every arrangement whose lattice the shi_charpoly walks of a campaign
+    build, all cases sharing one table as in ``verify --all-ideals``."""
+    met = []
+    build_lattice = idealshi.charpoly.intersection_lattice
+    monkeypatch.setattr(idealshi.charpoly, "intersection_lattice", lambda arr: met.append(arr) or build_lattice(arr))
+    table = LatticeCache()
+    for ideal in enumerate_ideals(rs):
+        for sign in "+-" if k else "+":
+            shi_charpoly(rs, k, roots_of(rs, ideal.mask), sign, table)
+    monkeypatch.undo()
+    return met
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [(name, k) for name in ("A2", "B2", "G2") for k in (0, 1, 2)] + [("A3", 1), ("B3", 1), ("C3", 1)],
+)
+def test_campaign_lattices_match_brute_force(systems, monkeypatch, name, k):
+    # the restrictions of the rank-3 walks and every lattice of the rank-2
+    # ones: arrangements in at most 3 coordinates
+    small = [arr for arr in walked_arrangements(monkeypatch, systems[name], k) if arr.dim <= 3]
+    assert small
+    for arr in small:
+        assert_levels_match_brute_force(arr)
+
+
+@pytest.mark.parametrize("name, k", [("A2", 11), ("G2", 5), ("B3", 2)])
+def test_large_campaign_lattices_match_point_counts(systems, monkeypatch, name, k):
+    # up to 67 planes in 3 coordinates: past the brute-force oracle's reach
+    small = [arr for arr in walked_arrangements(monkeypatch, systems[name], k) if arr.dim <= 3]
+    assert max(arr.size for arr in small) > 28
+    for arr in small:
+        assert lattice_charpoly(arr) == charpoly_finite_field(arr).coeffs
 
 
 @pytest.mark.parametrize(
