@@ -5,7 +5,7 @@ Adding the level -k planes of a subset (sign +) or removing its level k
 planes (sign -) preserves freeness, and a rank-2 cone is free exactly when
 the subset is empty or meets the simple roots.  The ambient-3 criterion
 decides each case exactly: compare chi_0 at zero with the product of the
-multirestriction exponents.
+exponents of the multirestriction onto {z = 0}.
 """
 
 from idealshi import (
@@ -19,6 +19,7 @@ from idealshi import (
     shift_predict,
     yoshinaga_check,
     z_covector,
+    ziegler_multiplicity,
 )
 
 rs = build("B2")
@@ -35,7 +36,7 @@ for mask in range(1 << rs.n_positive):
     cells = []
     for sign in "+-":
         arr = shi_arrangement(rs, k, sigma, sign)
-        cells.append(str(yoshinaga_check(arr, hz, charpoly_mobius(arr))))
+        cells.append(str(yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr))))
     print(f"{label:<22} {cells[0]:<34} {cells[1]:<34}")
 
 print("\nwhen free, the exponents follow the shift law k*h +/- m_i,")
@@ -46,6 +47,6 @@ m = exp_rank2_multi(base, indicator)
 print("  sigma = {a1, a1+a2}, base exponents:", m)
 for sign in "+-":
     arr = shi_arrangement(rs, k, sigma, sign)
-    v = yoshinaga_check(arr, hz, charpoly_mobius(arr))
+    v = yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr))
     predicted = shift_predict(ExponentMultiset(m), k, h, sign)
     print(f"  sign {sign}: verdict {v}  (shift law gives {predicted})")

@@ -46,7 +46,7 @@ from .charpoly import (
     whitney_admit,
 )
 from .ideals import Ideal, enumerate_ideals, ideal_exponents, is_ideal
-from .multiarr import FreenessVerdict, exp_rank2_multi, yoshinaga_check
+from .multiarr import FreenessVerdict, yoshinaga_check
 from .report import (
     FAIL,
     NOT_FREE_CONFIRMED,
@@ -110,9 +110,9 @@ class CaseSpec:
 
 
 class SubsetFacts:
-    """What the checks of one subset share across both signs, each computed
-    at most once: the arrangements, their verdicts and the shift law.  The
-    characteristic polynomials live in ``cache``, the campaign's table."""
+    """What the checks of one subset share across both signs, each computed at
+    most once: the cones, their multirestrictions and verdicts, and the shift
+    law.  The characteristic polynomials live in ``cache``, the campaign's table."""
 
     def __init__(self, spec: CaseSpec, cache: LatticeCache):
         self.rs = spec.rs
@@ -122,11 +122,14 @@ class SubsetFacts:
         self.ideal = is_ideal(self.rs, self.mask)
         self.cache = cache
         self.arrangements: dict[str, Arrangement] = {}
+        self.multirestrictions: dict[str, tuple[Arrangement, dict]] = {}
         self.terao_verdicts: dict[str, TeraoVerdict] = {}
         self.yoshinaga_verdicts: dict[str, FreenessVerdict] = {}
 
     def arrangement(self, sign: str) -> Arrangement:
+        """This sign's cone, built only once the size guards admit it."""
         if sign not in self.arrangements:
+            self.cache.admit(self.rs.rank + 1, self.size(sign))
             self.arrangements[sign] = shi_arrangement(self.rs, self.k, self.roots, sign)
         return self.arrangements[sign]
 
@@ -135,37 +138,37 @@ class SubsetFacts:
         return shi_plane_count(self.rs, self.k, self.roots, sign)
 
     def chi(self, sign: str) -> CharPoly:
-        """The polynomial of this sign's cone, by deletion-restriction
-        through the table; its size guards refuse the cone before it is built."""
-        self.cache.admit(self.rs.rank + 1, self.size(sign))
+        """The polynomial of this sign's cone, by deletion-restriction through the table."""
         return shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, cone=self.arrangement(sign))
+
+    def multirestriction(self, sign: str) -> tuple[Arrangement, dict]:
+        """Ziegler's multirestriction of this sign's cone onto {z = 0}."""
+        if sign not in self.multirestrictions:
+            self.multirestrictions[sign] = ziegler_multiplicity(self.arrangement(sign), z_covector(self.rs))
+        return self.multirestrictions[sign]
 
     def yoshinaga(self, sign: str) -> FreenessVerdict:
         if sign not in self.yoshinaga_verdicts:
-            chi = self.chi(sign)  # first, so the guards refuse the cone before it is built
-            arr, bases = self.arrangement(sign), self.cache.rank2_bases
-            self.yoshinaga_verdicts[sign] = yoshinaga_check(arr, z_covector(self.rs), chi, bases=bases)
+            chi, bases = self.chi(sign), self.cache.rank2_bases
+            self.yoshinaga_verdicts[sign] = yoshinaga_check(*self.multirestriction(sign), chi, bases=bases)
         return self.yoshinaga_verdicts[sign]
 
     @cached_property
-    def indicator(self) -> dict[tuple[int, ...], int]:
-        """The subset's 0/1 multiplicity on the root hyperplanes."""
-        return {root_covector(self.rs, r): self.mask >> i & 1 for i, r in enumerate(self.rs.positive_roots)}
-
-    @cached_property
-    def shift_law(self) -> dict[str, tuple[int, ...]]:
+    def shift_law(self) -> Optional[dict[str, ExponentMultiset]]:
         """Exponents (z included) that the shift law predicts for each sign:
-        the base exponents of the 0/1 indicator multiplicity, shifted by 2k."""
-        rs = self.rs
-        base = ExponentMultiset(exp_rank2_multi(root_arrangement(rs), self.indicator, bases=self.cache.rank2_bases))
-        return {s: tuple(sorted((1,) + shift_predict(base, self.k, rs.coxeter_number, s).parts)) for s in "+-"}
+        the split of chi of the subset arrangement, shifted by 2k; None when
+        it does not split.  In 2 coordinates every arrangement is free, so
+        there the split is exactly the subset's exponent pair."""
+        split = try_factor_exponents(charpoly_mobius(root_arrangement(self.rs, self.roots), self.cache))
+        if isinstance(split, FactorFailure):
+            return None
+        return {s: ExponentMultiset((1,) + shift_predict(split, self.k, self.rs.coxeter_number, s).parts) for s in "+-"}
 
 
 def _check_terao(facts: SubsetFacts, sign: str) -> CheckResult:
     if not facts.ideal:
         return CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal")
-    chi = facts.chi(sign)  # first, so the guards refuse the case before its planes are listed
-    verdict = terao_check(chi, shi_exponents_dp(facts.rs, facts.k, facts.roots, sign))
+    verdict = terao_check(facts.chi(sign), shi_exponents_dp(facts.rs, facts.k, facts.roots, sign))
     facts.terao_verdicts[sign] = verdict  # the record reports its prediction and chi
     return CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
 
@@ -181,41 +184,37 @@ def _check_yoshinaga(facts: SubsetFacts, sign: str) -> CheckResult:
     if not verdict.free:
         return CheckResult("yoshinaga", NOT_FREE_CONFIRMED, str(verdict))
     want = facts.shift_law[sign]
-    if verdict.exponents.parts != want:
-        return CheckResult("yoshinaga", FAIL, f"exponents {verdict.exponents.parts} != shift law {want}")
+    if verdict.exponents != want:
+        return CheckResult("yoshinaga", FAIL, f"exponents {verdict.exponents} != shift law {want}")
     return CheckResult("yoshinaga", PASS, str(verdict))
 
 
 def _check_ziegler(facts: SubsetFacts, sign: str) -> CheckResult:
-    _, mult = ziegler_multiplicity(facts.arrangement(sign), z_covector(facts.rs))
-    want = {cov: 2 * facts.k + (e if sign == "+" else -e) for cov, e in facts.indicator.items()}
-    if mult != want:
+    rs, step = facts.rs, 1 if sign == "+" else -1
+    want = {root_covector(rs, r): 2 * facts.k + step * (facts.mask >> i & 1) for i, r in enumerate(rs.positive_roots)}
+    if facts.multirestriction(sign)[1] != want:
         return CheckResult("ziegler", FAIL, "multirestriction onto {z=0} differs from 2k +/- indicator")
     return CheckResult("ziegler", PASS, "multirestriction equals base roots with 2k +/- indicator")
 
 
 def _check_duality(facts: SubsetFacts, sign: str) -> CheckResult:
     """Sign symmetry of the subset; the same verdict for either ``sign``."""
-    rs = facts.rs
-    if rs.rank == 2:
+    if facts.rs.rank == 2:
         plus, minus = facts.yoshinaga("+"), facts.yoshinaga("-")
         if plus.free != minus.free:
             return CheckResult("duality", FAIL, "freeness differs between signs")
         if not plus.free:
             return CheckResult("duality", PASS, "both signs not free")
         for s, verdict in (("+", plus), ("-", minus)):
-            if verdict.exponents.parts != facts.shift_law[s]:
+            if verdict.exponents != facts.shift_law[s]:
                 return CheckResult("duality", FAIL, f"sign {s} exponents break the shift law")
         return CheckResult("duality", PASS, "freeness and exponents symmetric across signs")
     # In rank >= 3 freeness cannot be certified from chi, so only the
     # polynomial-level consequences are judged: both signs matching the
     # shifted base exponents, or both provably non-free (chi not split).
-    base_chi = charpoly_mobius(root_arrangement(rs, facts.roots), facts.cache)
-    split = try_factor_exponents(base_chi)
-    if isinstance(split, FactorFailure):
+    if facts.shift_law is None:
         return CheckResult("duality", SKIPPED, "subset arrangement chi does not split")
-    wants = {s: ExponentMultiset((1,) + shift_predict(split, facts.k, rs.coxeter_number, s).parts) for s in "+-"}
-    verdicts = [terao_check(facts.chi(s), want) for s, want in wants.items()]
+    verdicts = [terao_check(facts.chi(s), facts.shift_law[s]) for s in "+-"]
     if all(v.passed for v in verdicts):
         return CheckResult("duality", PASS, "both signs match the shifted base exponents")
     if all(isinstance(try_factor_exponents(v.computed), FactorFailure) for v in verdicts):

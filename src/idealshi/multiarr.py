@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .arrangement import Arrangement, ziegler_multiplicity
+from .arrangement import Arrangement
 from .charpoly import CharPoly, chi0
 from .linalg import Vec
 from .rootsys import ExponentMultiset
@@ -193,20 +193,20 @@ class FreenessVerdict:
 
 
 def yoshinaga_check(
-    arr3: Arrangement, h0: Sequence[int], chi: CharPoly, bases: Optional[dict] = None
+    arr2: Arrangement, mult: Multiplicity, chi: CharPoly, bases: Optional[dict] = None
 ) -> FreenessVerdict:
     """Complete freeness test for central arrangements in 3 coordinates.
 
-    Compares chi_0 at zero, read from ``chi``, the characteristic
-    polynomial of ``arr3``, with the product of the exponents of the
-    multirestriction onto ``h0``; equality is equivalent to freeness.  The
-    caller computes chi, so size guards apply there, before the rank-2
-    solve runs; ``bases`` is passed on to :func:`exp_rank2_multi`.
+    Compares chi_0 at zero, read from ``chi``, the characteristic polynomial,
+    with the product of the exponents of ``(arr2, mult)``, its Ziegler
+    multirestriction onto one of its planes; equality is equivalent to
+    freeness.  The caller computes both, so size guards apply there, before
+    the rank-2 solve runs; ``bases`` is passed on to :func:`exp_rank2_multi`.
     """
-    if (arr3.dim, chi.degree) != (3, 3):
-        raise ValueError(f"the criterion needs ambient dimension 3, got {arr3.dim} and chi of degree {chi.degree}")
+    if (arr2.dim, chi.degree) != (2, 3):
+        raise ValueError(f"need 2 coordinates and chi of degree 3, got {arr2.dim} and chi of degree {chi.degree}")
     czero = chi0(chi).coeffs[0]
-    d1, d2 = exp_rank2_multi(*ziegler_multiplicity(arr3, h0), bases=bases)
+    d1, d2 = exp_rank2_multi(arr2, mult, bases=bases)
     if czero == d1 * d2:
         return FreenessVerdict(True, ExponentMultiset((1, d1, d2)), czero, (d1, d2))
     return FreenessVerdict(False, None, czero, (d1, d2))

@@ -125,7 +125,7 @@ def test_c04_rank2_sign_symmetry_complete(systems):
                 verdicts = {}
                 for sign in "+-":
                     arr = shi_arrangement(rs, k, sigma, sign)
-                    v = yoshinaga_check(arr, hz, charpoly_mobius(arr))
+                    v = yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr))
                     verdicts[sign] = v
                     checked += 1
                     if v.free:
@@ -142,7 +142,7 @@ def test_c04_rank2_sign_symmetry_complete(systems):
     # the explicit witness: Sigma = {a1+a2} in A2 at k = 1
     a2 = systems["A2"]
     witness_arr = shi_arrangement(a2, 1, [a2.root_at((1, 1))], "+")
-    witness = yoshinaga_check(witness_arr, z_covector(a2), charpoly_mobius(witness_arr))
+    witness = yoshinaga_check(*ziegler_multiplicity(witness_arr, z_covector(a2)), charpoly_mobius(witness_arr))
     if witness.free or witness.chi0_zero != 13 or witness.restriction_exponents != (3, 4):
         bad.append(("A2", "witness"))
     _report(4, "rank2-sign-symmetry", not bad, f"{checked} freeness verdicts{bad or ''}")

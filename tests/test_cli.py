@@ -358,6 +358,17 @@ def test_refused_case_builds_no_cone(capsys, monkeypatch):
     assert cones == planes == []
 
 
+def test_refused_ziegler_builds_no_cone(capsys, monkeypatch):
+    # a non-ideal subset runs ziegler first; its 600,002 planes are refused from the count
+    cones = _count_calls(monkeypatch, idealshi.arrangement, "shi_arrangement")
+    code, out, _ = run(capsys, "verify", "A2", "-k", "100000", "--subset", "a1+a2", "--sign", "+", "--format", "json")
+    assert code == 0
+    [case] = json.loads(out)["cases"]
+    assert case["verdict"] == "SKIPPED" and case["arrangement_size"] == 600002
+    assert case["checks"] == [{"name": "bound", "status": "SKIPPED", "detail": "600002 hyperplanes exceed bound 73"}]
+    assert cones == []
+
+
 def test_verify_computes_shared_work_once(capsys, monkeypatch):
     # B2 has 6 ideals; both signs of the empty ideal are the same arrangement.
     rank2 = _count_calls(monkeypatch, idealshi.multiarr, "exp_rank2_multi")
@@ -365,11 +376,22 @@ def test_verify_computes_shared_work_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "B2", "-k", "1", "--all-ideals", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["cases"]) == 12
-    assert len(rank2) == 3 * 6  # the shift-law base and one multirestriction per sign
+    assert len(rank2) == 2 * 6  # one multirestriction per sign; the shift-law base comes from chi
     # 11 distinct cones: the two anchors' own lattices and one restriction
-    # for each other cone, two of which restrict to the same arrangement
+    # for each other cone, two of which restrict to the same arrangement;
+    # and 5 of the 6 subset arrangements, whose chi splits into the shift-law
+    # base (the sixth, all four root lines, is one of those restrictions)
     arrangements = [args[0] for args in lattices]
-    assert len(arrangements) == len(set(arrangements)) == 10
+    assert len(arrangements) == len(set(arrangements)) == 10 + 5
+
+
+def test_rank2_campaign_restricts_each_cone_once(capsys, monkeypatch):
+    # G2 has 8 ideals: one multirestriction and one rank-2 solve per cone
+    restrictions = _count_calls(monkeypatch, idealshi.arrangement, "ziegler_multiplicity")
+    rank2 = _count_calls(monkeypatch, idealshi.multiarr, "exp_rank2_multi")
+    code, out, _ = run(capsys, "verify", "G2", "-k", "5", "--all-ideals", "--format", "json")
+    assert code == 0 and len(json.loads(out)["cases"]) == 16
+    assert len(restrictions) == len(rank2) == 16
 
 
 def test_campaign_chi_stays_inside_the_guards(capsys, monkeypatch):
@@ -440,14 +462,14 @@ def test_charpoly_mobius_builds_the_case_lattice(capsys, monkeypatch):
 
 
 def test_guard_refusal_makes_the_case_skipped(capsys):
-    # ziegler passes, then terao is refused: the case did not check chi
+    # ziegler needs the cone, which the guards refuse: the case checked nothing
     code, out, _ = run(
         capsys, "verify", "G2", "-k", "3", "--subset", "none", "--sign", "+",
         "--checks", "ziegler,terao", "--max-hyperplanes", "30", "--format", "json",
     )
     assert code == 0
     [case] = json.loads(out)["cases"]
-    assert [c["status"] for c in case["checks"]] == ["PASS", "SKIPPED"]
+    assert [c["status"] for c in case["checks"]] == ["SKIPPED"]
     assert case["verdict"] == "SKIPPED"
     # a filtration step whose chi check is refused is no pass either
     code, out, _ = run(capsys, "filtration", "A2", "--steps", "80")

@@ -11,6 +11,7 @@ from idealshi import (
     Arrangement,
     CharPoly,
     ExponentMultiset,
+    LatticeCache,
     build,
     charpoly_mobius,
     derivation_space_dim,
@@ -20,11 +21,14 @@ from idealshi import (
     root_arrangement,
     root_covector,
     shi_arrangement,
+    shi_exponents_dp,
     shift_predict,
+    try_factor_exponents,
     yoshinaga_check,
     z_covector,
     ziegler_multiplicity,
 )
+from idealshi.cli import CaseSpec, SubsetFacts
 from idealshi.multiarr import saito_certified
 
 
@@ -291,9 +295,9 @@ def test_division_examples():
 
 
 def g2_campaign_inputs(k):
-    """The rank-2 inputs of ``verify G2 -k K --all-ideals``: per ideal, the
-    shift law's indicator on the root lines and the multirestriction of
-    each sign's cone onto {z = 0}."""
+    """Per ideal of G2, the 0/1 indicator on the root lines and the
+    multirestriction of each sign's cone onto {z = 0}, the rank-2 input of
+    ``verify G2 -k K --all-ideals``."""
     rs = build("G2")
     base, hz = root_arrangement(rs), z_covector(rs)
     inputs = []
@@ -364,13 +368,36 @@ def test_shift_predict():
     assert shift_predict(ExponentMultiset((0, 1)), 1, 3, "-").parts == (2, 3)
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_indicator_exponents_equal_the_subset_chi_split(systems, name):
+    # the 0/1 indicator on the root lines and the subset arrangement's own
+    # chi give the same base exponents, on every subset
+    rs = systems[name]
+    base = root_arrangement(rs)
+    for mask in range(1 << rs.n_positive):
+        sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
+        indicator = {root_covector(rs, r): r in sigma for r in rs.positive_roots}
+        split = try_factor_exponents(charpoly_mobius(root_arrangement(rs, sigma)))
+        assert ExponentMultiset(exp_rank2_multi(base, indicator)) == split, (name, mask)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "D4", "F4"])
+def test_subset_shift_law_equals_dual_partition_exponents(systems, name):
+    rs, cache = systems[name], LatticeCache()
+    ideals = enumerate_ideals(rs)
+    for i, ideal in enumerate(ideals):
+        law = SubsetFacts(CaseSpec(rs, 1, "both", ideal.mask, i, ()), cache).shift_law
+        for sign in "+-":
+            assert law[sign] == shi_exponents_dp(rs, 1, ideal.roots, sign), (name, i, sign)
+
+
 def test_yoshinaga_examples():
     rs = build("A2")
     hz = z_covector(rs)
     verdicts = []
     for sigma in ([rs.root_at((1, 1))], [rs.positive_roots[0]], []):
         arr = shi_arrangement(rs, 1, sigma, "+")
-        verdicts.append(yoshinaga_check(arr, hz, charpoly_mobius(arr)))
+        verdicts.append(yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr)))
     witness, simple, empty = verdicts
     assert not witness.free and witness.chi0_zero == 13 and witness.restriction_exponents == (3, 4)
     assert simple.free and simple.exponents.parts == (1, 3, 4)
@@ -381,14 +408,14 @@ def test_yoshinaga_requires_dimension_3():
     a3 = build("A3")
     arr3 = shi_arrangement(a3, 1, [], "+")
     with pytest.raises(ValueError):
-        yoshinaga_check(arr3, z_covector(a3), charpoly_mobius(arr3))
+        yoshinaga_check(*ziegler_multiplicity(arr3, z_covector(a3)), charpoly_mobius(arr3))
     # chi must be the polynomial of an arrangement in 3 coordinates too
     a2 = build("A2")
     arr = shi_arrangement(a2, 1, [], "+")
     with pytest.raises(ValueError, match="chi of degree 4"):
-        yoshinaga_check(arr, z_covector(a2), charpoly_mobius(arr3))
+        yoshinaga_check(*ziegler_multiplicity(arr, z_covector(a2)), charpoly_mobius(arr3))
     with pytest.raises(ValueError, match="chi of degree 2"):
-        yoshinaga_check(arr, z_covector(a2), charpoly_mobius(root_arrangement(a2)))
+        yoshinaga_check(*ziegler_multiplicity(arr, z_covector(a2)), charpoly_mobius(root_arrangement(a2)))
 
 
 def freeness_survey(rs, k):
@@ -409,7 +436,7 @@ def freeness_survey(rs, k):
         verdicts = {}
         for sign in "+-":
             arr = shi_arrangement(rs, k, sigma, sign)
-            v = yoshinaga_check(arr, hz, charpoly_mobius(arr))
+            v = yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr))
             verdicts[sign] = v
             if v.free:
                 want = tuple(
