@@ -5,6 +5,13 @@ The signed subset sum (Whitney) and finite-field point counting are
 consistency oracles: divergence means a bug or a bad prime, never
 something to hide.  Ideal-Shi cones also get the Mobius polynomial by
 deletion-restriction along the ideal tree, from two anchor lattices.
+
+The subset sum uses no lattice, table or point count.  Dependent subsets
+cancel in pairs, so it sums over the broken-circuit-free sets only, built
+plane by plane in one numpy pass over all live prefixes, each held as an
+integer annihilator; batches are capped at _FRONTIER entries, and
+coloops are factored out as (t - 1)/t each.  A prefix costs n^2 entries,
+so many such sets in many coordinates cost memory per set.
 """
 
 from __future__ import annotations
@@ -18,11 +25,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import linalg
 from .arrangement import (
+    _INT64_SAFE,
     Arrangement,
     LatticeCache,
     SizeBoundError,
+    _exact,
+    _maxabs,
+    _primitive,
     intersection_lattice,
     is_central_charpoly,
     restriction,
@@ -154,30 +164,82 @@ def whitney_admit(size: int) -> None:
         raise SizeBoundError(f"{size} hyperplanes exceed the subset-sum bound {_WHITNEY_MAX}")
 
 
+_FRONTIER = 1 << 16  # annihilator entries one batch of the subset sum may reach
+
+
+def _annihilate(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a batch of annihilators ``w`` (element, row, coordinate) on
+    the form ``v``: the elements with s = w.v nonzero, and each of them
+    made to vanish on v too, as s_p w - s w_p with p the first nonzero
+    entry of s, which zeroes row p.  Rows are divided by their content
+    once the step could pass int64."""
+    bound = 2 * w.shape[2] * _maxabs(w) ** 2 * _maxabs(v)
+    if bound >= _INT64_SAFE:
+        w = _primitive(w)
+        bound = 2 * w.shape[2] * _maxabs(w) ** 2 * _maxabs(v)
+    w, v = _exact(bound, w, v)
+    s = w @ v
+    live = (s != 0).any(axis=1)
+    w, s = w[live], s[live]
+    at = np.arange(len(s)), np.argmax(s != 0, axis=1)
+    return w, s[at][:, None, None] * w - s[:, :, None] * w[at][:, None, :]
+
+
+def _coloops(covs: np.ndarray) -> np.ndarray:
+    """Mask of the planes outside the span of the others.  The rows of
+    [covs | I] are made to vanish on each coordinate of covs in turn; what
+    is left spans the linear relations among the covectors, and a coloop
+    is a plane that none of them involves."""
+    m, n = covs.shape
+    rows = np.concatenate([covs, np.eye(m, dtype=covs.dtype)], axis=1)[None]
+    for e in np.eye(n + m, dtype=np.int64)[:n]:
+        hit, made = _annihilate(rows, e)
+        rows = made if len(hit) else rows
+    return ~(rows[0, :, n:] != 0).any(axis=0)
+
+
 def charpoly_whitney(arr: Arrangement) -> CharPoly:
     """Signed sum of t^(dim - rank B) over subsets B of the arrangement.
 
-    Subsets whose next element depends on the ones already chosen cancel
-    in +/- pairs, so the walk only ever branches on independent sets;
-    that keeps |A| = 22 comfortably feasible without changing the sum.
+    Taken over the planes in order, a subset whose next plane depends on
+    the ones already chosen cancels against the same subset without that
+    plane, so only independent prefixes live on: after plane i, exactly
+    the broken-circuit-free sets of the first i planes (for the order that
+    breaks a circuit at its highest plane), never more of them than the
+    sum of |coefficients| of chi.  Each prefix is held as an integer
+    annihilator, an n x n matrix whose nonzero rows span the vectors on
+    which its forms vanish, and all prefixes take a plane in one numpy
+    step (:func:`_annihilate`); at the end, a prefix with d nonzero rows
+    adds (-1)^(n-d) to the coefficient of t^d.  The prefixes are batched
+    depth-first, and a batch is halved before its next step could pass
+    _FRONTIER entries, so no temporary grows with the number of sets.
+
+    A coloop, a plane outside the span of the others, doubles every prefix
+    but only multiplies chi by (t - 1)/t, so coloops are peeled off first.
+    A prefix costs n^2 array entries against about rank * n Python steps
+    in a recursive walk, so many broken-circuit-free sets in many
+    coordinates cost more memory per set, and each numpy step has a fixed
+    cost that a walk over a handful of planes does not pay.
     """
     whitney_admit(arr.size)
     n = arr.dim
-    covs = arr.covectors
-    m = len(covs)
-    coeffs = [0] * (n + 1)
-
-    def walk(i: int, rows, pivots, size: int) -> None:
-        if i == m:
-            coeffs[n - size] += -1 if size % 2 else 1
-            return
-        new = linalg.reduce_row(covs[i], rows, pivots)
-        if (piv := linalg.first_nonzero(new)) < 0:
-            return  # dependent: the include/exclude subtrees cancel exactly
-        walk(i + 1, rows, pivots, size)
-        walk(i + 1, rows + (new,), pivots + (piv,), size + 1)
-
-    walk(0, (), (), 0)
+    covs = np.array(arr.covectors, dtype=object).reshape(arr.size, n)
+    covs, = _exact(_maxabs(covs), covs)
+    coloop = _coloops(covs) if arr.size else np.zeros(0, dtype=bool)
+    counts = np.zeros(n + 1, dtype=np.int64)  # live prefixes at the end, by nonzero rows
+    stack = [(0, np.eye(n, dtype=np.int64)[None])]
+    covs, cap = covs[~coloop], max(1, _FRONTIER // (2 * n * n))
+    while stack:
+        i, w = stack.pop()
+        if i == len(covs):
+            counts += np.bincount((w != 0).any(axis=2).sum(axis=1), minlength=n + 1)
+        elif len(w) > cap:
+            stack += [(i, w[len(w) // 2 :]), (i, w[: len(w) // 2])]
+        else:
+            stack.append((i + 1, np.concatenate(_annihilate(w, covs[i]))))
+    coeffs = [(-1) ** (n - d) * int(c) for d, c in enumerate(counts)]
+    for _ in range(int(coloop.sum())):  # times (1 - 1/t)
+        coeffs = [a - b for a, b in zip(coeffs, coeffs[1:] + [0])]
     return CharPoly(tuple(coeffs))
 
 

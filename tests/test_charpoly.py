@@ -38,7 +38,8 @@ from idealshi import (
     try_factor_exponents,
 )
 from idealshi.arrangement import arrangement_key
-from idealshi.rootsys import ExponentMultiset, Root
+from idealshi.rootsys import ExponentMultiset, Root, shi_plane_count
+from whitney_walk import whitney_walk
 
 
 def poly_of_roots(*roots):
@@ -75,6 +76,104 @@ def test_whitney_size_guard():
     big = shi_arrangement(g2, 2, g2.positive_roots, "+")  # 31 planes
     with pytest.raises(SizeBoundError):
         charpoly_whitney(big)
+
+
+# every G2 cone at k = 3 has at least 31 planes, past the subset-sum bound
+WHITNEY_CAMPAIGNS = [(name, k) for name in ("A2", "B2", "G2") for k in (0, 1, 2, 3) if (name, k) != ("G2", 3)]
+WHITNEY_CAMPAIGNS += [(name, 1) for name in ("A3", "B3", "C3", "A4")]
+
+
+@pytest.mark.parametrize("name,k", WHITNEY_CAMPAIGNS)
+def test_whitney_pass_matches_the_walk_on_ideal_shi_cones(systems, name, k):
+    rs = systems[name]
+    table = LatticeCache()
+    checked = 0
+    for ideal in enumerate_ideals(rs):
+        for sign in "+" if k == 0 else "+-":
+            if shi_plane_count(rs, k, ideal.roots, sign) > 22:
+                continue
+            arr = shi_arrangement(rs, k, ideal.roots, sign)
+            chi = charpoly_whitney(arr)
+            assert chi == whitney_walk(arr) == charpoly_mobius(arr, table), (ideal.roots, sign)
+            checked += 1
+    assert checked
+
+
+def random_covectors(rng, dim, reach):
+    """Up to 12 nonzero covectors with entries in [-reach, reach]; some are
+    sums of earlier ones, so that dependent prefixes cancel."""
+    out = []
+    for _ in range(rng.randrange(13)):
+        if len(out) > 1 and rng.random() < 0.3:
+            u, v = rng.sample(out, 2)
+            out.append([a + rng.choice((-1, 1)) * b for a, b in zip(u, v)])
+        else:
+            out.append([rng.randint(-reach, reach) for _ in range(dim)])
+    return [v for v in out if any(v)]
+
+
+def test_whitney_pass_matches_the_walk_on_random_arrangements(monkeypatch):
+    dtypes = set()
+    exact = idealshi.charpoly._exact
+    monkeypatch.setattr(idealshi.charpoly, "_exact", lambda *a: [dtypes.add(x.dtype) or x for x in exact(*a)])
+    rng = random.Random(24)
+    for _ in range(300):
+        dim = rng.randint(1, 8)
+        arr = Arrangement.of(dim, random_covectors(rng, dim, rng.choice((1, 2, 9, 10**12))))
+        chi = charpoly_whitney(arr)
+        assert chi == whitney_walk(arr), arr
+        if dim <= 5:
+            assert chi.coeffs == intersection_lattice(arr).charpoly_coeffs(), arr
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}  # the object path ran
+
+
+E8_SUBSET = "a1,a2,a3,a4,a5,a6,a7,a8,a1+a3,a2+a4,a3+a4,a4+a5,a5+a6,a6+a7,a7+a8,a1+a3+a4,a2+a3+a4,a2+a4+a5,a3+a4+a5,a4+a5+a6,a5+a6+a7,a6+a7+a8"
+
+
+def test_whitney_pass_matches_the_walk_on_root_arrangements():
+    arrs = [root_arrangement(build(name)) for name in ("A5", "A6", "B4", "D5")]
+    e8 = build("E8")
+    arrs.append(root_arrangement(e8, [e8.root_at(Root.parse(r, 8).coeffs) for r in E8_SUBSET.split(",")]))
+    table = LatticeCache()
+    for arr in arrs:
+        chi = charpoly_whitney(arr)
+        assert chi == whitney_walk(arr)
+        if arr.dim <= table.max_dim and arr.size <= table.max_hyperplanes:
+            assert chi == charpoly_mobius(arr, table)
+    assert chi.coeffs == poly_of_roots(1, *[3] * 7)  # the E8 subset: 32,768 broken-circuit-free sets
+
+
+def test_whitney_temporaries_are_bounded():
+    n = 16
+    axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert charpoly_whitney(Arrangement.of(n, axes)).coeffs == poly_of_roots(*[1] * n)
+    # with the plane x_1 + ... + x_16 no plane is a coloop: 2^16 live prefixes
+    # before the last step, 134 MB of annihilators in one frontier
+    tracemalloc.start()
+    try:
+        chi = charpoly_whitney(Arrangement.of(n, axes + [(1,) * n]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    power = poly_of_roots(*[1] * (n + 1))  # chi = ((t - 1)^17 + 1) / t - 1
+    assert chi.coeffs == (power[1] - 1, *power[2:])
+    assert peak < 32 << 20
+
+
+def test_whitney_needs_no_lattice_table_or_point_count(systems, monkeypatch):
+    arr = shi_arrangement(systems["B3"], 1, [], "+")
+    want = charpoly_mobius(arr)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subset sum is a route of its own")
+
+    for module in (idealshi.charpoly, idealshi.arrangement):
+        monkeypatch.setattr(module, "intersection_lattice", refuse)
+    monkeypatch.setattr(LatticeCache, "get_charpoly", refuse)
+    monkeypatch.setattr(idealshi.charpoly, "count_free_points", refuse)
+    with pytest.raises(AssertionError):
+        charpoly_mobius(arr)
+    assert charpoly_whitney(arr) == want
 
 
 def brute_force_count(arr, q):
