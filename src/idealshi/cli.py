@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from typing import Optional, Sequence
@@ -123,6 +123,7 @@ class SubsetFacts:
         self.cache = cache
         self.arrangements: dict[str, Arrangement] = {}
         self.multirestrictions: dict[str, tuple[Arrangement, dict]] = {}
+        self.predictions: dict[str, ExponentMultiset] = {}
         self.terao_verdicts: dict[str, TeraoVerdict] = {}
         self.yoshinaga_verdicts: dict[str, FreenessVerdict] = {}
 
@@ -168,8 +169,9 @@ class SubsetFacts:
 def _check_terao(facts: SubsetFacts, sign: str) -> CheckResult:
     if not facts.ideal:
         return CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal")
-    verdict = terao_check(facts.chi(sign), shi_exponents_dp(facts.rs, facts.k, facts.roots, sign))
-    facts.terao_verdicts[sign] = verdict  # the record reports its prediction and chi
+    # the prediction first: the record keeps it even when the guards refuse chi
+    predicted = facts.predictions[sign] = shi_exponents_dp(facts.rs, facts.k, facts.roots, sign)
+    verdict = facts.terao_verdicts[sign] = terao_check(facts.chi(sign), predicted)
     return CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
 
 
@@ -244,22 +246,23 @@ def _verdict(checks: Sequence[CheckResult], refused: bool) -> str:
 
 
 def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
-    """One record per sign of the spec, in sign order.  Work that both signs,
-    or several subsets of the campaign, share through the chi table ``cache``
-    is done once, and its time is charged to the first record that needs it."""
+    """One record per sign of the spec, in sign order.  A check that the size
+    guards refuse reports SKIPPED under its own name with the guard's message,
+    and the later checks still run.  Work that both signs, or several subsets
+    of the campaign, share through the chi table ``cache`` is done once, and
+    its time is charged to the first record that needs it."""
     t0 = time.perf_counter()
     facts = SubsetFacts(spec, cache)
     records = []
     for sign in _signs(spec.sign):
-        checks = []
-        refused = False
-        try:
-            for name in spec.checks:
+        checks, refused = [], False
+        for name in spec.checks:
+            try:
                 checks.append(CHECKS[name](facts, sign))
-        except SizeBoundError as err:
-            checks.append(CheckResult("bound", SKIPPED, str(err)))
-            refused = True
-        terao = facts.terao_verdicts.get(sign)
+            except SizeBoundError as err:
+                checks.append(CheckResult(name, SKIPPED, str(err)))
+                refused = True
+        predicted, terao = facts.predictions.get(sign), facts.terao_verdicts.get(sign)
         t1 = time.perf_counter()
         records.append(
             CaseRecord(
@@ -270,7 +273,7 @@ def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
                 subset_roots=tuple(r.name for r in facts.roots),
                 subset_index=spec.subset_index,
                 arrangement_size=facts.size(sign),
-                predicted_exponents=terao and terao.predicted.parts,
+                predicted_exponents=predicted and predicted.parts,
                 chi_coeffs=terao and terao.computed.coeffs,
                 verdict=_verdict(checks, refused),
                 checks=checks,
@@ -417,37 +420,19 @@ def cmd_filtration(args) -> int:
     cases = []
     previous: Optional[list[range]] = None
     for i in range(1, args.steps + 1):
-        t0 = time.perf_counter()
         k, prefix, sign = filtration_cone(rs, i)  # each step is an ideal-Shi cone, checked as in verify
-        facts = SubsetFacts(CaseSpec(rs, k, sign, mask_of(rs, prefix), i, ("terao",)), cache)
-        levels, size = shi_levels(rs, k, prefix, sign), facts.size(sign)
-        checks = [CheckResult("saturated", PASS if size == i else FAIL, f"|A_{i}| = {size}")]
+        [case] = run_case(CaseSpec(rs, k, sign, mask_of(rs, prefix), i, ("terao",)), cache)
+        levels, size = shi_levels(rs, k, prefix, sign), case.arrangement_size
+        chain = [CheckResult("saturated", PASS if size == i else FAIL, f"|A_{i}| = {size}")]
         if previous is not None:
             # each root's levels hold the previous step's; an empty range (k = 0) lies in any range
             nested = all(
                 not was or now.start <= was.start and was.stop <= now.stop for was, now in zip(previous, levels)
             )
-            checks.append(CheckResult("nested", PASS if nested else FAIL, "previous step contained"))
-        refused = False
-        try:
-            checks.append(_check_terao(facts, sign))
-        except SizeBoundError as err:
-            checks.append(CheckResult("terao", SKIPPED, str(err)))
-            refused = True
-        terao = facts.terao_verdicts.get(sign)
-        cases.append(CaseRecord(
-            system=str(rs.type),
-            k=None,
-            sign=None,
-            subset_kind="step",
-            subset_roots=(),
-            subset_index=i,
-            arrangement_size=size,
-            predicted_exponents=(terao.predicted if terao else shi_exponents_dp(rs, k, prefix, sign)).parts,
-            chi_coeffs=terao and terao.computed.coeffs,
-            verdict=_verdict(checks, refused),
-            checks=checks,
-            timing_ms=(time.perf_counter() - t0) * 1000.0,
+            chain.append(CheckResult("nested", PASS if nested else FAIL, "previous step contained"))
+        verdict = FAIL if any(c.status == FAIL for c in chain) else case.verdict
+        cases.append(replace(
+            case, k=None, sign=None, subset_kind="step", subset_roots=(), checks=chain + case.checks, verdict=verdict
         ))
         previous = levels
     report = Report(command="filtration", tool_version=__version__, cases=cases)

@@ -304,12 +304,20 @@ def test_verify_size_guard_skips(capsys):
     assert doc["summary"]["skipped"] == 2
 
 
+def _refusals(case) -> list[tuple[str, str]]:
+    """The (name, detail) of each check of a JSON case record, all of which must be SKIPPED."""
+    assert all(c["status"] == "SKIPPED" for c in case["checks"])
+    return [(c["name"], c["detail"]) for c in case["checks"]]
+
+
 def test_verify_size_guard_ignores_warm_cache(tmp_path, capsys):
     # a cached chi must not admit an arrangement the guards refuse
     base = ("verify", "A2", "-k", "1", "--subset", "none", "--cache-dir", str(tmp_path / "cache"))
-    guarded = (*base, "--max-hyperplanes", "3")
+    guarded = (*base, "--max-hyperplanes", "3", "--format", "json")
     _, cold, _ = run(capsys, *guarded)
-    assert "bound:SKIPPED" in cold
+    refused = "7 hyperplanes exceed bound 3"
+    for case in json.loads(cold)["cases"]:
+        assert _refusals(case) == [(name, refused) for name in ("terao", "ziegler", "yoshinaga", "duality")]
     assert run(capsys, *base)[0] == 0
     _, warm, _ = run(capsys, *guarded)
     assert warm == cold
@@ -325,7 +333,7 @@ def test_verify_size_guard_covers_freeness_checks(capsys, check):
     doc = json.loads(out)
     assert doc["summary"]["skipped"] == 2
     for case in doc["cases"]:
-        assert [(c["name"], c["status"]) for c in case["checks"]] == [("bound", "SKIPPED")]
+        assert _refusals(case) == [(check, "7 hyperplanes exceed bound 3")]
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -347,14 +355,17 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_refused_case_builds_no_cone(capsys, monkeypatch):
-    # the guards refuse chi from the plane count, so no plane is listed
+    # the guards refuse chi from the plane count, so no plane is listed; the prediction needs no cone
     cones = _count_calls(monkeypatch, idealshi.arrangement, "shi_arrangement")
     planes = _count_calls(monkeypatch, idealshi.rootsys, "shi_planes")
     code, out, _ = run(capsys, "verify", "A2", "-k", "1000000", "--subset", "none", "--sign", "+", "--format", "json")
     assert code == 0
     [case] = json.loads(out)["cases"]
     assert case["arrangement_size"] == 6000001
-    assert case["checks"] == [{"name": "bound", "status": "SKIPPED", "detail": "6000001 hyperplanes exceed bound 73"}]
+    refused = "6000001 hyperplanes exceed bound 73"
+    assert _refusals(case) == [("terao", refused), ("ziegler", refused), ("yoshinaga", refused)]
+    assert case["verdict"] == "SKIPPED" and case["chi_coeffs"] is None
+    assert case["predicted_exponents"] == [1, 3000000, 3000000]
     assert cones == planes == []
 
 
@@ -365,7 +376,8 @@ def test_refused_ziegler_builds_no_cone(capsys, monkeypatch):
     assert code == 0
     [case] = json.loads(out)["cases"]
     assert case["verdict"] == "SKIPPED" and case["arrangement_size"] == 600002
-    assert case["checks"] == [{"name": "bound", "status": "SKIPPED", "detail": "600002 hyperplanes exceed bound 73"}]
+    refused = "600002 hyperplanes exceed bound 73"
+    assert _refusals(case) == [("ziegler", refused), ("yoshinaga", refused)]
     assert cones == []
 
 
@@ -462,14 +474,15 @@ def test_charpoly_mobius_builds_the_case_lattice(capsys, monkeypatch):
 
 
 def test_guard_refusal_makes_the_case_skipped(capsys):
-    # ziegler needs the cone, which the guards refuse: the case checked nothing
+    # ziegler and terao both need the cone, which the guards refuse: the case checked nothing
     code, out, _ = run(
         capsys, "verify", "G2", "-k", "3", "--subset", "none", "--sign", "+",
         "--checks", "ziegler,terao", "--max-hyperplanes", "30", "--format", "json",
     )
     assert code == 0
     [case] = json.loads(out)["cases"]
-    assert [c["status"] for c in case["checks"]] == ["SKIPPED"]
+    refused = "37 hyperplanes exceed bound 30"
+    assert _refusals(case) == [("ziegler", refused), ("terao", refused)]
     assert case["verdict"] == "SKIPPED"
     # a filtration step whose chi check is refused is no pass either
     code, out, _ = run(capsys, "filtration", "A2", "--steps", "80")
@@ -491,8 +504,16 @@ def test_non_ideal_terao_skip_still_passes(capsys):
 @pytest.mark.parametrize("argv", [("--subset", "none", "--checks", "yoshinaga"), ("--subset", "3a1+2a2")])
 def test_refused_case_skips_the_rank2_solve(capsys, monkeypatch, argv):
     rank2 = _count_calls(monkeypatch, idealshi.multiarr, "exp_rank2_multi")
-    code, out, _ = run(capsys, "verify", "G2", "-k", "2", "--sign", "+", "--max-hyperplanes", "20", *argv)
-    assert code == 0 and "bound:SKIPPED" in out
+    code, out, _ = run(
+        capsys, "verify", "G2", "-k", "2", "--sign", "+", "--max-hyperplanes", "20", *argv, "--format", "json"
+    )
+    assert code == 0
+    [case] = json.loads(out)["cases"]
+    refusals = {
+        "none": [("yoshinaga", "25 hyperplanes exceed bound 20")],
+        "3a1+2a2": [("ziegler", "26 hyperplanes exceed bound 20"), ("yoshinaga", "26 hyperplanes exceed bound 20")],
+    }
+    assert _refusals(case) == refusals[argv[1]] and case["verdict"] == "SKIPPED"
     assert rank2 == []
 
 
@@ -600,6 +621,49 @@ def test_filtration_refuses_a_step_before_building_its_cone(capsys, monkeypatch)
     refused = cases[73]
     assert refused["checks"][-1] == {"name": "terao", "status": "SKIPPED", "detail": "74 hyperplanes exceed bound 73"}
     assert refused["chi_coeffs"] is None and len(refused["predicted_exponents"]) == 3
+
+
+@pytest.mark.parametrize("system, steps", [("A2", 80), ("B3", 40), ("G2", 60)])
+def test_filtration_step_is_its_verify_case(capsys, system, steps):
+    # a step is the verify case (k, prefix, sign) of its cone with the chain checks in front
+    code, out, _ = run(capsys, "filtration", system, "--steps", str(steps), "--format", "json")
+    assert code == 0
+    rs, table = idealshi.rootsys.build(system), idealshi.arrangement.LatticeCache()
+    verdicts = []
+    for i, step in enumerate(json.loads(out)["cases"], start=1):
+        k, prefix, sign = idealshi.arrangement.filtration_cone(rs, i)
+        spec = idealshi.cli.CaseSpec(rs, k, sign, idealshi.rootsys.mask_of(rs, prefix), i, ("terao",))
+        [case] = idealshi.cli.run_case(spec, table)
+        want = case.to_dict(with_timings=False)
+        chain = ["saturated"] if i == 1 else ["saturated", "nested"]
+        assert [c["name"] for c in step["checks"][: len(chain)]] == chain
+        want["case"] = {"system": system, "k": None, "sign": None, "subset": {"kind": "step", "index": i, "roots": []}}
+        want["checks"] = step["checks"][: len(chain)] + want["checks"]
+        assert step == want
+        verdicts.append(step["verdict"])
+    # A2's steps past 73 planes are refused by the guards
+    assert verdicts.count("SKIPPED") == (7 if system == "A2" else 0)
+
+
+def test_refused_check_does_not_hide_a_later_failure(capsys, monkeypatch):
+    def refused(facts, sign):
+        raise idealshi.arrangement.SizeBoundError("refused for the test")
+
+    def failed(facts, sign):
+        return idealshi.cli.CheckResult("ziegler", "FAIL", "no")
+
+    # the refused check comes first, and the failure after it must still decide the case
+    monkeypatch.setitem(idealshi.cli.CHECKS, "terao", refused)
+    monkeypatch.setitem(idealshi.cli.CHECKS, "ziegler", failed)
+    argv = ("verify", "A2", "-k", "1", "--subset", "none", "--sign", "+", "--checks", "terao,ziegler")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    [case] = json.loads(out)["cases"]
+    assert case["verdict"] == "FAIL"
+    assert [(c["name"], c["status"], c["detail"]) for c in case["checks"]] == [
+        ("terao", "SKIPPED", "refused for the test"),
+        ("ziegler", "FAIL", "no"),
+    ]
 
 
 @pytest.mark.parametrize(
