@@ -6,14 +6,16 @@ when a*P + b*Q is divisible by (a*x + b*y)^m, a linear condition on the
 coefficients of (P, Q).  A basis of the derivation module is built by
 raising the multiplicities one unit at a time from d/dx, d/dy at m = 0,
 each step in closed form (the rank-2 case of the Abe-Terao-Wakefield
-addition).  Saito's criterion (Ziegler 1989) certifies the finished pair,
-membership by exact division.  No linear system is solved.
+addition).  Saito's criterion (Ziegler 1989) certifies the finished pair
+apart from the step rule: membership from the low digits of a*P + b*Q at
+x = 2^K - b, y = a (its Taylor coefficients at the line, K bounding them),
+the determinant against one big-integer product.  No linear system is solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -61,39 +63,56 @@ def derivation_space_dim(arr2: Arrangement, mult: Multiplicity, degree: int) -> 
     return 2 * (degree + 1) - linalg.rank(_conditions(arr2, mult, degree))
 
 
+def _digits(h: int, k: int, count: int) -> list[int]:
+    """h = sum_(t < count) d_t 2^(k t) as balanced digits d_t in [-2^(k-1), 2^(k-1))."""
+    half = 1 << k - 1
+    h += half * ((1 << k * count) - 1) // ((1 << k) - 1)  # every digit + half, now in [0, 2^k)
+    return [(h >> k * t & (1 << k) - 1) - half for t in range(count)]
+
+
+def _packed_taylor(a: int, b: int, theta: Sequence[int]) -> tuple[int, int]:
+    """(h, K): the Taylor coefficients T_t of :func:`_respects`, h = sum_t T_t 2^(K t)."""
+    g = [a * p + b * q for p, q in zip(*_halves(theta))]
+    a, b, g = (b, a, g) if b else (a, b, g[::-1])  # top degree in x first, once swapped
+    k = (max(map(abs, g)) * len(g) * max(abs(a), abs(b) + 1) ** (len(g) - 1)).bit_length() + 1
+    h, power = 0, 1
+    for c in g:  # Horner in u = 2^k: h = h*(u - b) + c*a^s
+        h = (h << k) - h * b + c * power
+        power *= a
+    return h, k
+
+
 def _respects(a: int, b: int, m: int, theta: Sequence[int]) -> bool:
-    """Does alpha^m divide g = a*P + b*Q, alpha = a*x + b*y primitive?  g is
-    divided by alpha m times by integer synthetic division from its top term
-    (in y when a = 0); by Gauss's lemma an inexact quotient means no."""
-    n = len(theta) // 2
-    g = [a * u + b * v for u, v in zip(theta[:n], theta[n:])][:: -1 if a else 1]
-    a, b = (a, b) if a else (b, a)
-    for _ in range(m if any(g) else 0):  # a nonzero g fails by m = deg g + 1
-        h, quotient = [], 0  # h_(s-1) = (g_s - b*h_s) / a, s = deg g .. 0; h_(-1) = 0
-        for c in g:
-            quotient, rest = divmod(c - b * quotient, a)
-            if rest:
-                return False
-            h.append(quotient)
-        if h.pop():
-            return False
-        g = h
-    return True
+    """Does alpha^m divide g = a*P + b*Q, alpha = a*x + b*y primitive?
+
+    When b != 0, swap x and y (and a, b), so that a != 0.  Then x = u - b,
+    y = a takes alpha to a*u and g of degree d to sum_t T_t u^t, T_t = sum_s
+    g_s a^(d-s) C(s, t) (-b)^(s-t) (g_s at x^s y^(d-s); row t of
+    :func:`_line_conditions` dotted with theta, if a > 0 when b = 0), so
+    alpha^m | g iff T_t = 0 for t < m.  One Horner pass gives h = sum_t T_t
+    U^t at U = 2^K, K = bit_length(|g|_inf (d+1) M^d) + 1, M = max(|a|,
+    |b| + 1).  As sum_t |T_t| <= |g|_inf sum_s |a|^(d-s) (|b|+1)^s <= |g|_inf
+    (d+1) M^d < U/2, S = sum_(t<m) T_t U^t has |S| < U^m/2 and h = S mod U^m:
+    T_0 .. T_(m-1) all vanish iff the low K*m bits of h do; no approximation."""
+    h, k = _packed_taylor(a, b, theta)
+    return h & ((1 << k * m) - 1) == 0
 
 
 def saito_certified(arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int], theta2: Sequence[int]) -> bool:
     """Saito's criterion: do theta1, theta2 (unknowns as in :func:`_line_conditions`)
-    lie in D(A, m), by exact division, with det[theta1 theta2] = c * prod
-    alpha_H^(m_H), c != 0?  Both sides are forms of degree |m|, compared at y = 1."""
-    if not all(_respects(a, b, mult.get((a, b), 0), t) for a, b in arr2.covectors for t in (theta1, theta2)):
+    lie in D(A, m), by :func:`_respects`, with det[theta1 theta2] = c * prod
+    alpha_H^(m_H), c != 0?  Both sides are forms of degree |m|, compared at y = 1;
+    the target's are the balanced base-2^K digits of prod (a*2^K + b)^(m_H),
+    K = bit_length(prod (|a| + |b|)^(m_H)) + 1, which bounds each of them."""
+    lines = [(a, b, mult.get((a, b), 0)) for a, b in arr2.covectors]
+    if not all(_respects(a, b, m, t) for a, b, m in lines for t in (theta1, theta2)):
         return False
     (p1, q1), (p2, q2) = (np.array(t, dtype=object).reshape(2, -1) for t in (theta1, theta2))
-    det, target = np.convolve(p1, q2) - np.convolve(p2, q1), np.ones(1, dtype=object)
-    for a, b in arr2.covectors:
-        for _ in range(mult.get((a, b), 0)):
-            target = np.convolve(target, np.array([b, a], dtype=object))
+    det = np.convolve(p1, q2) - np.convolve(p2, q1)
+    k = prod((abs(a) + abs(b)) ** m for a, b, m in lines).bit_length() + 1
+    target = _digits(prod(((a << k) + b) ** m for a, b, m in lines), k, sum(m for *_, m in lines) + 1)
     j = linalg.first_nonzero(target)
-    return len(det) == len(target) and det[j] != 0 and all(det * target[j] == target * det[j])
+    return len(det) == len(target) and det[j] != 0 and all(u * target[j] == v * det[j] for u, v in zip(det, target))
 
 
 def _step_coefficient(a: int, b: int, j: int, theta: Vec) -> int:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import idealshi.multiarr
@@ -29,7 +29,8 @@ from idealshi import (
     ziegler_multiplicity,
 )
 from idealshi.cli import CaseSpec, SubsetFacts
-from idealshi.multiarr import saito_certified
+from idealshi.multiarr import _digits, _packed_taylor, saito_certified
+from saito_division import _respects as divides, saito_divided, target_by_convolution
 
 
 def dot(row, theta):
@@ -294,11 +295,108 @@ def test_division_examples():
     assert respects(1, 0, 2, (0, 0, 1, 0, 0, 0)) and not respects(1, 0, 3, (0, 0, 1, 0, 0, 0))
 
 
-def g2_campaign_inputs(k):
-    """Per ideal of G2, the 0/1 indicator on the root lines and the
-    multirestriction of each sign's cone onto {z = 0}, the rank-2 input of
-    ``verify G2 -k K --all-ideals``."""
-    rs = build("G2")
+def taylor_rows(a, b, theta):
+    """Every row of the line's conditions at theta's degree, dotted with theta."""
+    d = len(theta) // 2 - 1
+    return [dot(row, theta) for row in idealshi.multiarr._line_conditions(a, b, d + 1, d)]
+
+
+@st.composite
+def wide_lines(draw):
+    """A primitive line with |a|, |b| <= 9 and a derivation theta of degree up
+    to 40 with entries up to 2^80 in absolute value."""
+    a, b = linalg.normalize_primitive(draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any)))
+    d = draw(st.integers(0, 40))
+    theta = draw(st.lists(st.integers(-(2**80), 2**80), min_size=2 * d + 2, max_size=2 * d + 2))
+    return a, b, tuple(theta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_lines())
+@example((1, 0, tuple(range(-2**80, -2**80 + 82))))
+@example((0, 1, tuple(2**80 - i for i in range(82))))
+@example((9, -8, (2**80,) * 82))
+def test_packed_digits_are_the_condition_rows(case):
+    # the unpacked digits are the rows' exact values, so the bound holds and
+    # the signs are read right; membership agrees with synthetic division
+    a, b, theta = case
+    d = len(theta) // 2 - 1
+    h, k = _packed_taylor(a, b, theta)
+    assert _digits(h, k, d + 1) == taylor_rows(a, b, theta)
+    for m in sorted({0, 1, d // 2, d, d + 1, d + 2, d + 10}):
+        assert idealshi.multiarr._respects(a, b, m, theta) == divides(a, b, m, theta), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_lines(), st.integers(1, 12))
+def test_near_miss_is_refused(case, m):
+    # theta = alpha^(m-1) theta', alpha not dividing theta'(alpha): only digit
+    # m - 1 of the packed value is nonzero, and alpha^m is refused
+    a, b, theta = case
+    assume(len(theta) // 2 + m - 1 <= 41 and taylor_rows(a, b, theta)[0] != 0)
+    for _ in range(m - 1):
+        theta = idealshi.multiarr._times_line(a, b, theta)
+    d = len(theta) // 2 - 1
+    digits = _digits(*_packed_taylor(a, b, theta), d + 1)
+    assert digits == taylor_rows(a, b, theta)
+    assert not any(digits[: m - 1]) and digits[m - 1] != 0
+    assert idealshi.multiarr._respects(a, b, m - 1, theta) and divides(a, b, m - 1, theta)
+    assert not idealshi.multiarr._respects(a, b, m, theta) and not divides(a, b, m, theta)
+
+
+@pytest.mark.parametrize("line", [(1, 0), (0, 1), (1, -1), (2, 3), (-1, 0), (0, -1), (-2, 3), (9, -7)])
+def test_membership_edges(line):
+    # m = 0 always holds, m > d + 1 only for g = 0, and g = 0 for every m;
+    # unnormalized signs decide the same divisibility
+    a, b = line
+    rng = random.Random(sum(line))
+    for d in (0, 1, 5, 40):
+        theta = tuple(rng.randint(-(2**80), 2**80) for _ in range(2 * d + 2))
+        r = [rng.randint(-(2**80), 2**80) for _ in range(d + 1)]
+        zero = tuple(b * c for c in r) + tuple(-a * c for c in r)  # a*P + b*Q = 0
+        for m in (0, 1, d + 1, d + 2, 3 * d + 5):
+            assert idealshi.multiarr._respects(a, b, m, theta) == divides(a, b, m, theta) == (m == 0), (d, m)
+            assert idealshi.multiarr._respects(a, b, m, zero) and divides(a, b, m, zero), (d, m)
+
+
+def bump(theta, i):
+    """theta with coefficient i raised by one."""
+    return tuple(c + (j == i) for j, c in enumerate(theta))
+
+
+@st.composite
+def weighted_lines(draw):
+    """Distinct primitive lines, |a|, |b| <= 9, one of them x (b = 0), each
+    with a multiplicity 0..15."""
+    pairs = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any), max_size=8))
+    lines = sorted({(1, 0)} | {linalg.normalize_primitive(v) for v in pairs})
+    return {cov: draw(st.integers(0, 15)) for cov in lines}
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_lines())
+def test_packed_target_matches_repeated_convolution(mult):
+    # prod alpha_H^(m_H) from one big product equals one convolution per unit;
+    # with membership waved through, (target, 0) and d/dy have det = target
+    arr2 = Arrangement.of(2, mult)
+    want = list(target_by_convolution(arr2.covectors, mult))
+    seen = []
+    real_digits = idealshi.multiarr._digits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(idealshi.multiarr, "_respects", lambda *args: True)
+        patch.setattr(idealshi.multiarr, "_digits", lambda *args: seen.append(real_digits(*args)) or seen[-1])
+        assert saito_certified(arr2, mult, tuple(want) + (0,) * len(want), (0, 1))
+        assert seen[-1] == want
+        assert saito_certified(arr2, mult, tuple(-3 * c for c in want) + (0,) * len(want), (0, 1))
+        bumped = bump(want, 0 if want[0] == 0 else len(want) - 1)  # not the only nonzero entry, unless |m| = 0
+        assert saito_certified(arr2, mult, bumped + (0,) * len(want), (0, 1)) == (len(want) == 1)
+
+
+def campaign_inputs(name, k):
+    """Per ideal, the 0/1 indicator on the root lines and the multirestriction
+    of each sign's cone onto {z = 0}, the rank-2 input of ``verify NAME -k K
+    --all-ideals``."""
+    rs = build(name)
     base, hz = root_arrangement(rs), z_covector(rs)
     inputs = []
     for ideal in enumerate_ideals(rs):
@@ -307,8 +405,40 @@ def g2_campaign_inputs(k):
     return inputs
 
 
+def campaign_bases(name, k):
+    """The rank-2 inputs of ``verify NAME -k K --all-ideals``, each with the
+    basis exp_rank2_multi certified for it."""
+    bases, out = {}, []
+    for arr2, mult in campaign_inputs(name, k):
+        exp_rank2_multi(arr2, mult, bases=bases)
+        key = (arr2.covectors, tuple(mult.get(c, 0) for c in arr2.covectors))
+        out.append((arr2, mult, bases.get(key, ((1, 0), (0, 1)))))
+    return out
+
+
+@pytest.mark.parametrize("name,k", [("G2", 1), ("G2", 5), ("G2", 12), ("G2", 20), ("B2", 1), ("B2", 8), ("A2", 1), ("A2", 11)])
+def test_certificate_matches_synthetic_division_on_campaigns(name, k):
+    # every (line, theta, m), at m_H and m_H + 1, and every verdict of the
+    # campaign's certificates, on each basis and on it with one coefficient
+    # bumped, agrees with the synthetic-division oracle
+    rng = random.Random(f"{name}{k}")
+    verdicts = []
+    for arr2, mult, (theta1, theta2) in campaign_bases(name, k):
+        bumped1, bumped2 = (bump(t, rng.randrange(len(t))) for t in (theta1, theta2))
+        for pair in ((theta1, theta2), (bumped1, theta2), (theta1, bumped2)):
+            for a, b in arr2.covectors:
+                for m in (mult.get((a, b), 0), mult.get((a, b), 0) + 1):
+                    for theta in pair:
+                        assert idealshi.multiarr._respects(a, b, m, theta) == divides(a, b, m, theta), (a, b, m)
+            verdicts.append(saito_certified(arr2, mult, *pair))
+            assert verdicts[-1] == saito_divided(arr2, mult, *pair)
+    # the certified bases pass; most bumps are refused (a bump of a low-degree
+    # basis can leave another basis of the same module)
+    assert all(verdicts[::3]) and verdicts.count(False) > len(verdicts) // 3
+
+
 def test_shared_bases_match_cold_calls(monkeypatch):
-    inputs = g2_campaign_inputs(5)
+    inputs = campaign_inputs("G2", 5)
     assert len(inputs) == 24
     cold = [exp_rank2_multi(arr2, mult) for arr2, mult in inputs]
     steps = []
