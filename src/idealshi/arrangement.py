@@ -9,11 +9,6 @@ product or Gram matrix ever enters: everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import re
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -362,35 +357,16 @@ def is_central_charpoly(arr: Arrangement, coeffs: Sequence[int]) -> bool:
     return len(coeffs) == arr.dim + 1 and tuple(coeffs[-2:]) == top and sum(coeffs) == (0 if arr.size else 1)
 
 
-CACHE_VERSION = 1
-
-
-def arrangement_key(arr: Arrangement) -> str:
-    payload = json.dumps([arr.dim, [list(c) for c in arr.covectors]], separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 class LatticeCache:
-    """Characteristic-polynomial summaries of arrangements: an in-memory
-    layer for one command (one campaign, or one worker of it), in front of
-    an optional on-disk store keyed by a hash of the canonical covector
-    set.  The file format is internal and versioned, not a compatibility
-    surface.  The table carries the size guards of the lattices built to
-    fill it, and a read refuses an arrangement beyond them, so a warm
-    table refuses exactly what a cold one does."""
+    """Characteristic polynomials of arrangements, in memory for one command
+    (one campaign, or one worker of it).  The table carries the size guards
+    of the lattices built to fill it, and a read refuses an arrangement
+    beyond them, so a warm table refuses exactly what a cold one does."""
 
-    def __init__(
-        self, directory: Optional[str] = None, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM
-    ):
-        self.directory = directory
+    def __init__(self, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM):
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
-        self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, never on disk
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, key + ".json")
+        self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, kept for the command like chi
 
     def admit(self, dim: int, size: int) -> None:
         """Refuse a cone of ``size`` planes in ``dim`` coordinates: the one size guard, asked before any build."""
@@ -401,37 +377,7 @@ class LatticeCache:
 
     def get_charpoly(self, arr: Arrangement) -> Optional[tuple[int, ...]]:
         self.admit(arr.dim, arr.size)
-        if arr in self._memory or not self.directory:
-            return self._memory.get(arr)
-        try:
-            with open(self._path(arrangement_key(arr))) as fh:
-                blob = json.load(fh)
-        except (OSError, ValueError):  # missing, unreadable, or not JSON text
-            return None
-        # anything but a well-formed summary of this arrangement is a miss,
-        # and so is a polynomial that breaks the identities every chi meets
-        if not isinstance(blob, dict) or blob.get("version") != CACHE_VERSION or blob.get("dim") != arr.dim:
-            return None
-        chi = blob.get("chi")
-        if not isinstance(chi, list) or not all(isinstance(c, str) and re.fullmatch("-?[0-9]+", c) for c in chi):
-            return None
-        coeffs = tuple(int(c) for c in chi)
-        if is_central_charpoly(arr, coeffs):
-            self._memory[arr] = coeffs  # later reads of this entry open no file
         return self._memory.get(arr)
 
     def put_charpoly(self, arr: Arrangement, coeffs: Sequence[int]) -> None:
         self._memory[arr] = tuple(coeffs)
-        if not self.directory:
-            return
-        blob = {
-            "version": CACHE_VERSION,
-            "dim": arr.dim,
-            "size": arr.size,
-            "chi": [str(c) for c in coeffs],
-        }
-        # a temp file of its own, so writers of one entry never share one
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(blob, fh, sort_keys=True)
-        os.replace(tmp, self._path(arrangement_key(arr)))

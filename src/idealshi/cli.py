@@ -9,7 +9,6 @@ bug), 2 usage error (bad arguments), 3 internal error (a broken invariant).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -401,14 +400,8 @@ def cmd_verify(args) -> int:
 
 
 def _table(args) -> LatticeCache:
-    """A fresh chi table under the size guards the arguments name.  It
-    makes the on-disk store's directory now, so a path that cannot be one
-    is a usage error before any case runs."""
-    directory = args.cache_dir or os.environ.get("IDEALSHI_CACHE")
-    try:
-        return LatticeCache(directory, max_hyperplanes=args.max_hyperplanes, max_dim=args.max_dim)
-    except OSError as err:
-        raise UsageError(f"cache directory {directory}: {err.strerror}") from err
+    """A fresh in-memory chi table under the size guards the arguments name."""
+    return LatticeCache(max_hyperplanes=args.max_hyperplanes, max_dim=args.max_dim)
 
 
 def cmd_filtration(args) -> int:
@@ -514,7 +507,6 @@ def _add_common(p: argparse.ArgumentParser, k_required: bool = False, all_ideals
 
 def _add_limits(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1, help="worker processes (above 1 for verify only)")
-    p.add_argument("--cache-dir", help="lattice cache directory (or env IDEALSHI_CACHE)")
     p.add_argument("--max-hyperplanes", type=int, default=MAX_HYPERPLANES)
     p.add_argument("--max-dim", type=int, default=MAX_DIM)
 

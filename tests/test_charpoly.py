@@ -37,7 +37,6 @@ from idealshi import (
     terao_check,
     try_factor_exponents,
 )
-from idealshi.arrangement import arrangement_key
 from idealshi.rootsys import ExponentMultiset, Root, shi_plane_count
 from whitney_walk import whitney_walk
 
@@ -266,6 +265,28 @@ def test_finite_field_refuses_a_non_central_interpolant(lines):
     assert charpoly_finite_field(arr) == charpoly_mobius(arr)
 
 
+@pytest.mark.parametrize(
+    "method",
+    [
+        charpoly_whitney,
+        pytest.param(
+            charpoly_finite_field,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="open FOUND line in CHANGES.md: at each prime 23..61 the count is chi(q) - (q - 1), "
+                "so the accepted window fits t^3 - 7t^2 + 20t - 14",
+            ),
+        ),
+    ],
+    ids=["whitney", "finite-field"],
+)
+def test_finite_field_bad_reduction_is_known(method):
+    arr = Arrangement.of(3, ((3, -3, -4), (3, 1, 0), (3, 1, 5), (4, -7, 2), (5, 0, 3), (9, 4, -1), (9, 6, 4)))
+    chi = CharPoly((-15, 21, -7, 1))  # t^3 - 7t^2 + 21t - 15
+    assert charpoly_mobius(arr) == chi
+    assert method(arr) == chi
+
+
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 GRID_LIMIT = 300_000  # keeps the brute-force reference to a few hundred thousand points
 
@@ -424,16 +445,15 @@ def test_shi_chain_checks_every_step(systems):
         shi_charpoly(rs, 1, rs.positive_roots, "+", table)
 
 
-def test_shi_chain_refuses_before_reading_the_table(systems, tmp_path):
-    # a store filled under the default guards, then read under tighter ones
+def test_shi_chain_refuses_before_reading_the_table(systems):
+    # a table filled with the cone's chi, then read under guards that refuse the cone
     rs = systems["B3"]
-    shi_charpoly(rs, 2, rs.positive_roots, "+", LatticeCache(str(tmp_path)))
-    table = LatticeCache(str(tmp_path), max_hyperplanes=40)
     cone = shi_arrangement(rs, 2, rs.positive_roots, "+")
+    table = LatticeCache(max_hyperplanes=40)
+    table.put_charpoly(cone, charpoly_mobius(cone).coeffs)
     for read in (lambda: shi_charpoly(rs, 2, rs.positive_roots, "+", table), lambda: charpoly_mobius(cone, table)):
         with pytest.raises(SizeBoundError, match="46 hyperplanes exceed bound 40"):
             read()
-    assert LatticeCache(str(tmp_path)).get_charpoly(cone) == charpoly_mobius(cone).coeffs
 
 
 def test_chi0_examples():
@@ -508,47 +528,3 @@ def test_root_sums_track_sizes():
         split = try_factor_exponents(charpoly_mobius(arr))
         if not isinstance(split, FactorFailure):
             assert split.total() == arr.size
-
-
-def test_concurrent_writers_of_one_entry(tmp_path, monkeypatch):
-    # two workers of a campaign store the same arrangement at once: the
-    # second writes its whole entry while the first is about to rename
-    arr = shi_arrangement(build("A2"), 1, [], "+")
-    chi = poly_of_roots(1, 3, 3)
-    first, second = LatticeCache(str(tmp_path)), LatticeCache(str(tmp_path))
-    replace = os.replace
-    pending = [lambda: second.put_charpoly(arr, chi)]
-
-    def interleaved(src, dst):
-        while pending:
-            pending.pop()()
-        replace(src, dst)
-
-    monkeypatch.setattr(idealshi.arrangement.os, "replace", interleaved)
-    first.put_charpoly(arr, chi)
-    assert not pending
-    assert LatticeCache(str(tmp_path)).get_charpoly(arr) == chi
-
-
-@pytest.mark.parametrize(
-    "blob",
-    [
-        [1, 2],
-        "chi",
-        {"version": 1, "dim": 3},
-        {"version": 1, "dim": 3, "chi": ["-3", "x", "-7", "1"]},
-        {"version": 1, "dim": 3, "chi": [-3, 9, -7, 1]},
-        {"version": 1, "dim": 3, "chi": ["1.5", "9", "-7", "1"]},
-        {"version": 1, "dim": 3, "chi": ["9", "-7", "1"]},
-        {"version": 1, "dim": 3, "chi": ["-3", "9", "-7", "2"]},
-        # chi(1) = 0, but the t^2 coefficient is not -|A| = -7
-        {"version": 1, "dim": 3, "chi": ["-8", "15", "-8", "1"]},
-    ],
-)
-def test_malformed_cache_file_is_a_miss(tmp_path, blob):
-    arr = shi_arrangement(build("A2"), 1, [], "+")
-    cache = LatticeCache(str(tmp_path))
-    (tmp_path / (arrangement_key(arr) + ".json")).write_text(json.dumps(blob))
-    assert cache.get_charpoly(arr) is None
-    assert charpoly_mobius(arr, cache).coeffs == poly_of_roots(1, 3, 3)
-    assert cache.get_charpoly(arr) == poly_of_roots(1, 3, 3)

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, report formats, determinism."""
 
+import hashlib
 import json
 import pickle
 import sys
@@ -258,42 +259,6 @@ def test_single_subset_starts_no_pool(capsys, pools):
     assert pools == []
 
 
-def test_verify_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    args = (
-        "verify", "A2", "-k", "1", "--all-ideals", "--format", "json", "--cache-dir", str(cache),
-    )
-    _, first, _ = run(capsys, *args)
-    files = list(cache.glob("*.json"))
-    assert files
-    _, second, _ = run(capsys, *args)
-    assert first == second
-
-
-def test_warm_cache_opens_each_entry_once(tmp_path, capsys, monkeypatch):
-    # a disk hit stays in memory, so a warm campaign reads each chi file once
-    args = ("verify", "G2", "-k", "3", "--all-ideals", "--format", "json", "--cache-dir", str(tmp_path))
-    _, cold, _ = run(capsys, *args)
-    opened = []
-
-    def counted(path, *rest):
-        opened.append(path)
-        return open(path, *rest)
-
-    monkeypatch.setattr(idealshi.arrangement, "open", counted, raising=False)
-    _, warm, _ = run(capsys, *args)
-    assert warm == cold
-    assert opened and len(opened) == len(set(opened))
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("IDEALSHI_CACHE", str(cache))
-    code, out, _ = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
-    assert code == 0
-    assert list(cache.glob("*.json"))
-
-
 def test_verify_size_guard_skips(capsys):
     code, out, _ = run(
         capsys,
@@ -310,9 +275,9 @@ def _refusals(case) -> list[tuple[str, str]]:
     return [(c["name"], c["detail"]) for c in case["checks"]]
 
 
-def test_verify_size_guard_ignores_warm_cache(tmp_path, capsys):
-    # a cached chi must not admit an arrangement the guards refuse
-    base = ("verify", "A2", "-k", "1", "--subset", "none", "--cache-dir", str(tmp_path / "cache"))
+def test_verify_size_guard_ignores_warm_cache(capsys):
+    # an earlier unguarded run in the same process must not admit an arrangement the guards refuse
+    base = ("verify", "A2", "-k", "1", "--subset", "none")
     guarded = (*base, "--max-hyperplanes", "3", "--format", "json")
     _, cold, _ = run(capsys, *guarded)
     refused = "7 hyperplanes exceed bound 3"
@@ -666,19 +631,36 @@ def test_refused_check_does_not_hide_a_later_failure(capsys, monkeypatch):
     ]
 
 
-@pytest.mark.parametrize(
-    "option",
-    [("--out", "{missing}/r.json"), ("--cache-dir", "{file}/chi"), ("--cache-dir", "{file}/chi", "--jobs", "2")],
-    ids=["out", "cache-dir", "cache-dir-jobs"],
-)
+@pytest.mark.parametrize("option", [("--out", "{missing}/r.json")], ids=["out"])
 def test_unwritable_path_is_a_usage_error(tmp_path, capsys, monkeypatch, option):
-    (tmp_path / "file").write_text("")
-    option = [a.format(missing=tmp_path / "missing", file=tmp_path / "file") for a in option]
+    option = [a.format(missing=tmp_path / "missing") for a in option]
     cases = _count_calls(monkeypatch, idealshi.cli, "run_case")
     code, out, err = run(capsys, "verify", "A2", "-k", "1", "--all-ideals", *option)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert cases == []  # refused before any case ran
+
+
+def test_no_chi_store_is_read_or_written(tmp_path, capsys, monkeypatch):
+    # a chi that meets the central identities but is wrong, under the name an on-disk store once gave the + cone
+    rs = idealshi.rootsys.build("A2")
+    cone = idealshi.arrangement.shi_arrangement(rs, 1, rs.positive_roots, "+")
+    payload = json.dumps([cone.dim, [list(c) for c in cone.covectors]], separators=(",", ":"))
+    entry = tmp_path / (hashlib.sha256(payload.encode()).hexdigest() + ".json")
+    entry.write_text(json.dumps({"chi": ["-18", "27", "-10", "1"], "dim": 3, "size": 10, "version": 1}))
+    monkeypatch.setenv("IDEALSHI_CACHE", str(tmp_path))
+    code, out, _ = run(capsys, "verify", "A2", "-k", "1", "--subset", "ideal:4", "--sign", "+", "--format", "json")
+    assert code == 0
+    assert [case["verdict"] for case in json.loads(out)["cases"]] == ["PASS"]
+    assert list(tmp_path.iterdir()) == [entry]
+    for command in (
+        ("verify", "A2", "-k", "1", "--subset", "none"),
+        ("filtration", "A2", "--steps", "3"),
+        ("charpoly", "A2", "-k", "1", "--subset", "none"),
+    ):
+        code, _, err = run(capsys, *command, "--cache-dir", str(tmp_path / "chi"))
+        assert code == 2 and "unrecognized arguments: --cache-dir" in err
+    assert list(tmp_path.iterdir()) == [entry]
 
 
 def test_filtration_checks_out_before_any_step(tmp_path, capsys, monkeypatch):
