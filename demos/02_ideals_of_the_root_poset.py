@@ -6,15 +6,16 @@ is the Weyl-Catalan number, and each ideal's subarrangement has exponents
 given by the dual partition of the ideal's heights.
 """
 
-from idealshi import build, enumerate_ideals, ideal_exponents, weyl_catalan_number
+from idealshi import build, enumerate_ideals, ideal_exponents, roots_of, weyl_catalan_number
 
 rs = build("B3")
 ideals = enumerate_ideals(rs)
 print(f"B3 has {len(ideals)} ideals (Weyl-Catalan number {weyl_catalan_number(rs)})\n")
 
-for i, ideal in enumerate(ideals):
-    roots = ", ".join(r.name for r in ideal.roots) or "(empty)"
-    print(f"{i:>3}  size {ideal.size}  exponents {ideal_exponents(ideal)}  {{{roots}}}")
+for i, mask in enumerate(ideals):
+    roots = roots_of(rs, mask)
+    names = ", ".join(r.name for r in roots) or "(empty)"
+    print(f"{i:>3}  size {len(roots)}  exponents {ideal_exponents(rs, mask)}  {{{names}}}")
 
 print("\nlinear extension (every prefix is an ideal):")
 print("  " + " < ".join(r.name for r in rs.positive_roots))

@@ -13,6 +13,7 @@ from idealshi import (
     charpoly_mobius,
     charpoly_whitney,
     enumerate_ideals,
+    roots_of,
     shi_arrangement,
     shi_exponents_dp,
     terao_check,
@@ -22,10 +23,11 @@ from idealshi import (
 rs = build("A2")
 
 print("the plain Shi cone, the Catalan cone, and everything between:")
-for ideal in enumerate_ideals(rs):
-    arr = shi_arrangement(rs, 1, ideal.roots, "+")
+for mask in enumerate_ideals(rs):
+    roots = roots_of(rs, mask)
+    arr = shi_arrangement(rs, 1, roots, "+")
     chi = charpoly_mobius(arr)
-    label = ",".join(r.name for r in ideal.roots) or "empty"
+    label = ",".join(r.name for r in roots) or "empty"
     print(f"  +{{{label:<14}}} |A| = {arr.size:>2}   chi = {chi}   roots {try_factor_exponents(chi)}")
 
 print("\nthree methods on the k = 2 Shi cone of B2:")
@@ -37,9 +39,10 @@ print("   finite field:", charpoly_finite_field(arr))
 
 print("\npredicted vs computed exponents over every ideal of G2, k = 1:")
 g2 = build("G2")
-for ideal in enumerate_ideals(g2):
-    predicted = shi_exponents_dp(g2, 1, ideal.roots, "+")
-    verdict = terao_check(charpoly_mobius(shi_arrangement(g2, 1, ideal.roots, "+")), predicted)
-    label = ",".join(r.name for r in ideal.roots) or "empty"
+for mask in enumerate_ideals(g2):
+    roots = roots_of(g2, mask)
+    predicted = shi_exponents_dp(g2, 1, roots, "+")
+    verdict = terao_check(charpoly_mobius(shi_arrangement(g2, 1, roots, "+")), predicted)
+    label = ",".join(r.name for r in roots) or "empty"
     status = "ok" if verdict.passed else "MISMATCH"
     print(f"  +{{{label:<22}}} predicted {predicted}  {status}")

@@ -39,10 +39,8 @@ from .charpoly import (
     try_factor_exponents,
 )
 from .ideals import (
-    Ideal,
     enumerate_ideals,
     ideal_exponents,
-    is_ideal,
     weyl_catalan_number,
 )
 from .multiarr import (
@@ -56,9 +54,10 @@ from .rootsys import (
     ExponentMultiset,
     Root,
     RootSystem,
-    RootSystemType,
     build,
     dual_partition,
+    is_ideal,
+    roots_of,
     shi_exponents_dp,
     shift_predict,
     weyl_exponents,

@@ -3,7 +3,8 @@
 Subcommands: roots, ideals, exponents, verify, filtration, charpoly.
 Exit codes: 0 all expectations met, 1 at least one mismatch (a genuine
 counterexample would land here, so it normally means an implementation
-bug), 2 usage error (bad arguments), 3 internal error (a broken invariant).
+bug), 2 usage error (bad arguments), 3 internal error (a broken invariant,
+or any other exception).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
@@ -32,7 +32,6 @@ from .arrangement import (
     ziegler_multiplicity,
 )
 from .charpoly import (
-    BadReductionError,
     CharPoly,
     FactorFailure,
     TeraoVerdict,
@@ -44,7 +43,7 @@ from .charpoly import (
     try_factor_exponents,
     whitney_admit,
 )
-from .ideals import Ideal, enumerate_ideals, ideal_exponents, is_ideal
+from .ideals import enumerate_ideals, ideal_exponents
 from .multiarr import FreenessVerdict, yoshinaga_check
 from .report import (
     FAIL,
@@ -61,6 +60,7 @@ from .rootsys import (
     Root,
     RootSystem,
     build,
+    is_ideal,
     mask_of,
     roots_of,
     shi_exponents_dp,
@@ -86,7 +86,7 @@ def _parse_subset(rs: RootSystem, spec: str) -> tuple[int, Optional[int]]:
         ideals = enumerate_ideals(rs)
         if not 0 <= idx < len(ideals):
             raise UsageError(f"ideal index {idx} out of range 0..{len(ideals) - 1}")
-        return ideals[idx].mask, idx
+        return ideals[idx], idx
     roots = [Root.parse(tok, rs.rank) for tok in spec.split(",")]
     return mask_of(rs, roots), None
 
@@ -105,7 +105,7 @@ class CaseSpec:
 
     @property
     def system(self) -> str:
-        return str(self.rs.type)
+        return self.rs.type
 
 
 class SubsetFacts:
@@ -306,8 +306,8 @@ def cmd_ideals(args) -> int:
     rs, grid = _read(args)
     rows = []
     for mask, i in grid:
-        ideal = Ideal(rs, mask)
-        rows.append((i, ideal.size, ideal_exponents(ideal), ", ".join(r.name for r in ideal.roots)))
+        roots = roots_of(rs, mask)
+        rows.append((i, len(roots), ideal_exponents(rs, mask), ", ".join(r.name for r in roots)))
     sys.stdout.write(text_table(rows, ["idx", "size", "exponents", "roots"]))
     return 0
 
@@ -344,7 +344,7 @@ def _read(args) -> tuple[RootSystem, list[tuple[int, Optional[int]]]]:
     try:
         rs = build(args.system)
         if getattr(args, "all_ideals", False):
-            return rs, [(ideal.mask, i) for i, ideal in enumerate(enumerate_ideals(rs))]
+            return rs, [(mask, i) for i, mask in enumerate(enumerate_ideals(rs))]
         spec = getattr(args, "subset", None)
         return rs, [(0, None) if spec is None else _parse_subset(rs, spec)]
     except ValueError as err:
@@ -385,13 +385,15 @@ def cmd_verify(args) -> int:
         for mask, idx in grid
     ]
     # one chi table for the campaign; each worker runs one contiguous share with its
-    # own copy, where a case's chain parents, smaller ideals, come earlier
+    # own copy, so each share walks its chains to both anchors: a '+' parent is a
+    # smaller ideal, but a '-' parent is a larger one, later in the campaign
     cache = _table(args)
     size = -(-len(specs) // args.jobs)
     shares = [specs[i : i + size] for i in range(0, len(specs), size)]
     if len(shares) == 1:
         cases = run_cases(specs, cache)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a forking campaign pays its import
         with ProcessPoolExecutor(len(shares)) as pool:
             cases = [c for share in pool.map(run_cases, shares, repeat(cache)) for c in share]
     report = Report(command="verify", tool_version=__version__, cases=cases)
@@ -577,7 +579,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except (AssertionError, BadReductionError, MemoryError, ValueError) as err:
+    except Exception as err:
         sys.stderr.write(f"internal error: {err}\n")
         return 3
 

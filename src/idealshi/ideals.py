@@ -9,30 +9,9 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsys import ExponentMultiset, Root, RootSystem, dual_partition, is_ideal, roots_of, weyl_exponents
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """A downward-closed set of positive roots, as a bitmask."""
-
-    rs: RootSystem
-    mask: int
-
-    @property
-    def size(self) -> int:
-        return bin(self.mask).count("1")
-
-    @property
-    def roots(self) -> tuple[Root, ...]:
-        return roots_of(self.rs, self.mask)
-
-    @property
-    def heights(self) -> tuple[int, ...]:
-        return tuple(r.height for r in self.roots)
+from .rootsys import ExponentMultiset, RootSystem, dual_partition, roots_of, weyl_exponents
 
 
 def weyl_catalan_number(rs: RootSystem) -> int:
@@ -46,8 +25,9 @@ def weyl_catalan_number(rs: RootSystem) -> int:
     return out.numerator
 
 
-def enumerate_ideals(rs: RootSystem, max_rank: int = 4) -> tuple[Ideal, ...]:
-    """All ideals, sorted by (size, mask), from one sweep of the root order.
+def enumerate_ideals(rs: RootSystem, max_rank: int = 4) -> tuple[int, ...]:
+    """The masks of all ideals, sorted by (size, mask), from one sweep of the
+    root order.
 
     The canonical order is a linear extension of dominance, so every root
     below root i comes before it: each ideal of the first i + 1 roots leaves
@@ -69,9 +49,9 @@ def enumerate_ideals(rs: RootSystem, max_rank: int = 4) -> tuple[Ideal, ...]:
         raise AssertionError(
             f"ideal count {len(masks)} for {rs.type} disagrees with the Weyl-Catalan number"
         )
-    return tuple(Ideal(rs, m) for m in masks)
+    return tuple(masks)
 
 
-def ideal_exponents(ideal: Ideal) -> ExponentMultiset:
+def ideal_exponents(rs: RootSystem, mask: int) -> ExponentMultiset:
     """Dual partition of the ideal's height multiset, padded to the rank."""
-    return dual_partition(ideal.heights, ideal.rs.rank)
+    return dual_partition((r.height for r in roots_of(rs, mask)), rs.rank)

@@ -16,8 +16,6 @@ from typing import Iterable, Sequence
 
 from .linalg import Vec
 
-FAMILIES = "ABCDEFG"
-
 _RANK_RULES = {
     "A": lambda r: r >= 1,
     "B": lambda r: r >= 2,
@@ -37,61 +35,50 @@ class DualPartitionError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class RootSystemType:
-    family: str
-    rank: int
+def _parse_type(name: str) -> tuple[str, int]:
+    """A type name such as ``B3`` -> (family, rank), checking the rank."""
+    m = re.fullmatch(r"([A-Ga-g])(\d+)", name.strip())
+    if not m:
+        raise ValueError(f"cannot parse root system type {name!r} (expected e.g. 'B3')")
+    family, rank = m.group(1).upper(), int(m.group(2))
+    if not _RANK_RULES[family](rank):
+        raise ValueError(f"invalid rank {rank} for family {family}")
+    return family, rank
 
-    def __post_init__(self) -> None:
-        if self.family not in _RANK_RULES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not _RANK_RULES[self.family](self.rank):
-            raise ValueError(f"invalid rank {self.rank} for family {self.family}")
 
-    @classmethod
-    def parse(cls, text: str) -> "RootSystemType":
-        m = re.fullmatch(r"([A-Ga-g])(\d+)", text.strip())
-        if not m:
-            raise ValueError(f"cannot parse root system type {text!r} (expected e.g. 'B3')")
-        return cls(m.group(1).upper(), int(m.group(2)))
+def _cartan_matrix(family: str, r: int) -> tuple[Vec, ...]:
+    """Cartan matrix C[i][j] = <alpha_i, alpha_j^vee> (Bourbaki numbering)."""
+    c = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
 
-    def __str__(self) -> str:
-        return f"{self.family}{self.rank}"
+    def bond(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
+        c[i][j] = cij
+        c[j][i] = cji
 
-    def cartan_matrix(self) -> tuple[Vec, ...]:
-        """Cartan matrix C[i][j] = <alpha_i, alpha_j^vee> (Bourbaki numbering)."""
-        r = self.rank
-        c = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-
-        def bond(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
-            c[i][j] = cij
-            c[j][i] = cji
-
-        if self.family in ("A", "B", "C"):
-            for i in range(r - 1):
-                bond(i, i + 1)
-            if self.family == "B" and r >= 2:
-                bond(r - 2, r - 1, -2, -1)  # short root last
-            if self.family == "C" and r >= 2:
-                bond(r - 2, r - 1, -1, -2)  # long root last
-        elif self.family == "D":
-            for i in range(r - 3):
-                bond(i, i + 1)
-            bond(r - 3, r - 2)
-            bond(r - 3, r - 1)
-        elif self.family == "E":
-            # chain 1-3-4-5-6(-7(-8)), node 2 hangs off node 4
-            chain = [0, 2, 3, 4, 5, 6, 7][: r - 1]
-            for a, b in zip(chain, chain[1:]):
-                bond(a, b)
-            bond(1, 3)
-        elif self.family == "F":
-            bond(0, 1)
-            bond(1, 2, -2, -1)
-            bond(2, 3)
-        elif self.family == "G":
-            bond(0, 1, -1, -3)
-        return tuple(tuple(row) for row in c)
+    if family in ("A", "B", "C"):
+        for i in range(r - 1):
+            bond(i, i + 1)
+        if family == "B" and r >= 2:
+            bond(r - 2, r - 1, -2, -1)  # short root last
+        if family == "C" and r >= 2:
+            bond(r - 2, r - 1, -1, -2)  # long root last
+    elif family == "D":
+        for i in range(r - 3):
+            bond(i, i + 1)
+        bond(r - 3, r - 2)
+        bond(r - 3, r - 1)
+    elif family == "E":
+        # chain 1-3-4-5-6(-7(-8)), node 2 hangs off node 4
+        chain = [0, 2, 3, 4, 5, 6, 7][: r - 1]
+        for a, b in zip(chain, chain[1:]):
+            bond(a, b)
+        bond(1, 3)
+    elif family == "F":
+        bond(0, 1)
+        bond(1, 2, -2, -1)
+        bond(2, 3)
+    elif family == "G":
+        bond(0, 1, -1, -3)
+    return tuple(tuple(row) for row in c)
 
 
 _TERM = re.compile(r"(\d*)a(\d+)")
@@ -142,14 +129,15 @@ class Root:
 class RootSystem:
     """Positive roots of an irreducible crystallographic root system.
 
-    Built by :func:`build`.  Roots are kept in the canonical order
-    (ascending height, then descending lexicographic on coefficients), so
-    every structure indexed by root position is reproducible.
+    Built by :func:`build`.  ``type`` is the canonical name, such as ``B3``.
+    Roots are kept in the canonical order (ascending height, then descending
+    lexicographic on coefficients), so every structure indexed by root
+    position is reproducible.
     """
 
-    def __init__(self, rstype: RootSystemType, positive_roots: Sequence[Root]):
-        self.type = rstype
-        self.rank = rstype.rank
+    def __init__(self, name: str, rank: int, positive_roots: Sequence[Root]):
+        self.type = name
+        self.rank = rank
         self.positive_roots: tuple[Root, ...] = tuple(positive_roots)
         self.index: dict[Vec, int] = {r.coeffs: i for i, r in enumerate(self.positive_roots)}
         self.n_positive = len(self.positive_roots)
@@ -200,16 +188,15 @@ def _canon_key(coeffs: Vec) -> tuple[int, tuple[int, ...]]:
     return (sum(coeffs), tuple(-c for c in coeffs))
 
 
-def build(rstype: RootSystemType | str) -> RootSystem:
-    """Construct a root system by reflection closure of the simple basis.
+def build(name: str) -> RootSystem:
+    """Construct a root system, named like ``B3``, by reflection closure of
+    the simple basis.
 
     Applies every simple reflection to every known vector and keeps the
     results with all-nonnegative coefficients, until stable.
     """
-    if isinstance(rstype, str):
-        rstype = RootSystemType.parse(rstype)
-    cartan = rstype.cartan_matrix()
-    r = rstype.rank
+    family, r = _parse_type(name)
+    cartan = _cartan_matrix(family, r)
     found: set[Vec] = {tuple(1 if i == j else 0 for j in range(r)) for i in range(r)}
     frontier = list(found)
     while frontier:
@@ -226,7 +213,7 @@ def build(rstype: RootSystemType | str) -> RootSystem:
                         nxt.append(wt)
         frontier = nxt
     roots = [Root(c) for c in sorted(found, key=_canon_key)]
-    return RootSystem(rstype, roots)
+    return RootSystem(f"{family}{r}", r, roots)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from idealshi import (
     restriction,
     root_arrangement,
     root_covector,
+    roots_of,
     shi_arrangement,
     shi_exponents_dp,
     shift_predict,
@@ -92,14 +93,15 @@ def test_c03_ideal_shi_exponent_campaign(systems):
         ideals = enumerate_ideals(rs)
         ideal_total += len(ideals)
         for k in (1, 2):
-            for ideal in ideals:
+            for mask in ideals:
+                roots = roots_of(rs, mask)
                 for sign in "+-":
-                    arr = shi_arrangement(rs, k, ideal.roots, sign)
-                    predicted = shi_exponents_dp(rs, k, ideal.roots, sign)
+                    arr = shi_arrangement(rs, k, roots, sign)
+                    predicted = shi_exponents_dp(rs, k, roots, sign)
                     verdict = terao_check(charpoly_mobius(arr), predicted)
                     checked += 1
                     if not verdict.passed:
-                        bad.append((name, k, ideal.mask, sign))
+                        bad.append((name, k, mask, sign))
     ok = not bad and ideal_total == 53 and checked == 212
     _report(3, "ideal-shi-exponents", ok, f"{checked} identities over {ideal_total} ideals{bad or ''}")
 
@@ -153,13 +155,13 @@ def test_c05_ideal_subarrangement_exponents(systems):
     bad = []
     for name in ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3"):
         rs = systems[name]
-        for ideal in enumerate_ideals(rs):
-            arr = root_arrangement(rs, ideal.roots)
-            want = CharPoly.from_roots(tuple(ideal_exponents(ideal)))
+        for mask in enumerate_ideals(rs):
+            arr = root_arrangement(rs, roots_of(rs, mask))
+            want = CharPoly.from_roots(tuple(ideal_exponents(rs, mask)))
             got = charpoly_mobius(arr)
             checked += 1
             if got.coeffs != want.coeffs:
-                bad.append((name, ideal.mask))
+                bad.append((name, mask))
     _report(5, "ideal-subarrangement-exponents", not bad, f"{checked} ideals{bad or ''}")
 
 

@@ -244,9 +244,9 @@ def walked_arrangements(monkeypatch, rs, k):
     build_lattice = idealshi.charpoly.intersection_lattice
     monkeypatch.setattr(idealshi.charpoly, "intersection_lattice", lambda arr: met.append(arr) or build_lattice(arr))
     table = LatticeCache()
-    for ideal in enumerate_ideals(rs):
+    for mask in enumerate_ideals(rs):
         for sign in "+-" if k else "+":
-            shi_charpoly(rs, k, roots_of(rs, ideal.mask), sign, table)
+            shi_charpoly(rs, k, roots_of(rs, mask), sign, table)
     monkeypatch.undo()
     return met
 
@@ -325,7 +325,7 @@ def test_plane_count_matches_the_cone(systems, name):
     n = rs.n_positive
     # beyond rank 1, non-ideals: the highest root alone, all roots but the first, every other root
     others = [1 << (n - 1), (1 << n) - 2, int("01" * n, 2) & ((1 << n) - 1)]
-    masks = [ideal.mask for ideal in enumerate_ideals(rs)] + others
+    masks = list(enumerate_ideals(rs)) + others
     assert rs.rank == 1 or not any(is_ideal(rs, m) for m in others)
     for mask in masks:
         roots = roots_of(rs, mask)

@@ -37,7 +37,7 @@ from idealshi import (
     terao_check,
     try_factor_exponents,
 )
-from idealshi.rootsys import ExponentMultiset, Root, shi_plane_count
+from idealshi.rootsys import ExponentMultiset, Root, roots_of, shi_plane_count
 from whitney_walk import whitney_walk
 
 
@@ -87,13 +87,14 @@ def test_whitney_pass_matches_the_walk_on_ideal_shi_cones(systems, name, k):
     rs = systems[name]
     table = LatticeCache()
     checked = 0
-    for ideal in enumerate_ideals(rs):
+    for mask in enumerate_ideals(rs):
+        roots = roots_of(rs, mask)
         for sign in "+" if k == 0 else "+-":
-            if shi_plane_count(rs, k, ideal.roots, sign) > 22:
+            if shi_plane_count(rs, k, roots, sign) > 22:
                 continue
-            arr = shi_arrangement(rs, k, ideal.roots, sign)
+            arr = shi_arrangement(rs, k, roots, sign)
             chi = charpoly_whitney(arr)
-            assert chi == whitney_walk(arr) == charpoly_mobius(arr, table), (ideal.roots, sign)
+            assert chi == whitney_walk(arr) == charpoly_mobius(arr, table), (roots, sign)
             checked += 1
     assert checked
 
@@ -398,7 +399,7 @@ CHAIN_CAMPAIGNS += [("A4", 1), ("D4", 1)]
 def test_shi_chain_matches_the_lattice(systems, name, k, monkeypatch):
     # a campaign's walk: ideals in enumeration order, both signs, one table
     rs = systems[name]
-    cases = [(ideal.roots, sign) for ideal in enumerate_ideals(rs) for sign in "+-"]
+    cases = [(roots_of(rs, mask), sign) for mask in enumerate_ideals(rs) for sign in "+-"]
     want = [charpoly_mobius(shi_arrangement(rs, k, roots, sign)) for roots, sign in cases]
     builds = []
     build_lattice = idealshi.charpoly.intersection_lattice
@@ -427,7 +428,7 @@ def test_shi_chain_from_a_cold_table(systems, name, k):
     # a single case walks the whole chain to its anchor
     rs = systems[name]
     ideals = enumerate_ideals(rs)
-    middle = ideals[len(ideals) // 2].roots
+    middle = roots_of(rs, ideals[len(ideals) // 2])
     for sign in "+-":
         want = charpoly_mobius(shi_arrangement(rs, k, middle, sign))
         assert shi_charpoly(rs, k, middle, sign) == want

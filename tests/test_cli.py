@@ -1,8 +1,11 @@
 """CLI behavior: subcommands, exit codes, report formats, determinism."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
 import pickle
+import subprocess
 import sys
 
 import pytest
@@ -235,7 +238,7 @@ def pools(monkeypatch):
             self.shares.extend(args[0] for args in calls)
             return [fn(*args) for args in calls]
 
-    monkeypatch.setattr(idealshi.cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return started
 
 
@@ -703,6 +706,27 @@ def test_verify_rank3_duality_semantics(capsys):
     assert all("not free" in d for d in details)
 
 
+@pytest.mark.parametrize(
+    "name,k,census",
+    [("A3", 1, (37, 24, 3)), ("A3", 2, (37, 24, 3)), ("C3", 1, (144, 238, 130))],
+)
+def test_rank3_duality_census(name, k, census):
+    # every subset lands in one of three conclusive outcomes; none is inconclusive
+    rs, table = idealshi.rootsys.build(name), idealshi.arrangement.LatticeCache()
+    details = []
+    for mask in range(1 << rs.n_positive):
+        spec = idealshi.cli.CaseSpec(rs, k, "+", mask, None, ("duality",))
+        [case] = idealshi.cli.run_case(spec, table)
+        details.append(case.checks[0].detail)
+    outcomes = (
+        "both signs match the shifted base exponents",
+        "both signs provably not free (chi does not split)",
+        "subset arrangement chi does not split",
+    )
+    assert tuple(details.count(d) for d in outcomes) == census
+    assert not any("inconclusive" in d for d in details)
+
+
 def test_verify_b2_k2_all_ideals(capsys):
     code, out, _ = run(capsys, "verify", "B2", "-k", "2", "--all-ideals", "--format", "json")
     assert code == 0
@@ -723,16 +747,32 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: Mobius values")
 
 
-def test_out_of_memory_is_an_internal_error(capsys, monkeypatch):
+@pytest.mark.parametrize("exc", [MemoryError, IndexError, KeyError, TypeError])
+def test_out_of_memory_is_an_internal_error(capsys, monkeypatch, exc):
+    # exit 1 means a mismatch, so no other exception may reach it as a traceback
     import idealshi.charpoly
 
     def exhausted(*args, **kwargs):
-        raise MemoryError("Unable to allocate 12.2 GiB for an array")
+        raise exc("Unable to allocate 12.2 GiB for an array")
 
     monkeypatch.setattr(idealshi.charpoly, "intersection_lattice", exhausted)
     code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "none", "--format", "json")
     assert code == 3 and out == ""
-    assert err.startswith("internal error: Unable to allocate") and "Traceback" not in err
+    assert err.startswith("internal error:") and "Unable to allocate" in err and "Traceback" not in err
+
+
+def test_serial_campaign_does_not_import_the_process_pool():
+    script = """
+import sys
+from idealshi import cli
+code = cli.main(["verify", "A2", "-k", "1", "--all-ideals"])
+print(code, "concurrent.futures.process" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idealshi.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_broken_chain_step_is_an_internal_error(capsys, monkeypatch):
