@@ -115,8 +115,8 @@ def filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]
 @dataclass(frozen=True)
 class IntersectionLattice:
     arrangement: Arrangement
-    # levels[c] holds the flats of codim c, one record each: "mask" (uint64
-    # words, bit i set when covectors[i] contains the flat) and "mu"
+    # levels[c] holds the flats of codim c in a structured array with fields
+    # "mask" (uint64 words, bit i set when covectors[i] contains the flat) and "mu"
     levels: tuple[np.ndarray, ...]
 
     def charpoly_coeffs(self) -> tuple[int, ...]:
@@ -147,7 +147,8 @@ def _primitive(rows: np.ndarray) -> np.ndarray:
     """Divide each row (last axis) by its content and make its first
     nonzero entry positive; zero rows stay zero."""
     g = np.abs(np.gcd.reduce(rows, axis=-1))  # a lone entry reduces to itself
-    lead = np.take_along_axis(rows, np.argmax(rows != 0, axis=-1)[..., None], axis=-1)[..., 0]
+    flat = rows.reshape(-1, rows.shape[-1])
+    lead = flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)].reshape(g.shape)
     g = np.where(lead < 0, -g, g)
     g[g == 0] = 1
     return rows // g[..., None]
@@ -297,7 +298,9 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
             levels.append((top, -mus[lows > 0].sum(keepdims=True)))
 
     flats = np.dtype([("mask", np.uint64, (words,)), ("mu", np.int64)])
-    lattice = IntersectionLattice(arr, tuple(np.rec.fromarrays(level, dtype=flats) for level in levels))
+    lattice = IntersectionLattice(arr, tuple(np.empty(len(mus), dtype=flats) for _, mus in levels))
+    for level, (masks, mus) in zip(lattice.levels, levels):
+        level["mask"], level["mu"] = masks, mus
     if m and sum(lattice.charpoly_coeffs()) != 0:
         raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
     return lattice
@@ -307,32 +310,45 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
 # restriction and Ziegler multiplicities
 
 
-def _traces(arr: Arrangement, h0: Vec) -> list[Vec]:
-    """The primitive forms on h0 of the hyperplanes other than h0, in the
-    basis that :func:`_restricted_basis` gives h0 (e_1 ... e_{n-1} when h0
-    is a coordinate plane)."""
-    vecs = np.array([h0, *(c for c in arr.covectors if c != h0)], dtype=object)
-    eye = np.eye(arr.dim, dtype=np.int64)[None]
+def _trace_kernel(h0: Vec, planes: list[Vec]) -> list[Vec]:
+    """The primitive forms on h0 of ``planes``, in one batch, in the basis
+    that :func:`_restricted_basis` gives h0 (e_1 ... e_{n-1} when h0 is a
+    coordinate plane)."""
+    vecs = np.array([h0, *planes], dtype=object)
+    eye = np.eye(len(h0), dtype=np.int64)[None]
     basis = _restricted_basis(*_exact(_maxabs(vecs), vecs[:1], eye))[0]
-    covs, basis = _exact(_maxabs(vecs) * _maxabs(basis) * arr.dim, vecs[1:], basis)
+    covs, basis = _exact(_maxabs(vecs) * _maxabs(basis) * len(h0), vecs[1:], basis)
     traces = covs @ basis.T
     if not traces.any(axis=1).all():
         raise ValueError("the zero vector does not define a hyperplane")
-    return [tuple(row) for row in _primitive(traces).tolist()] if traces.size else []
+    return [tuple(row) for row in _primitive(traces).tolist()]
 
 
-def restriction(arr: Arrangement, h0: Sequence[int]) -> Arrangement:
+def _traces(arr: Arrangement, h0: Vec, table: Optional[dict] = None) -> list[Vec]:
+    """The traces on h0 of the hyperplanes other than h0.  ``table`` maps
+    each h0 to {plane: trace}; only the planes it lacks go through the
+    kernel, and their traces are stored there."""
+    known = {} if table is None else table.setdefault(h0, {})
+    others = [c for c in arr.covectors if c != h0]
+    new = [c for c in others if c not in known]
+    if new:
+        known.update(zip(new, _trace_kernel(h0, new)))
+    return [known[c] for c in others]
+
+
+def restriction(arr: Arrangement, h0: Sequence[int], table: Optional[dict] = None) -> Arrangement:
     """The arrangement {K cap H0 : K != H0} inside H0.
 
     H0 may be any hyperplane, member of the arrangement or not.  Its basis
     comes from the lattice build's kernel rule, so restricted arrangements
-    are canonical, and {z = 0} keeps the first n-1 coordinates.
+    are canonical, and {z = 0} keeps the first n-1 coordinates.  ``table``
+    keeps the traces for later calls (:func:`_traces`).
     """
-    return Arrangement(arr.dim - 1, tuple(sorted(set(_traces(arr, covector(h0))))))
+    return Arrangement(arr.dim - 1, tuple(sorted(set(_traces(arr, covector(h0), table)))))
 
 
 def ziegler_multiplicity(
-    arr: Arrangement, h0: Sequence[int]
+    arr: Arrangement, h0: Sequence[int], table: Optional[dict] = None
 ) -> tuple[Arrangement, dict[Vec, int]]:
     """Restriction onto h0 with each trace weighted by how many
     hyperplanes of the arrangement cut it out."""
@@ -340,7 +356,7 @@ def ziegler_multiplicity(
     if h0v not in set(arr.covectors):
         raise ValueError("restriction hyperplane must belong to the arrangement")
     mult: dict[Vec, int] = {}
-    for t in _traces(arr, h0v):
+    for t in _traces(arr, h0v, table):
         mult[t] = mult.get(t, 0) + 1
     return Arrangement(arr.dim - 1, tuple(sorted(mult))), mult
 
@@ -361,12 +377,15 @@ class LatticeCache:
     """Characteristic polynomials of arrangements, in memory for one command
     (one campaign, or one worker of it).  The table carries the size guards
     of the lattices built to fill it, and a read refuses an arrangement
-    beyond them, so a warm table refuses exactly what a cold one does."""
+    beyond them, so a warm table refuses exactly what a cold one does.
+    Beside chi it keeps, for the command only, the rank-2 derivation bases
+    and the traces of each plane on each restriction plane."""
 
     def __init__(self, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM):
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
         self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, kept for the command like chi
+        self.traces: dict[Vec, dict[Vec, Vec]] = {}  # restriction plane -> {plane: primitive trace}
 
     def admit(self, dim: int, size: int) -> None:
         """Refuse a cone of ``size`` planes in ``dim`` coordinates: the one size guard, asked before any build."""

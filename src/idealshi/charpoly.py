@@ -144,7 +144,7 @@ def shi_charpoly(
         arr = arr.delete(plane)
     poly = charpoly_mobius(arr, cache) if hit is None else CharPoly(hit)
     for cone, plane in reversed(chain):
-        restricted = charpoly_mobius(restriction(cone, plane), cache).coeffs
+        restricted = charpoly_mobius(restriction(cone, plane, cache.traces), cache).coeffs
         poly = CharPoly(tuple(c - r for c, r in zip(poly.coeffs, restricted + (0,))))
         if not is_central_charpoly(cone, poly.coeffs):
             raise AssertionError(

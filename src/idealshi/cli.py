@@ -144,7 +144,8 @@ class SubsetFacts:
     def multirestriction(self, sign: str) -> tuple[Arrangement, dict]:
         """Ziegler's multirestriction of this sign's cone onto {z = 0}."""
         if sign not in self.multirestrictions:
-            self.multirestrictions[sign] = ziegler_multiplicity(self.arrangement(sign), z_covector(self.rs))
+            cone, z = self.arrangement(sign), z_covector(self.rs)
+            self.multirestrictions[sign] = ziegler_multiplicity(cone, z, self.cache.traces)
         return self.multirestrictions[sign]
 
     def yoshinaga(self, sign: str) -> FreenessVerdict:

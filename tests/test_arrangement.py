@@ -523,6 +523,53 @@ def test_batch_primitive_matches_covector_rule(rows):
             assert tuple(got) == (linalg.normalize_primitive(row) or tuple(row))
 
 
+@pytest.mark.parametrize("shape", [(6, 1), (9, 4), (3, 5, 1), (4, 6, 3)])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_primitive_matches_normalize_primitive_row_by_row(shape, dtype):
+    # random rows scaled by a common factor, a zero row and a row with one
+    # nonzero entry in each batch; object rows are pushed past int64
+    rng = np.random.default_rng(sum(shape))
+    rows = rng.integers(-6, 7, size=shape) * rng.integers(1, 4, size=shape[:-1])[..., None]
+    rows[..., 0, :] = 0
+    rows[..., 1, :] = 0
+    rows[..., 1, -1] = -rng.integers(1, 9)
+    rows = rows.astype(dtype) * (1 << 70 if dtype is object else 1)
+    out = _primitive(rows)
+    assert out.shape == rows.shape and out.dtype == rows.dtype
+    for row, got in zip(rows.reshape(-1, shape[-1]).tolist(), out.reshape(-1, shape[-1]).tolist()):
+        assert tuple(got) == (linalg.normalize_primitive(row) or tuple(row))
+
+
+def walked_restrictions(monkeypatch, rs, k):
+    """Every (cone, restriction plane) pair of a campaign, in campaign
+    order: each case's cone onto {z = 0}, then the deletion-restriction
+    steps of its chi walk, all cases sharing one table."""
+    met = []
+    restrict = idealshi.charpoly.restriction
+    monkeypatch.setattr(
+        idealshi.charpoly, "restriction", lambda arr, h, table: met.append((arr, h)) or restrict(arr, h, table)
+    )
+    table = LatticeCache()
+    for mask in enumerate_ideals(rs):
+        for sign in "+-":
+            cone = shi_arrangement(rs, k, roots_of(rs, mask), sign)
+            met.append((cone, z_covector(rs)))
+            shi_charpoly(rs, k, roots_of(rs, mask), sign, table, cone=cone)
+    monkeypatch.undo()
+    return met
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in ("A3", "B3", "C3") for k in (1, 2)] + [("G2", 5)])
+def test_shared_trace_table_matches_fresh_traces(systems, monkeypatch, name, k):
+    walked = walked_restrictions(monkeypatch, systems[name], k)
+    table = {}
+    for cone, h in walked:
+        assert restriction(cone, h, table) == restriction(cone, h)
+        assert ziegler_multiplicity(cone, h, table) == ziegler_multiplicity(cone, h)
+    # the campaign restricts onto far fewer planes than it has steps
+    assert len(table) < len(walked)
+
+
 def test_a_zero_trace_is_refused():
     # (2, 0, 0) is the plane (1, 0, 0) unnormalized, so its trace on it is 0
     arr = Arrangement(3, ((1, 0, 0), (2, 0, 0), (0, 1, 0)))

@@ -411,6 +411,21 @@ def test_no_rank2_basis_outlives_a_call(capsys, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_each_plane_is_traced_once_per_command(capsys, monkeypatch):
+    # the 40 multirestrictions onto {z = 0} and the chain steps share the
+    # campaign's trace table: no (restriction plane, plane) pair reaches the
+    # kernel twice, and a second run in the same process traces as much
+    kernel = _count_calls(monkeypatch, idealshi.arrangement, "_trace_kernel")
+    counts = []
+    for _ in range(2):
+        assert run(capsys, "verify", "B3", "-k", "2", "--all-ideals", "--format", "json")[0] == 0
+        pairs = [(h0, plane) for h0, planes in kernel for plane in planes]
+        assert len(pairs) == len(set(pairs))
+        counts.append(len(pairs))
+        kernel.clear()
+    assert counts[0] == counts[1] > 0
+
+
 def test_tampered_rank2_basis_is_an_internal_error(capsys, monkeypatch):
     # the G2 k=1 multirestrictions put 2 on each line; their first round,
     # with theta2 replaced by x * theta2, sits in the campaign's table
@@ -779,7 +794,7 @@ def test_broken_chain_step_is_an_internal_error(capsys, monkeypatch):
     import idealshi.charpoly
 
     # an empty restriction has chi = t^(n-1), so the step's chi(1) is -1
-    monkeypatch.setattr(idealshi.charpoly, "restriction", lambda arr, h: idealshi.Arrangement(arr.dim - 1, ()))
+    monkeypatch.setattr(idealshi.charpoly, "restriction", lambda arr, h, table: idealshi.Arrangement(arr.dim - 1, ()))
     code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "all", "--format", "json")
     assert code == 3 and out == ""
     assert err.startswith("internal error: deletion-restriction gave chi(1) = -1")
