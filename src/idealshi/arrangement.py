@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Vec
-from .rootsys import Root, RootSystem, shi_planes
+from .rootsys import Root, RootSystem, shi_plane_count, shi_planes
 
 
 class SizeBoundError(RuntimeError):
@@ -83,9 +83,10 @@ def root_arrangement(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> 
     return Arrangement(rs.rank, tuple(sorted({root_covector(rs, r) for r in chosen})))
 
 
-def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root], sign: str) -> Arrangement:
+def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root] | int, sign: str) -> Arrangement:
     """Coned k-extended Shi arrangement plus the level -k planes of sigma
-    (sign '+') or minus the level k planes of sigma (sign '-')."""
+    (sign '+') or minus the level k planes of sigma (sign '-'); sigma is
+    given by its roots or its mask."""
     covs = {root_covector(rs, root, j, coned=True) for root, j in shi_planes(rs, k, sigma, sign)}
     return Arrangement(rs.rank + 1, tuple(sorted(covs | {z_covector(rs)})))  # already normalized
 
@@ -118,13 +119,27 @@ class IntersectionLattice:
     # levels[c] holds the flats of codim c in a structured array with fields
     # "mask" (uint64 words, bit i set when covectors[i] contains the flat) and "mu"
     levels: tuple[np.ndarray, ...]
+    # edges[c - 3], for each level c >= 3 below the top: the cover edges
+    # Y -> X into it, sorted by X, as (index of Y in level c - 1, the bounds
+    # of each X's run of edges); the top is covered by every coatom
+    edges: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def charpoly_coeffs(self) -> tuple[int, ...]:
-        """Coefficients (ascending degree) of sum mu(X) t^dim(X)."""
+    def mobius(self, within: int) -> list[np.ndarray]:
+        """mu_B of every flat, level by level, for B the planes whose bits
+        ``within`` sets: mu in the lattice L(B) of the subarrangement B,
+        and 0 on the flats outside L(B) (:func:`_mobius`)."""
+        words = self.levels[0]["mask"].shape[1]
+        bits = np.frombuffer(within.to_bytes(8 * words, "little"), dtype="<u8")
+        return _mobius([level["mask"] for level in self.levels], self.edges, bits)
+
+    def charpoly_coeffs(self, within: Optional[int] = None) -> tuple[int, ...]:
+        """Coefficients (ascending degree) of sum mu(X) t^dim(X): the
+        polynomial of the arrangement, or of its planes in ``within``."""
         n = self.arrangement.dim
+        mus = [level["mu"] for level in self.levels] if within is None else self.mobius(within)
         coeffs = [0] * (n + 1)
-        for codim, level in enumerate(self.levels):
-            coeffs[n - codim] += int(level["mu"].sum())
+        for codim, mu in enumerate(mus):
+            coeffs[n - codim] += int(mu.sum())
         return tuple(coeffs)
 
 
@@ -141,6 +156,60 @@ def _exact(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
 
 def _maxabs(a: np.ndarray) -> int:
     return int(np.abs(a).max()) if a.size else 0
+
+
+def _lowest(masks: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each mask, -1 for an empty one."""
+    low = np.full(len(masks), -1, dtype=np.int64)
+    for w in range(masks.shape[1] - 1, -1, -1):
+        word = masks[:, w]
+        trailing = np.bitwise_count(word ^ (word - np.uint64(1))).astype(np.int64) - 1
+        low = np.where(word != 0, 64 * w + trailing, low)
+    return low
+
+
+def _through(masks: np.ndarray, flats: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Whether each of ``flats`` (rows of ``masks``) lies on the plane of the same entry of ``planes``."""
+    return (masks[flats, planes >> 6] >> (planes & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
+
+
+def _mobius(
+    masks: Sequence[np.ndarray], edges: Sequence[tuple[np.ndarray, np.ndarray]], within: np.ndarray
+) -> list[np.ndarray]:
+    """mu_B of each flat of a lattice L(A), level by level, for B the
+    subset of A whose bits ``within`` sets.
+
+    L(B) is the set of flats X of L(A) with rank(B_X) = codim X, where B_X
+    is the set of planes of B through X, and its covers are the covers of
+    L(A) between its flats.  Weisner's theorem in L(B) (Orlik-Terao,
+    section 2.3), with a_X the lowest plane of B_X, gives mu_B(X) =
+    -sum mu_B(Y) over the covers Y -> X with a_X not through Y.  A flat
+    with B_X empty gets 0; a flat X with B_X nonempty but outside L(B)
+    also gets 0, since such a Y of L(B) would give X = Y cap a_X in L(B).
+    So a flat lies in L(B) exactly when its sum has a nonzero term, and
+    mu_B vanishes off L(B).  On atoms this is -1 on B, and on codim 2 it
+    is |B_X| - 1 when |B_X| >= 2, a popcount.  From codim 3 on it runs
+    over the recorded edges; the top, beyond the last recorded level, is
+    covered by every coatom.  The values must sum to 0 when B is
+    nonempty, which is checked.
+    """
+    mus = [np.ones(1, dtype=np.int64)]
+    if len(masks) > 1:
+        mus.append(-(masks[1] & within).any(axis=1).astype(np.int64))
+    if len(masks) > 2:
+        size = np.bitwise_count(masks[2] & within).sum(axis=1, dtype=np.int64)
+        mus.append(np.where(size > 1, size - 1, 0))
+    for codim, (parents, bounds) in enumerate(edges, 3):
+        a = np.repeat(_lowest(masks[codim] & within), np.diff(bounds))
+        off = (a >= 0) & ~_through(masks[codim - 1], parents, a)
+        mus.append(-np.add.reduceat(np.where(off, mus[-1][parents], 0), bounds[:-1]))
+    if len(masks) > 3 + len(edges):
+        a = _lowest(masks[-1] & within)
+        coatoms = np.arange(len(masks[-2]))
+        mus.append(-mus[-1][~_through(masks[-2], coatoms, a.repeat(len(coatoms)))].sum(keepdims=True) * (a >= 0))
+    if within.any() and sum(int(mu.sum()) for mu in mus) != 0:
+        raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
+    return mus
 
 
 def _primitive(rows: np.ndarray) -> np.ndarray:
@@ -176,40 +245,34 @@ def _sorted_groups(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return order, first
 
 
-def _merge(masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first row of each distinct mask, and ``values`` summed per mask."""
+def _merge(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows grouped on their masks, in mask order: the sort order and
+    the start of each group in it."""
     order, first = _sorted_groups(masks.view(np.int64).T)
-    return order[first], np.add.reduceat(values[order], np.flatnonzero(first))
+    return order, np.flatnonzero(first)
 
 
-def _children(
-    covs: np.ndarray, start: int, masks: np.ndarray, bases: np.ndarray, mus: np.ndarray, lows: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Flats one codimension below a block of flats, whose first flat is
-    flat ``start`` of its level: one per parallel class of each flat's
-    restricted forms, merged on their masks.  Each (flat Y, class) pair is
-    a cover edge Y -> X.  Beside X's mask and lowest plane come a class
-    representative and Y's index in its level, from which the caller makes
-    X's basis when another level follows, and the sum of mu(Y) over the
-    edges whose class holds X's lowest plane, i.e. lies below every plane
-    of Y."""
+def _children(covs: np.ndarray, start: int, masks: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cover edges out of a block of flats, whose first flat is flat
+    ``start`` of its level: one per parallel class of each flat Y's
+    restricted forms, to the flat X one codimension below with mask
+    mask(Y) | class.  Returns, per edge, X's mask, a class representative
+    and Y's index in its level, from which the caller makes X's basis when
+    another level follows."""
     n = bases.shape[2]
     c, b = _exact(_maxabs(covs) * _maxabs(bases) * n, covs, bases)
     forms = _primitive(np.matmul(c, b.transpose(0, 2, 1)))  # (flat, hyperplane, coord)
     flat, hyp = np.nonzero((forms != 0).any(axis=2))
     rows = forms[flat, hyp]
-    # primitive sign-fixed forms of one flat are parallel iff equal; the
-    # sort is stable, so each class starts at its lowest plane
+    # primitive sign-fixed forms of one flat are parallel iff equal
     order, first = _sorted_groups([*rows.T, flat])
     reps = order[first]
     parent = flat[reps]
-    low = np.minimum(hyp[reps], lows[parent])
     child = masks[parent]
     hyp = hyp[order]
     bits = np.uint64(1) << (hyp & 63).astype(np.uint64)
     np.bitwise_or.at(child, (np.cumsum(first) - 1, hyp >> 6), bits)
-    keep, sums = _merge(child, np.where(low < lows[parent], mus[parent], 0))
-    return child[keep], rows[reps[keep]], start + parent[keep], low[keep], sums
+    return child, rows[reps], start + parent
 
 
 def _below(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,66 +306,67 @@ MAX_DIM = 5
 
 
 def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
-    """Build the full intersection lattice, level by level.
+    """Build the full intersection lattice, level by level, with its cover
+    edges from codim 3 on.
 
-    A flat X carries the mask of the hyperplanes containing it, its lowest
-    plane and mu(X).  Levels 1 and 2 come straight from the planes: each
-    plane is an atom with mu = -1, and the plane pairs, grouped on their
-    wedge, are the codim-2 flats, with mu(X) = |A_X| - 1 (Weisner's
-    theorem with X's lowest plane; Orlik-Terao, section 2.3).  In at most
-    3 coordinates only the top is left: one codim-2 flat means rank 2,
-    more mean rank 3.  From codim 3 on, a flat also carries an integer
-    basis B of X.  The hyperplanes not containing X restrict to the
-    nonzero rows of C.B^T (C the covectors); each parallel class of those
-    rows is a cover edge to a flat one codimension down, with mask
+    A flat X is named by the mask of the hyperplanes containing it.
+    Levels 1 and 2 come straight from the planes: each plane is an atom,
+    and the plane pairs, grouped on their wedge, are the codim-2 flats; in
+    2 coordinates the one codim-2 flat is the origin, on every plane.  In
+    at most 3 coordinates only the top is left: one codim-2 flat means
+    rank 2, more mean rank 3.  From codim 3 on, a flat also carries an
+    integer basis B of X.  The hyperplanes not containing X restrict to
+    the nonzero rows of C.B^T (C the covectors); each parallel class of
+    those rows is a cover edge to a flat one codimension down, with mask
     mask(X) | class.  Flats merge on their masks, so no row reduction
-    happens inside the build.  By Weisner's theorem mu(X) = -sum mu(Y)
-    over the edges Y -> X whose class holds X's lowest plane.  The top
-    flat is unique, so it is written down directly, with mu from the
-    coatoms that miss plane 0; sum mu = 0 is checked apart.
+    happens inside the build.  The top flat is unique, so it is written
+    down directly, covered by every coatom.  mu comes from the edges by
+    :func:`_mobius` with B the whole arrangement.
     """
     n, m = arr.dim, arr.size
     words = max(1, -(-m // 64))
-    levels = [(np.zeros((1, words), dtype=np.uint64), np.ones(1, dtype=np.int64))]
+    top = np.frombuffer(((1 << m) - 1).to_bytes(8 * words, "little"), dtype="<u8")[None]
+    levels, edges = [np.zeros((1, words), dtype=np.uint64)], []
     if m:
-        widest = max(abs(x) for cov in arr.covectors for x in cov)
-        covs = np.array(arr.covectors, dtype=np.int64 if widest < _INT64_SAFE else object)
+        covs = np.array(arr.covectors, dtype=object).reshape(m, n)
+        covs, = _exact(_maxabs(covs), covs)
         planes = np.arange(m)
         atoms = np.zeros((m, words), dtype=np.uint64)
         atoms[planes, planes >> 6] = np.uint64(1) << (planes & 63).astype(np.uint64)
-        levels.append((atoms, np.full(m, -1, dtype=np.int64)))
-    if m > 1:
+        levels.append(atoms)
+    if m > 1 and n == 2:
+        if not _sorted_groups([*_primitive(covs).T])[1].all():
+            raise ValueError("two covectors define the same hyperplane")
+        levels.append(top)
+    elif m > 1:
         i, j, starts = _pairs(covs)
         masks = np.bitwise_or.reduceat(atoms[i] | atoms[j], starts)
-        mus = np.unpackbits(masks.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64) - 1
-        levels.append((masks, mus))
+        levels.append(masks)
         rank = 2 if len(masks) == 1 else 3 if n <= 3 else linalg.rank(arr.covectors)
-        lows = i[starts]
         if rank > 3:  # each flat's basis: the kernel of its first pair's second plane traced on the first
-            kernel = _restricted_basis(covs[lows], np.eye(n, dtype=np.int64)[None])
+            kernel = _restricted_basis(covs[i[starts]], np.eye(n, dtype=np.int64)[None])
             c, b = _exact(_maxabs(covs) * _maxabs(kernel) * n, covs[j[starts]], kernel)
             bases = _restricted_basis(_primitive(np.matmul(b, c[:, :, None])[..., 0]), kernel)
         for codim in range(3, rank):
             found = [
-                _children(covs, s, *(a[s : s + _BLOCK] for a in (masks, bases, mus, lows)))
-                for s in range(0, len(masks), _BLOCK)
+                _children(covs, s, masks[s : s + _BLOCK], bases[s : s + _BLOCK]) for s in range(0, len(masks), _BLOCK)
             ]
-            masks, forms, parents, lows, sums = (np.concatenate(part) for part in zip(*found))
-            keep, sums = _merge(masks, sums)
-            masks, lows, mus = masks[keep], lows[keep], -sums
-            levels.append((masks, mus))
+            masks, forms, parents = (np.concatenate(part) for part in zip(*found))
+            order, starts = _merge(masks)
+            keep = order[starts]
+            masks = masks[keep]
+            levels.append(masks)
+            edges.append((parents[order].astype(np.int32), np.append(starts, len(order))))
             if codim + 1 < rank:  # the top needs no basis
                 bases = _restricted_basis(forms[keep], bases[parents[keep]])
         if rank > 2:
-            top = np.frombuffer(((1 << m) - 1).to_bytes(8 * words, "little"), dtype="<u8")[None]
-            levels.append((top, -mus[lows > 0].sum(keepdims=True)))
+            levels.append(top)
 
+    mus = _mobius(levels, edges, top[0])
     flats = np.dtype([("mask", np.uint64, (words,)), ("mu", np.int64)])
-    lattice = IntersectionLattice(arr, tuple(np.empty(len(mus), dtype=flats) for _, mus in levels))
-    for level, (masks, mus) in zip(lattice.levels, levels):
-        level["mask"], level["mu"] = masks, mus
-    if m and sum(lattice.charpoly_coeffs()) != 0:
-        raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
+    lattice = IntersectionLattice(arr, tuple(np.empty(len(mu), dtype=flats) for mu in mus), tuple(edges))
+    for level, masks, mu in zip(lattice.levels, levels, mus):
+        level["mask"], level["mu"] = masks, mu
     return lattice
 
 
@@ -310,18 +374,23 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
 # restriction and Ziegler multiplicities
 
 
-def _trace_kernel(h0: Vec, planes: list[Vec]) -> list[Vec]:
-    """The primitive forms on h0 of ``planes``, in one batch, in the basis
-    that :func:`_restricted_basis` gives h0 (e_1 ... e_{n-1} when h0 is a
-    coordinate plane)."""
-    vecs = np.array([h0, *planes], dtype=object)
-    eye = np.eye(len(h0), dtype=np.int64)[None]
-    basis = _restricted_basis(*_exact(_maxabs(vecs), vecs[:1], eye))[0]
-    covs, basis = _exact(_maxabs(vecs) * _maxabs(basis) * len(h0), vecs[1:], basis)
-    traces = covs @ basis.T
-    if not traces.any(axis=1).all():
+def _trace_kernel(h0s: Sequence[Vec], planes: Sequence[Vec]) -> list[list[Vec]]:
+    """The primitive forms of ``planes`` on each restriction plane of
+    ``h0s``, in one batch, in the basis that :func:`_restricted_basis`
+    gives that plane (e_1 ... e_{n-1} when it is a coordinate plane).  A
+    plane traces to zero on itself, which the callers skip; any other zero
+    trace is refused."""
+    n = len(h0s[0])
+    vecs = np.array([*h0s, *planes], dtype=object).reshape(-1, n)
+    vecs, = _exact(_maxabs(vecs), vecs)
+    h0s, planes = vecs[: len(h0s)], vecs[len(h0s) :]
+    bases = _restricted_basis(h0s, np.eye(n, dtype=np.int64)[None])
+    covs, bases = _exact(_maxabs(vecs) * _maxabs(bases) * n, planes, bases)
+    traces = _primitive(np.matmul(covs, bases.transpose(0, 2, 1)))  # (h0, plane, coord)
+    itself = (h0s[:, None] == planes[None]).all(axis=2)
+    if (~traces.any(axis=2) & ~itself).any():
         raise ValueError("the zero vector does not define a hyperplane")
-    return [tuple(row) for row in _primitive(traces).tolist()]
+    return [[tuple(row) for row in rows] for rows in traces.tolist()]
 
 
 def _traces(arr: Arrangement, h0: Vec, table: Optional[dict] = None) -> list[Vec]:
@@ -332,7 +401,8 @@ def _traces(arr: Arrangement, h0: Vec, table: Optional[dict] = None) -> list[Vec
     others = [c for c in arr.covectors if c != h0]
     new = [c for c in others if c not in known]
     if new:
-        known.update(zip(new, _trace_kernel(h0, new)))
+        [traced] = _trace_kernel([h0], new)
+        known.update(zip(new, traced))
     return [known[c] for c in others]
 
 
@@ -378,14 +448,22 @@ class LatticeCache:
     (one campaign, or one worker of it).  The table carries the size guards
     of the lattices built to fill it, and a read refuses an arrangement
     beyond them, so a warm table refuses exactly what a cold one does.
-    Beside chi it keeps, for the command only, the rank-2 derivation bases
-    and the traces of each plane on each restriction plane."""
+    Beside chi it keeps, for the command only, the rank-2 derivation bases,
+    the traces of each plane on each restriction plane and, once it holds a
+    campaign's ambient cone (:meth:`hold`), one lattice per restriction
+    plane of that cone, off which each chain step reads its restriction
+    polynomial."""
 
     def __init__(self, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM):
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
         self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, kept for the command like chi
         self.traces: dict[Vec, dict[Vec, Vec]] = {}  # restriction plane -> {plane: primitive trace}
+        self.ambient: Optional[Arrangement] = None
+        # restriction plane H of the ambient cone -> (lattice of ambient^H, {plane: index of its trace}),
+        # None until a chain step first restricts onto H; planes with equal restrictions share a lattice
+        self.restricted: dict[Vec, Optional[tuple[IntersectionLattice, dict[Vec, int]]]] = {}
+        self._lattices: dict[Arrangement, IntersectionLattice] = {}
 
     def admit(self, dim: int, size: int) -> None:
         """Refuse a cone of ``size`` planes in ``dim`` coordinates: the one size guard, asked before any build."""
@@ -400,3 +478,33 @@ class LatticeCache:
 
     def put_charpoly(self, arr: Arrangement, coeffs: Sequence[int]) -> None:
         self._memory[arr] = tuple(coeffs)
+
+    def hold(self, rs: RootSystem, k: int) -> None:
+        """Hold the ambient cone (k, all roots, '+') of a campaign at level k,
+        which holds every cone of it, when the guards admit it.  One kernel
+        call traces all its planes onto each of its restriction planes:
+        {root = -k*z} and {root = k*z}, which the chains delete, and
+        {z = 0}, for the multirestrictions."""
+        full = (1 << rs.n_positive) - 1
+        try:
+            self.admit(rs.rank + 1, shi_plane_count(rs, k, full, "+"))
+        except SizeBoundError:
+            return
+        self.ambient = shi_arrangement(rs, k, full, "+")
+        planes = [root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-k, k)] + [z_covector(rs)]
+        for h0, traced in zip(planes, _trace_kernel(planes, self.ambient.covectors)):
+            self.traces.setdefault(h0, {}).update((c, t) for c, t in zip(self.ambient.covectors, traced) if c != h0)
+            self.restricted[h0] = None
+
+    def plane_lattice(self, h0: Vec) -> Optional[tuple[IntersectionLattice, dict[Vec, int]]]:
+        """The lattice of the ambient cone restricted onto h0, built on first
+        use, and the index in it of each ambient plane's trace; None when
+        h0 is not a restriction plane of a held cone."""
+        if h0 in self.restricted and self.restricted[h0] is None:
+            arr = restriction(self.ambient, h0, self.traces)
+            if arr not in self._lattices:
+                self._lattices[arr] = intersection_lattice(arr)
+            index = {t: i for i, t in enumerate(arr.covectors)}
+            traces = self.traces[h0]
+            self.restricted[h0] = self._lattices[arr], {c: index[traces[c]] for c in self.ambient.covectors if c != h0}
+        return self.restricted.get(h0)

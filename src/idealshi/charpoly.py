@@ -39,7 +39,8 @@ from .arrangement import (
     root_covector,
     shi_arrangement,
 )
-from .rootsys import ExponentMultiset, Root, RootSystem, mask_of
+from .linalg import Vec
+from .rootsys import ExponentMultiset, Root, RootSystem, _mask
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,16 @@ def charpoly_mobius(arr: Arrangement, cache: Optional[LatticeCache] = None) -> C
 def shi_charpoly(
     rs: RootSystem,
     k: int,
-    roots: Sequence[Root],
+    subset: Union[Sequence[Root], int],
     sign: str,
     cache: Optional[LatticeCache] = None,
     *,
     cone: Optional[Arrangement] = None,
 ) -> CharPoly:
-    """Polynomial of the ideal-Shi cone (k, roots, sign) by deletion-restriction,
-    chi(A) = chi(A - H) - chi(A^H), one plane at a time.  ``cone`` is that
-    cone when the caller has already built it.
+    """Polynomial of the ideal-Shi cone (k, subset, sign) by deletion-restriction,
+    chi(A) = chi(A - H) - chi(A^H), one plane at a time.  The subset is
+    given by its roots or its mask; ``cone`` is the cone when the caller
+    has already built it.
 
     The parent of (k, I, '+') is (k, I - last root, '+'), without the plane
     {last = -k*z}; the parent of (k, I, '-') is (k, I + first missing root,
@@ -125,13 +127,14 @@ def shi_charpoly(
     the way lies inside the case, so the table's guards, which its first
     read applies to the case, bound all of its work.  The canonical
     order is a linear extension, so the parents of an ideal are ideals, and
-    in a campaign each case costs one restriction lattice.  Each step's
-    result must vanish at t = 1 and have -|A| as its t^(n-1) coefficient,
-    as every central polynomial does.
+    in a campaign each case costs one restriction polynomial
+    (:func:`_restricted_coeffs`).  Each step's result must vanish at t = 1
+    and have -|A| as its t^(n-1) coefficient, as every central polynomial does.
     """
-    arr = shi_arrangement(rs, k, roots, sign) if cone is None else cone
+    mask = _mask(rs, subset)
+    arr = shi_arrangement(rs, k, mask, sign) if cone is None else cone
     cache = LatticeCache() if cache is None else cache
-    mask, full = mask_of(rs, roots), (1 << rs.n_positive) - 1
+    full = (1 << rs.n_positive) - 1
     chain = []  # (cone, the plane its parent lacks), the case first
     while (hit := cache.get_charpoly(arr)) is None and mask != (0 if sign == "+" else full):
         if sign == "+":
@@ -144,7 +147,7 @@ def shi_charpoly(
         arr = arr.delete(plane)
     poly = charpoly_mobius(arr, cache) if hit is None else CharPoly(hit)
     for cone, plane in reversed(chain):
-        restricted = charpoly_mobius(restriction(cone, plane, cache.traces), cache).coeffs
+        restricted = _restricted_coeffs(cone, plane, cache)
         poly = CharPoly(tuple(c - r for c, r in zip(poly.coeffs, restricted + (0,))))
         if not is_central_charpoly(cone, poly.coeffs):
             raise AssertionError(
@@ -153,6 +156,22 @@ def shi_charpoly(
             )
         cache.put_charpoly(cone, poly.coeffs)
     return poly
+
+
+def _restricted_coeffs(cone: Arrangement, plane: Vec, cache: LatticeCache) -> tuple[int, ...]:
+    """chi(cone^plane).  When the table holds an ambient cone with this
+    restriction plane, it is read off that cone's lattice on the plane,
+    masked to the traces of the cone's planes (:meth:`IntersectionLattice.mobius`);
+    otherwise it comes from the lattice of the restriction itself."""
+    held = cache.plane_lattice(plane)
+    if held is None:
+        return charpoly_mobius(restriction(cone, plane, cache.traces), cache).coeffs
+    lattice, index = held
+    within = 0
+    for c in cone.covectors:
+        if c != plane:
+            within |= 1 << index[c]
+    return lattice.charpoly_coeffs(within)
 
 
 _WHITNEY_MAX = 22  # charpoly_whitney refuses arrangements with more planes

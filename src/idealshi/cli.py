@@ -130,16 +130,16 @@ class SubsetFacts:
         """This sign's cone, built only once the size guards admit it."""
         if sign not in self.arrangements:
             self.cache.admit(self.rs.rank + 1, self.size(sign))
-            self.arrangements[sign] = shi_arrangement(self.rs, self.k, self.roots, sign)
+            self.arrangements[sign] = shi_arrangement(self.rs, self.k, self.mask, sign)
         return self.arrangements[sign]
 
     def size(self, sign: str) -> int:
         """Planes of this sign's cone, counted without building it."""
-        return shi_plane_count(self.rs, self.k, self.roots, sign)
+        return shi_plane_count(self.rs, self.k, self.mask, sign)
 
     def chi(self, sign: str) -> CharPoly:
         """The polynomial of this sign's cone, by deletion-restriction through the table."""
-        return shi_charpoly(self.rs, self.k, self.roots, sign, self.cache, cone=self.arrangement(sign))
+        return shi_charpoly(self.rs, self.k, self.mask, sign, self.cache, cone=self.arrangement(sign))
 
     def multirestriction(self, sign: str) -> tuple[Arrangement, dict]:
         """Ziegler's multirestriction of this sign's cone onto {z = 0}."""
@@ -170,7 +170,7 @@ def _check_terao(facts: SubsetFacts, sign: str) -> CheckResult:
     if not facts.ideal:
         return CheckResult("terao", SKIPPED, "dual-partition prediction needs an ideal")
     # the prediction first: the record keeps it even when the guards refuse chi
-    predicted = facts.predictions[sign] = shi_exponents_dp(facts.rs, facts.k, facts.roots, sign)
+    predicted = facts.predictions[sign] = shi_exponents_dp(facts.rs, facts.k, facts.mask, sign)
     verdict = facts.terao_verdicts[sign] = terao_check(facts.chi(sign), predicted)
     return CheckResult("terao", PASS if verdict.passed else FAIL, f"chi = {verdict.computed}")
 
@@ -327,7 +327,7 @@ def cmd_exponents(args) -> int:
         if not is_ideal(rs, mask):
             raise UsageError("dual-partition exponents are defined for ideals only")
         for sign in _signs(args.sign or "both"):
-            exps = shi_exponents_dp(rs, args.k, roots, sign)
+            exps = shi_exponents_dp(rs, args.k, mask, sign)
             label = ",".join(r.name for r in roots) or "(empty)"
             rows.append((idx if idx is not None else "-", sign, label, exps))
     sys.stdout.write(text_table(rows, ["ideal", "sign", "roots", "exponents"]))
@@ -389,6 +389,8 @@ def cmd_verify(args) -> int:
     # own copy, so each share walks its chains to both anchors: a '+' parent is a
     # smaller ideal, but a '-' parent is a larger one, later in the campaign
     cache = _table(args)
+    if len(specs) > 1:  # a campaign: each chain step reads its restriction off one lattice per plane
+        cache.hold(rs, args.k)
     size = -(-len(specs) // args.jobs)
     shares = [specs[i : i + size] for i in range(0, len(specs), size)]
     if len(shares) == 1:
@@ -417,8 +419,9 @@ def cmd_filtration(args) -> int:
     previous: Optional[list[range]] = None
     for i in range(1, args.steps + 1):
         k, prefix, sign = filtration_cone(rs, i)  # each step is an ideal-Shi cone, checked as in verify
-        [case] = run_case(CaseSpec(rs, k, sign, mask_of(rs, prefix), i, ("terao",)), cache)
-        levels, size = shi_levels(rs, k, prefix, sign), case.arrangement_size
+        mask = mask_of(rs, prefix)
+        [case] = run_case(CaseSpec(rs, k, sign, mask, i, ("terao",)), cache)
+        levels, size = shi_levels(rs, k, mask, sign), case.arrangement_size
         chain = [CheckResult("saturated", PASS if size == i else FAIL, f"|A_{i}| = {size}")]
         if previous is not None:
             # each root's levels hold the previous step's; an empty range (k = 0) lies in any range
@@ -447,7 +450,7 @@ def cmd_charpoly(args) -> int:
         dim, size = arr.dim, arr.size
         label = f"A({args.subset or 'all roots'}) in {arr.dim} coordinates"
     else:
-        arr, dim, size = None, rs.rank + 1, shi_plane_count(rs, args.k, roots, sign)  # built once a route admits it
+        arr, dim, size = None, rs.rank + 1, shi_plane_count(rs, args.k, mask, sign)  # built once a route admits it
         label = f"Shi k={args.k} sign {sign} subset {{{','.join(r.name for r in roots)}}}"
     cache = _table(args)
     polys = {}
@@ -459,7 +462,7 @@ def cmd_charpoly(args) -> int:
             else:
                 cache.admit(dim, size)
             if arr is None:
-                arr = shi_arrangement(rs, args.k, roots, sign)
+                arr = shi_arrangement(rs, args.k, mask, sign)
             if method == "mobius":
                 polys[method] = charpoly_mobius(arr, cache)
             elif method == "whitney":

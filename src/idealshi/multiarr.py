@@ -70,15 +70,17 @@ def _digits(h: int, k: int, count: int) -> list[int]:
     return [(h >> k * t & (1 << k) - 1) - half for t in range(count)]
 
 
-def _packed_taylor(a: int, b: int, theta: Sequence[int]) -> tuple[int, int]:
-    """(h, K): the Taylor coefficients T_t of :func:`_respects`, h = sum_t T_t 2^(K t)."""
+def _packed_taylor(a: int, b: int, theta: Sequence[int], m: int) -> tuple[int, int]:
+    """(h, K): h = sum_t T_t 2^(K t) mod 2^(K m), for the Taylor coefficients
+    T_t of :func:`_respects`, reduced after each Horner step."""
     g = [a * p + b * q for p, q in zip(*_halves(theta))]
     a, b, g = (b, a, g) if b else (a, b, g[::-1])  # top degree in x first, once swapped
     k = (max(map(abs, g)) * len(g) * max(abs(a), abs(b) + 1) ** (len(g) - 1)).bit_length() + 1
+    low = (1 << k * m) - 1
     h, power = 0, 1
     for c in g:  # Horner in u = 2^k: h = h*(u - b) + c*a^s
-        h = (h << k) - h * b + c * power
-        power *= a
+        h = ((h << k) - h * b + c * power) & low
+        power = power * a & low
     return h, k
 
 
@@ -89,13 +91,19 @@ def _respects(a: int, b: int, m: int, theta: Sequence[int]) -> bool:
     y = a takes alpha to a*u and g of degree d to sum_t T_t u^t, T_t = sum_s
     g_s a^(d-s) C(s, t) (-b)^(s-t) (g_s at x^s y^(d-s); row t of
     :func:`_line_conditions` dotted with theta, if a > 0 when b = 0), so
-    alpha^m | g iff T_t = 0 for t < m.  One Horner pass gives h = sum_t T_t
-    U^t at U = 2^K, K = bit_length(|g|_inf (d+1) M^d) + 1, M = max(|a|,
-    |b| + 1).  As sum_t |T_t| <= |g|_inf sum_s |a|^(d-s) (|b|+1)^s <= |g|_inf
-    (d+1) M^d < U/2, S = sum_(t<m) T_t U^t has |S| < U^m/2 and h = S mod U^m:
-    T_0 .. T_(m-1) all vanish iff the low K*m bits of h do; no approximation."""
-    h, k = _packed_taylor(a, b, theta)
-    return h & ((1 << k * m) - 1) == 0
+    alpha^m | g iff T_t = 0 for t < m.  A Horner pass at U = 2^K, K =
+    bit_length(|g|_inf (d+1) M^d) + 1, M = max(|a|, |b| + 1), gives
+    h = sum_t T_t U^t.  As sum_t |T_t| <= |g|_inf sum_s |a|^(d-s) (|b|+1)^s
+    <= |g|_inf (d+1) M^d < U/2, S = sum_(t<m) T_t U^t has |S| < U^m/2.
+
+    The pass keeps h, and the power a^s, reduced modulo U^m = 2^(K m):
+    - reduction modulo 2^(K m) respects + and x, so the reduced h equals
+      h mod U^m, whatever the sizes of the unreduced terms;
+    - h mod U^m = S mod U^m, and |S| < U^m/2, so it is 0 iff S = 0, iff
+      T_0 .. T_(m-1) all vanish (|T_t| < U/2 makes the digits of S unique).
+    So the test reads only the low K*m bits, exactly; no approximation."""
+    h, _ = _packed_taylor(a, b, theta, m)
+    return h == 0
 
 
 def saito_certified(arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int], theta2: Sequence[int]) -> bool:

@@ -34,7 +34,7 @@ from idealshi import (
     ziegler_multiplicity,
 )
 from idealshi import linalg
-from idealshi.arrangement import _primitive, _restricted_basis, covector
+from idealshi.arrangement import _primitive, _restricted_basis, _trace_kernel, covector
 from idealshi.rootsys import is_ideal, roots_of, shi_plane_count, shi_planes
 
 from extended_heights import ext_height, ext_height_z
@@ -229,6 +229,33 @@ def _edge_case(kind, n):
 def test_degenerate_lattices_match_brute_force(kind, sizes, n):
     lattice = assert_levels_match_brute_force(Arrangement.of(n, _edge_case(kind, n)))
     assert [len(level) for level in lattice.levels] == sizes
+
+
+@given(
+    lines=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any), min_size=0, max_size=9),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_two_coordinate_lattices_match_brute_force(lines, rng):
+    # in 2 coordinates the one codim-2 flat, the origin, is written down
+    # directly: on every line, with mu = m - 1; the lines keep a drawn order
+    covs = list({covector(v) for v in lines})
+    rng.shuffle(covs)
+    lattice = assert_levels_match_brute_force(Arrangement(2, tuple(covs)))
+    assert [len(level) for level in lattice.levels] == [1, len(covs), 1][: min(len(covs), 2) + 1]
+
+
+def test_rank2_restrictions_match_brute_force(systems):
+    # every line arrangement a G2 k=2 campaign reads its chain steps off
+    g2 = systems["G2"]
+    ambient = shi_arrangement(g2, 2, g2.positive_roots, "+")
+    for h in ambient.covectors:
+        assert_levels_match_brute_force(restriction(ambient, h))
+
+
+def test_parallel_lines_are_refused():
+    with pytest.raises(ValueError, match="two covectors define the same hyperplane"):
+        intersection_lattice(Arrangement(2, ((1, 2), (0, 1), (-2, -4))))
 
 
 def test_parallel_covectors_are_refused():
@@ -568,6 +595,23 @@ def test_shared_trace_table_matches_fresh_traces(systems, monkeypatch, name, k):
         assert ziegler_multiplicity(cone, h, table) == ziegler_multiplicity(cone, h)
     # the campaign restricts onto far fewer planes than it has steps
     assert len(table) < len(walked)
+
+
+@pytest.mark.parametrize("name, k", [("F4", 1), ("G2", 5), ("B3", 2)])
+def test_batched_traces_match_one_plane_at_a_time(systems, name, k):
+    # one kernel call over every restriction plane of the ambient cone, as a
+    # campaign's table is filled, against one call per plane
+    rs = systems[name]
+    ambient = shi_arrangement(rs, k, rs.positive_roots, "+")
+    planes = [root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-k, k)] + [z_covector(rs)]
+    batched = _trace_kernel(planes, ambient.covectors)
+    assert len(batched) == len(planes)
+    for h0, traced in zip(planes, batched):
+        others = [c for c in ambient.covectors if c != h0]
+        [alone] = _trace_kernel([h0], others)
+        assert [t for c, t in zip(ambient.covectors, traced) if c != h0] == alone
+        assert traced[ambient.covectors.index(h0)] == (0,) * rs.rank  # a plane traces to zero on itself
+        assert Arrangement(rs.rank, tuple(sorted(set(alone)))) == restriction(ambient, h0)
 
 
 def test_a_zero_trace_is_refused():

@@ -413,6 +413,108 @@ def test_shi_chain_matches_the_lattice(systems, name, k, monkeypatch):
     assert len(builds) == len(set(builds)) <= len(cones)
 
 
+def held_steps(monkeypatch, rs, k):
+    """Every chain step of a campaign as ``verify --all-ideals`` runs it,
+    with the table holding the ambient cone: (cone, plane, the restriction
+    polynomial read off the plane's lattice), in campaign order."""
+    table = LatticeCache()
+    table.hold(rs, k)
+    steps = []
+    read = idealshi.charpoly._restricted_coeffs
+
+    def recorded(cone, plane, cache):
+        assert cache.plane_lattice(plane) is not None  # the step reads the plane's lattice
+        steps.append((cone, plane, read(cone, plane, cache)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(idealshi.charpoly, "_restricted_coeffs", recorded)
+    for mask in enumerate_ideals(rs):
+        for sign in "+-":
+            shi_charpoly(rs, k, mask, sign, table)
+    monkeypatch.undo()
+    return steps
+
+
+HELD_CAMPAIGNS = [(name, k, 1) for name in ("A3", "B3", "C3") for k in (1, 2)]
+HELD_CAMPAIGNS += [(name, k, 1) for name in ("A2", "B2", "G2") for k in range(1, 6)]
+HELD_CAMPAIGNS += [(name, 1, 1) for name in ("A4", "B4", "D4")] + [("F4", 1, 5)]
+
+
+@pytest.mark.parametrize("name,k,every", HELD_CAMPAIGNS)
+def test_masked_reads_match_fresh_restriction_lattices(systems, monkeypatch, name, k, every):
+    # each chain step's chi(cone^H), read off the lattice of ambient^H
+    # masked to the cone's traces, equals the lattice of cone^H itself
+    steps = held_steps(monkeypatch, systems[name], k)
+    assert len(steps) == 2 * len(enumerate_ideals(systems[name])) - 3  # all but the anchors and (k, {}, '-')
+    for cone, plane, got in steps[::every]:
+        assert got == intersection_lattice(restriction(cone, plane)).charpoly_coeffs(), (cone.size, plane)
+
+
+def _flats_within(lattice, within):
+    """{mask of the flat in B's own plane order: mu_B}, level by level, over the flats of L(B)."""
+    bits = [i for i in range(lattice.arrangement.size) if within >> i & 1]
+    levels = []
+    for level, mus in zip(lattice.levels, lattice.mobius(within)):
+        found = {}
+        for mask, mu in zip(level["mask"], mus):
+            if mu:
+                whole = int.from_bytes(mask.astype("<u8").tobytes(), "little")
+                found[sum(1 << j for j, i in enumerate(bits) if whole >> i & 1)] = int(mu)
+        levels.append(found)
+    return levels
+
+
+def _flats_of(lattice):
+    return [
+        {int.from_bytes(mask.astype("<u8").tobytes(), "little"): int(mu) for mask, mu in level}
+        for level in lattice.levels
+    ]
+
+
+_AMBIENT_LATTICES = {}
+
+
+def _ambient_lattice(rs, k, i):
+    """The lattice of the ambient cone (k, all roots, '+') restricted onto its i-th plane, built once per session."""
+    key = (rs.type, k, i)
+    if key not in _AMBIENT_LATTICES:
+        ambient = shi_arrangement(rs, k, rs.positive_roots, "+")
+        _AMBIENT_LATTICES[key] = intersection_lattice(restriction(ambient, ambient.covectors[i % ambient.size]))
+    return _AMBIENT_LATTICES[key]
+
+
+@given(
+    name=st.sampled_from(["A2", "B2", "G2", "A3", "B3", "A4"]),
+    k=st.integers(1, 2),
+    plane=st.integers(0, 200),
+    through=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_masked_reader_matches_the_subarrangement_lattice(systems, name, k, plane, through, rng):
+    # B is a random subset of ambient^H, or one of the planes through a
+    # random flat (rank-deficient); many flats then have B_X empty.  The
+    # flats with mu_B != 0 are exactly those of L(B), with B's own mu
+    if name == "A4" and k == 2:
+        k = 1  # 41 planes in 5 coordinates: keep the draw cheap
+    lattice = _ambient_lattice(systems[name], k, plane)
+    restricted = lattice.arrangement
+    if through:
+        level = lattice.levels[rng.randrange(1, len(lattice.levels))]
+        pool = int.from_bytes(rng.choice(level)["mask"].astype("<u8").tobytes(), "little")
+    else:
+        pool = (1 << restricted.size) - 1
+    members = [i for i in range(restricted.size) if pool >> i & 1]
+    chosen = sorted(rng.sample(members, rng.randint(1, len(members))))
+    within = sum(1 << i for i in chosen)
+    sub = Arrangement(restricted.dim, tuple(restricted.covectors[i] for i in chosen))
+    fresh = intersection_lattice(sub)
+    assert lattice.charpoly_coeffs(within) == fresh.charpoly_coeffs()
+    masked = _flats_within(lattice, within)
+    assert masked[len(fresh.levels) :] == [{}] * (len(masked) - len(fresh.levels))  # past the rank of B
+    assert masked[: len(fresh.levels)] == _flats_of(fresh)
+
+
 @pytest.mark.parametrize("name,k,names", [("B3", 2, ["a2", "a3", "a1+a2"]), ("A3", 1, ["a1+a2"]), ("G2", 2, ["3a1+2a2"])])
 def test_shi_chain_on_a_non_ideal_subset(systems, name, k, names):
     rs = systems[name]

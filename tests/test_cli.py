@@ -357,12 +357,17 @@ def test_verify_computes_shared_work_once(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["cases"]) == 12
     assert len(rank2) == 2 * 6  # one multirestriction per sign; the shift-law base comes from chi
-    # 11 distinct cones: the two anchors' own lattices and one restriction
-    # for each other cone, two of which restrict to the same arrangement;
-    # and 5 of the 6 subset arrangements, whose chi splits into the shift-law
-    # base (the sixth, all four root lines, is one of those restrictions)
+    # the two anchors' own lattices; one lattice per distinct restriction of
+    # the ambient cone (k, all roots, '+') onto the 8 planes the chains
+    # delete, which every other cone's step reads; and the 6 subset
+    # arrangements, whose chi splits into the shift-law base
+    rs = idealshi.cli.build("B2")
+    ambient = idealshi.arrangement.shi_arrangement(rs, 1, rs.positive_roots, "+")
+    steps = [idealshi.arrangement.root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-1, 1)]
+    restricted = {idealshi.arrangement.restriction(ambient, h) for h in steps}
+    assert len(restricted) == 3
     arrangements = [args[0] for args in lattices]
-    assert len(arrangements) == len(set(arrangements)) == 10 + 5
+    assert len(arrangements) == len(set(arrangements)) == 2 + len(restricted) + 6
 
 
 def test_rank2_campaign_restricts_each_cone_once(capsys, monkeypatch):
@@ -378,6 +383,7 @@ def test_campaign_chi_stays_inside_the_guards(capsys, monkeypatch):
     # the case has 28 planes and passes a guard of 30; the k-Shi cone (37
     # planes) does not, so the chain must not build it
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    held = _plane_lattices(monkeypatch)
     code, out, _ = run(
         capsys, "verify", "B3", "-k", "2", "--subset", "all", "--sign", "-",
         "--max-hyperplanes", "30", "--format", "json",
@@ -387,6 +393,7 @@ def test_campaign_chi_stays_inside_the_guards(capsys, monkeypatch):
     assert case["verdict"] == "PASS" and case["arrangement_size"] == 28
     assert case["chi_coeffs"] == ["693", "-932", "266", "-28", "1"]
     assert lattices and max(args[0].size for args in lattices) <= 28
+    assert held == []  # one subset: its chain restricts each cone itself
 
 
 def test_no_table_outlives_a_call(capsys, monkeypatch):
@@ -413,17 +420,74 @@ def test_no_rank2_basis_outlives_a_call(capsys, monkeypatch):
 
 def test_each_plane_is_traced_once_per_command(capsys, monkeypatch):
     # the 40 multirestrictions onto {z = 0} and the chain steps share the
-    # campaign's trace table: no (restriction plane, plane) pair reaches the
-    # kernel twice, and a second run in the same process traces as much
+    # campaign's trace table, which one kernel call fills: every plane of the
+    # ambient cone on each of its 19 restriction planes.  No (restriction
+    # plane, plane) pair is traced twice, and a second run in the same
+    # process traces as much
     kernel = _count_calls(monkeypatch, idealshi.arrangement, "_trace_kernel")
     counts = []
     for _ in range(2):
         assert run(capsys, "verify", "B3", "-k", "2", "--all-ideals", "--format", "json")[0] == 0
-        pairs = [(h0, plane) for h0, planes in kernel for plane in planes]
-        assert len(pairs) == len(set(pairs))
+        assert len(kernel) == 1
+        pairs = [(h0, plane) for h0s, planes in kernel for h0 in h0s for plane in planes if plane != h0]
+        assert len(pairs) == len(set(pairs)) == 19 * 45
         counts.append(len(pairs))
         kernel.clear()
     assert counts[0] == counts[1] > 0
+
+
+def test_verify_passes_masks_not_roots(capsys, monkeypatch):
+    # the subset mask that SubsetFacts holds is what the cone, its plane
+    # count, its chi and its prediction read: no root list is turned back into a mask
+    masks = _count_calls(monkeypatch, idealshi.rootsys, "mask_of")
+    assert run(capsys, "verify", "B3", "-k", "2", "--all-ideals", "--format", "json")[0] == 0
+    assert masks == []
+
+
+def _plane_lattices(monkeypatch):
+    """The per-plane lattices that LatticeCache.plane_lattice hands out, one entry per chain step that reads one."""
+    read = idealshi.arrangement.LatticeCache.plane_lattice
+    held = []
+
+    def counted(self, h0):
+        found = read(self, h0)
+        if found is not None:
+            held.append(found[0])
+        return found
+
+    monkeypatch.setattr(idealshi.arrangement.LatticeCache, "plane_lattice", counted)
+    return held
+
+
+@pytest.mark.parametrize("name, planes, most", [("B3", 18, 2 + 18), ("F4", 48, 2 + 48)])
+def test_campaign_builds_one_lattice_per_restriction_plane(capsys, monkeypatch, name, planes, most):
+    # every chain step restricts onto one of the 2|Phi+| planes {root = -+k*z}
+    # of the ambient cone; each plane's lattice is built once (planes whose
+    # restrictions are equal share one), and the two anchors have their own
+    lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    held = _plane_lattices(monkeypatch)
+    code, out, _ = run(capsys, "verify", name, "-k", "1" if name == "F4" else "2", "--all-ideals", "--format", "json")
+    assert code == 0
+    per_plane = {id(lattice): lattice.arrangement for lattice in held}
+    assert len(per_plane) <= planes
+    arrangements = [args[0] for args in lattices]
+    assert len(arrangements) == len(set(arrangements)) == 2 + len(per_plane) <= most
+    # every cone but the two anchors reads its step off a per-plane lattice
+    assert len(held) == len(json.loads(out)["cases"]) - 2 - 1  # the empty ideal's two signs are one cone
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("B4", "-k", "1", "--all-ideals", "--max-hyperplanes", "40"),  # the ambient cone has 49 planes
+        ("B3", "-k", "2", "--subset", "ideal:7"),  # one subset
+        ("G2", "-k", "5", "--subset", "all"),
+    ],
+)
+def test_per_case_restrictions_outside_campaigns(capsys, monkeypatch, argv):
+    held = _plane_lattices(monkeypatch)
+    assert run(capsys, "verify", *argv, "--format", "json")[0] == 0
+    assert held == []
 
 
 def test_tampered_rank2_basis_is_an_internal_error(capsys, monkeypatch):

@@ -322,10 +322,22 @@ def test_packed_digits_are_the_condition_rows(case):
     # the signs are read right; membership agrees with synthetic division
     a, b, theta = case
     d = len(theta) // 2 - 1
-    h, k = _packed_taylor(a, b, theta)
+    h, k = _packed_taylor(a, b, theta, d + 1)  # every digit
     assert _digits(h, k, d + 1) == taylor_rows(a, b, theta)
     for m in sorted({0, 1, d // 2, d, d + 1, d + 2, d + 10}):
         assert idealshi.multiarr._respects(a, b, m, theta) == divides(a, b, m, theta), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_lines(), st.integers(0, 45))
+def test_reduced_horner_pass_is_the_low_digits(case, m):
+    # reducing modulo 2^(K m) after each step gives the full h modulo 2^(K m)
+    a, b, theta = case
+    d = len(theta) // 2 - 1
+    h, k = _packed_taylor(a, b, theta, max(m, d + 1))
+    low, k_low = _packed_taylor(a, b, theta, m)
+    assert k_low == k and 0 <= low < 1 << k * m
+    assert low == h % (1 << k * m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,7 +350,7 @@ def test_near_miss_is_refused(case, m):
     for _ in range(m - 1):
         theta = idealshi.multiarr._times_line(a, b, theta)
     d = len(theta) // 2 - 1
-    digits = _digits(*_packed_taylor(a, b, theta), d + 1)
+    digits = _digits(*_packed_taylor(a, b, theta, d + 1), d + 1)
     assert digits == taylor_rows(a, b, theta)
     assert not any(digits[: m - 1]) and digits[m - 1] != 0
     assert idealshi.multiarr._respects(a, b, m - 1, theta) and divides(a, b, m - 1, theta)
