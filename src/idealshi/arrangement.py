@@ -87,8 +87,9 @@ def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root] | int, sign: s
     """Coned k-extended Shi arrangement plus the level -k planes of sigma
     (sign '+') or minus the level k planes of sigma (sign '-'); sigma is
     given by its roots or its mask."""
-    covs = {root_covector(rs, root, j, coned=True) for root, j in shi_planes(rs, k, sigma, sign)}
-    return Arrangement(rs.rank + 1, tuple(sorted(covs | {z_covector(rs)})))  # already normalized
+    # positive roots are primitive and nonnegative, and the (root, level) pairs are distinct
+    covs = [root.coeffs + (-j,) for root, j in shi_planes(rs, k, sigma, sign)]
+    return Arrangement(rs.rank + 1, tuple(sorted(covs + [z_covector(rs)])))
 
 
 def filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]:
@@ -444,10 +445,10 @@ def is_central_charpoly(arr: Arrangement, coeffs: Sequence[int]) -> bool:
 
 
 class LatticeCache:
-    """Characteristic polynomials of arrangements, in memory for one command
-    (one campaign, or one worker of it).  The table carries the size guards
-    of the lattices built to fill it, and a read refuses an arrangement
-    beyond them, so a warm table refuses exactly what a cold one does.
+    """Characteristic polynomials of arrangements, in memory for one command.
+    The table carries the size guards of the lattices built to fill it, and
+    a read refuses an arrangement beyond them, so a warm table refuses
+    exactly what a cold one does.
     Beside chi it keeps, for the command only, the rank-2 derivation bases,
     the traces of each plane on each restriction plane and, once it holds a
     campaign's ambient cone (:meth:`hold`), one lattice per restriction

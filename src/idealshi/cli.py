@@ -14,7 +14,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
 from typing import Optional, Sequence
 
 from . import __version__
@@ -284,11 +283,6 @@ def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
     return records
 
 
-def run_cases(specs: Sequence[CaseSpec], cache: LatticeCache) -> list[CaseRecord]:
-    """The records of consecutive subsets, in order, under one chi table."""
-    return [c for spec in specs for c in run_case(spec, cache)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -385,20 +379,10 @@ def cmd_verify(args) -> int:
         )
         for mask, idx in grid
     ]
-    # one chi table for the campaign; each worker runs one contiguous share with its
-    # own copy, so each share walks its chains to both anchors: a '+' parent is a
-    # smaller ideal, but a '-' parent is a larger one, later in the campaign
     cache = _table(args)
     if len(specs) > 1:  # a campaign: each chain step reads its restriction off one lattice per plane
         cache.hold(rs, args.k)
-    size = -(-len(specs) // args.jobs)
-    shares = [specs[i : i + size] for i in range(0, len(specs), size)]
-    if len(shares) == 1:
-        cases = run_cases(specs, cache)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a forking campaign pays its import
-        with ProcessPoolExecutor(len(shares)) as pool:
-            cases = [c for share in pool.map(run_cases, shares, repeat(cache)) for c in share]
+    cases = [c for spec in specs for c in run_case(spec, cache)]
     report = Report(command="verify", tool_version=__version__, cases=cases)
     _emit(report.render(args.format, with_timings=args.timings), args)
     return 0 if report.ok else 1
@@ -512,7 +496,7 @@ def _add_common(p: argparse.ArgumentParser, k_required: bool = False, all_ideals
 
 
 def _add_limits(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (above 1 for verify only)")
+    p.add_argument("--jobs", type=int, choices=[1], default=1, help="accepted only as 1, for scripts that pass it")
     p.add_argument("--max-hyperplanes", type=int, default=MAX_HYPERPLANES)
     p.add_argument("--max-dim", type=int, default=MAX_DIM)
 
@@ -576,9 +560,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError("k must be a positive integer")
         if getattr(args, "sign", None) is not None and args.k is None:
             raise UsageError("--sign needs -k")
-        jobs = getattr(args, "jobs", 1)
-        if jobs < 1 or (jobs > 1 and args.func is not cmd_verify):
-            raise UsageError(f"--jobs {jobs}: need a positive count, and only verify runs more than 1")
         return args.func(args)
     except UsageError as err:
         sys.stderr.write(f"error: {err}\n")

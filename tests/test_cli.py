@@ -1,11 +1,7 @@
 """CLI behavior: subcommands, exit codes, report formats, determinism."""
 
-import concurrent.futures
 import hashlib
 import json
-import os
-import pickle
-import subprocess
 import sys
 
 import pytest
@@ -198,68 +194,6 @@ def test_verify_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["schema_version"] == 1
-
-
-def test_verify_jobs_parallel_matches_sequential(capsys):
-    # the workers run their shares under the campaign table's guards; A2 has
-    # five ideals, so --jobs 8 starts at most five processes
-    for system, guards, skipped, jobs in (
-        ("B2", (), 0, ("2", "3")),
-        ("B2", ("--max-hyperplanes", "9"), 10, ("2", "3")),
-        ("A2", (), 0, ("8",)),
-    ):
-        args = ("verify", system, "-k", "1", "--all-ideals", "--format", "json", *guards)
-        _, seq, _ = run(capsys, *args)
-        assert json.loads(seq)["summary"]["skipped"] == skipped
-        for n in jobs:
-            assert run(capsys, *args, "--jobs", n) == (0, seq, "")
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Replace the process pool by one that runs in this process and records
-    its worker count and the shares it receives.  Each share runs on a
-    pickled copy of its arguments, as a worker process would receive them."""
-    started = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers, self.shares = max_workers, []
-            started.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            calls = [pickle.loads(pickle.dumps(args)) for args in zip(*iterables)]
-            self.shares.extend(args[0] for args in calls)
-            return [fn(*args) for args in calls]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return started
-
-
-@pytest.mark.parametrize("system, jobs, workers", [("B2", 2, 2), ("B2", 3, 3), ("B2", 4, 3), ("A2", 8, 5)])
-def test_each_worker_runs_one_contiguous_share(capsys, pools, system, jobs, workers):
-    args = ("verify", system, "-k", "1", "--all-ideals", "--format", "json")
-    _, serial, _ = run(capsys, *args)
-    assert pools == []
-    assert run(capsys, *args, "--jobs", str(jobs)) == (0, serial, "")
-    [pool] = pools
-    subsets = len(json.loads(serial)["cases"]) // 2
-    assert pool.max_workers == len(pool.shares) == workers <= min(jobs, subsets)
-    # the shares cut the campaign, in its order, into runs of ceil(n / jobs) subsets
-    assert [spec.subset_index for share in pool.shares for spec in share] == list(range(subsets))
-    assert all(len(share) == -(-subsets // jobs) for share in pool.shares[:-1])
-
-
-def test_single_subset_starts_no_pool(capsys, pools):
-    args = ("verify", "B2", "-k", "1", "--subset", "none", "--format", "json")
-    assert run(capsys, *args, "--jobs", "3") == run(capsys, *args)
-    assert pools == []
 
 
 def test_verify_size_guard_skips(capsys):
@@ -840,20 +774,6 @@ def test_out_of_memory_is_an_internal_error(capsys, monkeypatch, exc):
     assert err.startswith("internal error:") and "Unable to allocate" in err and "Traceback" not in err
 
 
-def test_serial_campaign_does_not_import_the_process_pool():
-    script = """
-import sys
-from idealshi import cli
-code = cli.main(["verify", "A2", "-k", "1", "--all-ideals"])
-print(code, "concurrent.futures.process" in sys.modules)
-"""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(idealshi.cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False"
-
-
 def test_broken_chain_step_is_an_internal_error(capsys, monkeypatch):
     import idealshi.charpoly
 
@@ -907,16 +827,11 @@ JOBS_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(JOBS_COMMANDS))
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_must_be_positive(capsys, command, jobs):
-    code, out, err = run(capsys, *JOBS_COMMANDS[command], "--jobs", jobs)
-    assert code == 2 and out == "" and f"--jobs {jobs}" in err
-
-
-@pytest.mark.parametrize("command", ["filtration", "charpoly"])
-def test_jobs_above_one_only_for_verify(capsys, command):
+def test_jobs_accepts_only_one(capsys, command):
     argv = JOBS_COMMANDS[command]
-    code, out, err = run(capsys, *argv, "--jobs", "2")
-    assert code == 2 and out == "" and "only verify" in err
-    code, out, _ = run(capsys, *argv, "--jobs", "1")
-    assert code == 0 and out
+    for jobs in ("0", "-3", "2"):
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert code == 2 and out == "" and "--jobs" in err
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and plain
+    assert run(capsys, *argv, "--jobs", "1") == (0, plain, "")
