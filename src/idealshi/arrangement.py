@@ -92,22 +92,23 @@ def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root] | int, sign: s
     return Arrangement(rs.rank + 1, tuple(sorted(covs + [z_covector(rs)])))
 
 
-def filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]:
-    """Step i of the saturated chain as the ideal-Shi cone (k, ideal, sign).
+def filtration_cone(rs: RootSystem, i: int) -> tuple[int, int, str]:
+    """Step i of the saturated chain as the ideal-Shi cone (k, ideal mask, sign).
 
     With n positive roots and q, r = divmod(i - 1, 2n), round q first adds
     level -q along the canonical root order, giving (q, first r roots, '+'),
     then level q+1 in reverse order, giving (q+1, first 2n-r roots, '-').
-    Height never decreases along that order, so every prefix is an ideal;
-    at q = 0 the cone is {z = 0} plus the planes {root = 0} of the ideal.
+    Height never decreases along that order, so every prefix is an ideal,
+    and the mask of the first r roots is (1 << r) - 1; at q = 0 the cone is
+    {z = 0} plus the planes {root = 0} of the ideal.
     """
     if i < 1:
         raise ValueError("filtration steps are indexed from 1")
     n = rs.n_positive
     q, r = divmod(i - 1, 2 * n)
     if r <= n:
-        return q, rs.positive_roots[:r], "+"
-    return q + 1, rs.positive_roots[: 2 * n - r], "-"
+        return q, (1 << r) - 1, "+"
+    return q + 1, (1 << 2 * n - r) - 1, "-"
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +118,8 @@ def filtration_cone(rs: RootSystem, i: int) -> tuple[int, tuple[Root, ...], str]
 @dataclass(frozen=True)
 class IntersectionLattice:
     arrangement: Arrangement
-    # levels[c] holds the flats of codim c in a structured array with fields
-    # "mask" (uint64 words, bit i set when covectors[i] contains the flat) and "mu"
+    # levels[c] holds the masks of the flats of codim c, one row of uint64
+    # words per flat: bit i set when covectors[i] contains the flat
     levels: tuple[np.ndarray, ...]
     # edges[c - 3], for each level c >= 3 below the top: the cover edges
     # Y -> X into it, sorted by X, as (index of Y in level c - 1, the bounds
@@ -126,20 +127,49 @@ class IntersectionLattice:
     edges: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def mobius(self, within: int) -> list[np.ndarray]:
-        """mu_B of every flat, level by level, for B the planes whose bits
-        ``within`` sets: mu in the lattice L(B) of the subarrangement B,
-        and 0 on the flats outside L(B) (:func:`_mobius`)."""
-        words = self.levels[0]["mask"].shape[1]
-        bits = np.frombuffer(within.to_bytes(8 * words, "little"), dtype="<u8")
-        return _mobius([level["mask"] for level in self.levels], self.edges, bits)
+        """mu_B of each flat, level by level, for B the planes whose bits
+        ``within`` sets.
+
+        L(B) is the set of flats X of L(A) with rank(B_X) = codim X, where B_X
+        is the set of planes of B through X, and its covers are the covers of
+        L(A) between its flats.  Weisner's theorem in L(B) (Orlik-Terao,
+        section 2.3), with a_X the lowest plane of B_X, gives mu_B(X) =
+        -sum mu_B(Y) over the covers Y -> X with a_X not through Y.  A flat
+        with B_X empty gets 0; a flat X with B_X nonempty but outside L(B)
+        also gets 0, since such a Y of L(B) would give X = Y cap a_X in L(B).
+        So a flat lies in L(B) exactly when its sum has a nonzero term, and
+        mu_B vanishes off L(B).  On atoms this is -1 on B, and on codim 2 it
+        is |B_X| - 1 when |B_X| >= 2, a popcount.  From codim 3 on it runs
+        over the recorded edges; the top, beyond the last recorded level, is
+        covered by every coatom.  The values must sum to 0 when B is
+        nonempty, which is checked on every read.
+        """
+        masks, edges = self.levels, self.edges
+        bits = np.frombuffer(within.to_bytes(8 * masks[0].shape[1], "little"), dtype="<u8")
+        mus = [np.ones(1, dtype=np.int64)]
+        if len(masks) > 1:
+            mus.append(-(masks[1] & bits).any(axis=1).astype(np.int64))
+        if len(masks) > 2:
+            size = np.bitwise_count(masks[2] & bits).sum(axis=1, dtype=np.int64)
+            mus.append(np.where(size > 1, size - 1, 0))
+        for codim, (parents, bounds) in enumerate(edges, 3):
+            a = np.repeat(_lowest(masks[codim] & bits), np.diff(bounds))
+            off = (a >= 0) & ~_through(masks[codim - 1], parents, a)
+            mus.append(-np.add.reduceat(np.where(off, mus[-1][parents], 0), bounds[:-1]))
+        if len(masks) > 3 + len(edges):
+            a = _lowest(masks[-1] & bits)
+            coatoms = np.arange(len(masks[-2]))
+            mus.append(-mus[-1][~_through(masks[-2], coatoms, a.repeat(len(coatoms)))].sum(keepdims=True) * (a >= 0))
+        if within and sum(int(mu.sum()) for mu in mus) != 0:
+            raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
+        return mus
 
     def charpoly_coeffs(self, within: Optional[int] = None) -> tuple[int, ...]:
         """Coefficients (ascending degree) of sum mu(X) t^dim(X): the
         polynomial of the arrangement, or of its planes in ``within``."""
         n = self.arrangement.dim
-        mus = [level["mu"] for level in self.levels] if within is None else self.mobius(within)
         coeffs = [0] * (n + 1)
-        for codim, mu in enumerate(mus):
+        for codim, mu in enumerate(self.mobius((1 << self.arrangement.size) - 1 if within is None else within)):
             coeffs[n - codim] += int(mu.sum())
         return tuple(coeffs)
 
@@ -172,45 +202,6 @@ def _lowest(masks: np.ndarray) -> np.ndarray:
 def _through(masks: np.ndarray, flats: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """Whether each of ``flats`` (rows of ``masks``) lies on the plane of the same entry of ``planes``."""
     return (masks[flats, planes >> 6] >> (planes & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
-
-
-def _mobius(
-    masks: Sequence[np.ndarray], edges: Sequence[tuple[np.ndarray, np.ndarray]], within: np.ndarray
-) -> list[np.ndarray]:
-    """mu_B of each flat of a lattice L(A), level by level, for B the
-    subset of A whose bits ``within`` sets.
-
-    L(B) is the set of flats X of L(A) with rank(B_X) = codim X, where B_X
-    is the set of planes of B through X, and its covers are the covers of
-    L(A) between its flats.  Weisner's theorem in L(B) (Orlik-Terao,
-    section 2.3), with a_X the lowest plane of B_X, gives mu_B(X) =
-    -sum mu_B(Y) over the covers Y -> X with a_X not through Y.  A flat
-    with B_X empty gets 0; a flat X with B_X nonempty but outside L(B)
-    also gets 0, since such a Y of L(B) would give X = Y cap a_X in L(B).
-    So a flat lies in L(B) exactly when its sum has a nonzero term, and
-    mu_B vanishes off L(B).  On atoms this is -1 on B, and on codim 2 it
-    is |B_X| - 1 when |B_X| >= 2, a popcount.  From codim 3 on it runs
-    over the recorded edges; the top, beyond the last recorded level, is
-    covered by every coatom.  The values must sum to 0 when B is
-    nonempty, which is checked.
-    """
-    mus = [np.ones(1, dtype=np.int64)]
-    if len(masks) > 1:
-        mus.append(-(masks[1] & within).any(axis=1).astype(np.int64))
-    if len(masks) > 2:
-        size = np.bitwise_count(masks[2] & within).sum(axis=1, dtype=np.int64)
-        mus.append(np.where(size > 1, size - 1, 0))
-    for codim, (parents, bounds) in enumerate(edges, 3):
-        a = np.repeat(_lowest(masks[codim] & within), np.diff(bounds))
-        off = (a >= 0) & ~_through(masks[codim - 1], parents, a)
-        mus.append(-np.add.reduceat(np.where(off, mus[-1][parents], 0), bounds[:-1]))
-    if len(masks) > 3 + len(edges):
-        a = _lowest(masks[-1] & within)
-        coatoms = np.arange(len(masks[-2]))
-        mus.append(-mus[-1][~_through(masks[-2], coatoms, a.repeat(len(coatoms)))].sum(keepdims=True) * (a >= 0))
-    if within.any() and sum(int(mu.sum()) for mu in mus) != 0:
-        raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
-    return mus
 
 
 def _primitive(rows: np.ndarray) -> np.ndarray:
@@ -321,8 +312,8 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     those rows is a cover edge to a flat one codimension down, with mask
     mask(X) | class.  Flats merge on their masks, so no row reduction
     happens inside the build.  The top flat is unique, so it is written
-    down directly, covered by every coatom.  mu comes from the edges by
-    :func:`_mobius` with B the whole arrangement.
+    down directly, covered by every coatom.  No mu is stored:
+    :meth:`IntersectionLattice.mobius` reads it off the edges when asked.
     """
     n, m = arr.dim, arr.size
     words = max(1, -(-m // 64))
@@ -363,12 +354,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
         if rank > 2:
             levels.append(top)
 
-    mus = _mobius(levels, edges, top[0])
-    flats = np.dtype([("mask", np.uint64, (words,)), ("mu", np.int64)])
-    lattice = IntersectionLattice(arr, tuple(np.empty(len(mu), dtype=flats) for mu in mus), tuple(edges))
-    for level, masks, mu in zip(lattice.levels, levels, mus):
-        level["mask"], level["mu"] = masks, mu
-    return lattice
+    return IntersectionLattice(arr, tuple(levels), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -402,8 +402,7 @@ def cmd_filtration(args) -> int:
     cases = []
     previous: Optional[list[range]] = None
     for i in range(1, args.steps + 1):
-        k, prefix, sign = filtration_cone(rs, i)  # each step is an ideal-Shi cone, checked as in verify
-        mask = mask_of(rs, prefix)
+        k, mask, sign = filtration_cone(rs, i)  # each step is an ideal-Shi cone, checked as in verify
         [case] = run_case(CaseSpec(rs, k, sign, mask, i, ("terao",)), cache)
         levels, size = shi_levels(rs, k, mask, sign), case.arrangement_size
         chain = [CheckResult("saturated", PASS if size == i else FAIL, f"|A_{i}| = {size}")]

@@ -2,6 +2,7 @@
 restriction counts, Ziegler multiplicities, and the rank-2 intersection
 point geometry."""
 
+import dataclasses
 import itertools
 import random
 
@@ -72,14 +73,15 @@ def brute_force_lattice(arr, max_size=None):
     return {mask: (codim[mask], value) for mask, value in mu.items()}
 
 
-def flats(level):
-    """The (int mask, mu) pair of each flat of one lattice level; bit i of
+def flats(lattice, codim):
+    """The (int mask, mu) pair of each flat of codim ``codim``; bit i of
     the mask is set when covectors[i] contains the flat."""
-    return [(int.from_bytes(mask.astype("<u8").tobytes(), "little"), int(mu)) for mask, mu in level]
+    masks, mus = lattice.levels[codim], lattice.mobius((1 << lattice.arrangement.size) - 1)[codim]
+    return [(int.from_bytes(mask.astype("<u8").tobytes(), "little"), int(mu)) for mask, mu in zip(masks, mus)]
 
 
 def all_flats(lattice):
-    return [flat for level in lattice.levels for flat in flats(level)]
+    return [flat for codim in range(len(lattice.levels)) for flat in flats(lattice, codim)]
 
 
 def lattice_charpoly(arr):
@@ -130,17 +132,17 @@ def test_coned_weyl_a2_lattice_structure():
     arr = shi_arrangement(a2, 1, a2.positive_roots, "-")  # {z, a1, a2, a1+a2} coned
     lattice = intersection_lattice(arr)
     assert [len(lv) for lv in lattice.levels] == [1, 4, 4, 1]
-    level2 = sorted(mu for _, mu in flats(lattice.levels[2]))
+    level2 = sorted(mu for _, mu in flats(lattice, 2))
     assert level2 == [1, 1, 1, 2]  # three double points and one triple line
-    assert flats(lattice.levels[3]) == [((1 << arr.size) - 1, -2)]
+    assert flats(lattice, 3) == [((1 << arr.size) - 1, -2)]
 
 
 def assert_levels_match_brute_force(arr):
     lattice = intersection_lattice(arr)
     oracle = brute_force_lattice(arr, max_size=arr.dim)
-    for codim, level in enumerate(lattice.levels):
+    for codim in range(len(lattice.levels)):
         want = {mask: mu for mask, (c, mu) in oracle.items() if c == codim}
-        assert dict(flats(level)) == want
+        assert dict(flats(lattice, codim)) == want
     assert sum(len(level) for level in lattice.levels) == len(oracle)
     return lattice
 
@@ -317,9 +319,9 @@ def test_masks_wider_than_one_word(systems):
     arr = shi_arrangement(g2, 5, g2.positive_roots, "+")
     assert arr.size > 64
     lattice = intersection_lattice(arr)
-    assert all(mu == -1 for _, mu in flats(lattice.levels[1]))
-    assert all(mu == bin(mask).count("1") - 1 for mask, mu in flats(lattice.levels[2]))
-    assert flats(lattice.levels[3])[0][0] == (1 << arr.size) - 1
+    assert all(mu == -1 for _, mu in flats(lattice, 1))
+    assert all(mu == bin(mask).count("1") - 1 for mask, mu in flats(lattice, 2))
+    assert flats(lattice, 3)[0][0] == (1 << arr.size) - 1
     predicted = shi_exponents_dp(g2, 5, g2.positive_roots, "+")
     assert lattice.charpoly_coeffs() == CharPoly.from_roots(tuple(predicted)).coeffs
 
@@ -327,9 +329,9 @@ def test_masks_wider_than_one_word(systems):
 def test_mu_invariants_across_corpus():
     for arr in _small_corpus():
         lattice = intersection_lattice(arr)
-        assert flats(lattice.levels[0])[0][1] == 1
-        assert all(mu == -1 for _, mu in flats(lattice.levels[1]))
-        assert sum(abs(mu) for _, mu in flats(lattice.levels[1])) == arr.size
+        assert flats(lattice, 0)[0][1] == 1
+        assert all(mu == -1 for _, mu in flats(lattice, 1))
+        assert sum(abs(mu) for _, mu in flats(lattice, 1)) == arr.size
         assert sum(mu for _, mu in all_flats(lattice)) == 0
 
 
@@ -469,14 +471,40 @@ def test_filtration_rounds_hit_shi_arrangements(systems):
             assert set(arr.covectors) == set(shi_arrangement(rs, k, [], "+").covectors)
 
 
+def test_a_corrupted_lattice_fails_its_check():
+    # drop a coatom X on plane 0 with its run of cover edges.  For any B that
+    # holds plane 0 and every plane through X, plane 0 is the top's a, so the
+    # top's Weisner sum skips X; mu_B(X) = mu(X) != 0 then goes missing from
+    # the total, which no longer sums to 0, on the full and the masked read
+    arr = shi_arrangement(build("B3"), 1, [], "+")
+    lattice = intersection_lattice(arr)
+    full = (1 << arr.size) - 1
+    coatoms, (parents, bounds) = lattice.levels[-2], lattice.edges[-1]
+    assert len(lattice.levels) == 4 + len(lattice.edges)  # the last edges run into the coatoms
+    x = int(np.flatnonzero(coatoms[:, 0] & np.uint64(1))[0])
+    assert lattice.mobius(full)[-2][x] != 0
+    runs = np.delete(np.diff(bounds), x)
+    edges = np.delete(parents, np.arange(bounds[x], bounds[x + 1])), np.append(0, np.cumsum(runs))
+    broken = dataclasses.replace(
+        lattice,
+        levels=(*lattice.levels[:-2], np.delete(coatoms, x, axis=0), lattice.levels[-1]),
+        edges=(*lattice.edges[:-1], edges),
+    )
+    through = int.from_bytes(coatoms[x].astype("<u8").tobytes(), "little")
+    off = max(i for i in range(arr.size) if not through >> i & 1)
+    for within in (None, full & ~(1 << off)):
+        with pytest.raises(AssertionError, match="must sum to 0"):
+            broken.charpoly_coeffs(within)
+
+
 # --- localization: the hyperplanes in a flat's mask -------------------------
 
 
 def test_localization_examples(systems):
     arr = shi_arrangement(systems["A2"], 1, [], "+")
     lattice = intersection_lattice(arr)
-    assert flats(lattice.levels[0])[0][0] == 0  # no hyperplane contains the whole space
-    assert sorted(mask for mask, _ in flats(lattice.levels[1])) == [1 << i for i in range(arr.size)]
+    assert flats(lattice, 0)[0][0] == 0  # no hyperplane contains the whole space
+    assert sorted(mask for mask, _ in flats(lattice, 1)) == [1 << i for i in range(arr.size)]
 
 
 def test_localization_through_z_is_a_sub_shi(systems):
@@ -484,7 +512,7 @@ def test_localization_through_z_is_a_sub_shi(systems):
     arr = shi_arrangement(a2, 1, [], "+")
     localizations = [
         {c for i, c in enumerate(arr.covectors) if mask >> i & 1}
-        for mask, _ in flats(intersection_lattice(arr).levels[2])
+        for mask, _ in flats(intersection_lattice(arr), 2)
     ]
     # the planes through {z = a1 = 0}: H_z and both levels of a1
     assert {z_covector(a2), (1, 0, 0), covector((1, 0, -1))} in localizations

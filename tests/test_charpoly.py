@@ -456,7 +456,7 @@ def _flats_within(lattice, within):
     levels = []
     for level, mus in zip(lattice.levels, lattice.mobius(within)):
         found = {}
-        for mask, mu in zip(level["mask"], mus):
+        for mask, mu in zip(level, mus):
             if mu:
                 whole = int.from_bytes(mask.astype("<u8").tobytes(), "little")
                 found[sum(1 << j for j, i in enumerate(bits) if whole >> i & 1)] = int(mu)
@@ -466,8 +466,8 @@ def _flats_within(lattice, within):
 
 def _flats_of(lattice):
     return [
-        {int.from_bytes(mask.astype("<u8").tobytes(), "little"): int(mu) for mask, mu in level}
-        for level in lattice.levels
+        {int.from_bytes(mask.astype("<u8").tobytes(), "little"): int(mu) for mask, mu in zip(level, mus)}
+        for level, mus in zip(lattice.levels, lattice.mobius((1 << lattice.arrangement.size) - 1))
     ]
 
 
@@ -501,7 +501,7 @@ def test_masked_reader_matches_the_subarrangement_lattice(systems, name, k, plan
     restricted = lattice.arrangement
     if through:
         level = lattice.levels[rng.randrange(1, len(lattice.levels))]
-        pool = int.from_bytes(rng.choice(level)["mask"].astype("<u8").tobytes(), "little")
+        pool = int.from_bytes(rng.choice(level).astype("<u8").tobytes(), "little")
     else:
         pool = (1 << restricted.size) - 1
     members = [i for i in range(restricted.size) if pool >> i & 1]

@@ -238,6 +238,15 @@ def test_verify_size_guard_covers_freeness_checks(capsys, check):
         assert _refusals(case) == [(check, "7 hyperplanes exceed bound 3")]
 
 
+def _replace_everywhere(monkeypatch, original, replacement):
+    """Put ``replacement`` in place of ``original`` in every idealshi module that imported it."""
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "idealshi" or mod_name.startswith("idealshi.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def _count_calls(monkeypatch, owner, name):
     """Record the arguments of every call to ``owner.name``, through every
     idealshi module that imported it."""
@@ -248,11 +257,7 @@ def _count_calls(monkeypatch, owner, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod is not None and (mod_name == "idealshi" or mod_name.startswith("idealshi.")):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    _replace_everywhere(monkeypatch, original, counted)
     return calls
 
 
@@ -454,6 +459,31 @@ def test_charpoly_mobius_builds_the_case_lattice(capsys, monkeypatch):
     assert [args[0] for args in lattices] == [idealshi.arrangement.shi_arrangement(rs, 1, [], "+")]
 
 
+def test_campaign_reads_mu_once_per_chi(capsys, monkeypatch):
+    # a lattice stores no mu: B3 k=2 reads it once per chi, for the 2 anchors
+    # and the 37 chain steps read off a plane's lattice, and never in a build
+    build, mobius = idealshi.arrangement.intersection_lattice, idealshi.arrangement.IntersectionLattice.mobius
+    building, reads, builds = [False], [], []
+
+    def read(self, within):
+        reads.append(building[0])
+        return mobius(self, within)
+
+    def built(arr):
+        builds.append(arr)
+        building[0] = True
+        try:
+            return build(arr)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(idealshi.arrangement.IntersectionLattice, "mobius", read)
+    _replace_everywhere(monkeypatch, build, built)
+    assert run(capsys, "verify", "B3", "-k", "2", "--all-ideals", "--format", "json")[0] == 0
+    assert len(builds) == 9
+    assert reads == [False] * 39
+
+
 def test_guard_refusal_makes_the_case_skipped(capsys):
     # ziegler and terao both need the cone, which the guards refuse: the case checked nothing
     code, out, _ = run(
@@ -575,7 +605,8 @@ def test_filtration_reports_a_step_that_drops_a_plane(capsys, monkeypatch):
     # {a1, a2, a1+a2}, which lacks the plane {a3 = 0} of step 3
     def swapped(rs, i):
         a1, a2, a3, a12 = rs.positive_roots[:4]
-        return {3: (0, (a1, a3), "+"), 4: (0, (a1, a2, a12), "+")}.get(i) or original(rs, i)
+        mask = idealshi.rootsys.mask_of
+        return {3: (0, mask(rs, (a1, a3)), "+"), 4: (0, mask(rs, (a1, a2, a12)), "+")}.get(i) or original(rs, i)
 
     monkeypatch.setattr(idealshi.cli, "filtration_cone", swapped)
     code, out, _ = run(capsys, "filtration", "A3", "--steps", "5")
@@ -612,8 +643,8 @@ def test_filtration_step_is_its_verify_case(capsys, system, steps):
     rs, table = idealshi.rootsys.build(system), idealshi.arrangement.LatticeCache()
     verdicts = []
     for i, step in enumerate(json.loads(out)["cases"], start=1):
-        k, prefix, sign = idealshi.arrangement.filtration_cone(rs, i)
-        spec = idealshi.cli.CaseSpec(rs, k, sign, idealshi.rootsys.mask_of(rs, prefix), i, ("terao",))
+        k, mask, sign = idealshi.arrangement.filtration_cone(rs, i)
+        spec = idealshi.cli.CaseSpec(rs, k, sign, mask, i, ("terao",))
         [case] = idealshi.cli.run_case(spec, table)
         want = case.to_dict(with_timings=False)
         chain = ["saturated"] if i == 1 else ["saturated", "nested"]
