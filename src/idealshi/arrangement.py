@@ -121,9 +121,9 @@ class IntersectionLattice:
     # levels[c] holds the masks of the flats of codim c, one row of uint64
     # words per flat: bit i set when covectors[i] contains the flat
     levels: tuple[np.ndarray, ...]
-    # edges[c - 3], for each level c >= 3 below the top: the cover edges
+    # edges[c - 3], for each level c >= 3, the top included: the cover edges
     # Y -> X into it, sorted by X, as (index of Y in level c - 1, the bounds
-    # of each X's run of edges); the top is covered by every coatom
+    # of each X's run of edges); the top's one run is every coatom
     edges: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def mobius(self, within: int) -> list[np.ndarray]:
@@ -139,13 +139,12 @@ class IntersectionLattice:
         also gets 0, since such a Y of L(B) would give X = Y cap a_X in L(B).
         So a flat lies in L(B) exactly when its sum has a nonzero term, and
         mu_B vanishes off L(B).  On atoms this is -1 on B, and on codim 2 it
-        is |B_X| - 1 when |B_X| >= 2, a popcount.  From codim 3 on it runs
-        over the recorded edges; the top, beyond the last recorded level, is
-        covered by every coatom.  The values must sum to 0 when B is
-        nonempty, which is checked on every read.
+        is |B_X| - 1 when |B_X| >= 2, a popcount.  From codim 3 on, the top
+        included, it runs over the recorded edges.  The values must sum to 0
+        when B is nonempty, which is checked on every read.
         """
         masks, edges = self.levels, self.edges
-        bits = np.frombuffer(within.to_bytes(8 * masks[0].shape[1], "little"), dtype="<u8")
+        bits = _words(within, masks[0].shape[1])
         mus = [np.ones(1, dtype=np.int64)]
         if len(masks) > 1:
             mus.append(-(masks[1] & bits).any(axis=1).astype(np.int64))
@@ -156,10 +155,6 @@ class IntersectionLattice:
             a = np.repeat(_lowest(masks[codim] & bits), np.diff(bounds))
             off = (a >= 0) & ~_through(masks[codim - 1], parents, a)
             mus.append(-np.add.reduceat(np.where(off, mus[-1][parents], 0), bounds[:-1]))
-        if len(masks) > 3 + len(edges):
-            a = _lowest(masks[-1] & bits)
-            coatoms = np.arange(len(masks[-2]))
-            mus.append(-mus[-1][~_through(masks[-2], coatoms, a.repeat(len(coatoms)))].sum(keepdims=True) * (a >= 0))
         if within and sum(int(mu.sum()) for mu in mus) != 0:
             raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
         return mus
@@ -187,6 +182,11 @@ def _exact(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
 
 def _maxabs(a: np.ndarray) -> int:
     return int(np.abs(a).max()) if a.size else 0
+
+
+def _words(mask: int, words: int) -> np.ndarray:
+    """``mask`` as ``words`` little-endian uint64 words, lowest first."""
+    return np.frombuffer(mask.to_bytes(8 * words, "little"), dtype="<u8")
 
 
 def _lowest(masks: np.ndarray) -> np.ndarray:
@@ -235,13 +235,6 @@ def _sorted_groups(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     first = np.ones(len(order), dtype=bool)
     first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
     return order, first
-
-
-def _merge(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows grouped on their masks, in mask order: the sort order and
-    the start of each group in it."""
-    order, first = _sorted_groups(masks.view(np.int64).T)
-    return order, np.flatnonzero(first)
 
 
 def _children(covs: np.ndarray, start: int, masks: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -299,7 +292,7 @@ MAX_DIM = 5
 
 def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     """Build the full intersection lattice, level by level, with its cover
-    edges from codim 3 on.
+    edges from codim 3 on, the top's included.
 
     A flat X is named by the mask of the hyperplanes containing it.
     Levels 1 and 2 come straight from the planes: each plane is an atom,
@@ -312,12 +305,12 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     those rows is a cover edge to a flat one codimension down, with mask
     mask(X) | class.  Flats merge on their masks, so no row reduction
     happens inside the build.  The top flat is unique, so it is written
-    down directly, covered by every coatom.  No mu is stored:
+    down directly, with one run of edges from every coatom.  No mu is stored:
     :meth:`IntersectionLattice.mobius` reads it off the edges when asked.
     """
     n, m = arr.dim, arr.size
     words = max(1, -(-m // 64))
-    top = np.frombuffer(((1 << m) - 1).to_bytes(8 * words, "little"), dtype="<u8")[None]
+    top = _words((1 << m) - 1, words)[None]
     levels, edges = [np.zeros((1, words), dtype=np.uint64)], []
     if m:
         covs = np.array(arr.covectors, dtype=object).reshape(m, n)
@@ -344,15 +337,16 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
                 _children(covs, s, masks[s : s + _BLOCK], bases[s : s + _BLOCK]) for s in range(0, len(masks), _BLOCK)
             ]
             masks, forms, parents = (np.concatenate(part) for part in zip(*found))
-            order, starts = _merge(masks)
-            keep = order[starts]
+            order, first = _sorted_groups(masks.view(np.int64).T)
+            keep = order[first]
             masks = masks[keep]
             levels.append(masks)
-            edges.append((parents[order].astype(np.int32), np.append(starts, len(order))))
+            edges.append((parents[order].astype(np.int32), np.append(np.flatnonzero(first), len(order))))
             if codim + 1 < rank:  # the top needs no basis
                 bases = _restricted_basis(forms[keep], bases[parents[keep]])
         if rank > 2:
             levels.append(top)
+            edges.append((np.arange(len(masks), dtype=np.int32), np.array([0, len(masks)])))
 
     return IntersectionLattice(arr, tuple(levels), tuple(edges))
 
@@ -437,19 +431,18 @@ class LatticeCache:
     exactly what a cold one does.
     Beside chi it keeps, for the command only, the rank-2 derivation bases,
     the traces of each plane on each restriction plane and, once it holds a
-    campaign's ambient cone (:meth:`hold`), one lattice per restriction
-    plane of that cone, off which each chain step reads its restriction
-    polynomial."""
+    campaign's ambient cone (:meth:`hold`), its restriction onto each chain
+    plane; a chain step reads its restriction polynomial off the lattice of
+    that restriction, built on first read."""
 
     def __init__(self, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM):
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
         self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, kept for the command like chi
         self.traces: dict[Vec, dict[Vec, Vec]] = {}  # restriction plane -> {plane: primitive trace}
-        self.ambient: Optional[Arrangement] = None
-        # restriction plane H of the ambient cone -> (lattice of ambient^H, {plane: index of its trace}),
-        # None until a chain step first restricts onto H; planes with equal restrictions share a lattice
-        self.restricted: dict[Vec, Optional[tuple[IntersectionLattice, dict[Vec, int]]]] = {}
+        # chain plane H of the ambient cone -> (ambient^H, {plane: index of its trace});
+        # planes with equal restrictions share a lattice in _lattices
+        self.restricted: dict[Vec, tuple[Arrangement, dict[Vec, int]]] = {}
         self._lattices: dict[Arrangement, IntersectionLattice] = {}
 
     def admit(self, dim: int, size: int) -> None:
@@ -471,27 +464,30 @@ class LatticeCache:
         which holds every cone of it, when the guards admit it.  One kernel
         call traces all its planes onto each of its restriction planes:
         {root = -k*z} and {root = k*z}, which the chains delete, and
-        {z = 0}, for the multirestrictions."""
+        {z = 0}, for the multirestrictions.  Each chain plane keeps the
+        ambient cone's restriction and the index in it of every plane's trace."""
         full = (1 << rs.n_positive) - 1
         try:
             self.admit(rs.rank + 1, shi_plane_count(rs, k, full, "+"))
         except SizeBoundError:
             return
-        self.ambient = shi_arrangement(rs, k, full, "+")
-        planes = [root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-k, k)] + [z_covector(rs)]
-        for h0, traced in zip(planes, _trace_kernel(planes, self.ambient.covectors)):
-            self.traces.setdefault(h0, {}).update((c, t) for c, t in zip(self.ambient.covectors, traced) if c != h0)
-            self.restricted[h0] = None
+        ambient = shi_arrangement(rs, k, full, "+")
+        chain = [root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-k, k)]
+        planes = [*chain, z_covector(rs)]
+        for h0, traced in zip(planes, _trace_kernel(planes, ambient.covectors)):
+            self.traces.setdefault(h0, {}).update((c, t) for c, t in zip(ambient.covectors, traced) if c != h0)
+        for h0 in chain:
+            arr = restriction(ambient, h0, self.traces)
+            index = {t: i for i, t in enumerate(arr.covectors)}
+            self.restricted[h0] = arr, {c: index[self.traces[h0][c]] for c in ambient.covectors if c != h0}
 
     def plane_lattice(self, h0: Vec) -> Optional[tuple[IntersectionLattice, dict[Vec, int]]]:
-        """The lattice of the ambient cone restricted onto h0, built on first
-        use, and the index in it of each ambient plane's trace; None when
-        h0 is not a restriction plane of a held cone."""
-        if h0 in self.restricted and self.restricted[h0] is None:
-            arr = restriction(self.ambient, h0, self.traces)
-            if arr not in self._lattices:
-                self._lattices[arr] = intersection_lattice(arr)
-            index = {t: i for i, t in enumerate(arr.covectors)}
-            traces = self.traces[h0]
-            self.restricted[h0] = self._lattices[arr], {c: index[traces[c]] for c in self.ambient.covectors if c != h0}
-        return self.restricted.get(h0)
+        """The lattice of the held ambient cone restricted onto h0, built on
+        first read, and the index in it of each ambient plane's trace; None
+        when h0 is not a chain plane of a held cone."""
+        if h0 not in self.restricted:
+            return None
+        arr, index = self.restricted[h0]
+        if arr not in self._lattices:
+            self._lattices[arr] = intersection_lattice(arr)
+        return self._lattices[arr], index

@@ -255,6 +255,46 @@ def test_rank2_restrictions_match_brute_force(systems):
         assert_levels_match_brute_force(restriction(ambient, h))
 
 
+def assert_edges_are_the_cover_relation(lattice):
+    # every level c >= 3, the top included, has its edges; each flat's run
+    # of parents is the set of flats of level c - 1 strictly above it
+    levels, edges = lattice.levels, lattice.edges
+    assert len(edges) == max(0, len(levels) - 3)
+    for codim, (parents, bounds) in enumerate(edges, 3):
+        above, below = levels[codim - 1], levels[codim]
+        assert len(bounds) == len(below) + 1 and bounds[-1] == len(parents)
+        for x, mask in enumerate(below):
+            covered = ((above & mask) == above).all(axis=1) & (above != mask).any(axis=1)
+            assert set(parents[bounds[x] : bounds[x + 1]].tolist()) == set(np.flatnonzero(covered).tolist())
+
+
+@pytest.mark.parametrize("name", ["B3", "A4"])
+def test_recorded_edges_are_the_cover_relation(systems, name):
+    lattice = intersection_lattice(shi_arrangement(systems[name], 1, [], "+"))
+    assert len(lattice.levels) == systems[name].rank + 2  # the top lies at codim rank + 1 >= 4
+    assert_edges_are_the_cover_relation(lattice)
+
+
+def test_a_held_restriction_records_its_top_edges(systems):
+    table = LatticeCache()
+    table.hold(systems["B3"], 2)
+    plane = root_covector(systems["B3"], systems["B3"].positive_roots[0], -2, coned=True)
+    lattice, _ = table.plane_lattice(plane)
+    assert lattice.arrangement.dim == len(lattice.levels) - 1 == 3  # 3 coordinates, the top at codim 3
+    assert_edges_are_the_cover_relation(lattice)
+
+
+@given(
+    rows=st.integers(2, 5).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(-2, 2)] * n).filter(any), min_size=1, max_size=9)
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_random_lattices_record_the_cover_relation(rows):
+    arr = Arrangement.of(len(rows[0]), rows)
+    assert_edges_are_the_cover_relation(intersection_lattice(arr))
+
+
 def test_parallel_lines_are_refused():
     with pytest.raises(ValueError, match="two covectors define the same hyperplane"):
         intersection_lattice(Arrangement(2, ((1, 2), (0, 1), (-2, -4))))
@@ -370,6 +410,22 @@ def test_shi_minus_full_is_coned_weyl(systems):
     assert set(arr.covectors) == want
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cones_with_two_names(systems, k):
+    # the empty ideal adds and removes nothing, and removing level k from
+    # the full ideal leaves the level k - 1 cone with every level -(k - 1)
+    # plane added: filtration finds its step (q + 1, all roots, '-') in the
+    # chi table as the (q, all roots, '+') it has just computed
+    for rs in systems.values():
+        full = (1 << rs.n_positive) - 1
+        for (k1, mask1, sign1), (k2, mask2, sign2) in [
+            ((k, 0, "+"), (k, 0, "-")),
+            ((k, full, "-"), (k - 1, full, "+")),
+        ]:
+            assert shi_arrangement(rs, k1, mask1, sign1) == shi_arrangement(rs, k2, mask2, sign2)
+            assert shi_exponents_dp(rs, k1, mask1, sign1) == shi_exponents_dp(rs, k2, mask2, sign2)
+
+
 def test_shi_rejects_bad_input(systems):
     a2 = systems["A2"]
     for k, sign in ((-1, "+"), (-1, "-"), (0, "-")):
@@ -472,23 +528,25 @@ def test_filtration_rounds_hit_shi_arrangements(systems):
 
 
 def test_a_corrupted_lattice_fails_its_check():
-    # drop a coatom X on plane 0 with its run of cover edges.  For any B that
-    # holds plane 0 and every plane through X, plane 0 is the top's a, so the
-    # top's Weisner sum skips X; mu_B(X) = mu(X) != 0 then goes missing from
-    # the total, which no longer sums to 0, on the full and the masked read
+    # drop a coatom X on plane 0 with its run of cover edges and its edge
+    # into the top.  For any B that holds plane 0 and every plane through X,
+    # plane 0 is the top's a, so the top's Weisner sum skips X; mu_B(X) =
+    # mu(X) != 0 then goes missing from the total, which no longer sums to 0,
+    # on the full and the masked read
     arr = shi_arrangement(build("B3"), 1, [], "+")
     lattice = intersection_lattice(arr)
     full = (1 << arr.size) - 1
-    coatoms, (parents, bounds) = lattice.levels[-2], lattice.edges[-1]
-    assert len(lattice.levels) == 4 + len(lattice.edges)  # the last edges run into the coatoms
+    coatoms, (parents, bounds) = lattice.levels[-2], lattice.edges[-2]
+    assert len(lattice.levels) == 3 + len(lattice.edges)  # edges[-2] run into the coatoms, edges[-1] into the top
     x = int(np.flatnonzero(coatoms[:, 0] & np.uint64(1))[0])
     assert lattice.mobius(full)[-2][x] != 0
     runs = np.delete(np.diff(bounds), x)
     edges = np.delete(parents, np.arange(bounds[x], bounds[x + 1])), np.append(0, np.cumsum(runs))
+    top = np.arange(len(coatoms) - 1, dtype=np.int32), np.array([0, len(coatoms) - 1])  # every coatom left
     broken = dataclasses.replace(
         lattice,
         levels=(*lattice.levels[:-2], np.delete(coatoms, x, axis=0), lattice.levels[-1]),
-        edges=(*lattice.edges[:-1], edges),
+        edges=(*lattice.edges[:-2], edges, top),
     )
     through = int.from_bytes(coatoms[x].astype("<u8").tobytes(), "little")
     off = max(i for i in range(arr.size) if not through >> i & 1)
