@@ -444,10 +444,24 @@ HELD_CAMPAIGNS += [(name, 1, 1) for name in ("A4", "B4", "D4")] + [("F4", 1, 5)]
 def test_masked_reads_match_fresh_restriction_lattices(systems, monkeypatch, name, k, every):
     # each chain step's chi(cone^H), read off the lattice of ambient^H
     # masked to the cone's traces, equals the lattice of cone^H itself
-    steps = held_steps(monkeypatch, systems[name], k)
-    assert len(steps) == 2 * len(enumerate_ideals(systems[name])) - 3  # all but the anchors and (k, {}, '-')
-    for cone, plane, got in steps[::every]:
+    rs = systems[name]
+    steps = held_steps(monkeypatch, rs, k)
+    # every cone but the one anchor (k, all roots, '-'): the walk from
+    # (k, {}, '+') goes on down the '-' chain, and (k, {}, '-') is that cone
+    assert len(steps) == 2 * len(enumerate_ideals(rs)) - 2
+    [empty] = [step for step in steps if step[0] == shi_arrangement(rs, k, 0, "+")]
+    for cone, plane, got in steps[::every] + [empty]:
         assert got == intersection_lattice(restriction(cone, plane)).charpoly_coeffs(), (cone.size, plane)
+
+
+def test_a_table_held_at_level_zero_keeps_the_plus_anchor(systems):
+    # (0, I, '+') is the coned ideal subarrangement, and level 0 has no '-'
+    # chain: the emptied '+' walk stops at {z = 0} even under a held table
+    rs = systems["B3"]
+    table = LatticeCache()
+    table.hold(rs, 0)
+    for mask in enumerate_ideals(rs):
+        assert shi_charpoly(rs, 0, mask, "+", table) == charpoly_mobius(shi_arrangement(rs, 0, mask, "+"))
 
 
 def _flats_within(lattice, within):

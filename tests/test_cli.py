@@ -296,17 +296,17 @@ def test_verify_computes_shared_work_once(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["cases"]) == 12
     assert len(rank2) == 2 * 6  # one multirestriction per sign; the shift-law base comes from chi
-    # the two anchors' own lattices; one lattice per distinct restriction of
-    # the ambient cone (k, all roots, '+') onto the 8 planes the chains
-    # delete, which every other cone's step reads; and the 6 subset
-    # arrangements, whose chi splits into the shift-law base
+    # the one anchor's own lattice, (k, all roots, '-'); one lattice per
+    # distinct restriction of the ambient cone (k, all roots, '+') onto the 8
+    # planes the chains delete, which every other cone's step reads; and the
+    # 6 subset arrangements, whose chi splits into the shift-law base
     rs = idealshi.cli.build("B2")
     ambient = idealshi.arrangement.shi_arrangement(rs, 1, rs.positive_roots, "+")
     steps = [idealshi.arrangement.root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-1, 1)]
     restricted = {idealshi.arrangement.restriction(ambient, h) for h in steps}
     assert len(restricted) == 3
     arrangements = [args[0] for args in lattices]
-    assert len(arrangements) == len(set(arrangements)) == 2 + len(restricted) + 6
+    assert len(arrangements) == len(set(arrangements)) == 1 + len(restricted) + 6
 
 
 def test_rank2_campaign_restricts_each_cone_once(capsys, monkeypatch):
@@ -398,11 +398,11 @@ def _plane_lattices(monkeypatch):
     return held
 
 
-@pytest.mark.parametrize("name, planes, most", [("B3", 18, 2 + 18), ("F4", 48, 2 + 48)])
+@pytest.mark.parametrize("name, planes, most", [("B3", 18, 1 + 18), ("F4", 48, 1 + 48)])
 def test_campaign_builds_one_lattice_per_restriction_plane(capsys, monkeypatch, name, planes, most):
     # every chain step restricts onto one of the 2|Phi+| planes {root = -+k*z}
     # of the ambient cone; each plane's lattice is built once (planes whose
-    # restrictions are equal share one), and the two anchors have their own
+    # restrictions are equal share one), and the one anchor has its own
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
     held = _plane_lattices(monkeypatch)
     code, out, _ = run(capsys, "verify", name, "-k", "1" if name == "F4" else "2", "--all-ideals", "--format", "json")
@@ -410,9 +410,63 @@ def test_campaign_builds_one_lattice_per_restriction_plane(capsys, monkeypatch, 
     per_plane = {id(lattice): lattice.arrangement for lattice in held}
     assert len(per_plane) <= planes
     arrangements = [args[0] for args in lattices]
-    assert len(arrangements) == len(set(arrangements)) == 2 + len(per_plane) <= most
-    # every cone but the two anchors reads its step off a per-plane lattice
-    assert len(held) == len(json.loads(out)["cases"]) - 2 - 1  # the empty ideal's two signs are one cone
+    assert len(arrangements) == len(set(arrangements)) == 1 + len(per_plane) <= most
+    # every cone but the anchor reads its step off a per-plane lattice, and
+    # the empty ideal's two signs are one cone
+    assert len(held) == len(json.loads(out)["cases"]) - 2
+
+
+def _anchors(lattices, rs):
+    """The arrangements of the recorded lattice builds in the cone's rank + 1 coordinates."""
+    return [args[0] for args in lattices if args[0].dim == rs.rank + 1]
+
+
+@pytest.mark.parametrize("name, k", [("B3", 2), ("G2", 5), ("F4", 1)])
+def test_held_level_has_one_anchor(capsys, monkeypatch, name, k):
+    # (k, {}, '+') is (k, {}, '-'): a held campaign walks its '+' chain on
+    # down the '-' chain to (k, all roots, '-'), and never builds the k-Shi cone
+    rs = idealshi.cli.build(name)
+    lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    assert run(capsys, "verify", name, "-k", str(k), "--all-ideals", "--format", "json")[0] == 0
+    assert _anchors(lattices, rs) == [idealshi.arrangement.shi_arrangement(rs, k, (1 << rs.n_positive) - 1, "-")]
+    # one subset holds nothing, so its walk stops at the k-Shi cone and builds it
+    lattices.clear()
+    assert run(capsys, "verify", name, "-k", str(k), "--subset", "none", "--sign", "+", "--format", "json")[0] == 0
+    assert _anchors(lattices, rs) == [idealshi.arrangement.shi_arrangement(rs, k, 0, "+")]
+
+
+def test_unheld_campaign_keeps_two_anchors(capsys, monkeypatch):
+    # the guard of 40 planes refuses B4's ambient cone (49 planes): nothing is
+    # held, and the '+' and '-' walks each stop at their own anchor
+    rs = idealshi.cli.build("B4")
+    lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    argv = ("verify", "B4", "-k", "1", "--all-ideals", "--max-hyperplanes", "40", "--format", "json")
+    assert run(capsys, *argv)[0] == 0
+    full = (1 << rs.n_positive) - 1
+    want = [idealshi.arrangement.shi_arrangement(rs, 1, mask, sign) for mask, sign in ((0, "+"), (full, "-"))]
+    assert _anchors(lattices, rs) == want  # the empty ideal's '+' case, then its '-' case
+
+
+@pytest.mark.parametrize("sign, planes", [("+", 48), ("-", 24)])
+def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, planes):
+    # hold restricts the ambient cone onto all 48 chain planes of F4 k=1; a
+    # '+' campaign reads every one of them, since its empty ideal walks on down
+    # the '-' chain, and a '-' campaign reads its own 24
+    read = idealshi.arrangement.LatticeCache.plane_lattice
+    planes_read = set()
+
+    def counted(self, h0):
+        found = read(self, h0)
+        if found is not None:
+            planes_read.add(h0)
+        return found
+
+    monkeypatch.setattr(idealshi.arrangement.LatticeCache, "plane_lattice", counted)
+    assert run(capsys, "verify", "F4", "-k", "1", "--all-ideals", "--sign", sign, "--format", "json")[0] == 0
+    rs = idealshi.cli.build("F4")
+    levels = (-1, 1) if sign == "+" else (1,)
+    want = {idealshi.arrangement.root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in levels}
+    assert planes_read == want and len(want) == planes
 
 
 @pytest.mark.parametrize(
@@ -460,8 +514,8 @@ def test_charpoly_mobius_builds_the_case_lattice(capsys, monkeypatch):
 
 
 def test_campaign_reads_mu_once_per_chi(capsys, monkeypatch):
-    # a lattice stores no mu: B3 k=2 reads it once per chi, for the 2 anchors
-    # and the 37 chain steps read off a plane's lattice, and never in a build
+    # a lattice stores no mu: B3 k=2 reads it once per chi, for the one anchor
+    # and the 38 chain steps read off a plane's lattice, and never in a build
     build, mobius = idealshi.arrangement.intersection_lattice, idealshi.arrangement.IntersectionLattice.mobius
     building, reads, builds = [False], [], []
 
@@ -480,7 +534,7 @@ def test_campaign_reads_mu_once_per_chi(capsys, monkeypatch):
     monkeypatch.setattr(idealshi.arrangement.IntersectionLattice, "mobius", read)
     _replace_everywhere(monkeypatch, build, built)
     assert run(capsys, "verify", "B3", "-k", "2", "--all-ideals", "--format", "json")[0] == 0
-    assert len(builds) == 9
+    assert len(builds) == 8
     assert reads == [False] * 39
 
 
