@@ -4,8 +4,8 @@ The Mobius-function sum over the intersection lattice is authoritative.
 The signed subset sum (Whitney) and finite-field point counting are
 consistency oracles: divergence means a bug or a bad prime, never
 something to hide.  Ideal-Shi cones also get the Mobius polynomial by
-deletion-restriction along the ideal tree, from two anchor lattices, or
-one per level in a campaign.
+deletion-restriction along the ideal tree, from one anchor lattice per
+level.
 
 The subset sum uses no lattice, table or point count.  Dependent subsets
 cancel in pairs, so it sums over the broken-circuit-free sets only, built
@@ -122,12 +122,11 @@ def shi_charpoly(
 
     The parent of (k, I, '+') is (k, I - last root, '+'), without the plane
     {last = -k*z}; the parent of (k, I, '-') is (k, I + first missing root,
-    '-'), without {that root = k*z}.  The walk stops at a cone the cache
-    holds or at an anchor, (k, {}, '+') or (k, all roots, '-'), whose
-    polynomial comes from its own lattice; when the cache holds level k's
-    '-' chain planes (:meth:`LatticeCache.hold`), an emptied '+' walk goes on
-    as (k, {}, '-'), the same cone, so a campaign never builds the k-Shi
-    cone's lattice, the largest of its level.  Every cone and restriction on
+    '-'), without {that root = k*z}.  At k >= 1 an emptied '+' walk goes
+    on as (k, {}, '-'), the same cone.  So a walk stops at a cone the cache
+    holds or at its level's one anchor, (k, all roots, '-'), or {z = 0} at
+    k = 0, whose polynomial comes from its own lattice; no walk builds the
+    k-Shi cone's lattice, the largest of its level.  Every cone and restriction on
     the way lies inside the case, so the table's guards, which its first
     read applies to the case, bound all of its work.  The canonical
     order is a linear extension, so the parents of an ideal are ideals, and
@@ -141,8 +140,8 @@ def shi_charpoly(
     full = (1 << rs.n_positive) - 1
     chain = []  # (cone, the plane its parent lacks), the case first
     while (hit := cache.get_charpoly(arr)) is None:
-        if sign == "+" and not mask and k and root_covector(rs, rs.positive_roots[0], k, coned=True) in cache.restricted:
-            sign = "-"  # (k, {}, '+') is (k, {}, '-'): a held level walks on down its '-' chain
+        if sign == "+" and not mask and k:
+            sign = "-"  # (k, {}, '+') is (k, {}, '-'): the walk goes on down the '-' chain
         if mask == (0 if sign == "+" else full):
             break
         if sign == "+":

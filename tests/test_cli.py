@@ -426,25 +426,51 @@ def test_held_level_has_one_anchor(capsys, monkeypatch, name, k):
     # (k, {}, '+') is (k, {}, '-'): a held campaign walks its '+' chain on
     # down the '-' chain to (k, all roots, '-'), and never builds the k-Shi cone
     rs = idealshi.cli.build(name)
+    anchor = idealshi.arrangement.shi_arrangement(rs, k, (1 << rs.n_positive) - 1, "-")
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
     assert run(capsys, "verify", name, "-k", str(k), "--all-ideals", "--format", "json")[0] == 0
-    assert _anchors(lattices, rs) == [idealshi.arrangement.shi_arrangement(rs, k, (1 << rs.n_positive) - 1, "-")]
-    # one subset holds nothing, so its walk stops at the k-Shi cone and builds it
+    assert _anchors(lattices, rs) == [anchor]
+    # one subset holds nothing, and its walk still goes on down the '-'
+    # chain to the campaign's anchor, restricting each cone itself
     lattices.clear()
     assert run(capsys, "verify", name, "-k", str(k), "--subset", "none", "--sign", "+", "--format", "json")[0] == 0
-    assert _anchors(lattices, rs) == [idealshi.arrangement.shi_arrangement(rs, k, 0, "+")]
+    assert _anchors(lattices, rs) == [anchor]
 
 
-def test_unheld_campaign_keeps_two_anchors(capsys, monkeypatch):
+def test_unheld_campaign_has_one_anchor(capsys, monkeypatch):
     # the guard of 40 planes refuses B4's ambient cone (49 planes): nothing is
-    # held, and the '+' and '-' walks each stop at their own anchor
+    # held, and the '+' walks still go on down the '-' chain to its anchor
     rs = idealshi.cli.build("B4")
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
     argv = ("verify", "B4", "-k", "1", "--all-ideals", "--max-hyperplanes", "40", "--format", "json")
     assert run(capsys, *argv)[0] == 0
-    full = (1 << rs.n_positive) - 1
-    want = [idealshi.arrangement.shi_arrangement(rs, 1, mask, sign) for mask, sign in ((0, "+"), (full, "-"))]
-    assert _anchors(lattices, rs) == want  # the empty ideal's '+' case, then its '-' case
+    want = idealshi.arrangement.shi_arrangement(rs, 1, (1 << rs.n_positive) - 1, "-")
+    assert _anchors(lattices, rs) == [want] and want.size == 17
+
+
+@pytest.mark.parametrize(
+    "argv, builds, anchor",
+    [
+        (("verify", "D4", "-k", "1", "--subset", "ideal:20", "--sign", "+"), 17, 13),
+        (("verify", "B3", "-k", "2", "--subset", "ideal:7"), 13, 28),
+        (("filtration", "B3", "--steps", "60"), 56, 1),
+        (("filtration", "F4", "--steps", "300"), 72, 1),
+    ],
+    ids=["verify-D4-ideal20-plus", "verify-B3-ideal7", "filtration-B3-60", "filtration-F4-300"],
+)
+def test_one_anchor_per_level_on_every_route(capsys, monkeypatch, argv, builds, anchor):
+    # a walk ends at a cone the table holds, at (k, all roots, '-') or at
+    # {z = 0}, and never builds a k-Shi cone's lattice: one subset's walk
+    # ends at its level's anchor, and a filtration's at the step before
+    rs = idealshi.cli.build(argv[1])
+    lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    assert run(capsys, *argv, "--format", "json")[0] == 0
+    assert len(lattices) == builds
+    if argv[0] == "verify":
+        want = idealshi.arrangement.shi_arrangement(rs, int(argv[3]), (1 << rs.n_positive) - 1, "-")
+    else:
+        want = idealshi.arrangement.Arrangement(rs.rank + 1, (idealshi.arrangement.z_covector(rs),))
+    assert _anchors(lattices, rs) == [want] and want.size == anchor
 
 
 @pytest.mark.parametrize("sign, planes", [("+", 48), ("-", 24)])
