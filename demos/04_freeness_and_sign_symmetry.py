@@ -13,8 +13,10 @@ from idealshi import (
     build,
     charpoly_mobius,
     exp_rank2_multi,
+    mask_of,
     root_arrangement,
     root_covector,
+    roots_of,
     shi_arrangement,
     shift_predict,
     yoshinaga_check,
@@ -31,11 +33,10 @@ h = rs.coxeter_number
 print(f"{rs.type}, k = {k}: freeness of both signs over all subsets\n")
 print(f"{'subset':<22} {'+':<34} {'-':<34}")
 for mask in range(1 << rs.n_positive):
-    sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
-    label = ",".join(r.name for r in sigma) or "(empty)"
+    label = ",".join(r.name for r in roots_of(rs, mask)) or "(empty)"
     cells = []
     for sign in "+-":
-        arr = shi_arrangement(rs, k, sigma, sign)
+        arr = shi_arrangement(rs, k, mask, sign)
         cells.append(str(yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr))))
     print(f"{label:<22} {cells[0]:<34} {cells[1]:<34}")
 
@@ -46,7 +47,7 @@ indicator = {root_covector(rs, r): (1 if r in sigma else 0) for r in rs.positive
 m = exp_rank2_multi(base, indicator)
 print("  sigma = {a1, a1+a2}, base exponents:", m)
 for sign in "+-":
-    arr = shi_arrangement(rs, k, sigma, sign)
+    arr = shi_arrangement(rs, k, mask_of(rs, sigma), sign)
     v = yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr))
     predicted = shift_predict(ExponentMultiset(m), k, h, sign)
     print(f"  sign {sign}: verdict {v}  (shift law gives {predicted})")

@@ -29,7 +29,7 @@ for i in range(1, 2 * 2 * n + 2):
     nested = "" if prev is None else ("  nested" if set(prev.covectors) <= set(arr.covectors) else "  BROKEN")
     mark = ""
     for k in (1, 2):
-        if set(arr.covectors) == set(shi_arrangement(rs, k, [], "+").covectors):
+        if set(arr.covectors) == set(shi_arrangement(rs, k, 0, "+").covectors):
             mark = f"   <- Shi cone, k = {k}"
     status = "ok" if verdict.passed else "MISMATCH"
     print(f"step {i:>2}  |A| = {arr.size:>2}  exponents {str(exps):<14} {status}{nested}{mark}")

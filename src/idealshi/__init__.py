@@ -14,6 +14,7 @@ from .arrangement import (
     IntersectionLattice,
     LatticeCache,
     SizeBoundError,
+    chain_parent,
     filtration_cone,
     intersection_lattice,
     restriction,
@@ -57,6 +58,7 @@ from .rootsys import (
     build,
     dual_partition,
     is_ideal,
+    mask_of,
     roots_of,
     shi_exponents_dp,
     shift_predict,

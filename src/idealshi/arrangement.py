@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Vec
-from .rootsys import Root, RootSystem, shi_plane_count, shi_planes
+from .rootsys import Root, RootSystem, roots_of, shi_plane_count, shi_planes
 
 
 class SizeBoundError(RuntimeError):
@@ -77,30 +77,52 @@ def z_covector(rs: RootSystem) -> Vec:
     return (0,) * rs.rank + (1,)
 
 
-def root_arrangement(rs: RootSystem, roots: Optional[Iterable[Root]] = None) -> Arrangement:
-    """The arrangement {root = 0 : root in subset} in rank-many coordinates."""
-    chosen = rs.positive_roots if roots is None else tuple(roots)
+def root_arrangement(rs: RootSystem, mask: Optional[int] = None) -> Arrangement:
+    """The arrangement {root = 0 : root in mask, or any root without one} in rank-many coordinates."""
+    chosen = rs.positive_roots if mask is None else roots_of(rs, mask)
     return Arrangement(rs.rank, tuple(sorted({root_covector(rs, r) for r in chosen})))
 
 
-def shi_arrangement(rs: RootSystem, k: int, sigma: Iterable[Root] | int, sign: str) -> Arrangement:
-    """Coned k-extended Shi arrangement plus the level -k planes of sigma
-    (sign '+') or minus the level k planes of sigma (sign '-'); sigma is
-    given by its roots or its mask."""
+def shi_arrangement(rs: RootSystem, k: int, mask: int, sign: str) -> Arrangement:
+    """Coned k-extended Shi arrangement plus the level -k planes of the
+    roots in ``mask`` (sign '+') or minus their level k planes (sign '-')."""
     # positive roots are primitive and nonnegative, and the (root, level) pairs are distinct
-    covs = [root.coeffs + (-j,) for root, j in shi_planes(rs, k, sigma, sign)]
+    covs = [root.coeffs + (-j,) for root, j in shi_planes(rs, k, mask, sign)]
     return Arrangement(rs.rank + 1, tuple(sorted(covs + [z_covector(rs)])))
+
+
+def chain_parent(rs: RootSystem, k: int, mask: int, sign: str) -> Optional[tuple[int, str, Vec]]:
+    """The parent of the ideal-Shi cone (k, mask, sign) on its chain, as (its
+    mask, its sign, the covector the cone adds to it); None at an anchor.
+
+    The parent of (k, I, '+') is (k, I - its last root, '+'), without
+    {last = -k*z}; that of (k, I, '-') is (k, I + its first missing root,
+    '-'), without {that root = k*z}.  The canonical order is a linear
+    extension, so the parents of an ideal are ideals.  (k, {}, '+') is the
+    cone (k, {}, '-'), so at k >= 1 an emptied '+' chain goes on down the
+    '-' chain.  The anchors are (k, all roots, '-') for k >= 1, which is
+    the cone (k - 1, all roots, '+'), and {z = 0} at k = 0.
+    """
+    if sign == "+" and not mask and k:
+        sign = "-"
+    if mask == (0 if sign == "+" else (1 << rs.n_positive) - 1):
+        return None
+    if sign == "+":
+        i, level = mask.bit_length() - 1, -k
+    else:
+        i, level = (~mask & (mask + 1)).bit_length() - 1, k
+    return mask ^ 1 << i, sign, root_covector(rs, rs.positive_roots[i], level, coned=True)
 
 
 def filtration_cone(rs: RootSystem, i: int) -> tuple[int, int, str]:
     """Step i of the saturated chain as the ideal-Shi cone (k, ideal mask, sign).
 
-    With n positive roots and q, r = divmod(i - 1, 2n), round q first adds
-    level -q along the canonical root order, giving (q, first r roots, '+'),
-    then level q+1 in reverse order, giving (q+1, first 2n-r roots, '-').
-    Height never decreases along that order, so every prefix is an ideal,
-    and the mask of the first r roots is (1 << r) - 1; at q = 0 the cone is
-    {z = 0} plus the planes {root = 0} of the ideal.
+    With n positive roots and q, r = divmod(i - 1, 2n), round q is
+    (q, first r roots, '+') for r <= n, then (q+1, first 2n-r roots, '-'):
+    the chains of :func:`chain_parent` read upward, so step i adds to step
+    i - 1 the plane that ``chain_parent(rs, *filtration_cone(rs, i))`` names.
+    Height never decreases along the canonical order, so every prefix is an
+    ideal, and the mask of the first r roots is (1 << r) - 1.
     """
     if i < 1:
         raise ValueError("filtration steps are indexed from 1")
@@ -459,20 +481,24 @@ class LatticeCache:
     def put_charpoly(self, arr: Arrangement, coeffs: Sequence[int]) -> None:
         self._memory[arr] = tuple(coeffs)
 
-    def hold(self, rs: RootSystem, k: int) -> None:
+    def hold(self, rs: RootSystem, k: int, signs: Sequence[str]) -> None:
         """Hold the ambient cone (k, all roots, '+') of a campaign at level k,
         which holds every cone of it, when the guards admit it.  One kernel
-        call traces all its planes onto each of its restriction planes:
-        {root = -k*z} and {root = k*z}, which the chains delete, and
-        {z = 0}, for the multirestrictions.  Each chain plane keeps the
-        ambient cone's restriction and the index in it of every plane's trace."""
+        call traces its planes onto {z = 0}, for the multirestrictions, and
+        onto each plane of the longest walk under :func:`chain_parent` from a
+        cone of ``signs``, the campaign's; each of those keeps the ambient
+        cone's restriction onto it and the index there of every plane's trace."""
         full = (1 << rs.n_positive) - 1
         try:
             self.admit(rs.rank + 1, shi_plane_count(rs, k, full, "+"))
         except SizeBoundError:
             return
         ambient = shi_arrangement(rs, k, full, "+")
-        chain = [root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-k, k)]
+        chain = []  # a '+' walk goes on down the whole '-' chain, so the longest walk holds every plane
+        mask, sign = (full, "+") if "+" in signs else (0, "-")
+        while (parent := chain_parent(rs, k, mask, sign)) is not None:
+            mask, sign, plane = parent
+            chain.append(plane)
         planes = [*chain, z_covector(rs)]
         for h0, traced in zip(planes, _trace_kernel(planes, ambient.covectors)):
             self.traces.setdefault(h0, {}).update((c, t) for c, t in zip(ambient.covectors, traced) if c != h0)

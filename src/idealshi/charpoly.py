@@ -4,8 +4,8 @@ The Mobius-function sum over the intersection lattice is authoritative.
 The signed subset sum (Whitney) and finite-field point counting are
 consistency oracles: divergence means a bug or a bad prime, never
 something to hide.  Ideal-Shi cones also get the Mobius polynomial by
-deletion-restriction along the ideal tree, from one anchor lattice per
-level.
+deletion-restriction down the chains of :func:`arrangement.chain_parent`,
+from one anchor lattice per level.
 
 The subset sum uses no lattice, table or point count.  Dependent subsets
 cancel in pairs, so it sums over the broken-circuit-free sets only, built
@@ -34,14 +34,14 @@ from .arrangement import (
     _exact,
     _maxabs,
     _primitive,
+    chain_parent,
     intersection_lattice,
     is_central_charpoly,
     restriction,
-    root_covector,
     shi_arrangement,
 )
 from .linalg import Vec
-from .rootsys import ExponentMultiset, Root, RootSystem, _mask
+from .rootsys import ExponentMultiset, RootSystem
 
 
 @dataclass(frozen=True)
@@ -109,47 +109,30 @@ def charpoly_mobius(arr: Arrangement, cache: Optional[LatticeCache] = None) -> C
 def shi_charpoly(
     rs: RootSystem,
     k: int,
-    subset: Union[Sequence[Root], int],
+    mask: int,
     sign: str,
     cache: Optional[LatticeCache] = None,
     *,
     cone: Optional[Arrangement] = None,
 ) -> CharPoly:
-    """Polynomial of the ideal-Shi cone (k, subset, sign) by deletion-restriction,
-    chi(A) = chi(A - H) - chi(A^H), one plane at a time.  The subset is
-    given by its roots or its mask; ``cone`` is the cone when the caller
-    has already built it.
+    """Polynomial of the ideal-Shi cone (k, mask, sign) by deletion-restriction,
+    chi(A) = chi(A - H) - chi(A^H), deleting the plane that
+    :func:`arrangement.chain_parent` names, parent after parent, down to a
+    cone the cache holds or to an anchor, whose polynomial comes from its
+    own lattice; ``cone`` is the cone when the caller has already built it.
 
-    The parent of (k, I, '+') is (k, I - last root, '+'), without the plane
-    {last = -k*z}; the parent of (k, I, '-') is (k, I + first missing root,
-    '-'), without {that root = k*z}.  At k >= 1 an emptied '+' walk goes
-    on as (k, {}, '-'), the same cone.  So a walk stops at a cone the cache
-    holds or at its level's one anchor, (k, all roots, '-'), or {z = 0} at
-    k = 0, whose polynomial comes from its own lattice; no walk builds the
-    k-Shi cone's lattice, the largest of its level.  Every cone and restriction on
-    the way lies inside the case, so the table's guards, which its first
-    read applies to the case, bound all of its work.  The canonical
-    order is a linear extension, so the parents of an ideal are ideals, and
-    in a campaign each case costs one restriction polynomial
+    No walk builds the k-Shi cone's lattice, the largest of its level.  Every
+    cone and restriction on the way lies inside the case, so the table's
+    guards, which its first read applies to the case, bound all of its work.
+    In a campaign each case costs one restriction polynomial
     (:func:`_restricted_coeffs`).  Each step's result must vanish at t = 1
     and have -|A| as its t^(n-1) coefficient, as every central polynomial does.
     """
-    mask = _mask(rs, subset)
     arr = shi_arrangement(rs, k, mask, sign) if cone is None else cone
     cache = LatticeCache() if cache is None else cache
-    full = (1 << rs.n_positive) - 1
     chain = []  # (cone, the plane its parent lacks), the case first
-    while (hit := cache.get_charpoly(arr)) is None:
-        if sign == "+" and not mask and k:
-            sign = "-"  # (k, {}, '+') is (k, {}, '-'): the walk goes on down the '-' chain
-        if mask == (0 if sign == "+" else full):
-            break
-        if sign == "+":
-            i, level = mask.bit_length() - 1, -k
-        else:
-            i, level = (~mask & (mask + 1)).bit_length() - 1, k
-        mask ^= 1 << i
-        plane = root_covector(rs, rs.positive_roots[i], level, coned=True)
+    while (hit := cache.get_charpoly(arr)) is None and (parent := chain_parent(rs, k, mask, sign)) is not None:
+        mask, sign, plane = parent
         chain.append((arr, plane))
         arr = arr.delete(plane)
     poly = charpoly_mobius(arr, cache) if hit is None else CharPoly(hit)

@@ -116,7 +116,6 @@ class SubsetFacts:
         self.rs = spec.rs
         self.k = spec.k
         self.mask = spec.subset_mask
-        self.roots = roots_of(self.rs, self.mask)
         self.ideal = is_ideal(self.rs, self.mask)
         self.cache = cache
         self.arrangements: dict[str, Arrangement] = {}
@@ -159,7 +158,7 @@ class SubsetFacts:
         the split of chi of the subset arrangement, shifted by 2k; None when
         it does not split.  In 2 coordinates every arrangement is free, so
         there the split is exactly the subset's exponent pair."""
-        split = try_factor_exponents(charpoly_mobius(root_arrangement(self.rs, self.roots), self.cache))
+        split = try_factor_exponents(charpoly_mobius(root_arrangement(self.rs, self.mask), self.cache))
         if isinstance(split, FactorFailure):
             return None
         return {s: ExponentMultiset((1,) + shift_predict(split, self.k, self.rs.coxeter_number, s).parts) for s in "+-"}
@@ -269,7 +268,7 @@ def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
                 k=spec.k,
                 sign=sign,
                 subset_kind="ideal" if facts.ideal else "roots",
-                subset_roots=tuple(r.name for r in facts.roots),
+                subset_roots=tuple(r.name for r in roots_of(facts.rs, facts.mask)),
                 subset_index=spec.subset_index,
                 arrangement_size=facts.size(sign),
                 predicted_exponents=predicted and predicted.parts,
@@ -317,12 +316,11 @@ def cmd_exponents(args) -> int:
         return 0
     rows = []
     for mask, idx in grid:
-        roots = roots_of(rs, mask)
         if not is_ideal(rs, mask):
             raise UsageError("dual-partition exponents are defined for ideals only")
+        label = ",".join(r.name for r in roots_of(rs, mask)) or "(empty)"
         for sign in _signs(args.sign or "both"):
             exps = shi_exponents_dp(rs, args.k, mask, sign)
-            label = ",".join(r.name for r in roots) or "(empty)"
             rows.append((idx if idx is not None else "-", sign, label, exps))
     sys.stdout.write(text_table(rows, ["ideal", "sign", "roots", "exponents"]))
     return 0
@@ -381,7 +379,7 @@ def cmd_verify(args) -> int:
     ]
     cache = _table(args)
     if len(specs) > 1:  # a campaign: each chain step reads its restriction off one lattice per plane
-        cache.hold(rs, args.k)
+        cache.hold(rs, args.k, _signs(sign))
     cases = [c for spec in specs for c in run_case(spec, cache)]
     report = Report(command="verify", tool_version=__version__, cases=cases)
     _emit(report.render(args.format, with_timings=args.timings), args)
@@ -427,14 +425,13 @@ def cmd_charpoly(args) -> int:
     if args.sign == "both":
         raise UsageError("charpoly computes one polynomial: --sign takes + or -")
     sign = args.sign or "+"  # by default the polynomial of the cone adding planes
-    roots = roots_of(rs, mask)
     if args.k is None:
-        arr = root_arrangement(rs, roots if args.subset is not None else None)
+        arr = root_arrangement(rs, mask if args.subset is not None else None)
         dim, size = arr.dim, arr.size
         label = f"A({args.subset or 'all roots'}) in {arr.dim} coordinates"
     else:
         arr, dim, size = None, rs.rank + 1, shi_plane_count(rs, args.k, mask, sign)  # built once a route admits it
-        label = f"Shi k={args.k} sign {sign} subset {{{','.join(r.name for r in roots)}}}"
+        label = f"Shi k={args.k} sign {sign} subset {{{','.join(r.name for r in roots_of(rs, mask))}}}"
     cache = _table(args)
     polys = {}
     methods = ("mobius", "whitney", "finite-field") if args.method == "all" else (args.method,)

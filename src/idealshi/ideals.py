@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rootsys import ExponentMultiset, RootSystem, dual_partition, roots_of, weyl_exponents
+from .rootsys import RootSystem, ideal_exponents, weyl_exponents  # ideal_exponents is re-exported here
 
 
 def weyl_catalan_number(rs: RootSystem) -> int:
@@ -50,8 +50,3 @@ def enumerate_ideals(rs: RootSystem, max_rank: int = 4) -> tuple[int, ...]:
             f"ideal count {len(masks)} for {rs.type} disagrees with the Weyl-Catalan number"
         )
     return tuple(masks)
-
-
-def ideal_exponents(rs: RootSystem, mask: int) -> ExponentMultiset:
-    """Dual partition of the ideal's height multiset, padded to the rank."""
-    return dual_partition((r.height for r in roots_of(rs, mask)), rs.rank)

@@ -267,11 +267,6 @@ def dual_partition(values: Iterable[int], d: int) -> ExponentMultiset:
     return ExponentMultiset(tuple(parts))
 
 
-def weyl_exponents(rs: RootSystem) -> ExponentMultiset:
-    """Exponents of the Weyl arrangement: dual partition of the root heights."""
-    return dual_partition((r.height for r in rs.positive_roots), rs.rank)
-
-
 def mask_of(rs: RootSystem, roots: Iterable[Root]) -> int:
     """Bitmask of a subset of the positive roots, by canonical index."""
     mask = 0
@@ -288,14 +283,18 @@ def roots_of(rs: RootSystem, mask: int) -> tuple[Root, ...]:
     return tuple(r for i, r in enumerate(rs.positive_roots) if mask >> i & 1)
 
 
-def _mask(rs: RootSystem, subset: Iterable[Root] | int) -> int:
-    """A subset given as roots or already as its mask, as its mask."""
-    return subset if isinstance(subset, int) else mask_of(rs, subset)
+def ideal_exponents(rs: RootSystem, mask: int) -> ExponentMultiset:
+    """e(I): the dual partition of the heights of the roots in ``mask``, padded to the rank."""
+    return dual_partition((r.height for r in roots_of(rs, mask)), rs.rank)
 
 
-def is_ideal(rs: RootSystem, roots: Iterable[Root] | int) -> bool:
+def weyl_exponents(rs: RootSystem) -> ExponentMultiset:
+    """Exponents of the Weyl arrangement: e(I) of the ideal of all positive roots."""
+    return ideal_exponents(rs, (1 << rs.n_positive) - 1)
+
+
+def is_ideal(rs: RootSystem, mask: int) -> bool:
     """Downward-closure test under dominance."""
-    mask = _mask(rs, roots)
     below = rs.below_masks
     for i in range(rs.n_positive):
         if mask >> i & 1 and below[i] & ~mask:
@@ -310,32 +309,31 @@ def _check_cone(k: int, sign: str) -> None:
         raise ValueError("k must be a positive integer, or 0 with sign '+'")
 
 
-def shi_levels(rs: RootSystem, k: int, roots: Iterable[Root] | int, sign: str) -> list[range]:
+def shi_levels(rs: RootSystem, k: int, mask: int, sign: str) -> list[range]:
     """For each positive root, the levels j of the planes {root = j*z} of
-    an ideal-Shi cone; the subset is given by its roots or its mask.
+    the ideal-Shi cone (k, mask, sign).
 
     Sign '+': levels 1-k..k for all roots, plus level -k on the subset.
     Sign '-': levels 1-k..k with level k removed on the subset.
     At k = 0 only sign '+' is defined: the subset's planes {root = 0}.
     """
     _check_cone(k, sign)
-    mask = _mask(rs, roots)
     members = [mask >> i & 1 for i in range(rs.n_positive)]
     if sign == "+":
         return [range(1 - k - m, k + 1) for m in members]
     return [range(1 - k, k - m + 1) for m in members]
 
 
-def shi_planes(rs: RootSystem, k: int, roots: Iterable[Root] | int, sign: str) -> list[tuple[Root, int]]:
+def shi_planes(rs: RootSystem, k: int, mask: int, sign: str) -> list[tuple[Root, int]]:
     """The (root, level) pairs of the planes {root = level*z} of an
     ideal-Shi cone, besides {z = 0}."""
-    levels = shi_levels(rs, k, roots, sign)
+    levels = shi_levels(rs, k, mask, sign)
     return [(root, j) for root, js in zip(rs.positive_roots, levels) for j in js]
 
 
-def shi_plane_count(rs: RootSystem, k: int, roots: Iterable[Root] | int, sign: str) -> int:
+def shi_plane_count(rs: RootSystem, k: int, mask: int, sign: str) -> int:
     """Hyperplanes of the ideal-Shi cone, {z = 0} included, without listing them."""
-    return 1 + sum(len(js) for js in shi_levels(rs, k, roots, sign))
+    return 1 + sum(len(js) for js in shi_levels(rs, k, mask, sign))
 
 
 def shift_predict(base_exp: ExponentMultiset, k: int, h: int, sign: str) -> ExponentMultiset:
@@ -348,13 +346,10 @@ def shift_predict(base_exp: ExponentMultiset, k: int, h: int, sign: str) -> Expo
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def shi_exponents_dp(rs: RootSystem, k: int, ideal: Iterable[Root] | int, sign: str) -> ExponentMultiset:
+def shi_exponents_dp(rs: RootSystem, k: int, mask: int, sign: str) -> ExponentMultiset:
     """Predicted ideal-Shi exponents (1, kh +/- e_i(I)): the shift law applied
-    to e(I), the dual partition of the ideal's heights.  The ideal is given
-    by its roots or its mask."""
-    mask = _mask(rs, ideal)
+    to e(I) (:func:`ideal_exponents`)."""
     if not is_ideal(rs, mask):
         raise ValueError("subset is not downward closed under dominance")
     _check_cone(k, sign)
-    e = dual_partition((r.height for r in roots_of(rs, mask)), rs.rank)
-    return ExponentMultiset((1,) + shift_predict(e, k, rs.coxeter_number, sign).parts)
+    return ExponentMultiset((1,) + shift_predict(ideal_exponents(rs, mask), k, rs.coxeter_number, sign).parts)

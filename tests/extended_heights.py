@@ -27,10 +27,9 @@ def ext_height_z():
     return 1
 
 
-def shi_defining_values(rs, k, ideal_roots, sign):
-    """Extended heights of the defining vectors of an ideal-Shi cone:
-    z plus every plane of ``shi_planes``."""
-    ideal_roots = tuple(ideal_roots)
-    if not is_ideal(rs, ideal_roots):
+def shi_defining_values(rs, k, mask, sign):
+    """Extended heights of the defining vectors of the ideal-Shi cone
+    (k, mask, sign): z plus every plane of ``shi_planes``."""
+    if not is_ideal(rs, mask):
         raise ValueError("subset is not downward closed under dominance")
-    return [ext_height_z()] + [ext_height(rs, r, j) for r, j in shi_planes(rs, k, ideal_roots, sign)]
+    return [ext_height_z()] + [ext_height(rs, r, j) for r, j in shi_planes(rs, k, mask, sign)]

@@ -23,6 +23,7 @@ from idealshi import (
     exp_rank2_multi,
     filtration_cone,
     ideal_exponents,
+    mask_of,
     restriction,
     root_arrangement,
     root_covector,
@@ -76,7 +77,7 @@ def test_c02_shi_charpoly_product_form(systems):
         rs = systems[name]
         h, ell = rs.coxeter_number, rs.rank
         for k in (1, 2):
-            got = charpoly_mobius(shi_arrangement(rs, k, [], "+"))
+            got = charpoly_mobius(shi_arrangement(rs, k, 0, "+"))
             want = CharPoly.from_roots([1] + [k * h] * ell)
             checked += 1
             if got.coeffs != want.coeffs:
@@ -94,10 +95,9 @@ def test_c03_ideal_shi_exponent_campaign(systems):
         ideal_total += len(ideals)
         for k in (1, 2):
             for mask in ideals:
-                roots = roots_of(rs, mask)
                 for sign in "+-":
-                    arr = shi_arrangement(rs, k, roots, sign)
-                    predicted = shi_exponents_dp(rs, k, roots, sign)
+                    arr = shi_arrangement(rs, k, mask, sign)
+                    predicted = shi_exponents_dp(rs, k, mask, sign)
                     verdict = terao_check(charpoly_mobius(arr), predicted)
                     checked += 1
                     if not verdict.passed:
@@ -117,7 +117,6 @@ def test_c04_rank2_sign_symmetry_complete(systems):
         simple_mask = sum(1 << rs.index[r.coeffs] for r in rs.positive_roots if r.height == 1)
         for k in (1, 2):
             for mask in range(1 << rs.n_positive):
-                sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
                 expected_free = mask == 0 or bool(mask & simple_mask)
                 indicator = {
                     root_covector(rs, r): 1 if mask >> i & 1 else 0
@@ -126,7 +125,7 @@ def test_c04_rank2_sign_symmetry_complete(systems):
                 base_exp = exp_rank2_multi(base, indicator)
                 verdicts = {}
                 for sign in "+-":
-                    arr = shi_arrangement(rs, k, sigma, sign)
+                    arr = shi_arrangement(rs, k, mask, sign)
                     v = yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr))
                     verdicts[sign] = v
                     checked += 1
@@ -143,7 +142,7 @@ def test_c04_rank2_sign_symmetry_complete(systems):
                     bad.append((name, k, mask, "freeness"))
     # the explicit witness: Sigma = {a1+a2} in A2 at k = 1
     a2 = systems["A2"]
-    witness_arr = shi_arrangement(a2, 1, [a2.root_at((1, 1))], "+")
+    witness_arr = shi_arrangement(a2, 1, mask_of(a2, [a2.root_at((1, 1))]), "+")
     witness = yoshinaga_check(*ziegler_multiplicity(witness_arr, z_covector(a2)), charpoly_mobius(witness_arr))
     if witness.free or witness.chi0_zero != 13 or witness.restriction_exponents != (3, 4):
         bad.append(("A2", "witness"))
@@ -156,7 +155,7 @@ def test_c05_ideal_subarrangement_exponents(systems):
     for name in ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3"):
         rs = systems[name]
         for mask in enumerate_ideals(rs):
-            arr = root_arrangement(rs, roots_of(rs, mask))
+            arr = root_arrangement(rs, mask)
             want = CharPoly.from_roots(tuple(ideal_exponents(rs, mask)))
             got = charpoly_mobius(arr)
             checked += 1
@@ -174,10 +173,9 @@ def test_c06_boundary_restriction_counts(systems):
         simple = {r for r in rs.positive_roots if r.height == 1}
         for k in (1, 2, 3):
             for mask in range(1 << rs.n_positive):
-                sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
-                sigma_set = set(sigma)
-                plus = shi_arrangement(rs, k, sigma, "+")
-                minus = shi_arrangement(rs, k, sigma, "-")
+                sigma_set = set(roots_of(rs, mask))
+                plus = shi_arrangement(rs, k, mask, "+")
+                minus = shi_arrangement(rs, k, mask, "-")
                 for alpha in rs.positive_roots:
                     if alpha in sigma_set:
                         continue
@@ -240,15 +238,15 @@ def _oracle_corpus(systems):
     corpus = []
     for name in RANK2:
         rs = systems[name]
-        corpus.append(shi_arrangement(rs, 1, [], "+"))
-        corpus.append(shi_arrangement(rs, 1, rs.positive_roots, "+"))
-        corpus.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
-        corpus.append(shi_arrangement(rs, 1, [rs.positive_roots[0]], "+"))
+        corpus.append(shi_arrangement(rs, 1, 0, "+"))
+        corpus.append(shi_arrangement(rs, 1, mask_of(rs, rs.positive_roots), "+"))
+        corpus.append(shi_arrangement(rs, 1, mask_of(rs, rs.positive_roots), "-"))
+        corpus.append(shi_arrangement(rs, 1, mask_of(rs, [rs.positive_roots[0]]), "+"))
         corpus.append(root_arrangement(rs))
     for name in ("A3", "B3"):
         rs = systems[name]
-        corpus.append(shi_arrangement(rs, 1, [], "+"))
-        corpus.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
+        corpus.append(shi_arrangement(rs, 1, 0, "+"))
+        corpus.append(shi_arrangement(rs, 1, mask_of(rs, rs.positive_roots), "-"))
         corpus.append(root_arrangement(rs))
     a2 = systems["A2"]
     corpus.extend(shi_arrangement(a2, *filtration_cone(a2, i)) for i in (2, 5, 9))
@@ -306,9 +304,8 @@ def test_c10_ziegler_multirestriction(systems):
         hz = z_covector(rs)
         for k in (1, 2):
             for mask in range(1 << rs.n_positive):
-                sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
                 for sign, delta in (("+", 1), ("-", -1)):
-                    arr = shi_arrangement(rs, k, sigma, sign)
+                    arr = shi_arrangement(rs, k, mask, sign)
                     restricted, mult = ziegler_multiplicity(arr, hz)
                     want = {
                         root_covector(rs, r): 2 * k + (delta if mask >> i & 1 else 0)

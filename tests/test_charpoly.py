@@ -37,7 +37,7 @@ from idealshi import (
     terao_check,
     try_factor_exponents,
 )
-from idealshi.rootsys import ExponentMultiset, Root, roots_of, shi_plane_count
+from idealshi.rootsys import ExponentMultiset, Root, mask_of, shi_plane_count
 from whitney_walk import whitney_walk
 
 
@@ -48,10 +48,10 @@ def poly_of_roots(*roots):
 def test_frozen_polynomials():
     a2 = build("A2")
     b2 = build("B2")
-    assert charpoly_mobius(shi_arrangement(a2, 1, [], "+")).coeffs == poly_of_roots(1, 3, 3)
-    assert charpoly_mobius(shi_arrangement(a2, 1, a2.positive_roots, "+")).coeffs == poly_of_roots(1, 4, 5)
-    assert charpoly_mobius(shi_arrangement(a2, 1, a2.positive_roots, "-")).coeffs == poly_of_roots(1, 1, 2)
-    assert charpoly_mobius(shi_arrangement(b2, 1, [], "+")).coeffs == poly_of_roots(1, 4, 4)
+    assert charpoly_mobius(shi_arrangement(a2, 1, 0, "+")).coeffs == poly_of_roots(1, 3, 3)
+    assert charpoly_mobius(shi_arrangement(a2, 1, mask_of(a2, a2.positive_roots), "+")).coeffs == poly_of_roots(1, 4, 5)
+    assert charpoly_mobius(shi_arrangement(a2, 1, mask_of(a2, a2.positive_roots), "-")).coeffs == poly_of_roots(1, 1, 2)
+    assert charpoly_mobius(shi_arrangement(b2, 1, 0, "+")).coeffs == poly_of_roots(1, 4, 4)
     assert charpoly_mobius(root_arrangement(a2)).coeffs == poly_of_roots(1, 2)
     boolean = Arrangement.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert charpoly_mobius(boolean).coeffs == poly_of_roots(1, 1, 1)
@@ -63,16 +63,16 @@ def test_frozen_polynomials():
 
 def test_whitney_matches_hand_values():
     a2 = build("A2")
-    assert charpoly_whitney(shi_arrangement(a2, 1, a2.positive_roots, "-")).coeffs == poly_of_roots(1, 1, 2)
+    assert charpoly_whitney(shi_arrangement(a2, 1, 0b111, "-")).coeffs == poly_of_roots(1, 1, 2)
     b2 = build("B2")
-    assert charpoly_whitney(shi_arrangement(b2, 1, [], "+")).coeffs == poly_of_roots(1, 4, 4)
+    assert charpoly_whitney(shi_arrangement(b2, 1, 0, "+")).coeffs == poly_of_roots(1, 4, 4)
     single = Arrangement.of(2, [(1, 0)])
     assert charpoly_whitney(single).coeffs == (0, -1, 1)
 
 
 def test_whitney_size_guard():
     g2 = build("G2")
-    big = shi_arrangement(g2, 2, g2.positive_roots, "+")  # 31 planes
+    big = shi_arrangement(g2, 2, mask_of(g2, g2.positive_roots), "+")  # 31 planes
     with pytest.raises(SizeBoundError):
         charpoly_whitney(big)
 
@@ -88,13 +88,12 @@ def test_whitney_pass_matches_the_walk_on_ideal_shi_cones(systems, name, k):
     table = LatticeCache()
     checked = 0
     for mask in enumerate_ideals(rs):
-        roots = roots_of(rs, mask)
         for sign in "+" if k == 0 else "+-":
-            if shi_plane_count(rs, k, roots, sign) > 22:
+            if shi_plane_count(rs, k, mask, sign) > 22:
                 continue
-            arr = shi_arrangement(rs, k, roots, sign)
+            arr = shi_arrangement(rs, k, mask, sign)
             chi = charpoly_whitney(arr)
-            assert chi == whitney_walk(arr) == charpoly_mobius(arr, table), (roots, sign)
+            assert chi == whitney_walk(arr) == charpoly_mobius(arr, table), (mask, sign)
             checked += 1
     assert checked
 
@@ -133,7 +132,7 @@ E8_SUBSET = "a1,a2,a3,a4,a5,a6,a7,a8,a1+a3,a2+a4,a3+a4,a4+a5,a5+a6,a6+a7,a7+a8,a
 def test_whitney_pass_matches_the_walk_on_root_arrangements():
     arrs = [root_arrangement(build(name)) for name in ("A5", "A6", "B4", "D5")]
     e8 = build("E8")
-    arrs.append(root_arrangement(e8, [e8.root_at(Root.parse(r, 8).coeffs) for r in E8_SUBSET.split(",")]))
+    arrs.append(root_arrangement(e8, mask_of(e8, [Root.parse(r, 8) for r in E8_SUBSET.split(",")])))
     table = LatticeCache()
     for arr in arrs:
         chi = charpoly_whitney(arr)
@@ -161,7 +160,7 @@ def test_whitney_temporaries_are_bounded():
 
 
 def test_whitney_needs_no_lattice_table_or_point_count(systems, monkeypatch):
-    arr = shi_arrangement(systems["B3"], 1, [], "+")
+    arr = shi_arrangement(systems["B3"], 1, 0, "+")
     want = charpoly_mobius(arr)
 
     def refuse(*args, **kwargs):
@@ -194,7 +193,7 @@ def brute_force_count(arr, q):
 
 def test_finite_field_counts():
     a2 = build("A2")
-    shi = shi_arrangement(a2, 1, [], "+")
+    shi = shi_arrangement(a2, 1, 0, "+")
     assert count_free_points(shi, 7) == 96  # (7-1)(7-3)^2
     boolean = Arrangement.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert count_free_points(boolean, 5) == 64
@@ -207,7 +206,7 @@ def test_finite_field_counts():
 
 def test_point_count_memory_is_bounded_in_the_plane_count():
     # A2 (1000, {}, '+') has 6,001 planes; at q = 3k + 1 it has (q - 1)(q - 3k)^2 = 3000 free points
-    arr = shi_arrangement(build("A2"), 1000, [], "+")
+    arr = shi_arrangement(build("A2"), 1000, 0, "+")
     tracemalloc.start()
     try:
         assert count_free_points(arr, 3001) == 3000
@@ -233,7 +232,7 @@ def logged_counts(monkeypatch, corrupt=None):
 def test_prime_stream_counts_each_prime_once(monkeypatch):
     # 7 and 11 are bad for this cone, so its first window slides twice
     rs = build("B3")
-    cone = shi_arrangement(rs, 2, [], "+")
+    cone = shi_arrangement(rs, 2, 0, "+")
     primes = logged_counts(monkeypatch)
     assert charpoly_finite_field(cone) == charpoly_mobius(cone)
     assert primes == [7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -241,13 +240,13 @@ def test_prime_stream_counts_each_prime_once(monkeypatch):
 
 def test_prime_stream_range_cap():
     # the twenty primes 53 to 149 above this cone's floor of 51 are all bad
-    assert charpoly_finite_field(shi_arrangement(build("A2"), 50, [], "+")) == CharPoly.from_roots((1, 150, 150))
+    assert charpoly_finite_field(shi_arrangement(build("A2"), 50, 0, "+")) == CharPoly.from_roots((1, 150, 150))
 
 
 def test_window_steps_past_a_bad_prime_inside_it(monkeypatch):
     # 13 is the third prime of the first window, so three windows fail
     rs = build("A3")
-    cone = shi_arrangement(rs, 1, rs.positive_roots, "+")
+    cone = shi_arrangement(rs, 1, mask_of(rs, rs.positive_roots), "+")
     primes = logged_counts(monkeypatch, corrupt=13)
     assert charpoly_finite_field(cone) == charpoly_mobius(cone)
     assert len(primes) == len(set(primes))
@@ -305,7 +304,7 @@ def small_prime(data, dim):
 def test_counts_match_brute_force_on_shi_cones(systems, case, sign, data):
     name, k = case
     rs = systems[name]
-    cone = shi_arrangement(rs, k, rs.positive_roots, sign)
+    cone = shi_arrangement(rs, k, mask_of(rs, rs.positive_roots), sign)
     size = data.draw(st.integers(1, cone.size), label="size")
     chosen = data.draw(st.permutations(cone.covectors), label="order")[:size]
     arr = Arrangement(cone.dim, tuple(sorted(chosen)))
@@ -335,8 +334,8 @@ import json, resource, sys
 from idealshi import build, charpoly_finite_field, charpoly_mobius, shi_arrangement
 rs = build("B4")
 polys = []
-for roots in ((), rs.positive_roots):
-    arr = shi_arrangement(rs, 1, roots, "+")
+for mask in (0, (1 << rs.n_positive) - 1):
+    arr = shi_arrangement(rs, 1, mask, "+")
     polys.append([charpoly_finite_field(arr).coeffs, charpoly_mobius(arr).coeffs])
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
 print(json.dumps({"polys": polys, "peak_mb": peak / (1 << (20 if sys.platform == "darwin" else 10))}))
@@ -355,13 +354,13 @@ def corpus():
     out = []
     for name in ("A2", "B2", "G2"):
         rs = build(name)
-        out.append(shi_arrangement(rs, 1, [], "+"))
-        out.append(shi_arrangement(rs, 1, rs.positive_roots, "+"))
-        out.append(shi_arrangement(rs, 1, rs.positive_roots, "-"))
+        out.append(shi_arrangement(rs, 1, 0, "+"))
+        out.append(shi_arrangement(rs, 1, mask_of(rs, rs.positive_roots), "+"))
+        out.append(shi_arrangement(rs, 1, mask_of(rs, rs.positive_roots), "-"))
         out.append(root_arrangement(rs))
     a3 = build("A3")
-    out.append(shi_arrangement(a3, 1, [], "+"))
-    out.append(shi_arrangement(a3, 1, a3.positive_roots, "-"))
+    out.append(shi_arrangement(a3, 1, 0, "+"))
+    out.append(shi_arrangement(a3, 1, mask_of(a3, a3.positive_roots), "-"))
     return out
 
 
@@ -399,17 +398,17 @@ CHAIN_CAMPAIGNS += [("A4", 1), ("D4", 1)]
 def test_shi_chain_matches_the_lattice(systems, name, k, monkeypatch):
     # a campaign's walk: ideals in enumeration order, both signs, one table
     rs = systems[name]
-    cases = [(roots_of(rs, mask), sign) for mask in enumerate_ideals(rs) for sign in "+-"]
-    want = [charpoly_mobius(shi_arrangement(rs, k, roots, sign)) for roots, sign in cases]
+    cases = [(mask, sign) for mask in enumerate_ideals(rs) for sign in "+-"]
+    want = [charpoly_mobius(shi_arrangement(rs, k, mask, sign)) for mask, sign in cases]
     builds = []
     build_lattice = idealshi.charpoly.intersection_lattice
     monkeypatch.setattr(idealshi.charpoly, "intersection_lattice", lambda arr, **kw: builds.append(arr) or build_lattice(arr, **kw))
     table = LatticeCache()
-    got = [shi_charpoly(rs, k, roots, sign, table) for roots, sign in cases]
+    got = [shi_charpoly(rs, k, mask, sign, table) for mask, sign in cases]
     assert got == want
     # parents of ideals are ideals: each cone costs one lattice (its own at
     # an anchor, else one restriction), and nothing is built twice
-    cones = {shi_arrangement(rs, k, roots, sign) for roots, sign in cases}
+    cones = {shi_arrangement(rs, k, mask, sign) for mask, sign in cases}
     assert len(builds) == len(set(builds)) <= len(cones)
 
 
@@ -418,7 +417,7 @@ def held_steps(monkeypatch, rs, k):
     with the table holding the ambient cone: (cone, plane, the restriction
     polynomial read off the plane's lattice), in campaign order."""
     table = LatticeCache()
-    table.hold(rs, k)
+    table.hold(rs, k, "+-")
     steps = []
     read = idealshi.charpoly._restricted_coeffs
 
@@ -459,7 +458,7 @@ def test_a_table_held_at_level_zero_keeps_the_plus_anchor(systems):
     # chain: the emptied '+' walk stops at {z = 0} even under a held table
     rs = systems["B3"]
     table = LatticeCache()
-    table.hold(rs, 0)
+    table.hold(rs, 0, "+")
     for mask in enumerate_ideals(rs):
         assert shi_charpoly(rs, 0, mask, "+", table) == charpoly_mobius(shi_arrangement(rs, 0, mask, "+"))
 
@@ -492,7 +491,7 @@ def _ambient_lattice(rs, k, i):
     """The lattice of the ambient cone (k, all roots, '+') restricted onto its i-th plane, built once per session."""
     key = (rs.type, k, i)
     if key not in _AMBIENT_LATTICES:
-        ambient = shi_arrangement(rs, k, rs.positive_roots, "+")
+        ambient = shi_arrangement(rs, k, mask_of(rs, rs.positive_roots), "+")
         _AMBIENT_LATTICES[key] = intersection_lattice(restriction(ambient, ambient.covectors[i % ambient.size]))
     return _AMBIENT_LATTICES[key]
 
@@ -532,11 +531,11 @@ def test_masked_reader_matches_the_subarrangement_lattice(systems, name, k, plan
 @pytest.mark.parametrize("name,k,names", [("B3", 2, ["a2", "a3", "a1+a2"]), ("A3", 1, ["a1+a2"]), ("G2", 2, ["3a1+2a2"])])
 def test_shi_chain_on_a_non_ideal_subset(systems, name, k, names):
     rs = systems[name]
-    roots = [rs.root_at(Root.parse(n, rs.rank).coeffs) for n in names]
+    mask = mask_of(rs, [Root.parse(n, rs.rank) for n in names])
     table = LatticeCache()
     for sign in "+-":
-        want = charpoly_mobius(shi_arrangement(rs, k, roots, sign))
-        assert shi_charpoly(rs, k, roots, sign, table) == want
+        want = charpoly_mobius(shi_arrangement(rs, k, mask, sign))
+        assert shi_charpoly(rs, k, mask, sign, table) == want
 
 
 @pytest.mark.parametrize("name,k", [("B3", 2), ("C3", 1), ("D4", 1)])
@@ -544,7 +543,7 @@ def test_shi_chain_from_a_cold_table(systems, name, k):
     # a single case walks the whole chain to its anchor
     rs = systems[name]
     ideals = enumerate_ideals(rs)
-    middle = roots_of(rs, ideals[len(ideals) // 2])
+    middle = ideals[len(ideals) // 2]
     for sign in "+-":
         want = charpoly_mobius(shi_arrangement(rs, k, middle, sign))
         assert shi_charpoly(rs, k, middle, sign) == want
@@ -554,33 +553,34 @@ def test_shi_chain_checks_every_step(systems):
     # a wrong parent polynomial that still vanishes at t = 1, as a sign
     # slip in the subtraction would give
     rs = systems["A2"]
-    parent = shi_arrangement(rs, 1, rs.positive_roots[:2], "+")
+    parent = shi_arrangement(rs, 1, mask_of(rs, rs.positive_roots[:2]), "+")
     c0, c1, c2, c3 = charpoly_mobius(parent).coeffs
     table = LatticeCache()
     table.put_charpoly(parent, (c0, c1 - 1, c2 + 1, c3))
     with pytest.raises(AssertionError, match=r"t\^\(n-1\) coefficient -9 for 10 central planes"):
-        shi_charpoly(rs, 1, rs.positive_roots, "+", table)
+        shi_charpoly(rs, 1, mask_of(rs, rs.positive_roots), "+", table)
 
 
 def test_shi_chain_refuses_before_reading_the_table(systems):
     # a table filled with the cone's chi, then read under guards that refuse the cone
     rs = systems["B3"]
-    cone = shi_arrangement(rs, 2, rs.positive_roots, "+")
+    full = mask_of(rs, rs.positive_roots)
+    cone = shi_arrangement(rs, 2, full, "+")
     table = LatticeCache(max_hyperplanes=40)
     table.put_charpoly(cone, charpoly_mobius(cone).coeffs)
-    for read in (lambda: shi_charpoly(rs, 2, rs.positive_roots, "+", table), lambda: charpoly_mobius(cone, table)):
+    for read in (lambda: shi_charpoly(rs, 2, full, "+", table), lambda: charpoly_mobius(cone, table)):
         with pytest.raises(SizeBoundError, match="46 hyperplanes exceed bound 40"):
             read()
 
 
 def test_chi0_examples():
     a2 = build("A2")
-    shi = shi_arrangement(a2, 1, [], "+")
+    shi = shi_arrangement(a2, 1, 0, "+")
     q = chi0(charpoly_mobius(shi))
     assert q.coeffs == (9, -6, 1)  # (t-3)^2
     assert q.coeffs[0] == 9
-    assert chi0(charpoly_mobius(shi_arrangement(a2, 1, [a2.root_at((1, 1))], "+"))).coeffs[0] == 13
-    assert chi0(charpoly_mobius(shi_arrangement(a2, 1, [a2.positive_roots[0]], "+"))).coeffs[0] == 12
+    assert chi0(charpoly_mobius(shi_arrangement(a2, 1, mask_of(a2, [a2.root_at((1, 1))]), "+"))).coeffs[0] == 13
+    assert chi0(charpoly_mobius(shi_arrangement(a2, 1, mask_of(a2, [a2.positive_roots[0]]), "+"))).coeffs[0] == 12
 
 
 def test_chi0_rejects_non_divisible():
@@ -605,8 +605,7 @@ def chi0_zero_formula(rs, k, sigma_mask):
 def test_chi0_zero_closed_form(systems, name, k):
     rs = systems[name]
     for mask in range(1 << rs.n_positive):
-        sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
-        got = chi0(charpoly_mobius(shi_arrangement(rs, k, sigma, "+"))).coeffs[0]
+        got = chi0(charpoly_mobius(shi_arrangement(rs, k, mask, "+"))).coeffs[0]
         assert got == chi0_zero_formula(rs, k, mask), (name, k, mask)
 
 
@@ -625,8 +624,8 @@ def test_try_factor_exponents():
 
 def test_terao_check_examples():
     a2 = build("A2")
-    assert terao_check(charpoly_mobius(shi_arrangement(a2, 1, [], "+")), ExponentMultiset((1, 3, 3))).passed
-    cat = charpoly_mobius(shi_arrangement(a2, 1, a2.positive_roots, "+"))
+    assert terao_check(charpoly_mobius(shi_arrangement(a2, 1, 0, "+")), ExponentMultiset((1, 3, 3))).passed
+    cat = charpoly_mobius(shi_arrangement(a2, 1, mask_of(a2, a2.positive_roots), "+"))
     verdict = terao_check(cat, ExponentMultiset((1, 4, 5)))
     assert verdict.passed and verdict.computed == cat
     assert not terao_check(cat, ExponentMultiset((1, 3, 3))).passed
@@ -636,7 +635,7 @@ def test_terao_check_examples():
     with pytest.raises(ValueError, match="chi has degree 2"):
         terao_check(charpoly_mobius(root_arrangement(a2)), ExponentMultiset((1, 4, 5)))
     with pytest.raises(ValueError, match="chi has degree 4"):
-        terao_check(charpoly_mobius(shi_arrangement(build("A3"), 1, [], "+")), ExponentMultiset((1, 4, 5)))
+        terao_check(charpoly_mobius(shi_arrangement(build("A3"), 1, 0, "+")), ExponentMultiset((1, 4, 5)))
 
 
 def test_root_sums_track_sizes():

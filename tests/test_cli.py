@@ -301,7 +301,7 @@ def test_verify_computes_shared_work_once(capsys, monkeypatch):
     # planes the chains delete, which every other cone's step reads; and the
     # 6 subset arrangements, whose chi splits into the shift-law base
     rs = idealshi.cli.build("B2")
-    ambient = idealshi.arrangement.shi_arrangement(rs, 1, rs.positive_roots, "+")
+    ambient = idealshi.arrangement.shi_arrangement(rs, 1, (1 << rs.n_positive) - 1, "+")
     steps = [idealshi.arrangement.root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-1, 1)]
     restricted = {idealshi.arrangement.restriction(ambient, h) for h in steps}
     assert len(restricted) == 3
@@ -473,26 +473,32 @@ def test_one_anchor_per_level_on_every_route(capsys, monkeypatch, argv, builds, 
     assert _anchors(lattices, rs) == [want] and want.size == anchor
 
 
-@pytest.mark.parametrize("sign, planes", [("+", 48), ("-", 24)])
+@pytest.mark.parametrize("sign, planes", [("+", 48), ("-", 24), ("both", 48)])
 def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, planes):
-    # hold restricts the ambient cone onto all 48 chain planes of F4 k=1; a
-    # '+' campaign reads every one of them, since its empty ideal walks on down
-    # the '-' chain, and a '-' campaign reads its own 24
+    # hold restricts the ambient cone of F4 k=1 onto the planes of the longest
+    # walk of the campaign's signs, and a campaign reads every one of them: all
+    # 48 when it walks '+', since its empty ideal walks on down the '-' chain,
+    # and the 24 of the '-' chain alone under --sign -
     read = idealshi.arrangement.LatticeCache.plane_lattice
-    planes_read = set()
+    planes_read, tables = set(), []
 
     def counted(self, h0):
         found = read(self, h0)
         if found is not None:
             planes_read.add(h0)
+            tables.append(self)
         return found
 
     monkeypatch.setattr(idealshi.arrangement.LatticeCache, "plane_lattice", counted)
     assert run(capsys, "verify", "F4", "-k", "1", "--all-ideals", "--sign", sign, "--format", "json")[0] == 0
     rs = idealshi.cli.build("F4")
-    levels = (-1, 1) if sign == "+" else (1,)
+    levels = (1,) if sign == "-" else (-1, 1)
     want = {idealshi.arrangement.root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in levels}
     assert planes_read == want and len(want) == planes
+    # what the table stores: a restriction per chain plane, and traces onto those planes and {z = 0}
+    table = tables[0]
+    assert set(table.restricted) == want
+    assert set(table.traces) == want | {idealshi.arrangement.z_covector(rs)}
 
 
 @pytest.mark.parametrize(
@@ -536,7 +542,7 @@ def test_charpoly_mobius_builds_the_case_lattice(capsys, monkeypatch):
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
     assert run(capsys, "charpoly", "B3", "-k", "1", "--method", "mobius")[0] == 0
     rs = idealshi.cli.build("B3")
-    assert [args[0] for args in lattices] == [idealshi.arrangement.shi_arrangement(rs, 1, [], "+")]
+    assert [args[0] for args in lattices] == [idealshi.arrangement.shi_arrangement(rs, 1, 0, "+")]
 
 
 def test_campaign_reads_mu_once_per_chi(capsys, monkeypatch):
@@ -771,7 +777,7 @@ def test_unwritable_path_is_a_usage_error(tmp_path, capsys, monkeypatch, option)
 def test_no_chi_store_is_read_or_written(tmp_path, capsys, monkeypatch):
     # a chi that meets the central identities but is wrong, under the name an on-disk store once gave the + cone
     rs = idealshi.rootsys.build("A2")
-    cone = idealshi.arrangement.shi_arrangement(rs, 1, rs.positive_roots, "+")
+    cone = idealshi.arrangement.shi_arrangement(rs, 1, (1 << rs.n_positive) - 1, "+")
     payload = json.dumps([cone.dim, [list(c) for c in cone.covectors]], separators=(",", ":"))
     entry = tmp_path / (hashlib.sha256(payload.encode()).hexdigest() + ".json")
     entry.write_text(json.dumps({"chi": ["-18", "27", "-10", "1"], "dim": 3, "size": 10, "version": 1}))

@@ -8,6 +8,7 @@ from idealshi import (
     enumerate_ideals,
     ideal_exponents,
     is_ideal,
+    mask_of,
     roots_of,
     weyl_catalan_number,
     weyl_exponents,
@@ -87,9 +88,9 @@ def test_dominance(systems):
 def test_is_ideal_examples(systems):
     a2 = systems["A2"]
     a1, a2r, a12 = a2.positive_roots
-    assert not is_ideal(a2, [a12])
-    assert is_ideal(a2, [a1, a2r])
-    assert is_ideal(a2, [])
+    assert not is_ideal(a2, mask_of(a2, [a12]))
+    assert is_ideal(a2, mask_of(a2, [a1, a2r]))
+    assert is_ideal(a2, 0)
 
 
 def test_ideal_exponents_examples(systems):
@@ -117,7 +118,7 @@ def test_linear_extension_prefixes_are_ideals(systems):
     for rs in systems.values():
         order = rs.positive_roots
         for cut in range(len(order) + 1):
-            assert is_ideal(rs, order[:cut])
+            assert is_ideal(rs, mask_of(rs, order[:cut]))
 
 
 def test_linear_extension_a2(systems):

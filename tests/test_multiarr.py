@@ -18,6 +18,7 @@ from idealshi import (
     enumerate_ideals,
     exp_rank2_multi,
     linalg,
+    mask_of,
     root_arrangement,
     root_covector,
     roots_of,
@@ -415,7 +416,7 @@ def campaign_inputs(name, k):
     for mask in enumerate_ideals(rs):
         roots = roots_of(rs, mask)
         inputs.append((base, {root_covector(rs, r): r in roots for r in rs.positive_roots}))
-        inputs += [ziegler_multiplicity(shi_arrangement(rs, k, roots, s), hz) for s in "+-"]
+        inputs += [ziegler_multiplicity(shi_arrangement(rs, k, mask, s), hz) for s in "+-"]
     return inputs
 
 
@@ -519,9 +520,8 @@ def test_indicator_exponents_equal_the_subset_chi_split(systems, name):
     rs = systems[name]
     base = root_arrangement(rs)
     for mask in range(1 << rs.n_positive):
-        sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
-        indicator = {root_covector(rs, r): r in sigma for r in rs.positive_roots}
-        split = try_factor_exponents(charpoly_mobius(root_arrangement(rs, sigma)))
+        indicator = {root_covector(rs, r): mask >> i & 1 == 1 for i, r in enumerate(rs.positive_roots)}
+        split = try_factor_exponents(charpoly_mobius(root_arrangement(rs, mask)))
         assert ExponentMultiset(exp_rank2_multi(base, indicator)) == split, (name, mask)
 
 
@@ -532,7 +532,7 @@ def test_subset_shift_law_equals_dual_partition_exponents(systems, name):
     for i, mask in enumerate(ideals):
         law = SubsetFacts(CaseSpec(rs, 1, "both", mask, i, ()), cache).shift_law
         for sign in "+-":
-            assert law[sign] == shi_exponents_dp(rs, 1, roots_of(rs, mask), sign), (name, i, sign)
+            assert law[sign] == shi_exponents_dp(rs, 1, mask, sign), (name, i, sign)
 
 
 def test_yoshinaga_examples():
@@ -540,7 +540,7 @@ def test_yoshinaga_examples():
     hz = z_covector(rs)
     verdicts = []
     for sigma in ([rs.root_at((1, 1))], [rs.positive_roots[0]], []):
-        arr = shi_arrangement(rs, 1, sigma, "+")
+        arr = shi_arrangement(rs, 1, mask_of(rs, sigma), "+")
         verdicts.append(yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr)))
     witness, simple, empty = verdicts
     assert not witness.free and witness.chi0_zero == 13 and witness.restriction_exponents == (3, 4)
@@ -550,12 +550,12 @@ def test_yoshinaga_examples():
 
 def test_yoshinaga_requires_dimension_3():
     a3 = build("A3")
-    arr3 = shi_arrangement(a3, 1, [], "+")
+    arr3 = shi_arrangement(a3, 1, 0, "+")
     with pytest.raises(ValueError):
         yoshinaga_check(*ziegler_multiplicity(arr3, z_covector(a3)), charpoly_mobius(arr3))
     # chi must be the polynomial of an arrangement in 3 coordinates too
     a2 = build("A2")
-    arr = shi_arrangement(a2, 1, [], "+")
+    arr = shi_arrangement(a2, 1, 0, "+")
     with pytest.raises(ValueError, match="chi of degree 4"):
         yoshinaga_check(*ziegler_multiplicity(arr, z_covector(a2)), charpoly_mobius(arr3))
     with pytest.raises(ValueError, match="chi of degree 2"):
@@ -570,7 +570,6 @@ def freeness_survey(rs, k):
     h = rs.coxeter_number
     rows = []
     for mask in range(1 << rs.n_positive):
-        sigma = [r for i, r in enumerate(rs.positive_roots) if mask >> i & 1]
         expect_free = mask == 0 or bool(mask & simple_mask)
         indicator = {
             root_covector(rs, r): 1 if mask >> i & 1 else 0
@@ -579,7 +578,7 @@ def freeness_survey(rs, k):
         base_exp = exp_rank2_multi(base, indicator)
         verdicts = {}
         for sign in "+-":
-            arr = shi_arrangement(rs, k, sigma, sign)
+            arr = shi_arrangement(rs, k, mask, sign)
             v = yoshinaga_check(*ziegler_multiplicity(arr, hz), charpoly_mobius(arr))
             verdicts[sign] = v
             if v.free:

@@ -10,7 +10,7 @@ from idealshi import (
     build,
     dual_partition,
     enumerate_ideals,
-    roots_of,
+    mask_of,
     shi_exponents_dp,
     weyl_exponents,
 )
@@ -180,9 +180,9 @@ def test_mirror_identity_of_height_counts(systems):
 
 def test_shi_exponents_hand_examples(systems):
     a2 = systems["A2"]
-    assert shi_exponents_dp(a2, 1, [], "+").parts == (1, 3, 3)
-    assert shi_exponents_dp(a2, 1, a2.positive_roots, "+").parts == (1, 4, 5)
-    assert shi_exponents_dp(a2, 1, a2.positive_roots, "-").parts == (1, 1, 2)
+    assert shi_exponents_dp(a2, 1, 0, "+").parts == (1, 3, 3)
+    assert shi_exponents_dp(a2, 1, 0b111, "+").parts == (1, 4, 5)
+    assert shi_exponents_dp(a2, 1, 0b111, "-").parts == (1, 1, 2)
 
 
 def test_shi_exponent_sums_match_arrangement_sizes(systems):
@@ -190,8 +190,8 @@ def test_shi_exponent_sums_match_arrangement_sizes(systems):
         rs = systems[name]
         n = rs.n_positive
         for k in (1, 2):
-            full = rs.positive_roots
-            assert shi_exponents_dp(rs, k, [], "+").total() == 2 * k * n + 1
+            full = (1 << n) - 1
+            assert shi_exponents_dp(rs, k, 0, "+").total() == 2 * k * n + 1
             assert shi_exponents_dp(rs, k, full, "+").total() == 2 * k * n + 1 + n
             assert shi_exponents_dp(rs, k, full, "-").total() == 2 * k * n + 1 - n
             assert len(shi_defining_values(rs, k, full, "+")) == 2 * k * n + 1 + n
@@ -201,7 +201,7 @@ def test_shi_exponents_reject_non_ideals(systems):
     a2 = systems["A2"]
     highest = a2.root_at((1, 1))
     with pytest.raises(ValueError):
-        shi_exponents_dp(a2, 1, [highest], "+")
+        shi_exponents_dp(a2, 1, mask_of(a2, [highest]), "+")
 
 
 @pytest.mark.parametrize(
@@ -212,9 +212,9 @@ def test_shi_exponents_reject_non_ideals(systems):
 def test_shi_exponents_refuse_undefined_cones(systems, k, sign, match):
     a2 = systems["A2"]
     with pytest.raises(ValueError, match=match):
-        shi_exponents_dp(a2, k, [a2.positive_roots[0]], sign)
+        shi_exponents_dp(a2, k, mask_of(a2, [a2.positive_roots[0]]), sign)
     with pytest.raises(ValueError, match=match):
-        shi_exponents_dp(a2, k, [], sign)  # the empty ideal too, whose e(I) is all zeros
+        shi_exponents_dp(a2, k, 0, sign)  # the empty ideal too, whose e(I) is all zeros
 
 
 ORACLE_CORPUS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2")
@@ -227,9 +227,8 @@ def test_shift_law_matches_the_extended_height_oracle(systems):
     for name in ORACLE_CORPUS:
         rs = systems[name]
         for mask in enumerate_ideals(rs):
-            roots = roots_of(rs, mask)
             for k, sign in [(0, "+")] + [(k, s) for k in (1, 2, 7) for s in "+-"]:
-                oracle = dual_partition(shi_defining_values(rs, k, roots, sign), rs.rank + 1)
-                assert shi_exponents_dp(rs, k, roots, sign) == oracle, (name, mask, k, sign)
+                oracle = dual_partition(shi_defining_values(rs, k, mask, sign), rs.rank + 1)
+                assert shi_exponents_dp(rs, k, mask, sign) == oracle, (name, mask, k, sign)
                 cases += 1
     assert cases == 2884
