@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Vec
-from .rootsys import Root, RootSystem, roots_of, shi_plane_count, shi_planes
+from .rootsys import Root, RootSystem, mask_bits, roots_of, shi_plane_count, shi_planes
 
 
 class SizeBoundError(RuntimeError):
@@ -103,6 +103,7 @@ def chain_parent(rs: RootSystem, k: int, mask: int, sign: str) -> Optional[tuple
     '-' chain.  The anchors are (k, all roots, '-') for k >= 1, which is
     the cone (k - 1, all roots, '+'), and {z = 0} at k = 0.
     """
+    mask_bits(rs, mask)  # refuses a mask outside the root system
     if sign == "+" and not mask and k:
         sign = "-"
     if mask == (0 if sign == "+" else (1 << rs.n_positive) - 1):
@@ -447,23 +448,23 @@ def is_central_charpoly(arr: Arrangement, coeffs: Sequence[int]) -> bool:
 
 
 class LatticeCache:
-    """Characteristic polynomials of arrangements, in memory for one command.
+    """Characteristic polynomials of arrangements, in memory for one command:
+    of cones, anchors and subset arrangements, never of a restriction.
     The table carries the size guards of the lattices built to fill it, and
     a read refuses an arrangement beyond them, so a warm table refuses
     exactly what a cold one does.
     Beside chi it keeps, for the command only, the rank-2 derivation bases,
-    the traces of each plane on each restriction plane and, once it holds a
-    campaign's ambient cone (:meth:`hold`), its restriction onto each chain
-    plane; a chain step reads its restriction polynomial off the lattice of
-    that restriction, built on first read."""
+    the traces of each plane on each restriction plane and, per restriction
+    plane, one cone's restriction onto it, which :meth:`hold` seeds and the
+    walk fills (:meth:`restricted_coeffs`)."""
 
     def __init__(self, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM):
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
         self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, kept for the command like chi
         self.traces: dict[Vec, dict[Vec, Vec]] = {}  # restriction plane -> {plane: primitive trace}
-        # chain plane H of the ambient cone -> (ambient^H, {plane: index of its trace});
-        # planes with equal restrictions share a lattice in _lattices
+        # restriction plane H -> (cone^H, {plane of the cone: index of its trace}) for
+        # the last cone stored; planes with equal restrictions share a lattice in _lattices
         self.restricted: dict[Vec, tuple[Arrangement, dict[Vec, int]]] = {}
         self._lattices: dict[Arrangement, IntersectionLattice] = {}
 
@@ -503,17 +504,26 @@ class LatticeCache:
         for h0, traced in zip(planes, _trace_kernel(planes, ambient.covectors)):
             self.traces.setdefault(h0, {}).update((c, t) for c, t in zip(ambient.covectors, traced) if c != h0)
         for h0 in chain:
-            arr = restriction(ambient, h0, self.traces)
-            index = {t: i for i, t in enumerate(arr.covectors)}
-            self.restricted[h0] = arr, {c: index[self.traces[h0][c]] for c in ambient.covectors if c != h0}
+            self._store(ambient, h0)
 
-    def plane_lattice(self, h0: Vec) -> Optional[tuple[IntersectionLattice, dict[Vec, int]]]:
-        """The lattice of the held ambient cone restricted onto h0, built on
-        first read, and the index in it of each ambient plane's trace; None
-        when h0 is not a chain plane of a held cone."""
-        if h0 not in self.restricted:
-            return None
+    def _store(self, cone: Arrangement, h0: Vec) -> None:
+        """Store cone^h0 for h0, with the index there of each of the cone's planes' traces."""
+        arr = restriction(cone, h0, self.traces)
+        index = {t: i for i, t in enumerate(arr.covectors)}
+        self.restricted[h0] = arr, {c: index[self.traces[h0][c]] for c in cone.covectors if c != h0}
+
+    def restricted_coeffs(self, cone: Arrangement, h0: Vec) -> tuple[int, ...]:
+        """chi(cone^h0), masked (:meth:`IntersectionLattice.mobius`) out of the
+        lattice of the restriction stored for h0: the cone's own when none is
+        stored or the stored cone lacks one of its planes.  Planes with one
+        trace share its bit, so bits are or-ed, not summed."""
+        others = [c for c in cone.covectors if c != h0]
+        if h0 not in self.restricted or any(c not in self.restricted[h0][1] for c in others):
+            self._store(cone, h0)
         arr, index = self.restricted[h0]
         if arr not in self._lattices:
             self._lattices[arr] = intersection_lattice(arr)
-        return self._lattices[arr], index
+        within = 0
+        for c in others:
+            within |= 1 << index[c]
+        return self._lattices[arr].charpoly_coeffs(within)

@@ -5,7 +5,8 @@ The signed subset sum (Whitney) and finite-field point counting are
 consistency oracles: divergence means a bug or a bad prime, never
 something to hide.  Ideal-Shi cones also get the Mobius polynomial by
 deletion-restriction down the chains of :func:`arrangement.chain_parent`,
-from one anchor lattice per level.
+from one anchor lattice per level and the restrictions that the table
+stores per plane; the chi table holds no restriction polynomials.
 
 The subset sum uses no lattice, table or point count.  Dependent subsets
 cancel in pairs, so it sums over the broken-circuit-free sets only, built
@@ -37,10 +38,8 @@ from .arrangement import (
     chain_parent,
     intersection_lattice,
     is_central_charpoly,
-    restriction,
     shi_arrangement,
 )
-from .linalg import Vec
 from .rootsys import ExponentMultiset, RootSystem
 
 
@@ -121,12 +120,13 @@ def shi_charpoly(
     cone the cache holds or to an anchor, whose polynomial comes from its
     own lattice; ``cone`` is the cone when the caller has already built it.
 
-    No walk builds the k-Shi cone's lattice, the largest of its level.  Every
-    cone and restriction on the way lies inside the case, so the table's
-    guards, which its first read applies to the case, bound all of its work.
-    In a campaign each case costs one restriction polynomial
-    (:func:`_restricted_coeffs`).  Each step's result must vanish at t = 1
-    and have -|A| as its t^(n-1) coefficient, as every central polynomial does.
+    No walk builds the k-Shi cone's lattice, the largest of its level.  Each
+    step reads chi(A^H) off the restriction that the table stores for H
+    (:meth:`LatticeCache.restricted_coeffs`), of a cone inside the case or of
+    the cone it holds, so the guards, which the table's first read applies
+    to the case, bound all of its work; the table keeps chi(A), not chi(A^H).
+    Each step's result must vanish at t = 1 and have -|A| as its t^(n-1)
+    coefficient, as every central polynomial does.
     """
     arr = shi_arrangement(rs, k, mask, sign) if cone is None else cone
     cache = LatticeCache() if cache is None else cache
@@ -137,7 +137,7 @@ def shi_charpoly(
         arr = arr.delete(plane)
     poly = charpoly_mobius(arr, cache) if hit is None else CharPoly(hit)
     for cone, plane in reversed(chain):
-        restricted = _restricted_coeffs(cone, plane, cache)
+        restricted = cache.restricted_coeffs(cone, plane)
         poly = CharPoly(tuple(c - r for c, r in zip(poly.coeffs, restricted + (0,))))
         if not is_central_charpoly(cone, poly.coeffs):
             raise AssertionError(
@@ -146,22 +146,6 @@ def shi_charpoly(
             )
         cache.put_charpoly(cone, poly.coeffs)
     return poly
-
-
-def _restricted_coeffs(cone: Arrangement, plane: Vec, cache: LatticeCache) -> tuple[int, ...]:
-    """chi(cone^plane).  When the table holds an ambient cone with this
-    restriction plane, it is read off that cone's lattice on the plane,
-    masked to the traces of the cone's planes (:meth:`IntersectionLattice.mobius`);
-    otherwise it comes from the lattice of the restriction itself."""
-    held = cache.plane_lattice(plane)
-    if held is None:
-        return charpoly_mobius(restriction(cone, plane, cache.traces), cache).coeffs
-    lattice, index = held
-    within = 0
-    for c in cone.covectors:
-        if c != plane:
-            within |= 1 << index[c]
-    return lattice.charpoly_coeffs(within)
 
 
 _WHITNEY_MAX = 22  # charpoly_whitney refuses arrangements with more planes

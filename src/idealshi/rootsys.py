@@ -278,9 +278,16 @@ def mask_of(rs: RootSystem, roots: Iterable[Root]) -> int:
     return mask
 
 
+def mask_bits(rs: RootSystem, mask: int) -> list[int]:
+    """Each positive root's bit in ``mask``, refusing a mask outside 0 <= mask < 2^|Phi+|."""
+    if not 0 <= mask < 1 << rs.n_positive:
+        raise ValueError(f"mask {mask} is not a subset of the {rs.n_positive} positive roots of {rs.type}")
+    return [mask >> i & 1 for i in range(rs.n_positive)]
+
+
 def roots_of(rs: RootSystem, mask: int) -> tuple[Root, ...]:
     """The positive roots in a bitmask, in canonical order: the inverse of :func:`mask_of`."""
-    return tuple(r for i, r in enumerate(rs.positive_roots) if mask >> i & 1)
+    return tuple(r for r, bit in zip(rs.positive_roots, mask_bits(rs, mask)) if bit)
 
 
 def ideal_exponents(rs: RootSystem, mask: int) -> ExponentMultiset:
@@ -295,11 +302,7 @@ def weyl_exponents(rs: RootSystem) -> ExponentMultiset:
 
 def is_ideal(rs: RootSystem, mask: int) -> bool:
     """Downward-closure test under dominance."""
-    below = rs.below_masks
-    for i in range(rs.n_positive):
-        if mask >> i & 1 and below[i] & ~mask:
-            return False
-    return True
+    return not any(bit and below & ~mask for bit, below in zip(mask_bits(rs, mask), rs.below_masks))
 
 
 def _check_cone(k: int, sign: str) -> None:
@@ -318,7 +321,7 @@ def shi_levels(rs: RootSystem, k: int, mask: int, sign: str) -> list[range]:
     At k = 0 only sign '+' is defined: the subset's planes {root = 0}.
     """
     _check_cone(k, sign)
-    members = [mask >> i & 1 for i in range(rs.n_positive)]
+    members = mask_bits(rs, mask)
     if sign == "+":
         return [range(1 - k - m, k + 1) for m in members]
     return [range(1 - k, k - m + 1) for m in members]

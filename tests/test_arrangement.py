@@ -280,7 +280,7 @@ def test_a_held_restriction_records_its_top_edges(systems):
     table = LatticeCache()
     table.hold(systems["B3"], 2, "+-")
     plane = root_covector(systems["B3"], systems["B3"].positive_roots[0], -2, coned=True)
-    lattice, _ = table.plane_lattice(plane)
+    lattice = intersection_lattice(table.restricted[plane][0])
     assert lattice.arrangement.dim == len(lattice.levels) - 1 == 3  # 3 coordinates, the top at codim 3
     assert_edges_are_the_cover_relation(lattice)
 
@@ -309,10 +309,12 @@ def test_parallel_covectors_are_refused():
 
 def walked_arrangements(monkeypatch, rs, k):
     """Every arrangement whose lattice the shi_charpoly walks of a campaign
-    build, all cases sharing one table as in ``verify --all-ideals``."""
+    build, all cases sharing one table as in ``verify --all-ideals``: the
+    anchors, and the restrictions that the table stores per plane."""
     met = []
-    build_lattice = idealshi.charpoly.intersection_lattice
-    monkeypatch.setattr(idealshi.charpoly, "intersection_lattice", lambda arr: met.append(arr) or build_lattice(arr))
+    build_lattice = idealshi.arrangement.intersection_lattice
+    for module in (idealshi.arrangement, idealshi.charpoly):
+        monkeypatch.setattr(module, "intersection_lattice", lambda arr: met.append(arr) or build_lattice(arr))
     table = LatticeCache()
     for mask in enumerate_ideals(rs):
         for sign in "+-" if k else "+":
@@ -677,12 +679,12 @@ def test_primitive_matches_normalize_primitive_row_by_row(shape, dtype):
 
 def walked_restrictions(monkeypatch, rs, k):
     """Every (cone, restriction plane) pair of a campaign, in campaign
-    order: each case's cone onto {z = 0}, then the deletion-restriction
-    steps of its chi walk, all cases sharing one table."""
+    order: each case's cone onto {z = 0}, then each restriction that the
+    steps of its chi walk store, all cases sharing one table."""
     met = []
-    restrict = idealshi.charpoly.restriction
+    restrict = idealshi.arrangement.restriction
     monkeypatch.setattr(
-        idealshi.charpoly, "restriction", lambda arr, h, table: met.append((arr, h)) or restrict(arr, h, table)
+        idealshi.arrangement, "restriction", lambda arr, h, table: met.append((arr, h)) or restrict(arr, h, table)
     )
     table = LatticeCache()
     for mask in enumerate_ideals(rs):

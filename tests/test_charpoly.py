@@ -401,8 +401,9 @@ def test_shi_chain_matches_the_lattice(systems, name, k, monkeypatch):
     cases = [(mask, sign) for mask in enumerate_ideals(rs) for sign in "+-"]
     want = [charpoly_mobius(shi_arrangement(rs, k, mask, sign)) for mask, sign in cases]
     builds = []
-    build_lattice = idealshi.charpoly.intersection_lattice
-    monkeypatch.setattr(idealshi.charpoly, "intersection_lattice", lambda arr, **kw: builds.append(arr) or build_lattice(arr, **kw))
+    build_lattice = idealshi.arrangement.intersection_lattice
+    for module in (idealshi.arrangement, idealshi.charpoly):
+        monkeypatch.setattr(module, "intersection_lattice", lambda arr: builds.append(arr) or build_lattice(arr))
     table = LatticeCache()
     got = [shi_charpoly(rs, k, mask, sign, table) for mask, sign in cases]
     assert got == want
@@ -412,25 +413,33 @@ def test_shi_chain_matches_the_lattice(systems, name, k, monkeypatch):
     assert len(builds) == len(set(builds)) <= len(cones)
 
 
+def recorded_steps(monkeypatch, rs, k, table, cases):
+    """Every chain step of the walks of ``cases``, (mask, sign) pairs that
+    the guards of ``table`` admit, in order, all sharing ``table``: (cone,
+    plane, the restriction polynomial read off the plane's store); and the
+    planes whose store the walks filled or replaced, in order."""
+    steps, stored = [], []
+    read, store = LatticeCache.restricted_coeffs, LatticeCache._store
+    monkeypatch.setattr(LatticeCache, "_store", lambda cache, cone, plane: stored.append(plane) or store(cache, cone, plane))
+    monkeypatch.setattr(
+        LatticeCache, "restricted_coeffs",
+        lambda cache, cone, plane: steps.append((cone, plane, read(cache, cone, plane))) or steps[-1][2],
+    )
+    for mask, sign in cases:
+        if shi_plane_count(rs, k, mask, sign) <= table.max_hyperplanes:
+            shi_charpoly(rs, k, mask, sign, table)
+    monkeypatch.undo()
+    return steps, stored
+
+
 def held_steps(monkeypatch, rs, k):
     """Every chain step of a campaign as ``verify --all-ideals`` runs it,
     with the table holding the ambient cone: (cone, plane, the restriction
     polynomial read off the plane's lattice), in campaign order."""
     table = LatticeCache()
     table.hold(rs, k, "+-")
-    steps = []
-    read = idealshi.charpoly._restricted_coeffs
-
-    def recorded(cone, plane, cache):
-        assert cache.plane_lattice(plane) is not None  # the step reads the plane's lattice
-        steps.append((cone, plane, read(cone, plane, cache)))
-        return steps[-1][2]
-
-    monkeypatch.setattr(idealshi.charpoly, "_restricted_coeffs", recorded)
-    for mask in enumerate_ideals(rs):
-        for sign in "+-":
-            shi_charpoly(rs, k, mask, sign, table)
-    monkeypatch.undo()
+    steps, stored = recorded_steps(monkeypatch, rs, k, table, [(m, s) for m in enumerate_ideals(rs) for s in "+-"])
+    assert stored == []  # every step reads a held store, never one of its own
     return steps
 
 
@@ -451,6 +460,37 @@ def test_masked_reads_match_fresh_restriction_lattices(systems, monkeypatch, nam
     [empty] = [step for step in steps if step[0] == shi_arrangement(rs, k, 0, "+")]
     for cone, plane, got in steps[::every] + [empty]:
         assert got == intersection_lattice(restriction(cone, plane)).charpoly_coeffs(), (cone.size, plane)
+
+
+@pytest.mark.parametrize("name,k", [("B3", 2), ("D4", 1), ("G2", 5)])
+@pytest.mark.parametrize("filling", ["held", "cold", "refused"])
+def test_every_filling_of_the_store_reads_the_fresh_restriction(systems, monkeypatch, name, k, filling):
+    # a plane's store is seeded by hold (held); filled, and replaced when it
+    # lacks a plane of a later cone, by the single-subset walks of every
+    # ideal under both signs sharing one cold table in a shuffled order
+    # (cold); or filled by a campaign whose guard refuses the ambient cone
+    # (refused).  Every read equals the lattice of the step's own restriction
+    rs = systems[name]
+    if filling == "held":
+        steps = held_steps(monkeypatch, rs, k)
+    else:
+        cases = [(mask, sign) for mask in enumerate_ideals(rs) for sign in "+-"]
+        ambient = shi_plane_count(rs, k, (1 << rs.n_positive) - 1, "+")
+        table = LatticeCache(max_hyperplanes=ambient - (filling == "refused"))
+        if filling == "cold":
+            random.Random(3).shuffle(cases)  # an order that replaces a store in each system
+        else:
+            table.hold(rs, k, "+-")
+        assert table.restricted == {}
+        steps, stored = recorded_steps(monkeypatch, rs, k, table, cases)
+        assert len(stored) > len(set(stored)) == len(table.restricted)  # some plane's store is replaced
+    assert steps
+    fresh = {}
+    for cone, plane, got in steps:
+        arr = restriction(cone, plane)
+        if arr not in fresh:
+            fresh[arr] = intersection_lattice(arr).charpoly_coeffs()
+        assert got == fresh[arr], (cone.size, plane)
 
 
 def test_a_table_held_at_level_zero_keeps_the_plus_anchor(systems):

@@ -322,7 +322,7 @@ def test_campaign_chi_stays_inside_the_guards(capsys, monkeypatch):
     # the case has 28 planes and passes a guard of 30; the k-Shi cone (37
     # planes) does not, so the chain must not build it
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
-    held = _plane_lattices(monkeypatch)
+    tables = _tables(monkeypatch)
     code, out, _ = run(
         capsys, "verify", "B3", "-k", "2", "--subset", "all", "--sign", "-",
         "--max-hyperplanes", "30", "--format", "json",
@@ -332,7 +332,10 @@ def test_campaign_chi_stays_inside_the_guards(capsys, monkeypatch):
     assert case["verdict"] == "PASS" and case["arrangement_size"] == 28
     assert case["chi_coeffs"] == ["693", "-932", "266", "-28", "1"]
     assert lattices and max(args[0].size for args in lattices) <= 28
-    assert held == []  # one subset: its chain restricts each cone itself
+    # one subset holds nothing, so every stored restriction is of a cone
+    # inside the case; this case is its level's anchor, so its walk stores none
+    [table] = tables
+    assert table.restricted == {}
 
 
 def test_no_table_outlives_a_call(capsys, monkeypatch):
@@ -383,19 +386,24 @@ def test_verify_passes_masks_not_roots(capsys, monkeypatch):
     assert masks == []
 
 
-def _plane_lattices(monkeypatch):
-    """The per-plane lattices that LatticeCache.plane_lattice hands out, one entry per chain step that reads one."""
-    read = idealshi.arrangement.LatticeCache.plane_lattice
-    held = []
+def _tables(monkeypatch):
+    """The chi tables that the commands run in this test make, in order."""
+    table, made = idealshi.cli._table, []
+    monkeypatch.setattr(idealshi.cli, "_table", lambda args: made.append(table(args)) or made[-1])
+    return made
 
-    def counted(self, h0):
-        found = read(self, h0)
-        if found is not None:
-            held.append(found[0])
-        return found
 
-    monkeypatch.setattr(idealshi.arrangement.LatticeCache, "plane_lattice", counted)
-    return held
+def _restricted_reads(monkeypatch):
+    """(table, cone, plane) of every chain step's read of chi(cone^plane) off the table's per-plane store."""
+    read = idealshi.arrangement.LatticeCache.restricted_coeffs
+    reads = []
+
+    def counted(self, cone, h0):
+        reads.append((self, cone, h0))
+        return read(self, cone, h0)
+
+    monkeypatch.setattr(idealshi.arrangement.LatticeCache, "restricted_coeffs", counted)
+    return reads
 
 
 @pytest.mark.parametrize("name, planes, most", [("B3", 18, 1 + 18), ("F4", 48, 1 + 48)])
@@ -404,16 +412,16 @@ def test_campaign_builds_one_lattice_per_restriction_plane(capsys, monkeypatch, 
     # of the ambient cone; each plane's lattice is built once (planes whose
     # restrictions are equal share one), and the one anchor has its own
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
-    held = _plane_lattices(monkeypatch)
+    reads = _restricted_reads(monkeypatch)
     code, out, _ = run(capsys, "verify", name, "-k", "1" if name == "F4" else "2", "--all-ideals", "--format", "json")
     assert code == 0
-    per_plane = {id(lattice): lattice.arrangement for lattice in held}
+    per_plane = {table.restricted[h0][0] for table, _, h0 in reads}
     assert len(per_plane) <= planes
     arrangements = [args[0] for args in lattices]
     assert len(arrangements) == len(set(arrangements)) == 1 + len(per_plane) <= most
     # every cone but the anchor reads its step off a per-plane lattice, and
     # the empty ideal's two signs are one cone
-    assert len(held) == len(json.loads(out)["cases"]) - 2
+    assert len(reads) == len(json.loads(out)["cases"]) - 2
 
 
 def _anchors(lattices, rs):
@@ -479,26 +487,23 @@ def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, pla
     # walk of the campaign's signs, and a campaign reads every one of them: all
     # 48 when it walks '+', since its empty ideal walks on down the '-' chain,
     # and the 24 of the '-' chain alone under --sign -
-    read = idealshi.arrangement.LatticeCache.plane_lattice
-    planes_read, tables = set(), []
-
-    def counted(self, h0):
-        found = read(self, h0)
-        if found is not None:
-            planes_read.add(h0)
-            tables.append(self)
-        return found
-
-    monkeypatch.setattr(idealshi.arrangement.LatticeCache, "plane_lattice", counted)
+    reads, tables = _restricted_reads(monkeypatch), _tables(monkeypatch)
+    store, stored = idealshi.arrangement.LatticeCache._store, []
+    monkeypatch.setattr(
+        idealshi.arrangement.LatticeCache, "_store", lambda self, cone, h0: stored.append(cone) or store(self, cone, h0)
+    )
     assert run(capsys, "verify", "F4", "-k", "1", "--all-ideals", "--sign", sign, "--format", "json")[0] == 0
     rs = idealshi.cli.build("F4")
     levels = (1,) if sign == "-" else (-1, 1)
     want = {idealshi.arrangement.root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in levels}
-    assert planes_read == want and len(want) == planes
+    assert {h0 for _, _, h0 in reads} == want and len(want) == planes
     # what the table stores: a restriction per chain plane, and traces onto those planes and {z = 0}
-    table = tables[0]
+    [table] = tables
     assert set(table.restricted) == want
     assert set(table.traces) == want | {idealshi.arrangement.z_covector(rs)}
+    # hold stores the ambient cone's, and no walk replaces one
+    ambient = idealshi.arrangement.shi_arrangement(rs, 1, (1 << rs.n_positive) - 1, "+")
+    assert len(stored) == planes and set(stored) == {ambient}
 
 
 @pytest.mark.parametrize(
@@ -510,9 +515,43 @@ def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, pla
     ],
 )
 def test_per_case_restrictions_outside_campaigns(capsys, monkeypatch, argv):
-    held = _plane_lattices(monkeypatch)
-    assert run(capsys, "verify", *argv, "--format", "json")[0] == 0
-    assert held == []
+    # nothing is held: every stored restriction is of a cone inside a case
+    # that the guards admit, so the guards still bound all work
+    tables = _tables(monkeypatch)
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    [table] = tables
+    rs, cones = idealshi.cli.build(argv[0]), []
+    for case in json.loads(out)["cases"]:
+        spec, roots = case["case"], case["case"]["subset"]["roots"]
+        if case["arrangement_size"] <= table.max_hyperplanes:
+            mask = idealshi.rootsys.mask_of(rs, [idealshi.rootsys.Root.parse(r, rs.rank) for r in roots])
+            cones.append(set(idealshi.arrangement.shi_arrangement(rs, spec["k"], mask, spec["sign"]).covectors))
+    assert table.restricted
+    for h0, (_, index) in table.restricted.items():
+        assert any({h0, *index} <= cone for cone in cones)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "B3", "-k", "2", "--all-ideals"),
+        ("verify", "B4", "-k", "1", "--all-ideals", "--max-hyperplanes", "40"),
+        ("verify", "F4", "-k", "1", "--subset", "ideal:50"),
+        ("filtration", "B3", "--steps", "60"),
+    ],
+)
+def test_no_restriction_polynomial_enters_the_table(capsys, monkeypatch, argv):
+    # every chain step reads chi(cone^H) off the table's store for H, so
+    # charpoly_mobius sees only cones, in rank + 1 coordinates, and the
+    # subset arrangements of the shift law, never a restriction
+    polys = _count_calls(monkeypatch, idealshi.charpoly, "charpoly_mobius")
+    reads = _restricted_reads(monkeypatch)
+    assert run(capsys, *argv, "--format", "json")[0] == 0
+    rs = idealshi.cli.build(argv[1])
+    subsets = {idealshi.arrangement.root_arrangement(rs, mask) for mask in idealshi.cli.enumerate_ideals(rs)}
+    assert reads and polys
+    assert all(args[0].dim == rs.rank + 1 or args[0] in subsets for args in polys)
 
 
 def test_tampered_rank2_basis_is_an_internal_error(capsys, monkeypatch):
@@ -895,7 +934,7 @@ def test_broken_chain_step_is_an_internal_error(capsys, monkeypatch):
     import idealshi.charpoly
 
     # an empty restriction has chi = t^(n-1), so the step's chi(1) is -1
-    monkeypatch.setattr(idealshi.charpoly, "restriction", lambda arr, h, table: idealshi.Arrangement(arr.dim - 1, ()))
+    monkeypatch.setattr(idealshi.arrangement.LatticeCache, "restricted_coeffs", lambda self, cone, h: (0,) * (cone.dim - 1) + (1,))
     code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "all", "--format", "json")
     assert code == 3 and out == ""
     assert err.startswith("internal error: deletion-restriction gave chi(1) = -1")

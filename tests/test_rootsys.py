@@ -8,12 +8,16 @@ from idealshi import (
     DualPartitionError,
     Root,
     build,
+    chain_parent,
     dual_partition,
     enumerate_ideals,
     mask_of,
+    shi_arrangement,
+    shi_charpoly,
     shi_exponents_dp,
     weyl_exponents,
 )
+from idealshi.rootsys import is_ideal, roots_of, shi_levels, shi_plane_count
 
 from extended_heights import ext_height, ext_height_z, shi_defining_values
 
@@ -215,6 +219,28 @@ def test_shi_exponents_refuse_undefined_cones(systems, k, sign, match):
         shi_exponents_dp(a2, k, mask_of(a2, [a2.positive_roots[0]]), sign)
     with pytest.raises(ValueError, match=match):
         shi_exponents_dp(a2, k, 0, sign)  # the empty ideal too, whose e(I) is all zeros
+
+
+@pytest.mark.parametrize("mask", [0b1000, -1], ids=["past the roots", "negative"])
+def test_masks_outside_the_root_system_are_refused(systems, mask):
+    # A2 has 3 positive roots: 0b1000 names a fourth one, and -1 every bit;
+    # each subset function refuses them rather than read only the low bits
+    a2 = systems["A2"]
+    calls = {
+        "is_ideal": lambda: is_ideal(a2, mask),
+        "roots_of": lambda: roots_of(a2, mask),
+        "shi_levels": lambda: shi_levels(a2, 1, mask, "+"),
+        "shi_plane_count": lambda: shi_plane_count(a2, 1, mask, "-"),
+        "shi_arrangement": lambda: shi_arrangement(a2, 1, mask, "+"),
+        "shi_exponents_dp": lambda: shi_exponents_dp(a2, 1, mask, "+"),
+        "chain_parent +": lambda: chain_parent(a2, 1, mask, "+"),
+        "chain_parent -": lambda: chain_parent(a2, 1, mask, "-"),
+        "shi_charpoly": lambda: shi_charpoly(a2, 1, mask, "+"),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"mask {mask} is not a subset of the 3 positive roots of A2"):
+            call()
+            pytest.fail(f"{name} accepted mask {mask}")
 
 
 ORACLE_CORPUS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2")
