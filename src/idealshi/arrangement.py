@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Vec
-from .rootsys import Root, RootSystem, mask_bits, roots_of, shi_plane_count, shi_planes
+from .rootsys import Root, RootSystem, _check_cone, mask_bits, roots_of, shi_plane_count, shi_planes
 
 
 class SizeBoundError(RuntimeError):
@@ -103,7 +103,8 @@ def chain_parent(rs: RootSystem, k: int, mask: int, sign: str) -> Optional[tuple
     '-' chain.  The anchors are (k, all roots, '-') for k >= 1, which is
     the cone (k - 1, all roots, '+'), and {z = 0} at k = 0.
     """
-    mask_bits(rs, mask)  # refuses a mask outside the root system
+    _check_cone(k, sign)  # refuses, as shi_levels does, a cone outside the family
+    mask_bits(rs, mask)  # and a mask outside the root system
     if sign == "+" and not mask and k:
         sign = "-"
     if mask == (0 if sign == "+" else (1 << rs.n_positive) - 1):
@@ -455,18 +456,18 @@ class LatticeCache:
     exactly what a cold one does.
     Beside chi it keeps, for the command only, the rank-2 derivation bases,
     the traces of each plane on each restriction plane and, per restriction
-    plane, one cone's restriction onto it, which :meth:`hold` seeds and the
-    walk fills (:meth:`restricted_coeffs`)."""
+    plane, one restriction onto it, which :meth:`hold` seeds and the walk
+    fills (:meth:`restricted_coeffs`); equal restrictions share one lattice
+    and the bit of each trace in it."""
 
     def __init__(self, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM):
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
         self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, kept for the command like chi
         self.traces: dict[Vec, dict[Vec, Vec]] = {}  # restriction plane -> {plane: primitive trace}
-        # restriction plane H -> (cone^H, {plane of the cone: index of its trace}) for
-        # the last cone stored; planes with equal restrictions share a lattice in _lattices
-        self.restricted: dict[Vec, tuple[Arrangement, dict[Vec, int]]] = {}
-        self._lattices: dict[Arrangement, IntersectionLattice] = {}
+        self.restricted: dict[Vec, Arrangement] = {}  # restriction plane -> the restriction stored onto it
+        # restriction -> (its lattice, {trace: its bit}), kept for the command so none is built twice
+        self._lattices: dict[Arrangement, tuple[IntersectionLattice, dict[Vec, int]]] = {}
 
     def admit(self, dim: int, size: int) -> None:
         """Refuse a cone of ``size`` planes in ``dim`` coordinates: the one size guard, asked before any build."""
@@ -488,7 +489,7 @@ class LatticeCache:
         call traces its planes onto {z = 0}, for the multirestrictions, and
         onto each plane of the longest walk under :func:`chain_parent` from a
         cone of ``signs``, the campaign's; each of those keeps the ambient
-        cone's restriction onto it and the index there of every plane's trace."""
+        cone's restriction onto it."""
         full = (1 << rs.n_positive) - 1
         try:
             self.admit(rs.rank + 1, shi_plane_count(rs, k, full, "+"))
@@ -504,26 +505,21 @@ class LatticeCache:
         for h0, traced in zip(planes, _trace_kernel(planes, ambient.covectors)):
             self.traces.setdefault(h0, {}).update((c, t) for c, t in zip(ambient.covectors, traced) if c != h0)
         for h0 in chain:
-            self._store(ambient, h0)
-
-    def _store(self, cone: Arrangement, h0: Vec) -> None:
-        """Store cone^h0 for h0, with the index there of each of the cone's planes' traces."""
-        arr = restriction(cone, h0, self.traces)
-        index = {t: i for i, t in enumerate(arr.covectors)}
-        self.restricted[h0] = arr, {c: index[self.traces[h0][c]] for c in cone.covectors if c != h0}
+            self.restricted[h0] = restriction(ambient, h0, self.traces)
 
     def restricted_coeffs(self, cone: Arrangement, h0: Vec) -> tuple[int, ...]:
         """chi(cone^h0), masked (:meth:`IntersectionLattice.mobius`) out of the
         lattice of the restriction stored for h0: the cone's own when none is
-        stored or the stored cone lacks one of its planes.  Planes with one
+        stored or the stored one lacks one of its traces.  Planes with one
         trace share its bit, so bits are or-ed, not summed."""
-        others = [c for c in cone.covectors if c != h0]
-        if h0 not in self.restricted or any(c not in self.restricted[h0][1] for c in others):
-            self._store(cone, h0)
-        arr, index = self.restricted[h0]
+        traces = _traces(cone, h0, self.traces)
+        arr = self.restricted.get(h0)
+        if arr is None or not set(arr.covectors).issuperset(traces):
+            arr = self.restricted[h0] = restriction(cone, h0, self.traces)
         if arr not in self._lattices:
-            self._lattices[arr] = intersection_lattice(arr)
+            self._lattices[arr] = intersection_lattice(arr), {t: 1 << i for i, t in enumerate(arr.covectors)}
+        lattice, bits = self._lattices[arr]
         within = 0
-        for c in others:
-            within |= 1 << index[c]
-        return self._lattices[arr].charpoly_coeffs(within)
+        for t in traces:
+            within |= bits[t]
+        return lattice.charpoly_coeffs(within)

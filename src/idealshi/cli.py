@@ -209,7 +209,7 @@ def _check_duality(facts: SubsetFacts, sign: str) -> CheckResult:
             if verdict.exponents != facts.shift_law[s]:
                 return CheckResult("duality", FAIL, f"sign {s} exponents break the shift law")
         return CheckResult("duality", PASS, "freeness and exponents symmetric across signs")
-    # In rank >= 3 freeness cannot be certified from chi, so only the
+    # In a rank other than 2 freeness is not certified here, so only the
     # polynomial-level consequences are judged: both signs matching the
     # shifted base exponents, or both provably non-free (chi not split).
     if facts.shift_law is None:

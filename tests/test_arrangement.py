@@ -280,9 +280,32 @@ def test_a_held_restriction_records_its_top_edges(systems):
     table = LatticeCache()
     table.hold(systems["B3"], 2, "+-")
     plane = root_covector(systems["B3"], systems["B3"].positive_roots[0], -2, coned=True)
-    lattice = intersection_lattice(table.restricted[plane][0])
+    lattice = intersection_lattice(table.restricted[plane])
     assert lattice.arrangement.dim == len(lattice.levels) - 1 == 3  # 3 coordinates, the top at codim 3
     assert_edges_are_the_cover_relation(lattice)
+
+
+def test_a_store_with_every_trace_is_kept(systems, monkeypatch):
+    # on H = {a1 = -2z}, P2 = {a1 + a2 = -z} traces onto the line of
+    # P1 = {a2 = z}, since P2 = P1 + H.  The store holds the restriction of
+    # S, the cone (2, {a1}, '+') without P2; the cone C + P2, for C = S
+    # without Q = {a2 = -z}, adds a plane S lacks but no trace, so its read
+    # masks the stored lattice and builds none
+    a2 = systems["A2"]
+    h, p1, p2, q = (1, 0, 2), (0, 1, -1), (1, 1, 1), (0, 1, 1)
+    full = shi_arrangement(a2, 2, mask_of(a2, [a2.root_at((1, 0))]), "+")
+    assert {h, p1, p2, q} <= set(full.covectors)
+    stored, read = full.delete(p2), full.delete(q)
+    table = LatticeCache()
+    table.restricted_coeffs(stored, h)
+    builds = []
+    build_lattice = idealshi.arrangement.intersection_lattice
+    monkeypatch.setattr(idealshi.arrangement, "intersection_lattice", lambda arr: builds.append(arr) or build_lattice(arr))
+    got = table.restricted_coeffs(read, h)
+    monkeypatch.undo()
+    assert builds == []
+    assert table.restricted[h] == restriction(stored, h) != restriction(read, h)
+    assert got == intersection_lattice(restriction(read, h)).charpoly_coeffs()
 
 
 @given(

@@ -29,6 +29,7 @@ from idealshi import (
     chi0,
     count_free_points,
     enumerate_ideals,
+    filtration_cone,
     intersection_lattice,
     restriction,
     root_arrangement,
@@ -413,19 +414,21 @@ def test_shi_chain_matches_the_lattice(systems, name, k, monkeypatch):
     assert len(builds) == len(set(builds)) <= len(cones)
 
 
-def recorded_steps(monkeypatch, rs, k, table, cases):
-    """Every chain step of the walks of ``cases``, (mask, sign) pairs that
-    the guards of ``table`` admit, in order, all sharing ``table``: (cone,
-    plane, the restriction polynomial read off the plane's store); and the
-    planes whose store the walks filled or replaced, in order."""
+def recorded_steps(monkeypatch, rs, table, cases):
+    """Every chain step of the walks of ``cases``, (k, mask, sign) cones
+    that the guards of ``table`` admit, in order, all sharing ``table``:
+    (cone, plane, the restriction polynomial read off the plane's store);
+    and the planes whose store the walks filled or replaced, in order."""
     steps, stored = [], []
-    read, store = LatticeCache.restricted_coeffs, LatticeCache._store
-    monkeypatch.setattr(LatticeCache, "_store", lambda cache, cone, plane: stored.append(plane) or store(cache, cone, plane))
+    read, restrict = LatticeCache.restricted_coeffs, idealshi.arrangement.restriction
+    monkeypatch.setattr(
+        idealshi.arrangement, "restriction", lambda cone, plane, traces: stored.append(plane) or restrict(cone, plane, traces)
+    )
     monkeypatch.setattr(
         LatticeCache, "restricted_coeffs",
         lambda cache, cone, plane: steps.append((cone, plane, read(cache, cone, plane))) or steps[-1][2],
     )
-    for mask, sign in cases:
+    for k, mask, sign in cases:
         if shi_plane_count(rs, k, mask, sign) <= table.max_hyperplanes:
             shi_charpoly(rs, k, mask, sign, table)
     monkeypatch.undo()
@@ -438,7 +441,7 @@ def held_steps(monkeypatch, rs, k):
     polynomial read off the plane's lattice), in campaign order."""
     table = LatticeCache()
     table.hold(rs, k, "+-")
-    steps, stored = recorded_steps(monkeypatch, rs, k, table, [(m, s) for m in enumerate_ideals(rs) for s in "+-"])
+    steps, stored = recorded_steps(monkeypatch, rs, table, [(k, m, s) for m in enumerate_ideals(rs) for s in "+-"])
     assert stored == []  # every step reads a held store, never one of its own
     return steps
 
@@ -462,19 +465,28 @@ def test_masked_reads_match_fresh_restriction_lattices(systems, monkeypatch, nam
         assert got == intersection_lattice(restriction(cone, plane)).charpoly_coeffs(), (cone.size, plane)
 
 
-@pytest.mark.parametrize("name,k", [("B3", 2), ("D4", 1), ("G2", 5)])
-@pytest.mark.parametrize("filling", ["held", "cold", "refused"])
+FILLINGS = [(filling, name, k) for filling in ("held", "cold", "refused") for name, k in [("B3", 2), ("D4", 1), ("G2", 5)]]
+
+
+@pytest.mark.parametrize("filling,name,k", FILLINGS + [pytest.param("filtration", "B3", None, id="filtration-B3")])
 def test_every_filling_of_the_store_reads_the_fresh_restriction(systems, monkeypatch, name, k, filling):
     # a plane's store is seeded by hold (held); filled, and replaced when it
-    # lacks a plane of a later cone, by the single-subset walks of every
+    # lacks a trace of a later cone, by the single-subset walks of every
     # ideal under both signs sharing one cold table in a shuffled order
-    # (cold); or filled by a campaign whose guard refuses the ambient cone
-    # (refused).  Every read equals the lattice of the step's own restriction
+    # (cold); filled by a campaign whose guard refuses the ambient cone
+    # (refused); or filled once per step by the admitted steps of
+    # ``filtration B3 --steps 120`` (filtration).  Every read equals the
+    # lattice of the step's own restriction
     rs = systems[name]
     if filling == "held":
         steps = held_steps(monkeypatch, rs, k)
+    elif filling == "filtration":
+        table = LatticeCache()
+        steps, stored = recorded_steps(monkeypatch, rs, table, [filtration_cone(rs, i) for i in range(1, 121)])
+        # step i has i planes: steps 2..73 each add one plane to the step before
+        assert len(steps) == len(stored) == len(set(stored)) == len(table.restricted) == table.max_hyperplanes - 1
     else:
-        cases = [(mask, sign) for mask in enumerate_ideals(rs) for sign in "+-"]
+        cases = [(k, mask, sign) for mask in enumerate_ideals(rs) for sign in "+-"]
         ambient = shi_plane_count(rs, k, (1 << rs.n_positive) - 1, "+")
         table = LatticeCache(max_hyperplanes=ambient - (filling == "refused"))
         if filling == "cold":
@@ -482,7 +494,7 @@ def test_every_filling_of_the_store_reads_the_fresh_restriction(systems, monkeyp
         else:
             table.hold(rs, k, "+-")
         assert table.restricted == {}
-        steps, stored = recorded_steps(monkeypatch, rs, k, table, cases)
+        steps, stored = recorded_steps(monkeypatch, rs, table, cases)
         assert len(stored) > len(set(stored)) == len(table.restricted)  # some plane's store is replaced
     assert steps
     fresh = {}

@@ -406,6 +406,15 @@ def _restricted_reads(monkeypatch):
     return reads
 
 
+def _stored_restrictions(monkeypatch):
+    """(cone, plane) of every restriction that a table stores for a plane, in order."""
+    restrict, stored = idealshi.arrangement.restriction, []
+    monkeypatch.setattr(
+        idealshi.arrangement, "restriction", lambda cone, h0, traces: stored.append((cone, h0)) or restrict(cone, h0, traces)
+    )
+    return stored
+
+
 @pytest.mark.parametrize("name, planes, most", [("B3", 18, 1 + 18), ("F4", 48, 1 + 48)])
 def test_campaign_builds_one_lattice_per_restriction_plane(capsys, monkeypatch, name, planes, most):
     # every chain step restricts onto one of the 2|Phi+| planes {root = -+k*z}
@@ -415,7 +424,7 @@ def test_campaign_builds_one_lattice_per_restriction_plane(capsys, monkeypatch, 
     reads = _restricted_reads(monkeypatch)
     code, out, _ = run(capsys, "verify", name, "-k", "1" if name == "F4" else "2", "--all-ideals", "--format", "json")
     assert code == 0
-    per_plane = {table.restricted[h0][0] for table, _, h0 in reads}
+    per_plane = {table.restricted[h0] for table, _, h0 in reads}
     assert len(per_plane) <= planes
     arrangements = [args[0] for args in lattices]
     assert len(arrangements) == len(set(arrangements)) == 1 + len(per_plane) <= most
@@ -487,11 +496,7 @@ def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, pla
     # walk of the campaign's signs, and a campaign reads every one of them: all
     # 48 when it walks '+', since its empty ideal walks on down the '-' chain,
     # and the 24 of the '-' chain alone under --sign -
-    reads, tables = _restricted_reads(monkeypatch), _tables(monkeypatch)
-    store, stored = idealshi.arrangement.LatticeCache._store, []
-    monkeypatch.setattr(
-        idealshi.arrangement.LatticeCache, "_store", lambda self, cone, h0: stored.append(cone) or store(self, cone, h0)
-    )
+    reads, tables, stored = _restricted_reads(monkeypatch), _tables(monkeypatch), _stored_restrictions(monkeypatch)
     assert run(capsys, "verify", "F4", "-k", "1", "--all-ideals", "--sign", sign, "--format", "json")[0] == 0
     rs = idealshi.cli.build("F4")
     levels = (1,) if sign == "-" else (-1, 1)
@@ -503,7 +508,7 @@ def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, pla
     assert set(table.traces) == want | {idealshi.arrangement.z_covector(rs)}
     # hold stores the ambient cone's, and no walk replaces one
     ambient = idealshi.arrangement.shi_arrangement(rs, 1, (1 << rs.n_positive) - 1, "+")
-    assert len(stored) == planes and set(stored) == {ambient}
+    assert len(stored) == planes and {cone for cone, _ in stored} == {ambient}
 
 
 @pytest.mark.parametrize(
@@ -517,7 +522,7 @@ def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, pla
 def test_per_case_restrictions_outside_campaigns(capsys, monkeypatch, argv):
     # nothing is held: every stored restriction is of a cone inside a case
     # that the guards admit, so the guards still bound all work
-    tables = _tables(monkeypatch)
+    tables, stored = _tables(monkeypatch), _stored_restrictions(monkeypatch)
     code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert code == 0
     [table] = tables
@@ -527,9 +532,9 @@ def test_per_case_restrictions_outside_campaigns(capsys, monkeypatch, argv):
         if case["arrangement_size"] <= table.max_hyperplanes:
             mask = idealshi.rootsys.mask_of(rs, [idealshi.rootsys.Root.parse(r, rs.rank) for r in roots])
             cones.append(set(idealshi.arrangement.shi_arrangement(rs, spec["k"], mask, spec["sign"]).covectors))
-    assert table.restricted
-    for h0, (_, index) in table.restricted.items():
-        assert any({h0, *index} <= cone for cone in cones)
+    assert table.restricted and {h0 for _, h0 in stored} == set(table.restricted)
+    for cone, _ in stored:
+        assert any(set(cone.covectors) <= case for case in cones)
 
 
 @pytest.mark.parametrize(

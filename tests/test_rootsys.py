@@ -243,6 +243,20 @@ def test_masks_outside_the_root_system_are_refused(systems, mask):
             pytest.fail(f"{name} accepted mask {mask}")
 
 
+@pytest.mark.parametrize(
+    "k, mask, sign, match",
+    [(0, 0, "-", "k must be"), (1, 0, "x", "sign must be"), (-1, 1, "+", "k must be")],
+    ids=["k=0 sign -", "bad sign", "k<0"],
+)
+def test_chain_parent_refuses_what_the_cone_refuses(systems, k, mask, sign, match):
+    # chain_parent names a plane only of a cone that shi_arrangement builds
+    a2 = systems["A2"]
+    with pytest.raises(ValueError, match=match):
+        shi_arrangement(a2, k, mask, sign)
+    with pytest.raises(ValueError, match=match):
+        chain_parent(a2, k, mask, sign)
+
+
 ORACLE_CORPUS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2")
 
 
