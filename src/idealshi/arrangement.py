@@ -456,9 +456,9 @@ class LatticeCache:
     exactly what a cold one does.
     Beside chi it keeps, for the command only, the rank-2 derivation bases,
     the traces of each plane on each restriction plane and, per restriction
-    plane, one restriction onto it, which :meth:`hold` seeds and the walk
-    fills (:meth:`restricted_coeffs`); equal restrictions share one lattice
-    and the bit of each trace in it."""
+    plane, one restriction onto it, which :meth:`hold` seeds with a
+    campaign's largest cone and the walk fills (:meth:`restricted_coeffs`);
+    equal restrictions share one lattice and the bit of each trace in it."""
 
     def __init__(self, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM):
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
@@ -484,28 +484,27 @@ class LatticeCache:
         self._memory[arr] = tuple(coeffs)
 
     def hold(self, rs: RootSystem, k: int, signs: Sequence[str]) -> None:
-        """Hold the ambient cone (k, all roots, '+') of a campaign at level k,
-        which holds every cone of it, when the guards admit it.  One kernel
-        call traces its planes onto {z = 0}, for the multirestrictions, and
-        onto each plane of the longest walk under :func:`chain_parent` from a
-        cone of ``signs``, the campaign's; each of those keeps the ambient
-        cone's restriction onto it."""
-        full = (1 << rs.n_positive) - 1
+        """Hold the largest cone of a campaign at level k, which holds every
+        cone of it, when the guards admit it: (k, all roots, '+') when '+' is
+        among ``signs``, the campaign's, else (k, {}, '-').  One kernel call
+        traces its planes onto {z = 0}, for the multirestrictions, and onto
+        each plane of its walk under :func:`chain_parent`; each of those
+        keeps the held cone's restriction onto it."""
+        mask, sign = ((1 << rs.n_positive) - 1, "+") if "+" in signs else (0, "-")
         try:
-            self.admit(rs.rank + 1, shi_plane_count(rs, k, full, "+"))
+            self.admit(rs.rank + 1, shi_plane_count(rs, k, mask, sign))
         except SizeBoundError:
             return
-        ambient = shi_arrangement(rs, k, full, "+")
-        chain = []  # a '+' walk goes on down the whole '-' chain, so the longest walk holds every plane
-        mask, sign = (full, "+") if "+" in signs else (0, "-")
+        held = shi_arrangement(rs, k, mask, sign)
+        chain = []  # a '+' walk goes on down the whole '-' chain, so this walk holds every plane
         while (parent := chain_parent(rs, k, mask, sign)) is not None:
             mask, sign, plane = parent
             chain.append(plane)
         planes = [*chain, z_covector(rs)]
-        for h0, traced in zip(planes, _trace_kernel(planes, ambient.covectors)):
-            self.traces.setdefault(h0, {}).update((c, t) for c, t in zip(ambient.covectors, traced) if c != h0)
+        for h0, traced in zip(planes, _trace_kernel(planes, held.covectors)):
+            self.traces.setdefault(h0, {}).update((c, t) for c, t in zip(held.covectors, traced) if c != h0)
         for h0 in chain:
-            self.restricted[h0] = restriction(ambient, h0, self.traces)
+            self.restricted[h0] = restriction(held, h0, self.traces)
 
     def restricted_coeffs(self, cone: Arrangement, h0: Vec) -> tuple[int, ...]:
         """chi(cone^h0), masked (:meth:`IntersectionLattice.mobius`) out of the

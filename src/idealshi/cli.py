@@ -81,7 +81,10 @@ def _parse_subset(rs: RootSystem, spec: str) -> tuple[int, Optional[int]]:
     if spec == "all":
         return (1 << rs.n_positive) - 1, None
     if spec.startswith("ideal:"):
-        idx = int(spec.split(":", 1)[1])
+        try:
+            idx = int(text := spec.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"ideal:IDX needs an integer index, got {text!r}") from None
         ideals = enumerate_ideals(rs)
         if not 0 <= idx < len(ideals):
             raise UsageError(f"ideal index {idx} out of range 0..{len(ideals) - 1}")
@@ -378,7 +381,7 @@ def cmd_verify(args) -> int:
         for mask, idx in grid
     ]
     cache = _table(args)
-    if len(specs) > 1:  # a campaign: each chain step reads its restriction off one lattice per plane
+    if len(specs) > 1:  # a campaign holds its largest case, whose restrictions every chain step reads
         cache.hold(rs, args.k, _signs(sign))
     cases = [c for spec in specs for c in run_case(spec, cache)]
     report = Report(command="verify", tool_version=__version__, cases=cases)

@@ -285,6 +285,34 @@ def test_a_held_restriction_records_its_top_edges(systems):
     assert_edges_are_the_cover_relation(lattice)
 
 
+@pytest.mark.parametrize(
+    "name, k",
+    [(name, k) for name in ("A2", "B2", "G2") for k in (1, 2, 3)]
+    + [(name, k) for name in ("A3", "B3", "C3") for k in (1, 2)]
+    + [(name, 1) for name in ("D4", "B4", "F4")],
+)
+@pytest.mark.parametrize("signs", ["+-", "+", "-"])
+def test_hold_restricts_the_campaigns_largest_cone(systems, monkeypatch, name, k, signs):
+    # hold restricts one cone, a case of the campaign, and every cone on every
+    # chain_parent walk from every case lies inside it: (k, all, '+') when the
+    # campaign has a '+' case, else (k, {}, '-')
+    rs, restricted = systems[name], set()
+    restrict = idealshi.arrangement.restriction
+    monkeypatch.setattr(
+        idealshi.arrangement, "restriction", lambda cone, h0, traces: restricted.add(cone) or restrict(cone, h0, traces)
+    )
+    LatticeCache().hold(rs, k, signs)
+    [held] = restricted
+    cases = [(mask, sign) for mask in enumerate_ideals(rs) for sign in signs]
+    assert held in {shi_arrangement(rs, k, mask, sign) for mask, sign in cases}
+    for mask, sign in cases:
+        while True:
+            assert set(shi_arrangement(rs, k, mask, sign).covectors) <= set(held.covectors), (mask, sign)
+            if (parent := chain_parent(rs, k, mask, sign)) is None:
+                break
+            mask, sign, _ = parent
+
+
 def test_a_store_with_every_trace_is_kept(systems, monkeypatch):
     # on H = {a1 = -2z}, P2 = {a1 + a2 = -z} traces onto the line of
     # P1 = {a2 = z}, since P2 = P1 + H.  The store holds the restriction of

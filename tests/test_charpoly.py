@@ -435,13 +435,14 @@ def recorded_steps(monkeypatch, rs, table, cases):
     return steps, stored
 
 
-def held_steps(monkeypatch, rs, k):
-    """Every chain step of a campaign as ``verify --all-ideals`` runs it,
-    with the table holding the ambient cone: (cone, plane, the restriction
-    polynomial read off the plane's lattice), in campaign order."""
+def held_steps(monkeypatch, rs, k, signs="+-"):
+    """Every chain step of a campaign of ``signs`` as ``verify --all-ideals``
+    runs it, with the table holding the campaign's largest cone: (cone,
+    plane, the restriction polynomial read off the plane's lattice), in
+    campaign order."""
     table = LatticeCache()
-    table.hold(rs, k, "+-")
-    steps, stored = recorded_steps(monkeypatch, rs, table, [(k, m, s) for m in enumerate_ideals(rs) for s in "+-"])
+    table.hold(rs, k, signs)
+    steps, stored = recorded_steps(monkeypatch, rs, table, [(k, m, s) for m in enumerate_ideals(rs) for s in signs])
     assert stored == []  # every step reads a held store, never one of its own
     return steps
 
@@ -466,11 +467,13 @@ def test_masked_reads_match_fresh_restriction_lattices(systems, monkeypatch, nam
 
 
 FILLINGS = [(filling, name, k) for filling in ("held", "cold", "refused") for name, k in [("B3", 2), ("D4", 1), ("G2", 5)]]
+FILLINGS += [("minus-held", name, k) for name, k in [("B3", 2), ("D4", 1), ("G2", 5)]]
 
 
 @pytest.mark.parametrize("filling,name,k", FILLINGS + [pytest.param("filtration", "B3", None, id="filtration-B3")])
 def test_every_filling_of_the_store_reads_the_fresh_restriction(systems, monkeypatch, name, k, filling):
-    # a plane's store is seeded by hold (held); filled, and replaced when it
+    # a plane's store is seeded by hold, with (k, all, '+') (held) or, in a
+    # '-'-only campaign, (k, {}, '-') (minus-held); filled, and replaced when it
     # lacks a trace of a later cone, by the single-subset walks of every
     # ideal under both signs sharing one cold table in a shuffled order
     # (cold); filled by a campaign whose guard refuses the ambient cone
@@ -478,8 +481,8 @@ def test_every_filling_of_the_store_reads_the_fresh_restriction(systems, monkeyp
     # ``filtration B3 --steps 120`` (filtration).  Every read equals the
     # lattice of the step's own restriction
     rs = systems[name]
-    if filling == "held":
-        steps = held_steps(monkeypatch, rs, k)
+    if filling.endswith("held"):
+        steps = held_steps(monkeypatch, rs, k, "-" if filling == "minus-held" else "+-")
     elif filling == "filtration":
         table = LatticeCache()
         steps, stored = recorded_steps(monkeypatch, rs, table, [filtration_cone(rs, i) for i in range(1, 121)])

@@ -51,11 +51,14 @@ def test_usage_errors(capsys):
         ("charpoly", "A2", "-k", "-1"),
         ("exponents", "E6", "-k", "1", "--all-ideals"),
         ("ideals", "E6"),
+        ("verify", "A2", "-k", "1", "--subset", "ideal:"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+    if argv[-1].startswith("ideal:"):
+        assert f"ideal:IDX needs an integer index, got {argv[-1][len('ideal:'):]!r}" in err
 
 
 def test_charpoly_rejects_all_ideals(capsys):
@@ -421,8 +424,8 @@ def test_campaign_builds_one_lattice_per_restriction_plane(capsys, monkeypatch, 
     # of the ambient cone; each plane's lattice is built once (planes whose
     # restrictions are equal share one), and the one anchor has its own
     lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
-    reads = _restricted_reads(monkeypatch)
-    code, out, _ = run(capsys, "verify", name, "-k", "1" if name == "F4" else "2", "--all-ideals", "--format", "json")
+    reads, k = _restricted_reads(monkeypatch), "1" if name == "F4" else "2"
+    code, out, _ = run(capsys, "verify", name, "-k", k, "--all-ideals", "--format", "json")
     assert code == 0
     per_plane = {table.restricted[h0] for table, _, h0 in reads}
     assert len(per_plane) <= planes
@@ -431,6 +434,11 @@ def test_campaign_builds_one_lattice_per_restriction_plane(capsys, monkeypatch, 
     # every cone but the anchor reads its step off a per-plane lattice, and
     # the empty ideal's two signs are one cone
     assert len(reads) == len(json.loads(out)["cases"]) - 2
+    # a '-'-only campaign holds (k, {}, '-'), whose restrictions onto the
+    # |Phi+| planes of the '-' chain differ: B3 k=2 builds 10, F4 k=1 builds 25
+    lattices.clear()
+    assert run(capsys, "verify", name, "-k", k, "--all-ideals", "--sign", "-")[0] == 0
+    assert len(lattices) == len(set(args[0] for args in lattices)) == 1 + planes // 2
 
 
 def _anchors(lattices, rs):
@@ -492,10 +500,10 @@ def test_one_anchor_per_level_on_every_route(capsys, monkeypatch, argv, builds, 
 
 @pytest.mark.parametrize("sign, planes", [("+", 48), ("-", 24), ("both", 48)])
 def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, planes):
-    # hold restricts the ambient cone of F4 k=1 onto the planes of the longest
-    # walk of the campaign's signs, and a campaign reads every one of them: all
-    # 48 when it walks '+', since its empty ideal walks on down the '-' chain,
-    # and the 24 of the '-' chain alone under --sign -
+    # hold restricts the campaign's largest cone of F4 k=1 onto the planes of
+    # its own walk, and a campaign reads every one of them: all 48 when it
+    # walks '+', since its empty ideal walks on down the '-' chain, and the 24
+    # of the '-' chain alone under --sign -
     reads, tables, stored = _restricted_reads(monkeypatch), _tables(monkeypatch), _stored_restrictions(monkeypatch)
     assert run(capsys, "verify", "F4", "-k", "1", "--all-ideals", "--sign", sign, "--format", "json")[0] == 0
     rs = idealshi.cli.build("F4")
@@ -506,9 +514,10 @@ def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, pla
     [table] = tables
     assert set(table.restricted) == want
     assert set(table.traces) == want | {idealshi.arrangement.z_covector(rs)}
-    # hold stores the ambient cone's, and no walk replaces one
-    ambient = idealshi.arrangement.shi_arrangement(rs, 1, (1 << rs.n_positive) - 1, "+")
-    assert len(stored) == planes and {cone for cone, _ in stored} == {ambient}
+    # hold stores the restrictions of (1, all, '+'), or of (1, {}, '-') under
+    # --sign -, and no walk replaces one
+    held = idealshi.arrangement.shi_arrangement(rs, 1, *((0, "-") if sign == "-" else ((1 << rs.n_positive) - 1, "+")))
+    assert len(stored) == planes and {cone for cone, _ in stored} == {held}
 
 
 @pytest.mark.parametrize(
