@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from . import __version__
@@ -508,7 +508,10 @@ def _add_report(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timings", action="store_true", help="include wall-clock fields")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process, shared by every ``main`` call.  It binds each
+    ``cmd_*`` through ``set_defaults``, so tests patch helpers, not ``cmd_*``."""
     parser = argparse.ArgumentParser(
         prog="idealshi",
         description="Exact verification of ideal-Shi arrangement exponent and freeness identities.",

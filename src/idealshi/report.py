@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _string
 from typing import Optional, Sequence
 
 SCHEMA_VERSION = 1
@@ -93,13 +94,13 @@ class Report:
         return all(c.verdict != FAIL for c in self.cases)
 
     def to_json(self, with_timings: bool = False) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "summary": self.summary(),
-            "cases": [c.to_dict(with_timings) for c in self.cases],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, each record joined as it is encoded."""
+        rest = _json({"command": self.command, "schema_version": SCHEMA_VERSION, "summary": self.summary()})
+        pieces = ['{\n  "cases": [']  # "cases" sorts first; rest[1:] goes on after it
+        for i, case in enumerate(self.cases):
+            pieces += (",\n    " if i else "\n    ", _json(case.to_dict(with_timings), "    "))
+        pieces.append(("\n  ]," if self.cases else "],") + rest[1:] + "\n")
+        return "".join(pieces)
 
     def to_csv(self, with_timings: bool = False) -> str:
         """One row per case; the columns are the record's fields in order."""
@@ -147,6 +148,42 @@ def _csv_cell(value):
     if isinstance(value, list):
         return "; ".join(f"{r.name}={r.status}" for r in value)
     return value
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, each line after the first indented by ``indent`` more."""
+    pieces: list[str] = []
+    _encode(value, indent, pieces)
+    return "".join(pieces)
+
+
+def _encode(value, indent: str, out: list[str]) -> None:
+    """Append ``value``'s pieces to ``out``.  Only the types that ``to_dict``
+    gives are accepted, so a tuple or a set raises TypeError."""
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} has no JSON form")
+        out.append(float.__repr__(value))
+    elif isinstance(value, list):
+        inner = indent + "  "
+        for i, item in enumerate(value):
+            out.append(",\n" + inner if i else "[\n" + inner)
+            _encode(item, inner, out)
+        out.append("\n" + indent + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        for i, key in enumerate(sorted(value)):
+            out.append((",\n" if i else "{\n") + inner + _string(key) + ": ")
+            _encode(value[key], inner, out)
+        out.append("\n" + indent + "}" if value else "{}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def text_table(rows: Sequence[tuple], headers: Sequence[str]) -> str:

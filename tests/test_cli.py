@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -1013,3 +1015,38 @@ def test_jobs_above_one_only_for_verify(capsys, command):
     code, plain, _ = run(capsys, *argv)
     assert code == 0 and plain
     assert run(capsys, *argv, "--jobs", "1") == (0, plain, "")
+
+
+def test_every_main_call_reuses_one_parser(capsys):
+    idealshi.cli.build_parser.cache_clear()
+    for argv in (("roots", "A2"), ("exponents", "A2"), ("verify", "A2", "-k", "1", "--subset", "none")):
+        assert run(capsys, *argv)[0] == 0
+    info = idealshi.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_shared_parser_prints_what_fresh_processes_print(capsys, monkeypatch):
+    """A usage error, then --version, then a valid run, all in this process:
+    each prints what a fresh process prints, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idealshi.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, code in (
+        (("verify", "A2", "-k", "1", "--jobs", "2"), 2),
+        (("--version",), 0),
+        (("verify", "A2", "-k", "1", "--all-ideals", "--format", "json"), 0),
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "idealshi", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert fresh.returncode == code and fresh.stdout + fresh.stderr
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_helpers_patched_after_the_first_call_take_effect(capsys, monkeypatch):
+    argv = ("verify", "A2", "-k", "1", "--subset", "none")
+    assert run(capsys, *argv)[0] == 0  # the parser, with cmd_verify bound, exists from here on
+    made, table = [], idealshi.cli._table
+    monkeypatch.setattr(idealshi.cli, "_table", lambda args: made.append(table(args)) or made[-1])
+    assert run(capsys, *argv)[0] == 0
+    assert len(made) == 1
