@@ -9,14 +9,17 @@ product or Gram matrix ever enters: everything is exact integer arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from .linalg import Vec
-from .rootsys import Root, RootSystem, _check_cone, mask_bits, roots_of, shi_plane_count, shi_planes
+from .rootsys import Root, RootSystem, _check_cone, mask_bits, roots_of, shi_levels, shi_plane_count
 
 
 class SizeBoundError(RuntimeError):
@@ -86,8 +89,8 @@ def root_arrangement(rs: RootSystem, mask: Optional[int] = None) -> Arrangement:
 def shi_arrangement(rs: RootSystem, k: int, mask: int, sign: str) -> Arrangement:
     """Coned k-extended Shi arrangement plus the level -k planes of the
     roots in ``mask`` (sign '+') or minus their level k planes (sign '-')."""
-    # positive roots are primitive and nonnegative, and the (root, level) pairs are distinct
-    covs = [root.coeffs + (-j,) for root, j in shi_planes(rs, k, mask, sign)]
+    # positive roots are primitive and nonnegative, and each root's levels are distinct
+    covs = [root.coeffs + (-j,) for root, js in zip(rs.positive_roots, shi_levels(rs, k, mask, sign)) for j in js]
     return Arrangement(rs.rank + 1, tuple(sorted(covs + [z_covector(rs)])))
 
 
@@ -147,7 +150,7 @@ class IntersectionLattice:
     levels: tuple[np.ndarray, ...]
     # edges[c - 3], for each level c >= 3, the top included: the cover edges
     # Y -> X into it, sorted by X, as (index of Y in level c - 1, the bounds
-    # of each X's run of edges); the top's one run is every coatom
+    # of each X's run of edges); the top's one run is every coatom, and mobius reads those off their level
     edges: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def mobius(self, within: int) -> list[np.ndarray]:
@@ -163,10 +166,13 @@ class IntersectionLattice:
         also gets 0, since such a Y of L(B) would give X = Y cap a_X in L(B).
         So a flat lies in L(B) exactly when its sum has a nonzero term, and
         mu_B vanishes off L(B).  On atoms this is -1 on B, and on codim 2 it
-        is |B_X| - 1 when |B_X| >= 2, a popcount.  From codim 3 on, the top
-        included, it runs over the recorded edges.  The values must sum to 0
-        when B is nonempty, which is checked on every read.
+        is |B_X| - 1 when |B_X| >= 2, a popcount.  From codim 3 on it runs over
+        the recorded edges; the top lies on every plane, so B_top = B, its a is
+        the lowest bit of ``within``, and its covers are every coatom.  The
+        values must sum to 0 when B is nonempty, checked on every read.
         """
+        if not 0 <= within < 1 << self.arrangement.size:
+            raise ValueError(f"within {within} is not a subset of the {self.arrangement.size} planes")
         masks, edges = self.levels, self.edges
         bits = _words(within, masks[0].shape[1])
         mus = [np.ones(1, dtype=np.int64)]
@@ -175,10 +181,14 @@ class IntersectionLattice:
         if len(masks) > 2:
             size = np.bitwise_count(masks[2] & bits).sum(axis=1, dtype=np.int64)
             mus.append(np.where(size > 1, size - 1, 0))
-        for codim, (parents, bounds) in enumerate(edges, 3):
+        for codim, (parents, bounds) in enumerate(edges[:-1], 3):
             a = np.repeat(_lowest(masks[codim] & bits), np.diff(bounds))
             off = (a >= 0) & ~_through(masks[codim - 1], parents, a)
             mus.append(-np.add.reduceat(np.where(off, mus[-1][parents], 0), bounds[:-1]))
+        if edges:  # with B empty, every mu is 0 whichever column a = -1 reads
+            a = (within & -within).bit_length() - 1
+            off = masks[-2][:, a >> 6] >> np.uint64(a & 63) & np.uint64(1) == 0
+            mus.append(-mus[-1].sum(where=off, keepdims=True))
         if within and sum(int(mu.sum()) for mu in mus) != 0:
             raise AssertionError("Mobius values of a nonempty central arrangement must sum to 0")
         return mus
@@ -403,12 +413,13 @@ def _traces(arr: Arrangement, h0: Vec, table: Optional[dict] = None) -> list[Vec
     each h0 to {plane: trace}; only the planes it lacks go through the
     kernel, and their traces are stored there."""
     known = {} if table is None else table.setdefault(h0, {})
-    others = [c for c in arr.covectors if c != h0]
-    new = [c for c in others if c not in known]
-    if new:
+    try:
+        return [known[c] for c in arr.covectors if c != h0]
+    except KeyError:
+        new = [c for c in arr.covectors if c != h0 and c not in known]
         [traced] = _trace_kernel([h0], new)
         known.update(zip(new, traced))
-    return [known[c] for c in others]
+        return [known[c] for c in arr.covectors if c != h0]
 
 
 def restriction(arr: Arrangement, h0: Sequence[int], table: Optional[dict] = None) -> Arrangement:
@@ -428,11 +439,9 @@ def ziegler_multiplicity(
     """Restriction onto h0 with each trace weighted by how many
     hyperplanes of the arrangement cut it out."""
     h0v = covector(h0)
-    if h0v not in set(arr.covectors):
+    if h0v not in arr.covectors:
         raise ValueError("restriction hyperplane must belong to the arrangement")
-    mult: dict[Vec, int] = {}
-    for t in _traces(arr, h0v, table):
-        mult[t] = mult.get(t, 0) + 1
+    mult = Counter(_traces(arr, h0v, table))
     return Arrangement(arr.dim - 1, tuple(sorted(mult))), mult
 
 
@@ -466,8 +475,9 @@ class LatticeCache:
         self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, kept for the command like chi
         self.traces: dict[Vec, dict[Vec, Vec]] = {}  # restriction plane -> {plane: primitive trace}
         self.restricted: dict[Vec, Arrangement] = {}  # restriction plane -> the restriction stored onto it
-        # restriction -> (its lattice, {trace: its bit}), kept for the command so none is built twice
-        self._lattices: dict[Arrangement, tuple[IntersectionLattice, dict[Vec, int]]] = {}
+        # restriction -> {trace: its bit}, and its lattice once read, kept for the command so none is built twice
+        self._bits: dict[Arrangement, dict[Vec, int]] = {}
+        self._lattices: dict[Arrangement, IntersectionLattice] = {}
 
     def admit(self, dim: int, size: int) -> None:
         """Refuse a cone of ``size`` planes in ``dim`` coordinates: the one size guard, asked before any build."""
@@ -513,12 +523,18 @@ class LatticeCache:
         trace share its bit, so bits are or-ed, not summed."""
         traces = _traces(cone, h0, self.traces)
         arr = self.restricted.get(h0)
-        if arr is None or not set(arr.covectors).issuperset(traces):
+        if arr is None or (within := self._within(arr, traces)) is None:
             arr = self.restricted[h0] = restriction(cone, h0, self.traces)
-        if arr not in self._lattices:
-            self._lattices[arr] = intersection_lattice(arr), {t: 1 << i for i, t in enumerate(arr.covectors)}
-        lattice, bits = self._lattices[arr]
-        within = 0
-        for t in traces:
-            within |= bits[t]
+            within = self._within(arr, traces)
+        if (lattice := self._lattices.get(arr)) is None:
+            lattice = self._lattices[arr] = intersection_lattice(arr)
         return lattice.charpoly_coeffs(within)
+
+    def _within(self, arr: Arrangement, traces: list[Vec]) -> Optional[int]:
+        """The bits of ``traces`` among the planes of ``arr``; None when it lacks one."""
+        if (bits := self._bits.get(arr)) is None:
+            bits = self._bits[arr] = {t: 1 << i for i, t in enumerate(arr.covectors)}
+        try:
+            return reduce(or_, map(bits.__getitem__, traces), 0)
+        except KeyError:
+            return None

@@ -25,7 +25,6 @@ from .arrangement import (
     SizeBoundError,
     filtration_cone,
     root_arrangement,
-    root_covector,
     shi_arrangement,
     z_covector,
     ziegler_multiplicity,
@@ -121,6 +120,7 @@ class SubsetFacts:
         self.mask = spec.subset_mask
         self.ideal = is_ideal(self.rs, self.mask)
         self.cache = cache
+        self.sizes: dict[str, int] = {}
         self.arrangements: dict[str, Arrangement] = {}
         self.multirestrictions: dict[str, tuple[Arrangement, dict]] = {}
         self.predictions: dict[str, ExponentMultiset] = {}
@@ -135,8 +135,10 @@ class SubsetFacts:
         return self.arrangements[sign]
 
     def size(self, sign: str) -> int:
-        """Planes of this sign's cone, counted without building it."""
-        return shi_plane_count(self.rs, self.k, self.mask, sign)
+        """Planes of this sign's cone, counted once without building it."""
+        if sign not in self.sizes:
+            self.sizes[sign] = shi_plane_count(self.rs, self.k, self.mask, sign)
+        return self.sizes[sign]
 
     def chi(self, sign: str) -> CharPoly:
         """The polynomial of this sign's cone, by deletion-restriction through the table."""
@@ -194,7 +196,7 @@ def _check_yoshinaga(facts: SubsetFacts, sign: str) -> CheckResult:
 
 def _check_ziegler(facts: SubsetFacts, sign: str) -> CheckResult:
     rs, step = facts.rs, 1 if sign == "+" else -1
-    want = {root_covector(rs, r): 2 * facts.k + step * (facts.mask >> i & 1) for i, r in enumerate(rs.positive_roots)}
+    want = {r.coeffs: 2 * facts.k + step * (facts.mask >> i & 1) for i, r in enumerate(rs.positive_roots)}
     if facts.multirestriction(sign)[1] != want:
         return CheckResult("ziegler", FAIL, "multirestriction onto {z=0} differs from 2k +/- indicator")
     return CheckResult("ziegler", PASS, "multirestriction equals base roots with 2k +/- indicator")
@@ -254,6 +256,7 @@ def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
     its time is charged to the first record that needs it."""
     t0 = time.perf_counter()
     facts = SubsetFacts(spec, cache)
+    names = tuple(r.name for r in roots_of(facts.rs, facts.mask))
     records = []
     for sign in _signs(spec.sign):
         checks, refused = [], False
@@ -271,7 +274,7 @@ def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
                 k=spec.k,
                 sign=sign,
                 subset_kind="ideal" if facts.ideal else "roots",
-                subset_roots=tuple(r.name for r in roots_of(facts.rs, facts.mask)),
+                subset_roots=names,
                 subset_index=spec.subset_index,
                 arrangement_size=facts.size(sign),
                 predicted_exponents=predicted and predicted.parts,

@@ -94,7 +94,7 @@ class Root:
     def height(self) -> int:
         return sum(self.coeffs)
 
-    @property
+    @cached_property
     def name(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs, start=1):

@@ -36,7 +36,7 @@ from idealshi import (
     ziegler_multiplicity,
 )
 from idealshi import linalg
-from idealshi.arrangement import _primitive, _restricted_basis, _trace_kernel, covector
+from idealshi.arrangement import _lowest, _primitive, _restricted_basis, _through, _trace_kernel, _words, covector
 from idealshi.rootsys import is_ideal, mask_of, roots_of, shi_plane_count, shi_planes
 
 from extended_heights import ext_height, ext_height_z
@@ -336,6 +336,25 @@ def test_a_store_with_every_trace_is_kept(systems, monkeypatch):
     assert got == intersection_lattice(restriction(read, h)).charpoly_coeffs()
 
 
+def test_a_store_lacking_a_trace_is_replaced_unbuilt(systems, monkeypatch):
+    # on H = {a1 = -2z}, Q = {a2 = -z} has a trace no other plane of the
+    # cone (2, {a1}, '+') has.  A store restricted from the cone without Q,
+    # as hold leaves one, is never read; the cone's read finds Q's trace
+    # missing and replaces the store, building only the new one's lattice
+    a2 = systems["A2"]
+    h, q = (1, 0, 2), (0, 1, 1)
+    full = shi_arrangement(a2, 2, mask_of(a2, [a2.root_at((1, 0))]), "+")
+    table = LatticeCache()
+    table.restricted[h] = restriction(full.delete(q), h, table.traces)
+    builds = []
+    build_lattice = idealshi.arrangement.intersection_lattice
+    monkeypatch.setattr(idealshi.arrangement, "intersection_lattice", lambda arr: builds.append(arr) or build_lattice(arr))
+    got = table.restricted_coeffs(full, h)
+    monkeypatch.undo()
+    assert builds == [restriction(full, h)] == [table.restricted[h]] != [restriction(full.delete(q), h)]
+    assert got == intersection_lattice(restriction(full, h)).charpoly_coeffs()
+
+
 @given(
     rows=st.integers(2, 5).flatmap(
         lambda n: st.lists(st.tuples(*[st.integers(-2, 2)] * n).filter(any), min_size=1, max_size=9)
@@ -628,6 +647,65 @@ def test_a_corrupted_lattice_fails_its_check():
     for within in (None, full & ~(1 << off)):
         with pytest.raises(AssertionError, match="must sum to 0"):
             broken.charpoly_coeffs(within)
+
+
+def generic_mobius(lattice, within):
+    """The Weisner pass with the top read like every level from codim 3 on:
+    a_top the lowest plane of B_top, and the covers the top's recorded run."""
+    masks = lattice.levels
+    bits = _words(within, masks[0].shape[1])
+    mus = [np.ones(1, dtype=np.int64)]
+    if len(masks) > 1:
+        mus.append(-(masks[1] & bits).any(axis=1).astype(np.int64))
+    if len(masks) > 2:
+        size = np.bitwise_count(masks[2] & bits).sum(axis=1, dtype=np.int64)
+        mus.append(np.where(size > 1, size - 1, 0))
+    for codim, (parents, bounds) in enumerate(lattice.edges, 3):
+        a = np.repeat(_lowest(masks[codim] & bits), np.diff(bounds))
+        off = (a >= 0) & ~_through(masks[codim - 1], parents, a)
+        mus.append(-np.add.reduceat(np.where(off, mus[-1][parents], 0), bounds[:-1]))
+    return mus
+
+
+@pytest.mark.parametrize(
+    "name, k, ambient, restricted",
+    [("B3", 1, False, False), ("B3", 2, True, True), ("F4", 1, True, True), ("G2", 5, True, False)],
+    ids=["B3 k=1 cone", "B3 k=2 restriction", "F4 k=1 restriction", "G2 k=5 cone"],
+)
+def test_the_top_step_matches_the_generic_pass(systems, name, k, ambient, restricted):
+    # the top lies on every plane, so mobius reads its a off the lowest bit
+    # of within and sums over every coatom; the generic pass reads the same
+    # top off its recorded edges.  Masks: empty, each single plane, every
+    # lowest bit (past 64 on G2's two words) under all planes above it and
+    # under random ones, sparse random subsets, and the rank-deficient
+    # planes through one flat
+    rs = systems[name]
+    arr = shi_arrangement(rs, k, (1 << rs.n_positive) - 1 if ambient else 0, "+")
+    if restricted:
+        arr = restriction(arr, root_covector(rs, rs.positive_roots[0], -k, coned=True))
+    lattice, m, rng = intersection_lattice(arr), arr.size, random.Random(f"{name} {k}")
+    assert len(lattice.levels) == arr.dim + 1  # the top at codim dim: F4's restriction has codim 3 under it
+    masks = [0, (1 << m) - 1] + [1 << i for i in range(m)]
+    masks += [(1 << m) - (1 << p) for p in range(m)] + [(rng.getrandbits(m - p) | 1) << p for p in range(m)]
+    masks += [sum(1 << i for i in rng.sample(range(m), rng.randint(2, min(m, 22)))) for _ in range(25)]
+    masks += [mask for codim in range(2, len(lattice.levels) - 1) for mask, _ in flats(lattice, codim)[:8]]
+    if m > 64:
+        assert any(mask and (mask & -mask).bit_length() > 64 for mask in masks)
+    for within in masks:
+        got, want = lattice.mobius(within), generic_mobius(lattice, within)
+        assert [mu.tolist() for mu in got] == [mu.tolist() for mu in want], within
+        if bin(within).count("1") <= 22:
+            sub = Arrangement(arr.dim, tuple(c for i, c in enumerate(arr.covectors) if within >> i & 1))
+            assert lattice.charpoly_coeffs(within) == charpoly_whitney(sub).coeffs, within
+
+
+def test_a_within_outside_the_planes_is_refused():
+    # a stray bit past the planes, or a negative mask, would become the top's a
+    lattice = intersection_lattice(shi_arrangement(build("B3"), 1, 0, "+"))
+    assert lattice.arrangement.size == 19
+    for within in (1 << 19, (1 << 19) | 1, -1):
+        with pytest.raises(ValueError, match="not a subset of the 19 planes"):
+            lattice.charpoly_coeffs(within)
 
 
 # --- localization: the hyperplanes in a flat's mask -------------------------

@@ -314,6 +314,21 @@ def test_verify_computes_shared_work_once(capsys, monkeypatch):
     assert len(arrangements) == len(set(arrangements)) == 1 + len(restricted) + 6
 
 
+@pytest.mark.parametrize("system, k, builds, reads", [("B3", "2", 8, 39), ("F4", "1", 23, 209)])
+def test_a_campaign_builds_reads_and_traces_a_pinned_count(capsys, monkeypatch, system, k, builds, reads):
+    # the lattices a campaign builds, the chi reads made off them and the one
+    # kernel call of hold: a cheaper read or record must not move any of them
+    lattices = _count_calls(monkeypatch, idealshi.arrangement, "intersection_lattice")
+    kernel = _count_calls(monkeypatch, idealshi.arrangement, "_trace_kernel")
+    read, seen = idealshi.arrangement.IntersectionLattice.charpoly_coeffs, []
+    monkeypatch.setattr(
+        idealshi.arrangement.IntersectionLattice, "charpoly_coeffs", lambda *args: seen.append(args) or read(*args)
+    )
+    code, out, _ = run(capsys, "verify", system, "-k", k, "--all-ideals", "--format", "json")
+    assert code == 0 and json.loads(out)["summary"]["fail"] == 0
+    assert (len(lattices), len(seen), len(kernel)) == (builds, reads, 1)
+
+
 def test_rank2_campaign_restricts_each_cone_once(capsys, monkeypatch):
     # G2 has 8 ideals: one multirestriction and one rank-2 solve per cone
     restrictions = _count_calls(monkeypatch, idealshi.arrangement, "ziegler_multiplicity")
