@@ -148,9 +148,9 @@ class IntersectionLattice:
     # levels[c] holds the masks of the flats of codim c, one row of uint64
     # words per flat: bit i set when covectors[i] contains the flat
     levels: tuple[np.ndarray, ...]
-    # edges[c - 3], for each level c >= 3, the top included: the cover edges
+    # edges[c - 3], for each level c >= 3 below the top: the cover edges
     # Y -> X into it, sorted by X, as (index of Y in level c - 1, the bounds
-    # of each X's run of edges); the top's one run is every coatom, and mobius reads those off their level
+    # of each X's run of edges); the top's covers are every coatom, which mobius reads off their level
     edges: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def mobius(self, within: int) -> list[np.ndarray]:
@@ -166,10 +166,10 @@ class IntersectionLattice:
         also gets 0, since such a Y of L(B) would give X = Y cap a_X in L(B).
         So a flat lies in L(B) exactly when its sum has a nonzero term, and
         mu_B vanishes off L(B).  On atoms this is -1 on B, and on codim 2 it
-        is |B_X| - 1 when |B_X| >= 2, a popcount.  From codim 3 on it runs over
-        the recorded edges; the top lies on every plane, so B_top = B, its a is
-        the lowest bit of ``within``, and its covers are every coatom.  The
-        values must sum to 0 when B is nonempty, checked on every read.
+        is |B_X| - 1 when |B_X| >= 2, a popcount.  Codim 3 to the coatoms run
+        over the recorded edges; the top lies on every plane, so B_top = B,
+        its a is the lowest bit of ``within``, and its covers are every
+        coatom.  The values must sum to 0 when B is nonempty, checked always.
         """
         if not 0 <= within < 1 << self.arrangement.size:
             raise ValueError(f"within {within} is not a subset of the {self.arrangement.size} planes")
@@ -181,11 +181,11 @@ class IntersectionLattice:
         if len(masks) > 2:
             size = np.bitwise_count(masks[2] & bits).sum(axis=1, dtype=np.int64)
             mus.append(np.where(size > 1, size - 1, 0))
-        for codim, (parents, bounds) in enumerate(edges[:-1], 3):
+        for codim, (parents, bounds) in enumerate(edges, 3):
             a = np.repeat(_lowest(masks[codim] & bits), np.diff(bounds))
             off = (a >= 0) & ~_through(masks[codim - 1], parents, a)
             mus.append(-np.add.reduceat(np.where(off, mus[-1][parents], 0), bounds[:-1]))
-        if edges:  # with B empty, every mu is 0 whichever column a = -1 reads
+        if len(masks) > 3:  # a top at codim >= 3; with B empty, every mu is 0 whichever column a = -1 reads
             a = (within & -within).bit_length() - 1
             off = masks[-2][:, a >> 6] >> np.uint64(a & 63) & np.uint64(1) == 0
             mus.append(-mus[-1].sum(where=off, keepdims=True))
@@ -326,7 +326,7 @@ MAX_DIM = 5
 
 def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     """Build the full intersection lattice, level by level, with its cover
-    edges from codim 3 on, the top's included.
+    edges from codim 3 to the coatoms.
 
     A flat X is named by the mask of the hyperplanes containing it.
     Levels 1 and 2 come straight from the planes: each plane is an atom,
@@ -339,7 +339,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     those rows is a cover edge to a flat one codimension down, with mask
     mask(X) | class.  Flats merge on their masks, so no row reduction
     happens inside the build.  The top flat is unique, so it is written
-    down directly, with one run of edges from every coatom.  No mu is stored:
+    down directly; its covers are every coatom.  No mu is stored:
     :meth:`IntersectionLattice.mobius` reads it off the edges when asked.
     """
     n, m = arr.dim, arr.size
@@ -380,7 +380,6 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
                 bases = _restricted_basis(forms[keep], bases[parents[keep]])
         if rank > 2:
             levels.append(top)
-            edges.append((np.arange(len(masks), dtype=np.int32), np.array([0, len(masks)])))
 
     return IntersectionLattice(arr, tuple(levels), tuple(edges))
 
@@ -463,16 +462,17 @@ class LatticeCache:
     The table carries the size guards of the lattices built to fill it, and
     a read refuses an arrangement beyond them, so a warm table refuses
     exactly what a cold one does.
-    Beside chi it keeps, for the command only, the rank-2 derivation bases,
-    the traces of each plane on each restriction plane and, per restriction
-    plane, one restriction onto it, which :meth:`hold` seeds with a
-    campaign's largest cone and the walk fills (:meth:`restricted_coeffs`);
+    Beside chi it keeps, for the command only, the rank-2 derivation bases and
+    step weights, the traces of each plane on each restriction plane and, per
+    restriction plane, one restriction onto it, which :meth:`hold` seeds with
+    a campaign's largest cone and the walk fills (:meth:`restricted_coeffs`);
     equal restrictions share one lattice and the bit of each trace in it."""
 
     def __init__(self, *, max_hyperplanes: int = MAX_HYPERPLANES, max_dim: int = MAX_DIM):
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
         self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, kept for the command like chi
+        self.rank2_rows: dict = {}  # and the weights of the condition rows its steps read, under (a, b, j, degree)
         self.traces: dict[Vec, dict[Vec, Vec]] = {}  # restriction plane -> {plane: primitive trace}
         self.restricted: dict[Vec, Arrangement] = {}  # restriction plane -> the restriction stored onto it
         # restriction -> {trace: its bit}, and its lattice once read, kept for the command so none is built twice

@@ -153,8 +153,8 @@ class SubsetFacts:
 
     def yoshinaga(self, sign: str) -> FreenessVerdict:
         if sign not in self.yoshinaga_verdicts:
-            chi, bases = self.chi(sign), self.cache.rank2_bases
-            self.yoshinaga_verdicts[sign] = yoshinaga_check(*self.multirestriction(sign), chi, bases=bases)
+            chi, bases, rows = self.chi(sign), self.cache.rank2_bases, self.cache.rank2_rows
+            self.yoshinaga_verdicts[sign] = yoshinaga_check(*self.multirestriction(sign), chi, bases=bases, rows=rows)
         return self.yoshinaga_verdicts[sign]
 
     @cached_property

@@ -7,18 +7,17 @@ coefficients of (P, Q).  A basis of the derivation module is built by
 raising the multiplicities one unit at a time from d/dx, d/dy at m = 0,
 each step in closed form (the rank-2 case of the Abe-Terao-Wakefield
 addition).  Saito's criterion (Ziegler 1989) certifies the finished pair
-apart from the step rule: membership from the low digits of a*P + b*Q at
-x = 2^K - b, y = a (its Taylor coefficients at the line, K bounding them),
-the determinant against one big-integer product.  No linear system is solved.
+apart from the step rule: the determinant against the target, both packed
+at x = 2^K, and membership from the low digits of a*P + b*Q at x = 2^K - b,
+y = a (its Taylor coefficients at the line).  No linear system is solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
+from operator import mul
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 from . import linalg
 from .arrangement import Arrangement
@@ -29,21 +28,23 @@ from .rootsys import ExponentMultiset
 Multiplicity = Mapping[Vec, int]
 
 
-def _line_conditions(a: int, b: int, m: int, d: int) -> list[list[int]]:
-    """Rows forcing (a*x + b*y)^m to divide a*P + b*Q, P, Q of degree d.
+def _weights(a: int, b: int, t: int, d: int) -> list[int]:
+    """Row t of :func:`_condition_row` as weights w: a*w_s at p_s, b*w_s at q_s."""
+    return [b**s * comb(d - s, t) * (-a) ** (d - s - t) for s in range(d - t + 1)] if b else [0] * t + [1]
+
+
+def _condition_row(a: int, b: int, t: int, d: int) -> list[int]:
+    """Row t of the conditions that (a*x + b*y)^m, m > t, divide a*P + b*Q of degree d.
 
     Unknown layout: p_0..p_d then q_0..q_d, where P = sum p_s x^s y^(d-s).
     Row t is the coefficient of u^t w^(d-t), u = a*x + b*y and w = x, in
     b^d * (a*P + b*Q): sum_s r_s b^s C(d-s, t) (-a)^(d-s-t), r_s = a*p_s +
-    b*q_s; or of x^t y^(d-t) in a*P when b = 0.  The first m must vanish.
+    b*q_s; or of x^t y^(d-t) in a*P when b = 0.  Rows 0..m-1 must vanish.
     """
-    rows = [[0] * (2 * (d + 1)) for _ in range(min(m, d + 1))]
-    for t, row in enumerate(rows):
-        for s in range(d - t + 1) if b else ():
-            coef = b**s * comb(d - s, t) * (-a) ** (d - s - t)
-            row[s], row[d + 1 + s] = a * coef, b * coef
-        row[t] += 0 if b else a  # when b = 0, row t reads a*p_t
-    return rows
+    row = [0] * (2 * (d + 1))
+    for s, w in enumerate(_weights(a, b, t, d)):
+        row[s], row[d + 1 + s] = a * w, b * w
+    return row
 
 
 def _validate(arr2: Arrangement, mult: Multiplicity) -> None:
@@ -55,19 +56,12 @@ def _validate(arr2: Arrangement, mult: Multiplicity) -> None:
 
 def _conditions(arr2: Arrangement, mult: Multiplicity, degree: int) -> list[list[int]]:
     _validate(arr2, mult)
-    return [row for cov in arr2.covectors for row in _line_conditions(*cov, mult.get(cov, 0), degree)]
+    return [_condition_row(*cov, t, degree) for cov in arr2.covectors for t in range(min(mult.get(cov, 0), degree + 1))]
 
 
 def derivation_space_dim(arr2: Arrangement, mult: Multiplicity, degree: int) -> int:
     """Dimension of the degree-d part of the constrained derivation module."""
     return 2 * (degree + 1) - linalg.rank(_conditions(arr2, mult, degree))
-
-
-def _digits(h: int, k: int, count: int) -> list[int]:
-    """h = sum_(t < count) d_t 2^(k t) as balanced digits d_t in [-2^(k-1), 2^(k-1))."""
-    half = 1 << k - 1
-    h += half * ((1 << k * count) - 1) // ((1 << k) - 1)  # every digit + half, now in [0, 2^k)
-    return [(h >> k * t & (1 << k) - 1) - half for t in range(count)]
 
 
 def _packed_taylor(a: int, b: int, theta: Sequence[int], m: int) -> tuple[int, int]:
@@ -90,7 +84,7 @@ def _respects(a: int, b: int, m: int, theta: Sequence[int]) -> bool:
     When b != 0, swap x and y (and a, b), so that a != 0.  Then x = u - b,
     y = a takes alpha to a*u and g of degree d to sum_t T_t u^t, T_t = sum_s
     g_s a^(d-s) C(s, t) (-b)^(s-t) (g_s at x^s y^(d-s); row t of
-    :func:`_line_conditions` dotted with theta, if a > 0 when b = 0), so
+    :func:`_condition_row` dotted with theta, if a > 0 when b = 0), so
     alpha^m | g iff T_t = 0 for t < m.  A Horner pass at U = 2^K, K =
     bit_length(|g|_inf (d+1) M^d) + 1, M = max(|a|, |b| + 1), gives
     h = sum_t T_t U^t.  As sum_t |T_t| <= |g|_inf sum_s |a|^(d-s) (|b|+1)^s
@@ -102,66 +96,103 @@ def _respects(a: int, b: int, m: int, theta: Sequence[int]) -> bool:
     - h mod U^m = S mod U^m, and |S| < U^m/2, so it is 0 iff S = 0, iff
       T_0 .. T_(m-1) all vanish (|T_t| < U/2 makes the digits of S unique).
     So the test reads only the low K*m bits, exactly; no approximation."""
-    h, _ = _packed_taylor(a, b, theta, m)
-    return h == 0
+    return _packed_taylor(a, b, theta, m)[0] == 0
+
+
+def _pack(coeffs: Sequence[int], k: int) -> int:
+    """sum_s c_s 2^(k s): the polynomial at x = 2^k, by Horner with shifts."""
+    h = 0
+    for c in reversed(coeffs):
+        h = (h << k) + c
+    return h
+
+
+def _at(form: Sequence[int], x: int, y: int) -> int:
+    """The form sum_s c_s x^s y^(d-s) at the point (x, y), by Horner."""
+    value, power = 0, 1
+    for c in reversed(form):
+        value, power = value * x + c * power, power * y
+    return value
 
 
 def saito_certified(arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int], theta2: Sequence[int]) -> bool:
-    """Saito's criterion: do theta1, theta2 (unknowns as in :func:`_line_conditions`)
-    lie in D(A, m), by :func:`_respects`, with det[theta1 theta2] = c * prod
-    alpha_H^(m_H), c != 0?  Both sides are forms of degree |m|, compared at y = 1;
-    the target's are the balanced base-2^K digits of prod (a*2^K + b)^(m_H),
-    K = bit_length(prod (|a| + |b|)^(m_H)) + 1, which bounds each of them."""
+    """Saito's criterion: is det[theta1 theta2] = c * prod alpha_H^(m_H),
+    c != 0, with theta1, theta2 (unknowns as in :func:`_condition_row`)
+    in D(A, m)?  Nothing here reads the step rule.
+
+    Determinant: both sides are forms of degree |m| = d1 + d2, compared at
+    y = 1.  The target's lowest nonzero coefficient is t_j = prod (b or
+    a)^(m_H), j the multiplicity of x; with d_j the determinant's, the
+    identity is det * t_j = d_j * target, d_j != 0.  Its sides have
+    coefficients at most 2 min(n1, n2) |theta1|_inf |theta2|_inf |t_j|
+    (n_i = d_i + 1) and prod (|a| + |b|)^(m_H) |d_j|; K = bit_length of
+    the sum, plus 1, puts the difference's below U/2, U = 2^K, so it is 0
+    iff it is 0 at x = U, where two big products give det.
+
+    Membership: :func:`_respects` tests theta1 on every line.  On H, with
+    m = m_H > 0 and beta = x if b != 0 else y, theta1(alpha) theta2(beta) -
+    theta1(beta) theta2(alpha) is -b det (a det if beta = y), a multiple of
+    alpha^m by the identity; alpha^m divides theta1(alpha), so it divides
+    theta1(beta) theta2(alpha).  alpha is prime, so when theta1(beta) is
+    nonzero at the point (b, -a) of H, alpha^m divides theta2(alpha); only
+    on the other lines does :func:`_respects` test theta2."""
     lines = [(a, b, mult.get((a, b), 0)) for a, b in arr2.covectors]
-    if not all(_respects(a, b, m, t) for a, b, m in lines for t in (theta1, theta2)):
+    (p1, q1), (p2, q2) = _halves(theta1), _halves(theta2)
+    n1, n2 = len(p1), len(p2)
+    j, t_j = sum(m for _, b, m in lines if not b), prod((b or a) ** m for a, b, m in lines)
+    d_j = sum(p1[s] * q2[j - s] - p2[j - s] * q1[s] for s in range(max(0, j - n2 + 1), min(j, n1 - 1) + 1))
+    bound = 2 * min(n1, n2) * max(map(abs, theta1)) * max(map(abs, theta2)) * abs(t_j)
+    k = (bound + prod((abs(a) + abs(b)) ** m for a, b, m in lines) * abs(d_j)).bit_length() + 1
+    det = _pack(p1, k) * _pack(q2, k) - _pack(p2, k) * _pack(q1, k)
+    target = prod(((a << k) + b) ** m for a, b, m in lines)
+    if n1 + n2 - 2 != sum(m for *_, m in lines) or d_j == 0 or det * t_j != d_j * target:
         return False
-    (p1, q1), (p2, q2) = (np.array(t, dtype=object).reshape(2, -1) for t in (theta1, theta2))
-    det = np.convolve(p1, q2) - np.convolve(p2, q1)
-    k = prod((abs(a) + abs(b)) ** m for a, b, m in lines).bit_length() + 1
-    target = _digits(prod(((a << k) + b) ** m for a, b, m in lines), k, sum(m for *_, m in lines) + 1)
-    j = linalg.first_nonzero(target)
-    return len(det) == len(target) and det[j] != 0 and all(u * target[j] == v * det[j] for u, v in zip(det, target))
+    return all(
+        _respects(a, b, m, theta1) and (_at(p1 if b else q1, b, -a) or _respects(a, b, m, theta2))
+        for a, b, m in lines
+        if m
+    )
 
 
-def _step_coefficient(a: int, b: int, j: int, theta: Vec) -> int:
-    """Row t = j of the line's conditions at theta's degree d, dotted with
-    theta, read without building the row: sum_s (a*p_s + b*q_s) b^s C(d-s, j)
-    (-a)^(d-s-j), or a*p_j when b = 0; 0 when j > d (theta(alpha_H) = 0)."""
+def _step_coefficient(a: int, b: int, j: int, theta: Vec, rows: dict) -> int:
+    """Row j of the line's conditions at theta's degree d, dotted with theta;
+    0 when j > d (theta(alpha_H) = 0).  ``rows`` keeps the weights of each
+    row read (:func:`_weights`) under (a, b, j, d)."""
     d = len(theta) // 2 - 1
-    if j > d or b == 0:
-        return 0 if j > d else a * theta[j]
-    g = [a * p + b * q for p, q in zip(theta[: d + 1], theta[d + 1 :])]
-    return sum(g[s] * b**s * comb(d - s, j) * (-a) ** (d - s - j) for s in range(d - j + 1))
+    w = rows.get((a, b, j, d)) or rows.setdefault((a, b, j, d), _weights(a, b, j, d))
+    return a * sum(map(mul, w, theta[: d + 1])) + b * sum(map(mul, w, theta[d + 1 :]))
 
 
-def _halves(theta: Vec) -> tuple[list[int], list[int]]:
+def _halves(theta: Vec) -> tuple[Vec, Vec]:
     n = len(theta) // 2
-    return list(theta[:n]), list(theta[n:])
+    return theta[:n], theta[n:]
 
 
 def _times_line(a: int, b: int, theta: Vec) -> Vec:
     """(a*x + b*y) * theta: coefficient s of each half is a*c_(s-1) + b*c_s."""
-    return tuple(b * hi + a * lo for half in _halves(theta) for hi, lo in zip(half + [0], [0] + half))
+    return tuple([b * hi + a * lo for half in _halves(theta) for hi, lo in zip(half + (0,), (0,) + half)])
 
 
-def _raise(a: int, b: int, j: int, theta1: Vec, theta2: Vec) -> tuple[Vec, Vec]:
+def _raise(a: int, b: int, j: int, theta1: Vec, theta2: Vec, rows: dict) -> tuple[Vec, Vec]:
     """A basis of D(A, m + delta_H) from a basis (theta1, theta2) of D(A, m),
     deg theta1 <= deg theta2, where m_H = j and alpha_H = a*x + b*y."""
-    c1, c2 = _step_coefficient(a, b, j, theta1), _step_coefficient(a, b, j, theta2)
+    c1, c2 = _step_coefficient(a, b, j, theta1, rows), _step_coefficient(a, b, j, theta2, rows)
     if c1 == 0:
         pair = theta1, _times_line(a, b, theta2)
     elif c2 == 0:
         pair = _times_line(a, b, theta1), theta2
     else:
         delta = len(theta2) // 2 - len(theta1) // 2
-        p1, q1 = ([0] * delta + h if b else h + [0] * delta for h in _halves(theta1))  # x^delta or y^delta times theta1
+        p1, q1 = ((0,) * delta + h if b else h + (0,) * delta for h in _halves(theta1))  # x^delta or y^delta times theta1
         scale = c1 * b**delta if b else c1
         combined = [scale * u - c2 * v for u, v in zip(theta2, p1 + q1)]
         pair = _times_line(a, b, theta1), linalg.normalize_primitive(combined)
     return tuple(sorted(pair, key=len))
 
 
-def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity, bases: Optional[dict] = None) -> tuple[int, int]:
+def exp_rank2_multi(
+    arr2: Arrangement, mult: Multiplicity, bases: Optional[dict] = None, rows: Optional[dict] = None
+) -> tuple[int, int]:
     """Exponent pair (d1, d2), d1 <= d2, of a basis passing Saito's criterion.
 
     The basis starts as d/dx, d/dy at m = 0, and the lines are raised
@@ -180,17 +211,18 @@ def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity, bases: Optional[dict]
     After j rounds the pair is the one raised for min(m_H, j).  ``bases``
     maps (lines, multiplicities in line order) to such pairs; the raising
     resumes from the deepest round it holds and records each one it makes.
+    ``rows`` keeps the row weights the steps read (:func:`_step_coefficient`).
     """
     _validate(arr2, mult)
     ms = tuple(mult.get(c, 0) for c in arr2.covectors)
-    keys = [(arr2.covectors, tuple(min(m, j) for m in ms)) for j in range(max(ms) + 1)]  # keys[j]: after j rounds
-    bases = {} if bases is None else bases
+    keys = [(arr2.covectors, tuple([m if m < j else j for m in ms])) for j in range(max(ms) + 1)]  # keys[j]: after j rounds
+    bases, rows = {} if bases is None else bases, {} if rows is None else rows
     done = max((j for j, key in enumerate(keys) if key in bases), default=0)
     theta1, theta2 = bases.get(keys[done], ((1, 0), (0, 1)))  # d/dx, d/dy at m = 0
     for j in range(done, len(keys) - 1):
         for (a, b), m in zip(arr2.covectors, ms):
             if m > j:
-                theta1, theta2 = _raise(a, b, j, theta1, theta2)
+                theta1, theta2 = _raise(a, b, j, theta1, theta2, rows)
         bases[keys[j + 1]] = theta1, theta2
     d1, d2 = len(theta1) // 2 - 1, len(theta2) // 2 - 1
     if not saito_certified(arr2, mult, theta1, theta2):
@@ -220,7 +252,7 @@ class FreenessVerdict:
 
 
 def yoshinaga_check(
-    arr2: Arrangement, mult: Multiplicity, chi: CharPoly, bases: Optional[dict] = None
+    arr2: Arrangement, mult: Multiplicity, chi: CharPoly, bases: Optional[dict] = None, rows: Optional[dict] = None
 ) -> FreenessVerdict:
     """Complete freeness test for central arrangements in 3 coordinates.
 
@@ -228,12 +260,12 @@ def yoshinaga_check(
     with the product of the exponents of ``(arr2, mult)``, its Ziegler
     multirestriction onto one of its planes; equality is equivalent to
     freeness.  The caller computes both, so size guards apply there, before
-    the rank-2 solve runs; ``bases`` is passed on to :func:`exp_rank2_multi`.
+    the rank-2 solve runs; ``bases`` and ``rows`` go to :func:`exp_rank2_multi`.
     """
     if (arr2.dim, chi.degree) != (2, 3):
         raise ValueError(f"need 2 coordinates and chi of degree 3, got {arr2.dim} and chi of degree {chi.degree}")
     czero = chi0(chi).coeffs[0]
-    d1, d2 = exp_rank2_multi(arr2, mult, bases=bases)
+    d1, d2 = exp_rank2_multi(arr2, mult, bases=bases, rows=rows)
     if czero == d1 * d2:
         return FreenessVerdict(True, ExponentMultiset((1, d1, d2)), czero, (d1, d2))
     return FreenessVerdict(False, None, czero, (d1, d2))

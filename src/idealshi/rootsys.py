@@ -327,13 +327,6 @@ def shi_levels(rs: RootSystem, k: int, mask: int, sign: str) -> list[range]:
     return [range(1 - k, k - m + 1) for m in members]
 
 
-def shi_planes(rs: RootSystem, k: int, mask: int, sign: str) -> list[tuple[Root, int]]:
-    """The (root, level) pairs of the planes {root = level*z} of an
-    ideal-Shi cone, besides {z = 0}."""
-    levels = shi_levels(rs, k, mask, sign)
-    return [(root, j) for root, js in zip(rs.positive_roots, levels) for j in js]
-
-
 def shi_plane_count(rs: RootSystem, k: int, mask: int, sign: str) -> int:
     """Hyperplanes of the ideal-Shi cone, {z = 0} included, without listing them."""
     return 1 + sum(len(js) for js in shi_levels(rs, k, mask, sign))

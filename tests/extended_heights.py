@@ -5,7 +5,13 @@ predicted exponents are the dual partition of those heights.  The program
 predicts with the shift law (1, kh +/- e_i(I)) instead; tests compare the two.
 """
 
-from idealshi.rootsys import is_ideal, shi_planes
+from idealshi.rootsys import is_ideal, shi_levels
+
+
+def shi_planes(rs, k, mask, sign):
+    """The (root, level) pairs of the planes {root = level*z} of an
+    ideal-Shi cone, besides {z = 0}."""
+    return [(root, j) for root, js in zip(rs.positive_roots, shi_levels(rs, k, mask, sign)) for j in js]
 
 
 def ext_height(rs, root, j):

@@ -37,9 +37,9 @@ from idealshi import (
 )
 from idealshi import linalg
 from idealshi.arrangement import _lowest, _primitive, _restricted_basis, _through, _trace_kernel, _words, covector
-from idealshi.rootsys import is_ideal, mask_of, roots_of, shi_plane_count, shi_planes
+from idealshi.rootsys import is_ideal, mask_of, roots_of, shi_plane_count
 
-from extended_heights import ext_height, ext_height_z
+from extended_heights import ext_height, ext_height_z, shi_planes
 
 
 # --- independent oracle: sweep all subsets, Mobius by definition -----------
@@ -257,10 +257,10 @@ def test_rank2_restrictions_match_brute_force(systems):
 
 
 def assert_edges_are_the_cover_relation(lattice):
-    # every level c >= 3, the top included, has its edges; each flat's run
-    # of parents is the set of flats of level c - 1 strictly above it
+    # every level c >= 3 below the top has its edges; each flat's run of
+    # parents is the set of flats of level c - 1 strictly above it
     levels, edges = lattice.levels, lattice.edges
-    assert len(edges) == max(0, len(levels) - 3)
+    assert len(edges) == max(0, len(levels) - 4)
     for codim, (parents, bounds) in enumerate(edges, 3):
         above, below = levels[codim - 1], levels[codim]
         assert len(bounds) == len(below) + 1 and bounds[-1] == len(parents)
@@ -276,13 +276,17 @@ def test_recorded_edges_are_the_cover_relation(systems, name):
     assert_edges_are_the_cover_relation(lattice)
 
 
-def test_a_held_restriction_records_its_top_edges(systems):
+def test_a_held_restriction_records_no_edges(systems):
+    # in 3 coordinates the top lies at codim 3, so no level is left between
+    # codim 2 and the top; mobius reads the top's covers off the coatoms
     table = LatticeCache()
     table.hold(systems["B3"], 2, "+-")
     plane = root_covector(systems["B3"], systems["B3"].positive_roots[0], -2, coned=True)
     lattice = intersection_lattice(table.restricted[plane])
     assert lattice.arrangement.dim == len(lattice.levels) - 1 == 3  # 3 coordinates, the top at codim 3
+    assert lattice.edges == ()
     assert_edges_are_the_cover_relation(lattice)
+    assert lattice.charpoly_coeffs() == charpoly_finite_field(lattice.arrangement).coeffs
 
 
 @pytest.mark.parametrize(
@@ -622,25 +626,25 @@ def test_filtration_rounds_hit_shi_arrangements(systems):
 
 
 def test_a_corrupted_lattice_fails_its_check():
-    # drop a coatom X on plane 0 with its run of cover edges and its edge
-    # into the top.  For any B that holds plane 0 and every plane through X,
-    # plane 0 is the top's a, so the top's Weisner sum skips X; mu_B(X) =
+    # drop a coatom X on plane 0 with its run of cover edges; the top's
+    # covers are then every coatom left.  For any B that holds plane 0 and
+    # every plane through X, plane 0 is the top's a, so the top's Weisner
+    # sum skips X; mu_B(X) =
     # mu(X) != 0 then goes missing from the total, which no longer sums to 0,
     # on the full and the masked read
     arr = shi_arrangement(build("B3"), 1, 0, "+")
     lattice = intersection_lattice(arr)
     full = (1 << arr.size) - 1
-    coatoms, (parents, bounds) = lattice.levels[-2], lattice.edges[-2]
-    assert len(lattice.levels) == 3 + len(lattice.edges)  # edges[-2] run into the coatoms, edges[-1] into the top
+    coatoms, (parents, bounds) = lattice.levels[-2], lattice.edges[-1]
+    assert len(lattice.levels) == 4 + len(lattice.edges)  # edges[-1] run into the coatoms
     x = int(np.flatnonzero(coatoms[:, 0] & np.uint64(1))[0])
     assert lattice.mobius(full)[-2][x] != 0
     runs = np.delete(np.diff(bounds), x)
     edges = np.delete(parents, np.arange(bounds[x], bounds[x + 1])), np.append(0, np.cumsum(runs))
-    top = np.arange(len(coatoms) - 1, dtype=np.int32), np.array([0, len(coatoms) - 1])  # every coatom left
     broken = dataclasses.replace(
         lattice,
         levels=(*lattice.levels[:-2], np.delete(coatoms, x, axis=0), lattice.levels[-1]),
-        edges=(*lattice.edges[:-2], edges, top),
+        edges=(*lattice.edges[:-1], edges),
     )
     through = int.from_bytes(coatoms[x].astype("<u8").tobytes(), "little")
     off = max(i for i in range(arr.size) if not through >> i & 1)
@@ -651,7 +655,7 @@ def test_a_corrupted_lattice_fails_its_check():
 
 def generic_mobius(lattice, within):
     """The Weisner pass with the top read like every level from codim 3 on:
-    a_top the lowest plane of B_top, and the covers the top's recorded run."""
+    a_top the lowest plane of B_top, and the covers a run of every coatom."""
     masks = lattice.levels
     bits = _words(within, masks[0].shape[1])
     mus = [np.ones(1, dtype=np.int64)]
@@ -660,7 +664,8 @@ def generic_mobius(lattice, within):
     if len(masks) > 2:
         size = np.bitwise_count(masks[2] & bits).sum(axis=1, dtype=np.int64)
         mus.append(np.where(size > 1, size - 1, 0))
-    for codim, (parents, bounds) in enumerate(lattice.edges, 3):
+    top = [(np.arange(len(masks[-2])), np.array([0, len(masks[-2])]))] if len(masks) > 3 else []
+    for codim, (parents, bounds) in enumerate([*lattice.edges, *top], 3):
         a = np.repeat(_lowest(masks[codim] & bits), np.diff(bounds))
         off = (a >= 0) & ~_through(masks[codim - 1], parents, a)
         mus.append(-np.add.reduceat(np.where(off, mus[-1][parents], 0), bounds[:-1]))
@@ -675,10 +680,10 @@ def generic_mobius(lattice, within):
 def test_the_top_step_matches_the_generic_pass(systems, name, k, ambient, restricted):
     # the top lies on every plane, so mobius reads its a off the lowest bit
     # of within and sums over every coatom; the generic pass reads the same
-    # top off its recorded edges.  Masks: empty, each single plane, every
-    # lowest bit (past 64 on G2's two words) under all planes above it and
-    # under random ones, sparse random subsets, and the rank-deficient
-    # planes through one flat
+    # top as a run of edges from every coatom.  Masks: empty, each single
+    # plane, every lowest bit (past 64 on G2's two words) under all planes
+    # above it and under random ones, sparse random subsets, and the
+    # rank-deficient planes through one flat
     rs = systems[name]
     arr = shi_arrangement(rs, k, (1 << rs.n_positive) - 1 if ambient else 0, "+")
     if restricted:

@@ -267,9 +267,13 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_refused_case_builds_no_cone(capsys, monkeypatch):
-    # the guards refuse chi from the plane count, so no plane is listed; the prediction needs no cone
+    # the guards refuse chi from the plane count, so no cone's levels are
+    # listed for its covectors; the prediction needs no cone.  Only the
+    # arrangement module's name is counted: the count itself reads shi_levels
     cones = _count_calls(monkeypatch, idealshi.arrangement, "shi_arrangement")
-    planes = _count_calls(monkeypatch, idealshi.rootsys, "shi_planes")
+    planes = []
+    levels = idealshi.arrangement.shi_levels
+    monkeypatch.setattr(idealshi.arrangement, "shi_levels", lambda *args: planes.append(args) or levels(*args))
     code, out, _ = run(capsys, "verify", "A2", "-k", "1000000", "--subset", "none", "--sign", "+", "--format", "json")
     assert code == 0
     [case] = json.loads(out)["cases"]

@@ -1,6 +1,7 @@
 """Rank-2 multiarrangement exponents and the ambient-3 freeness criterion."""
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,12 +32,24 @@ from idealshi import (
     ziegler_multiplicity,
 )
 from idealshi.cli import CaseSpec, SubsetFacts
-from idealshi.multiarr import _digits, _packed_taylor, saito_certified
+from idealshi.multiarr import _packed_taylor, saito_certified
 from saito_division import _respects as divides, saito_divided, target_by_convolution
 
 
 def dot(row, theta):
     return sum(x * y for x, y in zip(row, theta))
+
+
+def line_conditions(a, b, m, d):
+    """The rows forcing (a*x + b*y)^m to divide a*P + b*Q, P, Q of degree d."""
+    return [idealshi.multiarr._condition_row(a, b, t, d) for t in range(min(m, d + 1))]
+
+
+def _digits(h, k, count):
+    """h = sum_(t < count) d_t 2^(k t) as balanced digits d_t in [-2^(k-1), 2^(k-1))."""
+    half = 1 << k - 1
+    h += half * ((1 << k * count) - 1) // ((1 << k) - 1)  # every digit + half, now in [0, 2^k)
+    return [(h >> k * t & (1 << k) - 1) - half for t in range(count)]
 
 
 def a2_lines():
@@ -237,9 +250,23 @@ def test_certificate_checks_membership_and_degree():
     assert not saito_certified(axes, mult, theta1, (0, 0, 0, 1, 1, 0))
 
 
+def test_theta2_is_tested_where_theta1_of_beta_vanishes_on_the_line():
+    # m = {x: 1}, (x d/dy, d/dx): the degrees sum to |m|, det = -x, and x
+    # divides theta1(x) = 0, but not theta2(x) = 1.  On the line x, beta = y
+    # and theta1(y) = x vanishes at (0, -1), so the determinant says nothing
+    # about theta2 there: only the direct test refuses it
+    axes = Arrangement.of(2, [(1, 0), (0, 1)])
+    mult = {(1, 0): 1}
+    theta1, theta2 = (0, 0, 0, 1), (1, 0)
+    assert divides(1, 0, 1, theta1) and not divides(1, 0, 1, theta2)
+    assert not saito_divided(axes, mult, theta1, theta2)
+    assert not saito_certified(axes, mult, theta1, theta2)
+    assert not saito_certified(axes, mult, theta2, theta1)
+
+
 @st.composite
 def line_memberships(draw):
-    """A primitive line, a derivation theta of degree d as in _line_conditions,
+    """A primitive line, a derivation theta of degree d as in line_conditions,
     and a multiplicity m up to d + 3.  Half of the draws make a*P + b*Q a
     multiple of alpha^m (theta = alpha^m * theta'), or zero, so that the
     positive answer is exercised too."""
@@ -269,15 +296,15 @@ def test_division_matches_condition_rows(case):
     # exact division by alpha^m decides what the condition rows decide
     a, b, m, theta, kind = case
     d = len(theta) // 2 - 1
-    rows = idealshi.multiarr._line_conditions(a, b, m, d)
+    rows = line_conditions(a, b, m, d)
     by_rows = not any(dot(row, theta) for row in rows)
     assert idealshi.multiarr._respects(a, b, m, theta) == by_rows
     if kind != "random":
         assert by_rows
     # the step rule reads row j of the same conditions
     for j in range(d + 2):
-        want = dot(idealshi.multiarr._line_conditions(a, b, j + 1, d)[j], theta) if j <= d else 0
-        assert idealshi.multiarr._step_coefficient(a, b, j, theta) == want
+        want = dot(line_conditions(a, b, j + 1, d)[j], theta) if j <= d else 0
+        assert idealshi.multiarr._step_coefficient(a, b, j, theta, {}) == want
 
 
 def test_division_examples():
@@ -300,7 +327,7 @@ def test_division_examples():
 def taylor_rows(a, b, theta):
     """Every row of the line's conditions at theta's degree, dotted with theta."""
     d = len(theta) // 2 - 1
-    return [dot(row, theta) for row in idealshi.multiarr._line_conditions(a, b, d + 1, d)]
+    return [dot(row, theta) for row in line_conditions(a, b, d + 1, d)]
 
 
 @st.composite
@@ -390,17 +417,19 @@ def weighted_lines(draw):
 @settings(max_examples=100, deadline=None)
 @given(weighted_lines())
 def test_packed_target_matches_repeated_convolution(mult):
-    # prod alpha_H^(m_H) from one big product equals one convolution per unit;
-    # with membership waved through, (target, 0) and d/dy have det = target
+    # prod alpha_H^(m_H) from one big product at U = 2^K, K as the certificate
+    # packs at, has the digits of one convolution per unit; with membership
+    # waved through, (target, 0) and d/dy have det = target
     arr2 = Arrangement.of(2, mult)
     want = list(target_by_convolution(arr2.covectors, mult))
-    seen = []
-    real_digits = idealshi.multiarr._digits
+    widths = []
+    real_pack = idealshi.multiarr._pack
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(idealshi.multiarr, "_respects", lambda *args: True)
-        patch.setattr(idealshi.multiarr, "_digits", lambda *args: seen.append(real_digits(*args)) or seen[-1])
+        patch.setattr(idealshi.multiarr, "_pack", lambda coeffs, k: widths.append(k) or real_pack(coeffs, k))
         assert saito_certified(arr2, mult, tuple(want) + (0,) * len(want), (0, 1))
-        assert seen[-1] == want
+        k = widths[-1]
+        assert _digits(prod(((a << k) + b) ** m for (a, b), m in mult.items()), k, len(want)) == want
         assert saito_certified(arr2, mult, tuple(-3 * c for c in want) + (0,) * len(want), (0, 1))
         bumped = bump(want, 0 if want[0] == 0 else len(want) - 1)  # not the only nonzero entry, unless |m| = 0
         assert saito_certified(arr2, mult, bumped + (0,) * len(want), (0, 1)) == (len(want) == 1)
@@ -450,6 +479,33 @@ def test_certificate_matches_synthetic_division_on_campaigns(name, k):
     # the certified bases pass; most bumps are refused (a bump of a low-degree
     # basis can leave another basis of the same module)
     assert all(verdicts[::3]) and verdicts.count(False) > len(verdicts) // 3
+
+
+def certificate_mutations(arr2, mult, theta1, theta2, rng):
+    """(mult, theta1, theta2) for the certified pair and its mutations: one
+    coefficient bumped in either derivation, one line's m_H raised or
+    lowered by one, the pair swapped, and theta2 + 5 x^delta theta1."""
+    out = [(mult, theta1, theta2), (mult, bump(theta1, rng.randrange(len(theta1))), theta2)]
+    out += [(mult, theta1, bump(theta2, rng.randrange(len(theta2)))), (mult, theta2, theta1)]
+    out += [({**mult, cov: mult.get(cov, 0) + e}, theta1, theta2) for cov in arr2.covectors for e in (1, -1)]
+    delta = len(theta2) // 2 - len(theta1) // 2
+    p1, q1 = idealshi.multiarr._halves(theta1)
+    shifted = (0,) * delta + p1 + (0,) * delta + q1
+    out.append((mult, theta1, tuple(u + 5 * v for u, v in zip(theta2, shifted))))
+    return [(m, t1, t2) for m, t1, t2 in out if min(m.values(), default=0) >= 0]
+
+
+@pytest.mark.parametrize("name,k", [("A2", 11), ("B2", 7), ("G2", 5), ("G2", 10)])
+def test_certificate_matches_saito_divided_on_mutations(name, k):
+    # the packed determinant and the theta1-only membership decide what
+    # synthetic division and repeated convolution decide, on every basis a
+    # campaign certifies and on each of its mutations
+    rng, bases, verdicts = random.Random(f"mutations {name}{k}"), campaign_bases(name, k), []
+    for arr2, mult, (theta1, theta2) in bases:
+        for case in certificate_mutations(arr2, mult, theta1, theta2, rng):
+            verdicts.append(saito_certified(arr2, *case))
+            assert verdicts[-1] == saito_divided(arr2, *case), case
+    assert verdicts.count(True) >= len(bases) and verdicts.count(False) > len(verdicts) // 2
 
 
 def test_shared_bases_match_cold_calls(monkeypatch):
