@@ -41,7 +41,6 @@ from .charpoly import (
 )
 from .ideals import (
     enumerate_ideals,
-    ideal_exponents,
     weyl_catalan_number,
 )
 from .multiarr import (
@@ -57,6 +56,7 @@ from .rootsys import (
     RootSystem,
     build,
     dual_partition,
+    ideal_exponents,
     is_ideal,
     mask_of,
     roots_of,

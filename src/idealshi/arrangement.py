@@ -462,8 +462,8 @@ class LatticeCache:
     The table carries the size guards of the lattices built to fill it, and
     a read refuses an arrangement beyond them, so a warm table refuses
     exactly what a cold one does.
-    Beside chi it keeps, for the command only, the rank-2 derivation bases and
-    step weights, the traces of each plane on each restriction plane and, per
+    Beside chi it keeps, for the command only, the rank-2 derivation bases,
+    the traces of each plane on each restriction plane and, per
     restriction plane, one restriction onto it, which :meth:`hold` seeds with
     a campaign's largest cone and the walk fills (:meth:`restricted_coeffs`);
     equal restrictions share one lattice and the bit of each trace in it."""
@@ -472,7 +472,6 @@ class LatticeCache:
         self.max_hyperplanes, self.max_dim = max_hyperplanes, max_dim
         self._memory: dict[Arrangement, tuple[int, ...]] = {}
         self.rank2_bases: dict = {}  # multiarr.exp_rank2_multi's bases, kept for the command like chi
-        self.rank2_rows: dict = {}  # and the weights of the condition rows its steps read, under (a, b, j, degree)
         self.traces: dict[Vec, dict[Vec, Vec]] = {}  # restriction plane -> {plane: primitive trace}
         self.restricted: dict[Vec, Arrangement] = {}  # restriction plane -> the restriction stored onto it
         # restriction -> {trace: its bit}, and its lattice once read, kept for the command so none is built twice

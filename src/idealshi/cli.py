@@ -41,7 +41,7 @@ from .charpoly import (
     try_factor_exponents,
     whitney_admit,
 )
-from .ideals import enumerate_ideals, ideal_exponents
+from .ideals import enumerate_ideals
 from .multiarr import FreenessVerdict, yoshinaga_check
 from .report import (
     FAIL,
@@ -58,6 +58,7 @@ from .rootsys import (
     Root,
     RootSystem,
     build,
+    ideal_exponents,
     is_ideal,
     mask_of,
     roots_of,
@@ -153,8 +154,8 @@ class SubsetFacts:
 
     def yoshinaga(self, sign: str) -> FreenessVerdict:
         if sign not in self.yoshinaga_verdicts:
-            chi, bases, rows = self.chi(sign), self.cache.rank2_bases, self.cache.rank2_rows
-            self.yoshinaga_verdicts[sign] = yoshinaga_check(*self.multirestriction(sign), chi, bases=bases, rows=rows)
+            chi = self.chi(sign)
+            self.yoshinaga_verdicts[sign] = yoshinaga_check(*self.multirestriction(sign), chi, bases=self.cache.rank2_bases)
         return self.yoshinaga_verdicts[sign]
 
     @cached_property
@@ -182,8 +183,8 @@ def _check_yoshinaga(facts: SubsetFacts, sign: str) -> CheckResult:
     if facts.rs.rank != 2:
         return CheckResult("yoshinaga", SKIPPED, "complete criterion needs ambient dimension 3")
     verdict = facts.yoshinaga(sign)
-    simple_mask = sum(1 << i for i, r in enumerate(facts.rs.positive_roots) if r.height == 1)
-    expected_free = facts.mask == 0 or bool(facts.mask & simple_mask)
+    # the canonical order ascends in height: the rank simple roots come first, as filtration_cone relies on
+    expected_free = facts.mask == 0 or bool(facts.mask & ((1 << facts.rs.rank) - 1))
     if verdict.free != expected_free:
         return CheckResult("yoshinaga", FAIL, f"freeness {verdict.free}, expected {expected_free}")
     if not verdict.free:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rootsys import RootSystem, ideal_exponents, weyl_exponents  # ideal_exponents is re-exported here
+from .rootsys import RootSystem, weyl_exponents
 
 
 def weyl_catalan_number(rs: RootSystem) -> int:

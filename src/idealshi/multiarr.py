@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
-from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
@@ -28,11 +27,6 @@ from .rootsys import ExponentMultiset
 Multiplicity = Mapping[Vec, int]
 
 
-def _weights(a: int, b: int, t: int, d: int) -> list[int]:
-    """Row t of :func:`_condition_row` as weights w: a*w_s at p_s, b*w_s at q_s."""
-    return [b**s * comb(d - s, t) * (-a) ** (d - s - t) for s in range(d - t + 1)] if b else [0] * t + [1]
-
-
 def _condition_row(a: int, b: int, t: int, d: int) -> list[int]:
     """Row t of the conditions that (a*x + b*y)^m, m > t, divide a*P + b*Q of degree d.
 
@@ -42,7 +36,8 @@ def _condition_row(a: int, b: int, t: int, d: int) -> list[int]:
     b*q_s; or of x^t y^(d-t) in a*P when b = 0.  Rows 0..m-1 must vanish.
     """
     row = [0] * (2 * (d + 1))
-    for s, w in enumerate(_weights(a, b, t, d)):
+    weights = [b**s * comb(d - s, t) * (-a) ** (d - s - t) for s in range(d - t + 1)] if b else [0] * t + [1]
+    for s, w in enumerate(weights):
         row[s], row[d + 1 + s] = a * w, b * w
     return row
 
@@ -154,13 +149,16 @@ def saito_certified(arr2: Arrangement, mult: Multiplicity, theta1: Sequence[int]
     )
 
 
-def _step_coefficient(a: int, b: int, j: int, theta: Vec, rows: dict) -> int:
-    """Row j of the line's conditions at theta's degree d, dotted with theta;
-    0 when j > d (theta(alpha_H) = 0).  ``rows`` keeps the weights of each
-    row read (:func:`_weights`) under (a, b, j, d)."""
-    d = len(theta) // 2 - 1
-    w = rows.get((a, b, j, d)) or rows.setdefault((a, b, j, d), _weights(a, b, j, d))
-    return a * sum(map(mul, w, theta[: d + 1])) + b * sum(map(mul, w, theta[d + 1 :]))
+def _step_coefficient(a: int, b: int, j: int, theta: Vec) -> int:
+    """Row j of the line's conditions (:func:`_condition_row`) at theta's
+    degree d, dotted with theta: the form sum_s r_s C(d-s, j) x^s y^(d-j-s),
+    r_s = a*p_s + b*q_s, at (b, -a), by one Horner pass; a*p_j when b = 0.
+    Both are 0 when j > d (theta(alpha_H) = 0)."""
+    p, q = _halves(theta)
+    d = len(p) - 1
+    if not b:
+        return a * p[j] if j <= d else 0
+    return _at([(a * p[s] + b * q[s]) * comb(d - s, j) for s in range(d - j + 1)], b, -a)
 
 
 def _halves(theta: Vec) -> tuple[Vec, Vec]:
@@ -173,10 +171,10 @@ def _times_line(a: int, b: int, theta: Vec) -> Vec:
     return tuple([b * hi + a * lo for half in _halves(theta) for hi, lo in zip(half + (0,), (0,) + half)])
 
 
-def _raise(a: int, b: int, j: int, theta1: Vec, theta2: Vec, rows: dict) -> tuple[Vec, Vec]:
+def _raise(a: int, b: int, j: int, theta1: Vec, theta2: Vec) -> tuple[Vec, Vec]:
     """A basis of D(A, m + delta_H) from a basis (theta1, theta2) of D(A, m),
     deg theta1 <= deg theta2, where m_H = j and alpha_H = a*x + b*y."""
-    c1, c2 = _step_coefficient(a, b, j, theta1, rows), _step_coefficient(a, b, j, theta2, rows)
+    c1, c2 = _step_coefficient(a, b, j, theta1), _step_coefficient(a, b, j, theta2)
     if c1 == 0:
         pair = theta1, _times_line(a, b, theta2)
     elif c2 == 0:
@@ -190,9 +188,7 @@ def _raise(a: int, b: int, j: int, theta1: Vec, theta2: Vec, rows: dict) -> tupl
     return tuple(sorted(pair, key=len))
 
 
-def exp_rank2_multi(
-    arr2: Arrangement, mult: Multiplicity, bases: Optional[dict] = None, rows: Optional[dict] = None
-) -> tuple[int, int]:
+def exp_rank2_multi(arr2: Arrangement, mult: Multiplicity, bases: Optional[dict] = None) -> tuple[int, int]:
     """Exponent pair (d1, d2), d1 <= d2, of a basis passing Saito's criterion.
 
     The basis starts as d/dx, d/dy at m = 0, and the lines are raised
@@ -211,18 +207,18 @@ def exp_rank2_multi(
     After j rounds the pair is the one raised for min(m_H, j).  ``bases``
     maps (lines, multiplicities in line order) to such pairs; the raising
     resumes from the deepest round it holds and records each one it makes.
-    ``rows`` keeps the row weights the steps read (:func:`_step_coefficient`).
+    Each step computes its coefficients c_i directly (:func:`_step_coefficient`).
     """
     _validate(arr2, mult)
     ms = tuple(mult.get(c, 0) for c in arr2.covectors)
     keys = [(arr2.covectors, tuple([m if m < j else j for m in ms])) for j in range(max(ms) + 1)]  # keys[j]: after j rounds
-    bases, rows = {} if bases is None else bases, {} if rows is None else rows
+    bases = {} if bases is None else bases
     done = max((j for j, key in enumerate(keys) if key in bases), default=0)
     theta1, theta2 = bases.get(keys[done], ((1, 0), (0, 1)))  # d/dx, d/dy at m = 0
     for j in range(done, len(keys) - 1):
         for (a, b), m in zip(arr2.covectors, ms):
             if m > j:
-                theta1, theta2 = _raise(a, b, j, theta1, theta2, rows)
+                theta1, theta2 = _raise(a, b, j, theta1, theta2)
         bases[keys[j + 1]] = theta1, theta2
     d1, d2 = len(theta1) // 2 - 1, len(theta2) // 2 - 1
     if not saito_certified(arr2, mult, theta1, theta2):
@@ -251,21 +247,19 @@ class FreenessVerdict:
         return f"not free: chi0(0) = {self.chi0_zero} != {d1 * d2} = {d1}*{d2}"
 
 
-def yoshinaga_check(
-    arr2: Arrangement, mult: Multiplicity, chi: CharPoly, bases: Optional[dict] = None, rows: Optional[dict] = None
-) -> FreenessVerdict:
+def yoshinaga_check(arr2: Arrangement, mult: Multiplicity, chi: CharPoly, bases: Optional[dict] = None) -> FreenessVerdict:
     """Complete freeness test for central arrangements in 3 coordinates.
 
     Compares chi_0 at zero, read from ``chi``, the characteristic polynomial,
     with the product of the exponents of ``(arr2, mult)``, its Ziegler
     multirestriction onto one of its planes; equality is equivalent to
     freeness.  The caller computes both, so size guards apply there, before
-    the rank-2 solve runs; ``bases`` and ``rows`` go to :func:`exp_rank2_multi`.
+    the rank-2 solve runs; ``bases`` goes to :func:`exp_rank2_multi`.
     """
     if (arr2.dim, chi.degree) != (2, 3):
         raise ValueError(f"need 2 coordinates and chi of degree 3, got {arr2.dim} and chi of degree {chi.degree}")
     czero = chi0(chi).coeffs[0]
-    d1, d2 = exp_rank2_multi(arr2, mult, bases=bases, rows=rows)
+    d1, d2 = exp_rank2_multi(arr2, mult, bases=bases)
     if czero == d1 * d2:
         return FreenessVerdict(True, ExponentMultiset((1, d1, d2)), czero, (d1, d2))
     return FreenessVerdict(False, None, czero, (d1, d2))

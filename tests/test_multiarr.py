@@ -304,7 +304,7 @@ def test_division_matches_condition_rows(case):
     # the step rule reads row j of the same conditions
     for j in range(d + 2):
         want = dot(line_conditions(a, b, j + 1, d)[j], theta) if j <= d else 0
-        assert idealshi.multiarr._step_coefficient(a, b, j, theta, {}) == want
+        assert idealshi.multiarr._step_coefficient(a, b, j, theta) == want
 
 
 def test_division_examples():
