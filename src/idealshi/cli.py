@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache, cached_property
 from typing import Optional, Sequence
 
@@ -93,33 +93,20 @@ def _parse_subset(rs: RootSystem, spec: str) -> tuple[int, Optional[int]]:
     return mask_of(rs, roots), None
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    """One subset of a campaign, checked under each sign of ``sign``
-    ('+', '-' or 'both')."""
-
-    rs: RootSystem
-    k: int
-    sign: str
-    subset_mask: int
-    subset_index: Optional[int]
-    checks: tuple[str, ...]
-
-    @property
-    def system(self) -> str:
-        return self.rs.type
-
-
 class SubsetFacts:
-    """What the checks of one subset share across both signs, each computed at
-    most once: the cones, their multirestrictions and verdicts, and the shift
-    law.  The characteristic polynomials live in ``cache``, the campaign's table."""
+    """One subset of a campaign, checked under each sign of ``sign`` ('+', '-'
+    or 'both'), and what its checks share across both signs, each computed at
+    most once: the ideal test, the cones, their multirestrictions and
+    verdicts, and the shift law.  Empty ``checks`` means the defaults for the
+    subset.  The characteristic polynomials live in ``cache``, the campaign's table."""
 
-    def __init__(self, spec: CaseSpec, cache: LatticeCache):
-        self.rs = spec.rs
-        self.k = spec.k
-        self.mask = spec.subset_mask
-        self.ideal = is_ideal(self.rs, self.mask)
+    def __init__(
+        self, rs: RootSystem, k: int, sign: str, mask: int, index: Optional[int], checks: tuple[str, ...], cache: LatticeCache
+    ):
+        self.rs, self.k, self.sign, self.mask, self.subset_index = rs, k, sign, mask, index
+        self.system = rs.type
+        self.ideal = is_ideal(rs, mask)
+        self.checks = checks or _default_checks(self)
         self.cache = cache
         self.sizes: dict[str, int] = {}
         self.arrangements: dict[str, Arrangement] = {}
@@ -249,19 +236,18 @@ def _verdict(checks: Sequence[CheckResult], refused: bool) -> str:
     return PASS
 
 
-def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
-    """One record per sign of the spec, in sign order.  A check that the size
+def run_case(facts: SubsetFacts) -> list[CaseRecord]:
+    """One record per sign of the subset, in sign order.  A check that the size
     guards refuse reports SKIPPED under its own name with the guard's message,
     and the later checks still run.  Work that both signs, or several subsets
-    of the campaign, share through the chi table ``cache`` is done once, and
-    its time is charged to the first record that needs it."""
+    of the campaign, share through the chi table ``facts.cache`` is done once,
+    and its time is charged to the first record that needs it."""
     t0 = time.perf_counter()
-    facts = SubsetFacts(spec, cache)
     names = tuple(r.name for r in roots_of(facts.rs, facts.mask))
     records = []
-    for sign in _signs(spec.sign):
+    for sign in _signs(facts.sign):
         checks, refused = [], False
-        for name in spec.checks:
+        for name in facts.checks:
             try:
                 checks.append(CHECKS[name](facts, sign))
             except SizeBoundError as err:
@@ -271,12 +257,12 @@ def run_case(spec: CaseSpec, cache: LatticeCache) -> list[CaseRecord]:
         t1 = time.perf_counter()
         records.append(
             CaseRecord(
-                system=spec.system,
-                k=spec.k,
+                system=facts.system,
+                k=facts.k,
                 sign=sign,
                 subset_kind="ideal" if facts.ideal else "roots",
                 subset_roots=names,
-                subset_index=spec.subset_index,
+                subset_index=facts.subset_index,
                 arrangement_size=facts.size(sign),
                 predicted_exponents=predicted and predicted.parts,
                 chi_coeffs=terao and terao.computed.coeffs,
@@ -351,14 +337,14 @@ def _read(args) -> tuple[RootSystem, list[tuple[int, Optional[int]]]]:
         raise UsageError(str(err)) from err
 
 
-def _default_checks(rs: RootSystem, mask: int, sign_mode: str) -> tuple[str, ...]:
+def _default_checks(facts: SubsetFacts) -> tuple[str, ...]:
     checks = []
-    if is_ideal(rs, mask):
+    if facts.ideal:
         checks.append("terao")
     checks.append("ziegler")
-    if rs.rank == 2:
+    if facts.rs.rank == 2:
         checks.append("yoshinaga")
-        if sign_mode == "both":
+        if facts.sign == "both":
             checks.append("duality")
     return tuple(checks)
 
@@ -373,21 +359,11 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--checks {args.checks} names a check more than once")
     _emit("", args, "a")
     sign = args.sign or "both"
-    specs = [
-        CaseSpec(
-            rs=rs,
-            k=args.k,
-            sign=sign,
-            subset_mask=mask,
-            subset_index=idx,
-            checks=checks or _default_checks(rs, mask, sign),
-        )
-        for mask, idx in grid
-    ]
     cache = _table(args)
-    if len(specs) > 1:  # a campaign holds its largest case, whose restrictions every chain step reads
+    if len(grid) > 1:  # a campaign holds its largest case, whose restrictions every chain step reads
         cache.hold(rs, args.k, _signs(sign))
-    cases = [c for spec in specs for c in run_case(spec, cache)]
+    # one subset's facts at a time, so its cones are freed once its records are made
+    cases = [c for mask, idx in grid for c in run_case(SubsetFacts(rs, args.k, sign, mask, idx, checks, cache))]
     report = Report(command="verify", tool_version=__version__, cases=cases)
     _emit(report.render(args.format, with_timings=args.timings), args)
     return 0 if report.ok else 1
@@ -408,7 +384,7 @@ def cmd_filtration(args) -> int:
     previous: Optional[list[range]] = None
     for i in range(1, args.steps + 1):
         k, mask, sign = filtration_cone(rs, i)  # each step is an ideal-Shi cone, checked as in verify
-        [case] = run_case(CaseSpec(rs, k, sign, mask, i, ("terao",)), cache)
+        [case] = run_case(SubsetFacts(rs, k, sign, mask, i, ("terao",), cache))
         levels, size = shi_levels(rs, k, mask, sign), case.arrangement_size
         chain = [CheckResult("saturated", PASS if size == i else FAIL, f"|A_{i}| = {size}")]
         if previous is not None:
@@ -564,6 +540,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "k", None) is not None and args.k < 1:
             raise UsageError("k must be a positive integer")
+        for guard in ("max_hyperplanes", "max_dim"):
+            if getattr(args, guard, 0) < 0:
+                raise UsageError(f"--{guard.replace('_', '-')} must not be negative")
         if getattr(args, "sign", None) is not None and args.k is None:
             raise UsageError("--sign needs -k")
         return args.func(args)

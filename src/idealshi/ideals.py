@@ -37,10 +37,7 @@ def enumerate_ideals(rs: RootSystem, max_rank: int = 4) -> tuple[int, ...]:
     construction; an order that is not a linear extension would lose ideals.
     """
     if rs.rank > max_rank:
-        raise ValueError(
-            f"rank {rs.rank} exceeds the enumeration bound {max_rank}; "
-            "raise max_rank explicitly if you mean it"
-        )
+        raise ValueError(f"rank {rs.rank} exceeds the enumeration bound {max_rank}")
     masks = [0]
     for i, below in enumerate(rs.below_masks):
         masks += [m | 1 << i for m in masks if not below & ~m & ~(1 << i)]

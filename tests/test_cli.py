@@ -54,6 +54,12 @@ def test_usage_errors(capsys):
         ("exponents", "E6", "-k", "1", "--all-ideals"),
         ("ideals", "E6"),
         ("verify", "A2", "-k", "1", "--subset", "ideal:"),
+        ("verify", "A2", "-k", "1", "--subset", "none", "--max-hyperplanes", "-1"),
+        ("verify", "A2", "-k", "1", "--subset", "none", "--max-dim", "-5"),
+        ("filtration", "A2", "--steps", "3", "--max-hyperplanes", "-1"),
+        ("filtration", "A2", "--steps", "3", "--max-dim", "-5"),
+        ("charpoly", "A2", "-k", "1", "--max-hyperplanes", "-1"),
+        ("charpoly", "A2", "-k", "1", "--max-dim", "-5"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -61,6 +67,12 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: ")
     if argv[-1].startswith("ideal:"):
         assert f"ideal:IDX needs an integer index, got {argv[-1][len('ideal:'):]!r}" in err
+    if "E6" in argv:
+        # the CLI has no max_rank option, so the message names only the rank and the bound
+        assert "rank 6 exceeds the enumeration bound 4" in err and "max_rank" not in err
+    if argv[-2].startswith("--max-"):
+        # a negative guard would otherwise SKIP every case
+        assert err == f"error: {argv[-2]} must not be negative\n"
 
 
 def test_charpoly_rejects_all_ideals(capsys):
@@ -399,6 +411,15 @@ def test_each_plane_is_traced_once_per_command(capsys, monkeypatch):
         counts.append(len(pairs))
         kernel.clear()
     assert counts[0] == counts[1] > 0
+
+
+def test_campaign_tests_each_subset_is_ideal_once(capsys, monkeypatch):
+    # one SubsetFacts per ideal, whose one ideal test also picks the default checks; the
+    # other two calls per ideal are shi_exponents_dp's own input check, one per sign
+    facts = _count_calls(monkeypatch, idealshi.cli, "SubsetFacts")
+    ideal_tests = _count_calls(monkeypatch, idealshi.rootsys, "is_ideal")
+    assert run(capsys, "verify", "B3", "-k", "2", "--all-ideals", "--format", "json")[0] == 0
+    assert len(facts) == 20 and len(ideal_tests) == 60
 
 
 def test_verify_passes_masks_not_roots(capsys, monkeypatch):
@@ -803,8 +824,7 @@ def test_filtration_step_is_its_verify_case(capsys, system, steps):
     verdicts = []
     for i, step in enumerate(json.loads(out)["cases"], start=1):
         k, mask, sign = idealshi.arrangement.filtration_cone(rs, i)
-        spec = idealshi.cli.CaseSpec(rs, k, sign, mask, i, ("terao",))
-        [case] = idealshi.cli.run_case(spec, table)
+        [case] = idealshi.cli.run_case(idealshi.cli.SubsetFacts(rs, k, sign, mask, i, ("terao",), table))
         want = case.to_dict(with_timings=False)
         chain = ["saturated"] if i == 1 else ["saturated", "nested"]
         assert [c["name"] for c in step["checks"][: len(chain)]] == chain
@@ -918,8 +938,7 @@ def test_rank3_duality_census(name, k, census):
     rs, table = idealshi.rootsys.build(name), idealshi.arrangement.LatticeCache()
     details = []
     for mask in range(1 << rs.n_positive):
-        spec = idealshi.cli.CaseSpec(rs, k, "+", mask, None, ("duality",))
-        [case] = idealshi.cli.run_case(spec, table)
+        [case] = idealshi.cli.run_case(idealshi.cli.SubsetFacts(rs, k, "+", mask, None, ("duality",), table))
         details.append(case.checks[0].detail)
     outcomes = (
         "both signs match the shifted base exponents",

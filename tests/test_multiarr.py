@@ -31,7 +31,7 @@ from idealshi import (
     z_covector,
     ziegler_multiplicity,
 )
-from idealshi.cli import CaseSpec, SubsetFacts
+from idealshi.cli import SubsetFacts
 from idealshi.multiarr import _packed_taylor, saito_certified
 from saito_division import _respects as divides, saito_divided, target_by_convolution
 
@@ -586,7 +586,7 @@ def test_subset_shift_law_equals_dual_partition_exponents(systems, name):
     rs, cache = systems[name], LatticeCache()
     ideals = enumerate_ideals(rs)
     for i, mask in enumerate(ideals):
-        law = SubsetFacts(CaseSpec(rs, 1, "both", mask, i, ()), cache).shift_law
+        law = SubsetFacts(rs, 1, "both", mask, i, (), cache).shift_law
         for sign in "+-":
             assert law[sign] == shi_exponents_dp(rs, 1, mask, sign), (name, i, sign)
 
