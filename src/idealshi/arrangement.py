@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Vec
-from .rootsys import Root, RootSystem, _check_cone, mask_bits, roots_of, shi_levels, shi_plane_count
+from .rootsys import Root, RootSystem, roots_of, shi_levels, shi_plane_count
 
 
 class SizeBoundError(RuntimeError):
@@ -65,14 +65,10 @@ class Arrangement:
 # construction of the arrangements attached to a root system
 
 
-def root_covector(rs: RootSystem, root: Root, j: int = 0, coned: bool = False) -> Vec:
-    """Covector of {root - j*z = 0}; plain root hyperplane when not coned."""
+def root_covector(rs: RootSystem, root: Root) -> Vec:
+    """Covector of the root hyperplane {root = 0}: a positive root is already primitive and nonnegative."""
     if root.coeffs not in rs.index:
         raise ValueError(f"{root} is not a positive root of {rs.type}")
-    if coned:
-        return root.coeffs + (-j,)  # a positive root is already primitive and nonnegative
-    if j != 0:
-        raise ValueError("unconed hyperplanes only exist at level 0")
     return root.coeffs
 
 
@@ -106,17 +102,14 @@ def chain_parent(rs: RootSystem, k: int, mask: int, sign: str) -> Optional[tuple
     '-' chain.  The anchors are (k, all roots, '-') for k >= 1, which is
     the cone (k - 1, all roots, '+'), and {z = 0} at k = 0.
     """
-    _check_cone(k, sign)  # refuses, as shi_levels does, a cone outside the family
-    mask_bits(rs, mask)  # and a mask outside the root system
+    levels = shi_levels(rs, k, mask, sign)  # refuses exactly the triples that name no cone
     if sign == "+" and not mask and k:
-        sign = "-"
+        sign = "-"  # the same cone, so the same levels
     if mask == (0 if sign == "+" else (1 << rs.n_positive) - 1):
         return None
-    if sign == "+":
-        i, level = mask.bit_length() - 1, -k
-    else:
-        i, level = (~mask & (mask + 1)).bit_length() - 1, k
-    return mask ^ 1 << i, sign, root_covector(rs, rs.positive_roots[i], level, coned=True)
+    # the plane is the last root's lowest level under '+', the first missing root's highest under '-'
+    i, end = (mask.bit_length() - 1, 0) if sign == "+" else ((~mask & (mask + 1)).bit_length() - 1, -1)
+    return mask ^ 1 << i, sign, rs.positive_roots[i].coeffs + (-levels[i][end],)
 
 
 def filtration_cone(rs: RootSystem, i: int) -> tuple[int, int, str]:

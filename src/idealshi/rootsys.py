@@ -329,7 +329,7 @@ def shi_levels(rs: RootSystem, k: int, mask: int, sign: str) -> list[range]:
 
 def shi_plane_count(rs: RootSystem, k: int, mask: int, sign: str) -> int:
     """Hyperplanes of the ideal-Shi cone, {z = 0} included, without listing them."""
-    return 1 + sum(len(js) for js in shi_levels(rs, k, mask, sign))
+    return 1 + sum(js.stop - js.start for js in shi_levels(rs, k, mask, sign))  # len() overflows at 2^63 levels
 
 
 def shift_predict(base_exp: ExponentMultiset, k: int, h: int, sign: str) -> ExponentMultiset:

@@ -37,7 +37,8 @@ from idealshi import (
 )
 from idealshi import linalg
 from idealshi.arrangement import _lowest, _primitive, _restricted_basis, _through, _trace_kernel, _words, covector
-from idealshi.rootsys import is_ideal, mask_of, roots_of, shi_plane_count
+from idealshi.report import Report
+from idealshi.rootsys import ExponentMultiset, is_ideal, mask_of, roots_of, shi_plane_count, shift_predict
 
 from extended_heights import ext_height, ext_height_z, shi_planes
 
@@ -281,7 +282,7 @@ def test_a_held_restriction_records_no_edges(systems):
     # codim 2 and the top; mobius reads the top's covers off the coatoms
     table = LatticeCache()
     table.hold(systems["B3"], 2, "+-")
-    plane = root_covector(systems["B3"], systems["B3"].positive_roots[0], -2, coned=True)
+    plane = systems["B3"].positive_roots[0].coeffs + (2,)
     lattice = intersection_lattice(table.restricted[plane])
     assert lattice.arrangement.dim == len(lattice.levels) - 1 == 3  # 3 coordinates, the top at codim 3
     assert lattice.edges == ()
@@ -512,7 +513,7 @@ def test_shi_rejects_bad_input(systems):
         mask_of(a2, [b2.positive_roots[3]])  # a root of another system has no bit of a mask
     # k = 0 with '+' is the coned ideal subarrangement
     ideal = a2.positive_roots[:2]
-    want = {z_covector(a2)} | {root_covector(a2, r, 0, coned=True) for r in ideal}
+    want = {z_covector(a2)} | {r.coeffs + (0,) for r in ideal}
     assert set(shi_arrangement(a2, 0, mask_of(a2, ideal), "+").covectors) == want
 
 
@@ -533,7 +534,7 @@ def test_root_covectors_are_already_primitive(name):
         assert linalg.normalize_primitive(r.coeffs) == r.coeffs
         assert root_covector(rs, r) == covector(r.coeffs)
         for j in range(-2, 3):
-            assert root_covector(rs, r, j, coned=True) == covector(r.coeffs + (-j,))
+            assert r.coeffs + (-j,) == covector(r.coeffs + (-j,))
 
 
 # --- filtration -------------------------------------------------------------
@@ -561,7 +562,7 @@ def test_filtration_steps_follow_the_chain_rule(systems):
         rs = systems[name]
         for i in range(1, 4 * rs.n_positive + 2):
             planes = chain_planes(rs, i)
-            covs = [z_covector(rs)] + [root_covector(rs, root, j, coned=True) for root, j in planes]
+            covs = [z_covector(rs)] + [root.coeffs + (-j,) for root, j in planes]
             assert shi_arrangement(rs, *filtration_cone(rs, i)) == Arrangement.of(rs.rank + 1, covs)
             values = [ext_height_z()] + [ext_height(rs, root, j) for root, j in planes]
             assert shi_exponents_dp(rs, *filtration_cone(rs, i)) == dual_partition(values, rs.rank + 1)
@@ -687,7 +688,7 @@ def test_the_top_step_matches_the_generic_pass(systems, name, k, ambient, restri
     rs = systems[name]
     arr = shi_arrangement(rs, k, (1 << rs.n_positive) - 1 if ambient else 0, "+")
     if restricted:
-        arr = restriction(arr, root_covector(rs, rs.positive_roots[0], -k, coned=True))
+        arr = restriction(arr, rs.positive_roots[0].coeffs + (k,))
     lattice, m, rng = intersection_lattice(arr), arr.size, random.Random(f"{name} {k}")
     assert len(lattice.levels) == arr.dim + 1  # the top at codim dim: F4's restriction has codim 3 under it
     masks = [0, (1 << m) - 1] + [1 << i for i in range(m)]
@@ -847,7 +848,7 @@ def test_batched_traces_match_one_plane_at_a_time(systems, name, k):
     # campaign's table is filled, against one call per plane
     rs = systems[name]
     ambient = shi_arrangement(rs, k, mask_of(rs, rs.positive_roots), "+")
-    planes = [root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-k, k)] + [z_covector(rs)]
+    planes = [r.coeffs + (-j,) for r in rs.positive_roots for j in (-k, k)] + [z_covector(rs)]
     batched = _trace_kernel(planes, ambient.covectors)
     assert len(batched) == len(planes)
     for h0, traced in zip(planes, batched):
@@ -877,10 +878,10 @@ def test_restriction_count_examples(systems):
     a2 = systems["A2"]
     shi = shi_arrangement(a2, 1, 0, "+")
     a1, a2r, a12 = a2.positive_roots
-    assert restriction(shi, root_covector(a2, a1, -1, coned=True)).size == 4
-    assert restriction(shi, root_covector(a2, a12, -1, coned=True)).size == 5
+    assert restriction(shi, a1.coeffs + (1,)).size == 4
+    assert restriction(shi, a12.coeffs + (1,)).size == 5
     arr = shi_arrangement(a2, 1, mask_of(a2, [a1]), "+")
-    assert restriction(arr, root_covector(a2, a2r, -1, coned=True)).size == 5
+    assert restriction(arr, a2r.coeffs + (1,)).size == 5
     assert restriction(Arrangement.of(1, [(1,)]), (1,)) == Arrangement(0, ())  # a line to its point
 
 
@@ -898,10 +899,10 @@ def count_table(systems):
                         continue
                     boundary_case = alpha in simple and not (sigma_set & simple)
                     plus = shi_arrangement(rs, k, bits, "+")
-                    got_plus = restriction(plus, root_covector(rs, alpha, -k, coned=True)).size
+                    got_plus = restriction(plus, alpha.coeffs + (k,)).size
                     want_plus = k * h + 1 if boundary_case else k * h + 2
                     minus = shi_arrangement(rs, k, bits, "-")
-                    got_minus = restriction(minus, root_covector(rs, alpha, k, coned=True)).size
+                    got_minus = restriction(minus, alpha.coeffs + (-k,)).size
                     want_minus = k * h + 1 if boundary_case else k * h
                     cases.append((got_plus == want_plus) and (got_minus == want_minus))
     return cases
@@ -932,7 +933,22 @@ def test_ziegler_requires_membership(systems):
     a2 = systems["A2"]
     arr = shi_arrangement(a2, 1, 0, "+")
     with pytest.raises(ValueError):
-        ziegler_multiplicity(arr, root_covector(a2, a2.positive_roots[0], -1, coned=True))
+        ziegler_multiplicity(arr, a2.positive_roots[0].coeffs + (1,))
+
+
+def test_malformed_library_calls_are_refused(systems):
+    a2 = systems["A2"]
+    arr = shi_arrangement(a2, 1, 0, "+")
+    calls = {
+        "filtration steps are indexed from 1": lambda: filtration_cone(a2, 0),
+        "unknown format 'xml'": lambda: Report(command="verify", tool_version="0", cases=[]).render("xml"),
+        r"sign must be '\+' or '-', got 'x'": lambda: shift_predict(ExponentMultiset((1, 2)), 1, 3, "x"),
+        "covector length 2 != ambient dimension 3": lambda: Arrangement.of(3, [(1, 0, 0), (1, 0)]),
+        "hyperplane not in arrangement": lambda: arr.delete(a2.positive_roots[0].coeffs + (2,)),
+    }
+    for match, call in calls.items():
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_ziegler_matches_2k_plus_indicator(systems):
@@ -981,13 +997,13 @@ def point_containment_cases(rs, k):
     for alpha, beta in itertools.combinations(rs.positive_roots, 2):
         for level in (k, -k):
             point, pivots = linalg.echelon(
-                [root_covector(rs, alpha, level, coned=True), root_covector(rs, beta, level, coned=True)]
+                [alpha.coeffs + (-level,), beta.coeffs + (-level,)]
             )
             through = {
                 (gamma, s)
                 for gamma in rs.positive_roots
                 for s in range(-k, k + 1)
-                if in_rowspace(root_covector(rs, gamma, s, coned=True), point, pivots)
+                if in_rowspace(gamma.coeffs + (-s,), point, pivots)
             }
             results.append((alpha, beta, level, through))
     return results, simple

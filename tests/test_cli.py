@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -13,13 +14,20 @@ import idealshi.cli
 import idealshi.multiarr
 import idealshi.rootsys
 from idealshi.cli import main
-from idealshi.rootsys import DualPartitionError
+from idealshi.charpoly import CharPoly
+from idealshi.rootsys import DualPartitionError, ExponentMultiset
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _check_details(out) -> list[tuple[str, str, str, str]]:
+    """(verdict, check name, status, detail) of each check of each record of a JSON report."""
+    cases = json.loads(out)["cases"]
+    return [(case["verdict"], c["name"], c["status"], c["detail"]) for case in cases for c in case["checks"]]
 
 
 def test_roots_table(capsys):
@@ -73,6 +81,21 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     if argv[-2].startswith("--max-"):
         # a negative guard would otherwise SKIP every case
         assert err == f"error: {argv[-2]} must not be negative\n"
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ("a1,,a2", "empty root name"),
+        ("0a1", "zero vector is not a root: '0a1'"),
+        ("a3", "simple-root index 3 out of range 1..2"),
+        ("b1", "cannot parse root term 'b1' in 'b1'"),
+        ("a1+x", "cannot parse root term 'x' in 'a1+x'"),
+    ],
+)
+def test_malformed_subset_is_a_usage_error(capsys, subset, message):
+    code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", subset)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_charpoly_rejects_all_ideals(capsys):
@@ -133,15 +156,15 @@ def test_verify_all_ideals_passes(capsys):
 
 
 def test_verify_non_free_witness(capsys):
-    code, out, _ = run(
-        capsys, "verify", "A2", "-k", "1", "--subset", "a1+a2", "--sign", "+", "--format", "json"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["summary"]["not_free_confirmed"] == 1
-    detail = doc["cases"][0]["checks"]
-    yos = [c for c in detail if c["name"] == "yoshinaga"][0]
-    assert "13" in yos["detail"] and "12" in yos["detail"]
+    # {a1+a2} is no ideal and misses every simple root: neither sign's cone is free
+    code, out, err = run(capsys, "verify", "A2", "-k", "1", "--subset", "a1+a2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"]["not_free_confirmed"] == 2
+    ziegler = ("NOT_FREE_CONFIRMED", "ziegler", "PASS", "multirestriction equals base roots with 2k +/- indicator")
+    duality = ("NOT_FREE_CONFIRMED", "duality", "PASS", "both signs not free")
+    not_free = ("not free: chi0(0) = 13 != 12 = 3*4", "not free: chi0(0) = 7 != 6 = 2*3")
+    yoshinaga = [("NOT_FREE_CONFIRMED", "yoshinaga", "NOT_FREE_CONFIRMED", detail) for detail in not_free]
+    assert _check_details(out) == [ziegler, yoshinaga[0], duality, ziegler, yoshinaga[1], duality]
 
 
 def test_verify_json_deterministic(capsys):
@@ -323,7 +346,7 @@ def test_verify_computes_shared_work_once(capsys, monkeypatch):
     # 6 subset arrangements, whose chi splits into the shift-law base
     rs = idealshi.cli.build("B2")
     ambient = idealshi.arrangement.shi_arrangement(rs, 1, (1 << rs.n_positive) - 1, "+")
-    steps = [idealshi.arrangement.root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in (-1, 1)]
+    steps = [r.coeffs + (-j,) for r in rs.positive_roots for j in (-1, 1)]
     restricted = {idealshi.arrangement.restriction(ambient, h) for h in steps}
     assert len(restricted) == 3
     arrangements = [args[0] for args in lattices]
@@ -549,7 +572,7 @@ def test_one_sign_campaign_reads_its_chain_planes(capsys, monkeypatch, sign, pla
     assert run(capsys, "verify", "F4", "-k", "1", "--all-ideals", "--sign", sign, "--format", "json")[0] == 0
     rs = idealshi.cli.build("F4")
     levels = (1,) if sign == "-" else (-1, 1)
-    want = {idealshi.arrangement.root_covector(rs, r, j, coned=True) for r in rs.positive_roots for j in levels}
+    want = {r.coeffs + (-j,) for r in rs.positive_roots for j in levels}
     assert {h0 for _, _, h0 in reads} == want and len(want) == planes
     # what the table stores: a restriction per chain plane, and traces onto those planes and {z = 0}
     [table] = tables
@@ -739,6 +762,51 @@ def test_charpoly_all_methods_agree(capsys):
     assert "(1, 3, 3)" in out
 
 
+def test_charpoly_reports_a_method_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr(idealshi.cli, "charpoly_whitney", lambda arr: CharPoly.from_roots((1, 2, 4)))
+    code, out, err = run(capsys, "charpoly", "A2", "-k", "1", "--subset", "none")
+    assert (code, err) == (1, "")
+    assert "whitney: t^3 - 7t^2 + 14t - 8" in out
+    assert out.splitlines()[-1] == "METHOD DISAGREEMENT" and "integer roots" not in out
+
+
+def test_charpoly_reports_a_polynomial_that_does_not_split(capsys):
+    code, out, err = run(capsys, "charpoly", "A3", "-k", "1", "--subset", "a1+a2", "--method", "all")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "A3 Shi k=1 sign + subset {a1+a2}: 14 hyperplanes",
+        *(f"{method}: t^4 - 14t^3 + 70t^2 - 141t + 84" for method in ("mobius", "whitney", "finite-field")),
+        "integer roots: no split: residual t^2 - 9t + 21 after roots (1, 4)",
+    ]
+
+
+HUGE_K = str(1 << 62)  # the level ranges of its cones hold 2^63 + 1 levels, past what len() returns
+
+
+def test_huge_k_is_refused_by_the_guards(capsys):
+    code, out, err = run(capsys, "verify", "A2", "-k", HUGE_K, "--all-ideals", "--format", "json")
+    assert (code, err) == (0, "")
+    cases = json.loads(out)["cases"]
+    assert len(cases) == 10
+    for plus, minus in zip(cases[::2], cases[1::2]):
+        # duality asks the '+' cone first, so both records' duality names its size
+        duality = ("duality", f"{plus['arrangement_size']} hyperplanes exceed bound 73")
+        for case in (plus, minus):
+            refused = f"{case['arrangement_size']} hyperplanes exceed bound 73"
+            assert case["verdict"] == "SKIPPED" and case["predicted_exponents"] is not None
+            assert _refusals(case) == [(name, refused) for name in ("terao", "ziegler", "yoshinaga")] + [duality]
+    assert cases[0]["arrangement_size"] == 27670116110564327425
+    assert cases[0]["predicted_exponents"] == [1, 13835058055282163712, 13835058055282163712]
+    code, out, err = run(capsys, "charpoly", "A2", "-k", HUGE_K, "--subset", "none")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "mobius: skipped (27670116110564327425 hyperplanes exceed bound 73)",
+        "whitney: skipped (27670116110564327425 hyperplanes exceed the subset-sum bound 22)",
+        "finite-field: skipped (27670116110564327425 hyperplanes exceed bound 73)",
+        f"A2 Shi k={HUGE_K} sign + subset {{}}: 27670116110564327425 hyperplanes",
+    ]
+
+
 def test_charpoly_refuses_a_huge_cone_on_every_route(capsys, monkeypatch):
     # all three routes ask the guards from the plane count, so the 120,001 planes are never built
     cones = _count_calls(monkeypatch, idealshi.arrangement, "shi_arrangement")
@@ -855,6 +923,66 @@ def test_refused_check_does_not_hide_a_later_failure(capsys, monkeypatch):
         ("terao", "SKIPPED", "refused for the test"),
         ("ziegler", "FAIL", "no"),
     ]
+
+
+def _patch_facts(monkeypatch, name, change):
+    """Pass what ``SubsetFacts.<name>(sign)`` returns through ``change(sign, result)``."""
+    original = getattr(idealshi.cli.SubsetFacts, name)
+    monkeypatch.setattr(idealshi.cli.SubsetFacts, name, lambda facts, sign: change(sign, original(facts, sign)))
+
+
+WRONG_EXPONENTS = ExponentMultiset((1, 2, 4))
+
+
+@pytest.mark.parametrize(
+    "name, change, checks, sign, details",
+    [
+        ("yoshinaga", lambda s, v: replace(v, free=False), "yoshinaga", "+", ["freeness False, expected True"]),
+        (
+            "yoshinaga", lambda s, v: replace(v, exponents=WRONG_EXPONENTS), "yoshinaga", "+",
+            ["exponents (1, 2, 4) != shift law (1, 3, 3)"],
+        ),
+        (
+            "multirestriction", lambda s, m: (m[0], {**m[1], (1, 0): 1}), "ziegler", "+",
+            ["multirestriction onto {z=0} differs from 2k +/- indicator"],
+        ),
+        (
+            "yoshinaga", lambda s, v: replace(v, free=s == "+"), "duality", "both",
+            ["freeness differs between signs"] * 2,
+        ),
+        (
+            "yoshinaga", lambda s, v: replace(v, exponents=WRONG_EXPONENTS) if s == "-" else v, "duality", "both",
+            ["sign - exponents break the shift law"] * 2,
+        ),
+    ],
+    ids=["yoshinaga freeness", "yoshinaga exponents", "ziegler", "duality freeness", "duality exponents"],
+)
+def test_a_counterexample_fails_its_check(capsys, monkeypatch, name, change, checks, sign, details):
+    # each check's FAIL arm, forced on the free cones of A2 k=1: a genuine
+    # counterexample must come back as a FAIL record and exit 1, not exit 3
+    _patch_facts(monkeypatch, name, change)
+    argv = ("verify", "A2", "-k", "1", "--subset", "none", "--sign", sign, "--checks", checks, "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert _check_details(out) == [("FAIL", checks, "FAIL", detail) for detail in details]
+
+
+def test_duality_skips_when_the_signs_disagree_at_the_polynomial_level(capsys, monkeypatch):
+    # in rank 3, one sign off the shifted base exponents but still split proves nothing either way
+    _patch_facts(monkeypatch, "chi", lambda s, chi: CharPoly.from_roots((1, 2, 3, 4)) if s == "+" else chi)
+    argv = ("verify", "B3", "-k", "1", "--subset", "a1,a2,a3", "--checks", "duality", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    detail = "inconclusive at the polynomial level in this rank"
+    assert _check_details(out) == [("SKIPPED", "duality", "SKIPPED", detail)] * 2
+
+
+def test_yoshinaga_outside_rank_2_is_skipped(capsys):
+    argv = ("verify", "A3", "-k", "1", "--subset", "a1", "--checks", "yoshinaga", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    detail = "complete criterion needs ambient dimension 3"
+    assert _check_details(out) == [("SKIPPED", "yoshinaga", "SKIPPED", detail)] * 2
 
 
 @pytest.mark.parametrize("option", [("--out", "{missing}/r.json")], ids=["out"])
